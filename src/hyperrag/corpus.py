@@ -70,9 +70,6 @@ class Corpus:
     def get(self, doc_id: str) -> Document:
         return self.documents[self.id_index[doc_id]]
 
-    def ids(self) -> list[str]:
-        return [d.id for d in self.documents]
-
 
 @dataclass(frozen=True)
 class QueryRecord:

@@ -154,10 +154,7 @@ def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tu
         entry = baked.by_dimension.get(dim)
         if entry is not None:
             return entry
-    cache = getattr(ix, "_vector_cache", None)
-    if cache is None:
-        cache = {}
-        ix._vector_cache = cache
+    cache = ix._vector_cache
     cache_key = (encoder.name, encoder.dim, dim)
     if cache_key not in cache:
         built = build_label_vectors({dim: ix.vocab.get(dim, set())}, encoder)

@@ -23,7 +23,7 @@ from .embedding import DEFAULT_TAU, Encoder
 from .errors import MissingGold
 from .hypercube import HypercubeIndex, build_index
 from .labeling import Gazetteer, extract_all, normalize_label
-from .retrieval import DEFAULT_K, retrieve
+from .retrieval import DEFAULT_K, PhaseTimings, retrieve
 
 # Word pools for synthetic noise documents. Content words are themed
 # away from the environmental-hazard domain (industry, pollution,
@@ -96,10 +96,7 @@ class QueryEval:
     gold_ids: list[str]
     hit_at: dict[int, bool]
     reciprocal_rank: float
-    decompose_us: float
-    match_us: float
-    score_us: float
-    total_us: float
+    timing: PhaseTimings
 
 
 @dataclass
@@ -124,7 +121,7 @@ class EvalReport:
                 for k in cls.REPORTED_KS
             }
             mrr = sum(r.reciprocal_rank for r in rows) / len(rows)
-            totals = np.array([r.total_us for r in rows])
+            totals = np.array([r.timing.total_us for r in rows])
             mean_us = float(totals.mean())
             median_us = float(np.median(totals))
             p95_us = float(np.percentile(totals, 95))
@@ -159,10 +156,10 @@ class EvalReport:
                     "hit_at": {str(k): v for k, v in r.hit_at.items()},
                     "reciprocal_rank": r.reciprocal_rank,
                     "latency_us": {
-                        "decompose": r.decompose_us,
-                        "match": r.match_us,
-                        "score": r.score_us,
-                        "total": r.total_us,
+                        "decompose": r.timing.decompose_us,
+                        "match": r.timing.match_us,
+                        "score": r.timing.score_us,
+                        "total": r.timing.total_us,
                     },
                 }
                 for r in self.rows
@@ -208,10 +205,7 @@ def eval_recall(
                 gold_ids=list(record.gold_doc_ids or ()),
                 hit_at=hit_at,
                 reciprocal_rank=rr,
-                decompose_us=result.timing.decompose_us,
-                match_us=result.timing.match_us,
-                score_us=result.timing.score_us,
-                total_us=result.timing.total_us,
+                timing=result.timing,
             )
         )
     config = {

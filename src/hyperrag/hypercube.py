@@ -12,7 +12,9 @@ no locking. There is no incremental update — rebuild to change it.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +34,8 @@ from .errors import (
 from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_INVERTED = "inverted:"
 
 
 class Posting(NamedTuple):
@@ -67,6 +70,11 @@ class HypercubeIndex:
     forward: dict[str, DocLabels]
     vocab: dict[Dimension, set[str]]
     label_vectors: LabelVectors | None = field(default=None)
+    # Label vectors encoded on demand for an encoder the baked vectors do
+    # not match, keyed by (encoder name, encoder dim, dimension).
+    _vector_cache: dict[tuple[str, int, Dimension], tuple[list[str], np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def doc_count(self) -> int:
@@ -185,25 +193,54 @@ def _canonical_json(obj: object) -> bytes:
 
 
 def _forward_payload(ix: HypercubeIndex) -> dict:
-    payload: dict[str, dict] = {}
+    """Every doc id, plus the surface sets that are not just ``{key}``."""
+    surfaces: dict[str, dict[str, dict[str, list[str]]]] = {}
     for doc_id, doc_labels in ix.forward.items():
-        labels: dict[str, dict[str, int]] = {}
-        surfaces: dict[str, dict[str, list[str]]] = {}
-        for (dim, key), count in doc_labels.counts.items():
-            labels.setdefault(dim, {})[key] = count
-            surfaces.setdefault(dim, {})[key] = sorted(doc_labels.surfaces.get((dim, key), {key}))
-        payload[doc_id] = {"labels": labels, "surfaces": surfaces}
-    return payload
+        for dim, key in doc_labels.counts:
+            seen = doc_labels.surfaces.get((dim, key))
+            if seen is not None and seen != {key}:
+                surfaces.setdefault(doc_id, {}).setdefault(dim, {})[key] = sorted(seen)
+    return {"doc_ids": sorted(ix.forward), "surfaces": surfaces}
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a fresh sibling of ``path``, then rename it over ``path``.
+
+    Readers see the old file or the new one, never a partial write; the
+    sibling is removed when anything fails before the rename.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("xb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def save_index(ix: HypercubeIndex, path: str | Path) -> None:
-    """Write the index as a single-file container.
+    """Write the index as a single-file container, replacing ``path`` atomically.
 
-    Layout: magic, a length-prefixed JSON header, one length-prefixed
-    JSON section per dimension plus a forward section (and a vectors
-    section when label vectors are attached), then a trailing CRC-32
-    over everything before it. Keys are written sorted and postings
-    doc-id sorted, so identical indexes produce identical bytes.
+    Layout: magic ``HRIX``, a length-prefixed JSON header, length-prefixed
+    JSON sections, then a CRC-32 over everything before it; lengths are
+    4-byte big-endian. The header holds only ``version`` and the ordered
+    ``sections`` names. Each fact is stored once:
+
+    * ``inverted:<DIM>``, one per dimension in index order: key ->
+      ``[[doc_id, count], ...]``. The only place a count is written; the
+      index's dimensions are read back from these section names.
+    * ``forward``: ``doc_ids``, every document id sorted (unlabeled ones
+      included), and ``surfaces``, doc id -> dimension -> key -> sorted
+      surface strings, only where a key's surfaces are not just ``{key}``.
+    * ``vectors``, when label vectors are attached: encoder name, vector
+      dim, and per dimension the encoded keys and matrix rows.
+
+    Keys are written sorted and postings doc-id sorted, so identical
+    indexes produce identical bytes. The bytes go to a temporary sibling
+    that is renamed over ``path`` once complete, so a failed write leaves
+    the previous file intact.
     """
     sections: list[tuple[str, bytes]] = []
     for dim in ix.dimensions:
@@ -211,7 +248,7 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
             key: [[p.doc_id, p.count] for p in postings]
             for key, postings in ix.inverted.get(dim, {}).items()
         }
-        sections.append((f"inverted:{dim}", _canonical_json(postings_by_key)))
+        sections.append((f"{_INVERTED}{dim}", _canonical_json(postings_by_key)))
     sections.append(("forward", _canonical_json(_forward_payload(ix))))
     if ix.label_vectors is not None:
         vectors_payload = {
@@ -224,13 +261,7 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
         }
         sections.append(("vectors", _canonical_json(vectors_payload)))
 
-    header = {
-        "version": _FORMAT_VERSION,
-        "dimensions": list(ix.dimensions),
-        "doc_count": ix.doc_count,
-        "label_key_count": ix.label_key_count(),
-        "sections": [name for name, _payload in sections],
-    }
+    header = {"version": _FORMAT_VERSION, "sections": [name for name, _payload in sections]}
     body = bytearray()
     body += _MAGIC
     header_bytes = _canonical_json(header)
@@ -241,17 +272,111 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
         body += payload
     body += zlib.crc32(bytes(body)).to_bytes(4, "big")
     try:
-        Path(path).write_bytes(bytes(body))
+        _replace_file(Path(path), bytes(body))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+
+
+def _malformed(path: str | Path, detail: str) -> FormatVersionMismatch:
+    return FormatVersionMismatch(f"{path}: malformed index container: {detail}")
+
+
+def _parse(raw: memoryview, path: str | Path, what: str, kind: type) -> object:
+    """Decode one JSON part of a container and check its top-level type."""
+    try:
+        value = json.loads(bytes(raw))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise _malformed(path, f"{what} is not valid JSON ({exc})") from None
+    if not isinstance(value, kind):
+        raise _malformed(path, f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _str_list(value: object, path: str | Path, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise _malformed(path, f"{what} must be an array of strings")
+    return value
+
+
+def _load_postings(
+    raw: memoryview, dim: Dimension, forward: dict[str, DocLabels], path: str | Path
+) -> dict[str, list[Posting]]:
+    """Parse one ``inverted:<DIM>`` section and enter each posting's count into ``forward``."""
+    where = f"section {_INVERTED}{dim}"
+    postings_by_key: dict[str, list[Posting]] = {}
+    for key, entries in _parse(raw, path, where, dict).items():
+        if not isinstance(entries, list) or not entries:
+            raise _malformed(path, f"{where}, key {key!r}: postings must be a non-empty array")
+        pair = (dim, key)
+        postings = []
+        prev = None
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise _malformed(path, f"{where}, key {key!r}: {entry!r} is not a [doc_id, count] pair")
+            doc_id, count = entry
+            doc_labels = forward.get(doc_id) if isinstance(doc_id, str) else None
+            if doc_labels is None:
+                raise _malformed(path, f"{where}, key {key!r}: doc id {doc_id!r} is not in forward")
+            if type(count) is not int or count < 1:
+                raise _malformed(path, f"{where}, key {key!r}, doc {doc_id!r}: count {count!r} is not an integer >= 1")
+            if prev is not None and doc_id <= prev:
+                raise _malformed(path, f"{where}, key {key!r}: doc ids not strictly increasing at {doc_id!r}")
+            prev = doc_id
+            doc_labels.counts[pair] = count
+            doc_labels.surfaces[pair] = {key}
+            postings.append(Posting(doc_id, count))
+        postings_by_key[key] = postings
+    return postings_by_key
+
+
+def _load_surfaces(surfaces: object, forward: dict[str, DocLabels], path: str | Path) -> None:
+    """Overwrite the default ``{key}`` surface sets with the recorded ones."""
+    if not isinstance(surfaces, dict):
+        raise _malformed(path, "forward surfaces must be a JSON object")
+    for doc_id, by_dim in surfaces.items():
+        doc_labels = forward.get(doc_id)
+        if doc_labels is None or not isinstance(by_dim, dict):
+            raise _malformed(path, f"forward surfaces of doc {doc_id!r}: unknown doc or not an object")
+        for dim, by_key in by_dim.items():
+            if not isinstance(by_key, dict):
+                raise _malformed(path, f"forward surfaces of doc {doc_id!r}, {dim}: not an object")
+            for key, seen in by_key.items():
+                if (dim, key) not in doc_labels.counts:
+                    raise _malformed(path, f"forward surfaces of doc {doc_id!r}: no posting for ({dim}, {key!r})")
+                doc_labels.surfaces[(dim, key)] = set(_str_list(seen, path, "a surface set"))
+
+
+def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
+    payload = _parse(raw, path, "section vectors", dict)
+    encoder_name, dim, by_dimension = payload.get("encoder"), payload.get("dim"), payload.get("by_dimension")
+    if not isinstance(encoder_name, str) or type(dim) is not int or dim < 1 or not isinstance(by_dimension, dict):
+        raise _malformed(path, "section vectors needs an encoder name, a dim >= 1 and a by_dimension object")
+    tables: dict[Dimension, tuple[list[str], np.ndarray]] = {}
+    for label_dim, entry in by_dimension.items():
+        where = f"vectors of {label_dim}"
+        if not isinstance(entry, dict) or not isinstance(entry.get("matrix"), list):
+            raise _malformed(path, f"{where}: needs keys and a matrix array")
+        keys = _str_list(entry.get("keys"), path, f"{where} keys")
+        try:
+            matrix = np.asarray(entry["matrix"], dtype=np.float64).reshape(len(keys), dim)
+        except (TypeError, ValueError) as exc:
+            raise _malformed(path, f"{where}: matrix is not {len(keys)} x {dim} numbers ({exc})") from None
+        tables[label_dim] = (keys, matrix)
+    return LabelVectors(encoder_name=encoder_name, dim=dim, by_dimension=tables)
 
 
 def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere surfaces as ChecksumMismatch; an unknown magic
-    or version surfaces as FormatVersionMismatch.
+    corruption anywhere surfaces as ChecksumMismatch. Each document's
+    labels are rebuilt from the postings: counts from the ``inverted``
+    sections, surfaces from ``forward`` where recorded and ``{key}``
+    otherwise. An unknown magic or version surfaces as
+    FormatVersionMismatch; version-1 files must be rebuilt. So does a
+    container whose CRC passes but whose content is malformed: a header
+    or section of the wrong shape, a posting for a doc id missing from
+    ``forward``, duplicate doc ids, or a count below 1.
     """
     try:
         blob = Path(path).read_bytes()
@@ -259,14 +384,14 @@ def load_index(path: str | Path) -> HypercubeIndex:
         raise IoFailure(str(exc)) from exc
     if len(blob) < len(_MAGIC) + 8:
         raise ChecksumMismatch(f"{path}: file too short to be an index container")
-    body, crc_bytes = blob[:-4], blob[-4:]
+    body, crc_bytes = memoryview(blob)[:-4], blob[-4:]
     if zlib.crc32(body) != int.from_bytes(crc_bytes, "big"):
         raise ChecksumMismatch(f"{path}: CRC-32 verification failed")
     if body[: len(_MAGIC)] != _MAGIC:
         raise FormatVersionMismatch(f"{path}: not an index container")
     offset = len(_MAGIC)
 
-    def read_section() -> bytes:
+    def read_section() -> memoryview:
         nonlocal offset
         if offset + 4 > len(body):
             raise ChecksumMismatch(f"{path}: section table overruns file")
@@ -278,48 +403,38 @@ def load_index(path: str | Path) -> HypercubeIndex:
         offset += length
         return payload
 
-    header = json.loads(read_section().decode("utf-8"))
+    header = _parse(read_section(), path, "header", dict)
     if header.get("version") != _FORMAT_VERSION:
         raise FormatVersionMismatch(
-            f"{path}: container version {header.get('version')!r}, reader supports {_FORMAT_VERSION}"
+            f"{path}: container version {header.get('version')!r}, reader supports {_FORMAT_VERSION}; "
+            "rebuild the index from its corpus and labels"
         )
-    dimensions = tuple(header["dimensions"])
-    inverted: dict[Dimension, dict[str, list[Posting]]] = {dim: {} for dim in dimensions}
-    forward: dict[str, DocLabels] = {}
-    label_vectors: LabelVectors | None = None
-
-    for name in header["sections"]:
-        payload = json.loads(read_section().decode("utf-8"))
-        if name.startswith("inverted:"):
-            dim = name.split(":", 1)[1]
-            inverted[dim] = {
-                key: [Posting(doc_id, count) for doc_id, count in postings]
-                for key, postings in payload.items()
-            }
-        elif name == "forward":
-            for doc_id, entry in payload.items():
-                doc_labels = DocLabels(doc_id=doc_id)
-                for dim, by_key in entry["labels"].items():
-                    for key, count in by_key.items():
-                        doc_labels.counts[(dim, key)] = count
-                        doc_labels.surfaces[(dim, key)] = set(entry["surfaces"][dim][key])
-                forward[doc_id] = doc_labels
-        elif name == "vectors":
-            label_vectors = LabelVectors(
-                encoder_name=payload["encoder"],
-                dim=payload["dim"],
-                by_dimension={
-                    dim: (
-                        list(entry["keys"]),
-                        np.asarray(entry["matrix"], dtype=np.float64).reshape(
-                            len(entry["keys"]), payload["dim"]
-                        ),
-                    )
-                    for dim, entry in payload["by_dimension"].items()
-                },
-            )
-        else:
+    if set(header) != {"version", "sections"}:
+        raise _malformed(path, f"header holds {sorted(header)}, expected exactly version and sections")
+    raw_sections: dict[str, memoryview] = {}
+    for name in _str_list(header["sections"], path, "header sections"):
+        if name in raw_sections:
+            raise _malformed(path, f"section {name!r} appears twice")
+        if not name.startswith(_INVERTED) and name not in ("forward", "vectors"):
             raise FormatVersionMismatch(f"{path}: unknown section {name!r}")
+        raw_sections[name] = read_section()
+    if offset != len(body):
+        raise _malformed(path, f"{len(body) - offset} bytes after the last section")
+    if "forward" not in raw_sections:
+        raise _malformed(path, "no forward section")
+
+    forward_payload = _parse(raw_sections["forward"], path, "section forward", dict)
+    if set(forward_payload) != {"doc_ids", "surfaces"}:
+        raise _malformed(path, "section forward must hold exactly doc_ids and surfaces")
+    doc_ids = _str_list(forward_payload["doc_ids"], path, "forward doc_ids")
+    forward = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
+    if len(forward) != len(doc_ids):
+        raise _malformed(path, "forward doc_ids holds duplicates")
+
+    dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
+    inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, forward, path) for dim in dimensions}
+    _load_surfaces(forward_payload["surfaces"], forward, path)
+    label_vectors = _load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None
 
     vocab = {dim: set(postings_by_key) for dim, postings_by_key in inverted.items()}
     return HypercubeIndex(

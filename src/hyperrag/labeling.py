@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Corpus, Document, _as_str, _iter_records, _require
-from .errors import NonPositiveCount, UnknownDimension, UnknownDocId
+from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
 
 Dimension = str
 
@@ -139,6 +139,17 @@ class DocLabels:
             self.surfaces.setdefault(pair, set()).update(other.surfaces.get(pair, set()))
 
 
+def _gazetteer_key(phrase: str) -> str:
+    """Normalized key of a gazetteer phrase; ValueError unless it has 1-8 tokens."""
+    key = normalize_label(phrase)
+    if not key:
+        raise ValueError(f"gazetteer phrase {phrase!r} normalizes to empty")
+    n_tokens = len(key.split())
+    if n_tokens > 8:
+        raise ValueError(f"gazetteer phrase {phrase!r} has {n_tokens} tokens (allowed 1..8)")
+    return key
+
+
 @dataclass(frozen=True)
 class Gazetteer:
     """Per-dimension phrase lists, stored in normalized form.
@@ -158,20 +169,8 @@ class Gazetteer:
         normalized: dict[Dimension, frozenset[str]] = {}
         for dim, phrases in entries.items():
             ensure_dimension(dim, extensions)
-            keep = set()
-            for phrase in phrases:
-                key = normalize_label(phrase)
-                if not key:
-                    raise ValueError(f"gazetteer phrase {phrase!r} normalizes to empty")
-                n_tokens = len(key.split())
-                if not 1 <= n_tokens <= 8:
-                    raise ValueError(f"gazetteer phrase {phrase!r} has {n_tokens} tokens (allowed 1..8)")
-                keep.add(key)
-            normalized[dim] = frozenset(keep)
+            normalized[dim] = frozenset(_gazetteer_key(phrase) for phrase in phrases)
         return cls(entries=normalized)
-
-    def dimensions(self) -> list[Dimension]:
-        return sorted(self.entries)
 
     def all_phrases(self) -> set[str]:
         out: set[str] = set()
@@ -189,7 +188,10 @@ def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazettee
     for line_no, obj in _iter_records(path):
         dim = _as_str(_require(obj, "dim", line_no), line_no, "dim")
         phrase = _as_str(_require(obj, "phrase", line_no), line_no, "phrase")
-        raw.setdefault(dim, []).append(phrase)
+        try:
+            raw.setdefault(dim, []).append(_gazetteer_key(phrase))
+        except ValueError as exc:
+            raise MalformedRecord(line_no, str(exc)) from None
     return Gazetteer.from_phrases(raw, extensions)
 
 
@@ -280,7 +282,7 @@ def load_precomputed_labels(
             raise NonPositiveCount(f"line {line_no}: ({dim}, {surface!r}) -> {count}")
         key = normalize_label(surface)
         if not key:
-            raise ValueError(f"line {line_no}: label {surface!r} normalizes to empty")
+            raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
         result.setdefault(doc_id, DocLabels(doc_id=doc_id)).add(dim, key, count, surface=surface)
     return result
 

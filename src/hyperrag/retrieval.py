@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import _as_str, _iter_records
+from .corpus import _as_str, _iter_records, _require
 from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
-from .errors import MissingKey, UnencodableText
+from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
 from .labeling import Dimension, _phrase_table, match_phrases, normalize_label, tokenize
 
@@ -135,13 +135,13 @@ class ExternalDecompositions:
     def load(cls, path: str | Path) -> "ExternalDecompositions":
         out = cls()
         for line_no, obj in _iter_records(path):
-            raw = obj.get("components")
-            if not isinstance(raw, list):
-                raise ValueError(f"line {line_no}: components must be an array")
+            raw = _require(obj, "components", line_no)
+            if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+                raise MalformedRecord(line_no, "components must be an array of objects")
             comps = [
                 (
-                    _as_str(entry["dim"], line_no, "dim"),
-                    _as_str(entry["text"], line_no, "text"),
+                    _as_str(_require(entry, "dim", line_no), line_no, "dim"),
+                    _as_str(_require(entry, "text", line_no), line_no, "text"),
                 )
                 for entry in raw
             ]

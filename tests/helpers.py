@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -81,6 +82,35 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
     )
     return path
+
+
+def read_container(path: Path) -> tuple[dict, dict[str, object]]:
+    """Header and parsed sections of an index container, by the documented layout."""
+    blob = Path(path).read_bytes()
+    offset = 4
+
+    def take() -> object:
+        nonlocal offset
+        start = offset + 4
+        offset = start + int.from_bytes(blob[offset:start], "big")
+        return json.loads(blob[start:offset])
+
+    header = take()
+    return header, {name: take() for name in header["sections"]}
+
+
+def write_container(path: Path, header: object, sections: dict[str, object]) -> None:
+    """Encode a (possibly malformed) container with a valid CRC.
+
+    Every value of ``sections`` is written in order whatever the header
+    lists; bytes values are written verbatim instead of as JSON.
+    """
+    parts = [json.dumps(header).encode("utf-8")] + [
+        part if isinstance(part, bytes) else json.dumps(part).encode("utf-8")
+        for part in sections.values()
+    ]
+    body = b"HRIX" + b"".join(len(part).to_bytes(4, "big") + part for part in parts)
+    Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
 
 
 @contextmanager

@@ -10,6 +10,8 @@ from helpers import (
     DOC_565,
     FIXTURE_TAU,
     MELBOURNE_QUERY,
+    read_container,
+    write_container,
     write_jsonl,
 )
 from hyperrag.cli import main
@@ -83,6 +85,37 @@ class TestBuild:
             ]
         )
         assert code == 2
+
+    def test_label_normalizing_to_empty_is_data_error(self, fixture_files, tmp_path, capsys):
+        labels = write_jsonl(
+            tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "THEME", "label": "...", "count": 1}]
+        )
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--labels", str(labels),
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 2
+        assert "line 1: malformed record" in capsys.readouterr().err
+
+    def test_gazetteer_phrase_normalizing_to_empty_is_data_error(self, fixture_files, tmp_path, capsys):
+        gazetteer = write_jsonl(
+            tmp_path / "gaz.jsonl",
+            [{"dim": "THEME", "phrase": "rain"}, {"dim": "THEME", "phrase": "?!"}],
+        )
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(gazetteer),
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 2
+        assert "line 2: malformed record" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -186,6 +219,39 @@ class TestQuery:
     def test_missing_index_is_data_error(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "none.hcix"), "--query", "rain"])
         assert code == 2
+
+    def test_malformed_container_is_data_error(self, fixture_files, capsys):
+        index = build_fixture_index(fixture_files)
+        header, sections = read_container(index)
+        del header["sections"]
+        write_container(index, header, sections)
+        capsys.readouterr()
+        code = main(["query", "--index", str(index), "--query", "rain"])
+        assert code == 2
+        assert "malformed index container" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            ([{"dim": "THEME"}], "line 1: missing field 'text'"),
+            ("rain", "line 1: malformed record"),
+        ],
+        ids=["component_without_text", "components_not_array"],
+    )
+    def test_bad_decomposition_is_data_error(self, fixture_files, tmp_path, capsys, components, message):
+        build_fixture_index(fixture_files)
+        decomp = write_jsonl(tmp_path / "decomp.jsonl", [{"query": "rain", "components": components}])
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(fixture_files["index"]),
+                "--query", "rain",
+                "--decomposition", str(decomp),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestInspect:

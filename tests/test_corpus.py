@@ -31,7 +31,7 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert len(corpus) == 3
-        assert corpus.ids() == ["a", "b", "c"]
+        assert [d.id for d in corpus] == ["a", "b", "c"]
         assert corpus.get("a").word_count == 2
         assert corpus.get("c").word_count == 3
         assert corpus.get("b").title == ""

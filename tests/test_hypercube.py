@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import builtins
+import io
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_labeled_corpus
+from helpers import random_labeled_corpus, read_container, write_container
 from oracles import brute_cell
 from hyperrag import (
     CellAddress,
@@ -14,6 +18,8 @@ from hyperrag import (
     DocLabels,
     Document,
     FormatVersionMismatch,
+    HyperRagError,
+    IoFailure,
     Posting,
     TrigramEncoder,
     UnknownDocId,
@@ -206,3 +212,219 @@ class TestPersistence:
             path = tmp_path / f"case{case}.hcix"
             save_index(ix, path)
             assert load_index(path) == ix
+
+
+def _surfaces_index(encoder=None):
+    """Three docs: d1 carries a key with two surfaces differing only in case, d3 no label."""
+    corpus = Corpus(
+        [Document(id=doc_id, text="storm text") for doc_id in ("d2", "d1", "d3")]
+    )
+    d1, d2 = DocLabels(doc_id="d1"), DocLabels(doc_id="d2")
+    d1.add("THEME", "storm surge", 2, surface="Storm Surge")
+    d1.add("THEME", "storm surge", 1, surface="storm surge")
+    d1.add("LOCATION", "florida")
+    d2.add("THEME", "storm surge", 4)
+    d2.add("EVENT", "fay", 1, surface="Fay")
+    d2.add("EVENT", "fay", 1, surface="FAY.")
+    return build_index(corpus, {"d1": d1, "d2": d2}, encoder=encoder)
+
+
+class TestContainerV2:
+    def test_each_fact_stored_once(self, tmp_path):
+        ix = _surfaces_index(TrigramEncoder(dim=16))
+        path = tmp_path / "ix.hcix"
+        save_index(ix, path)
+        header, sections = read_container(path)
+        inverted = [f"inverted:{dim}" for dim in ix.dimensions]
+        assert header == {"version": 2, "sections": inverted + ["forward", "vectors"]}
+        # Counts live only in the postings ...
+        assert sections["inverted:THEME"] == {"storm surge": [["d1", 3], ["d2", 4]]}
+        assert sections["inverted:EVENT"] == {"fay": [["d2", 2]]}
+        assert sections["inverted:LOCATION"] == {"florida": [["d1", 1]]}
+        # ... and forward holds the doc ids plus the surfaces that differ from the key.
+        assert sections["forward"] == {
+            "doc_ids": ["d1", "d2", "d3"],
+            "surfaces": {
+                "d1": {"THEME": {"storm surge": ["Storm Surge", "storm surge"]}},
+                "d2": {"EVENT": {"fay": ["FAY.", "Fay"]}},
+            },
+        }
+
+    def test_round_trip_surfaces_and_unlabeled_doc(self, tmp_path):
+        for encoder in (None, TrigramEncoder(dim=16)):
+            ix = _surfaces_index(encoder)
+            path = tmp_path / "ix.hcix"
+            save_index(ix, path)
+            loaded = load_index(path)
+            assert loaded == ix
+            assert loaded.forward["d3"] == DocLabels(doc_id="d3")
+            assert loaded.forward["d1"].surfaces == {
+                ("THEME", "storm surge"): {"Storm Surge", "storm surge"},
+                ("LOCATION", "florida"): {"florida"},
+            }
+            verify_symmetry(loaded)
+
+    def test_version_1_file_rejected(self, hurricane_index, tmp_path):
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header.update(version=1, dimensions=list(hurricane_index.dimensions), doc_count=3)
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
+
+def _drop_doc(sections, doc_id):
+    sections["forward"]["doc_ids"].remove(doc_id)
+
+
+def _duplicate_section(header, sections):
+    header["sections"].append("forward")
+    sections["forward again"] = sections["forward"]
+
+
+MALFORMED = {
+    "header_without_version": lambda h, s: h.pop("version"),
+    "header_without_sections": lambda h, s: h.pop("sections"),
+    "header_extra_key": lambda h, s: h.update(dimensions=["THEME"]),
+    "sections_not_names": lambda h, s: h.update(sections=[1, 2]),
+    "unknown_section": lambda h, s: h["sections"].__setitem__(0, "inverse:LOCATION"),
+    "duplicate_section": _duplicate_section,
+    "section_not_listed": lambda h, s: h["sections"].remove("vectors"),
+    "no_forward_section": lambda h, s: h["sections"].remove("forward") or s.pop("forward"),
+    "section_not_json": lambda h, s: s.update(forward=b"{not json"),
+    "inverted_not_object": lambda h, s: s.update({"inverted:THEME": [["rain", "565", 5]]}),
+    "postings_not_array": lambda h, s: s["inverted:THEME"].update(rain={"565": 5}),
+    "postings_empty": lambda h, s: s["inverted:THEME"].update(rain=[]),
+    "posting_not_pair": lambda h, s: s["inverted:THEME"].update(rain=[["565"]]),
+    "posting_doc_not_in_forward": lambda h, s: _drop_doc(s, "565"),
+    "posting_doc_not_string": lambda h, s: s["inverted:THEME"].update(rain=[[565, 5]]),
+    "postings_unsorted": lambda h, s: s["inverted:LOCATION"]["florida"].reverse(),
+    "postings_repeat_doc": lambda h, s: s["inverted:THEME"].update(rain=[["565", 2], ["565", 3]]),
+    "count_zero": lambda h, s: s["inverted:THEME"].update(rain=[["565", 0]]),
+    "count_negative": lambda h, s: s["inverted:THEME"].update(rain=[["565", -5]]),
+    "count_not_integer": lambda h, s: s["inverted:THEME"].update(rain=[["565", "5"]]),
+    "count_boolean": lambda h, s: s["inverted:THEME"].update(rain=[["565", True]]),
+    "forward_not_object": lambda h, s: s.update(forward=["565", "246", "535"]),
+    "forward_extra_key": lambda h, s: s["forward"].update(labels={}),
+    "duplicate_doc_ids": lambda h, s: s["forward"]["doc_ids"].append("565"),
+    "doc_ids_not_strings": lambda h, s: s["forward"].update(doc_ids=[565, 246, 535]),
+    "surfaces_not_object": lambda h, s: s["forward"].update(surfaces=[]),
+    "surfaces_of_unknown_doc": lambda h, s: s["forward"].update(surfaces={"999": {}}),
+    "surfaces_without_posting": lambda h, s: s["forward"].update(
+        surfaces={"535": {"THEME": {"rain": ["Rain"]}}}
+    ),
+    "surfaces_not_strings": lambda h, s: s["forward"].update(
+        surfaces={"565": {"THEME": {"rain": [["Rain"]]}}}
+    ),
+    "vectors_not_object": lambda h, s: s.update(vectors=[]),
+    "vectors_without_dim": lambda h, s: s["vectors"].pop("dim"),
+    "vectors_matrix_misshapen": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(matrix=[[1.0]]),
+    "vectors_matrix_not_numbers": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(
+        matrix=[["x"] * 256]
+    ),
+    "vector_keys_not_strings": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(keys=[1]),
+}
+
+
+class TestMalformedContainer:
+    """Containers whose CRC passes but whose content is wrong fail as data errors."""
+
+    @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected(self, hurricane_index, tmp_path, mutate):
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        mutate(header, sections)
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch):
+            load_index(path)
+
+    def test_header_not_object(self, hurricane_index, tmp_path):
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        _header, sections = read_container(path)
+        write_container(path, ["version", 2], sections)
+        with pytest.raises(FormatVersionMismatch):
+            load_index(path)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        path_choice=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=5),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_fuzzed_json_raises_only_data_errors(self, hurricane_index, tmp_path, path_choice, value):
+        path = tmp_path / "fuzz.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        # Walk a pseudo-random path into the decoded container, then replace what is there.
+        root = {"header": header, **sections}
+        parent, key = root, list(root)[path_choice[0] % len(root)]
+        for step in path_choice[1:]:
+            child = parent[key]
+            if isinstance(child, dict) and child:
+                parent, key = child, list(child)[step % len(child)]
+            elif isinstance(child, list) and child:
+                parent, key = child, step % len(child)
+            else:
+                break
+        parent[key] = value
+        write_container(path, root.pop("header"), root)
+        try:
+            load_index(path)
+        except HyperRagError:
+            pass
+
+
+class _HalfWriter:
+    """A file that accepts half of its first write, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        self._handle.write(bytes(data[: len(data) // 2]))
+        self._handle.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_index(self, hurricane_index, hurricane_corpus, tmp_path, monkeypatch):
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        real_open = io.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _HalfWriter(handle) if set(mode) & set("wxa") else handle
+
+        other = build_index(hurricane_corpus, {})
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", failing_open)
+            patch.setattr(builtins, "open", failing_open)
+            with pytest.raises(IoFailure):
+                save_index(other, path)
+        assert load_index(path) == hurricane_index
+        assert [p.name for p in tmp_path.iterdir()] == ["ix.hcix"]
+
+    def test_save_replaces_existing_file(self, hurricane_index, hurricane_corpus, tmp_path):
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        other = build_index(hurricane_corpus, {})
+        save_index(other, path)
+        assert load_index(path) == other
+        assert [p.name for p in tmp_path.iterdir()] == ["ix.hcix"]
+
+    def test_missing_directory_is_io_failure(self, hurricane_index, tmp_path):
+        with pytest.raises(IoFailure):
+            save_index(hurricane_index, tmp_path / "absent" / "ix.hcix")

@@ -7,8 +7,10 @@ variant so scores are never negative.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus
 from .errors import UnknownDocId
@@ -26,7 +28,6 @@ class Bm25Index:
     avg_doc_len: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    _tf: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
 
     @property
     def doc_count(self) -> int:
@@ -68,26 +69,29 @@ def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> 
         avg_doc_len=avg,
         k1=k1,
         b=b,
-        _tf=tf_by_doc,
     )
+
+
+def _term_score(ix: Bm25Index, idf: float, tf: int, doc_id: str) -> float:
+    length_norm = ix.k1 * (1.0 - ix.b + ix.b * ix.doc_len[doc_id] / ix.avg_doc_len)
+    return idf * (tf * (ix.k1 + 1.0)) / (tf + length_norm)
 
 
 def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
     """Okapi score of one document for the given tokens.
 
     sum over terms of idf * tf*(k1+1) / (tf + k1*(1 - b + b*len/avglen));
-    terms absent from the document contribute zero.
+    terms absent from the document contribute zero. Each tf is found by
+    bisection in the term's doc-id-sorted posting list.
     """
     if doc_id not in ix.doc_len:
         raise UnknownDocId(doc_id)
-    tf_map = ix._tf[doc_id]
-    length_norm = ix.k1 * (1.0 - ix.b + ix.b * ix.doc_len[doc_id] / ix.avg_doc_len)
     score = 0.0
     for term in query_tokens:
-        tf = tf_map.get(term, 0)
-        if tf == 0:
-            continue
-        score += ix.idf(term) * (tf * (ix.k1 + 1.0)) / (tf + length_norm)
+        plist = ix.postings.get(term, ())
+        at = bisect.bisect_left(plist, (doc_id,))
+        if at < len(plist) and plist[at][0] == doc_id:
+            score += _term_score(ix, ix.idf(term), plist[at][1], doc_id)
     return score
 
 
@@ -95,15 +99,18 @@ def bm25_retrieve(ix: Bm25Index, query: str, k: int = 3) -> list[tuple[str, floa
     """Top-k (doc_id, score), score descending, doc id ascending on ties.
 
     Only documents containing at least one query term are scored or
-    returned.
+    returned. Scoring runs term at a time over the posting lists, query
+    tokens in order with repeats, so each document receives the same
+    float additions in the same order as :func:`bm25_score` makes.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_tokens = tokenize(query)
-    candidates: set[str] = set()
-    for term in set(query_tokens):
-        for doc_id, _tf in ix.postings.get(term, ()):
-            candidates.add(doc_id)
-    scored = [(doc_id, bm25_score(ix, query_tokens, doc_id)) for doc_id in candidates]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    scores: dict[str, float] = {}
+    for term in tokenize(query):
+        plist = ix.postings.get(term)
+        if not plist:
+            continue
+        idf = ix.idf(term)
+        for doc_id, tf in plist:
+            scores[doc_id] = scores.get(doc_id, 0.0) + _term_score(ix, idf, tf, doc_id)
+    return heapq.nsmallest(k, scores.items(), key=lambda pair: (-pair[1], pair[0]))

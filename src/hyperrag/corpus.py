@@ -80,12 +80,20 @@ class QueryRecord:
 
 
 def _iter_records(path: str | Path):
-    """Yield (line_no, parsed object) for each non-blank line."""
+    """Yield (line_no, parsed object) for each non-blank line.
+
+    Invalid UTF-8 is a MalformedRecord naming the line that holds it.
+    """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(line_no, f"invalid UTF-8 at byte {exc.start}") from None
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from .corpus import _as_str, _iter_records, _require
-from .errors import DimMismatch, MissingKey, UnencodableText
+from .errors import DimMismatch, EncoderMismatch, MalformedRecord, MissingKey, UnencodableText
 from .labeling import Dimension, normalize_label
 
 if TYPE_CHECKING:
@@ -148,12 +148,25 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
 
 
 def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray]:
-    """Vectors for one dimension's vocabulary, preferring the tables baked into the index."""
+    """Vectors for one dimension's vocabulary.
+
+    An index with baked vectors answers only to the encoder that made
+    them: a query encoder of another dim raises DimMismatch, one of
+    another name EncoderMismatch. Only an index built without vectors
+    encodes its vocabulary here, once per encoder and dimension.
+    """
     baked = ix.label_vectors
-    if baked is not None and baked.encoder_name == encoder.name and baked.dim == encoder.dim:
-        entry = baked.by_dimension.get(dim)
-        if entry is not None:
-            return entry
+    if baked is not None:
+        if baked.dim != encoder.dim or baked.encoder_name != encoder.name:
+            detail = (
+                f"the index's label vectors come from encoder {baked.encoder_name!r} (dim {baked.dim}), "
+                f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
+                "query with the build encoder or rebuild the index"
+            )
+            if baked.dim != encoder.dim:
+                raise DimMismatch(baked.dim, encoder.dim, detail)
+            raise EncoderMismatch(detail)
+        return baked.by_dimension.get(dim) or ([], np.zeros((0, baked.dim), dtype=np.float64))
     cache = ix._vector_cache
     cache_key = (encoder.name, encoder.dim, dim)
     if cache_key not in cache:
@@ -182,7 +195,7 @@ def semantic_neighbors(
     if not keys:
         return []
     sims = np.clip(matrix @ query_vec, -1.0, 1.0)
-    hits = [(key, float(sim)) for key, sim in zip(keys, sims) if sim >= tau]
+    hits = [(keys[row], float(sims[row])) for row in np.flatnonzero(sims >= tau)]
     hits.sort(key=lambda kv: (-kv[1], kv[0]))
     return hits
 
@@ -195,8 +208,8 @@ def load_precomputed_vectors(
     """Load a line-delimited vectors file (keys ``key``, ``dim``, ``values``).
 
     Vectors are L2-normalized on ingest. Every expected key must be
-    present (MissingKey) and every vector must have the declared length
-    (DimMismatch).
+    present (MissingKey), every vector must have the declared length
+    (DimMismatch) and every value must be a number (MalformedRecord).
     """
     vectors: dict[str, np.ndarray] = {}
     for line_no, obj in _iter_records(path):
@@ -207,7 +220,12 @@ def load_precomputed_vectors(
             raise DimMismatch(dim, 0)
         if declared != dim or len(values) != dim:
             raise DimMismatch(dim, len(values))
-        arr = np.asarray(values, dtype=np.float64)
+        if not all(type(x) in (int, float) for x in values):
+            raise MalformedRecord(line_no, f"values of {key!r} must all be numbers")
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except OverflowError:
+            raise MalformedRecord(line_no, f"values of {key!r} overflow a float") from None
         norm = float(np.linalg.norm(arr))
         if norm == 0.0 or not np.all(np.isfinite(arr)):
             raise UnencodableText(key, reason="zero or non-finite vector in file")

@@ -76,10 +76,15 @@ class UnencodableText(HyperRagError):
 
 
 class DimMismatch(HyperRagError):
-    def __init__(self, expected: int, got: int):
+    def __init__(self, expected: int, got: int, detail: str = ""):
         self.expected = expected
         self.got = got
-        super().__init__(f"vector length mismatch: expected {expected}, got {got}")
+        message = f"vector length mismatch: expected {expected}, got {got}"
+        super().__init__(message + (f" ({detail})" if detail else ""))
+
+
+class EncoderMismatch(HyperRagError):
+    """A query encoder differs from the one that made an index's baked label vectors."""
 
 
 class MissingKey(HyperRagError):

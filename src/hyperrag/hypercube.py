@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveCount,
     UnknownDocId,
 )
-from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension
+from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _phrase_table
 
 _MAGIC = b"HRIX"
 _FORMAT_VERSION = 2
@@ -63,6 +63,12 @@ class HypercubeIndex:
     ``vocab[dim]`` is the key set of ``inverted[dim]``. The two views
     stay symmetric by construction: a posting (d, c) exists exactly when
     the forward labels of d carry count c for that (dim, key).
+
+    ``phrase_dims`` (key -> sorted dimensions carrying it) and
+    ``phrase_table`` (the first-token table over every key) serve query
+    decomposition. They are derived from ``dimensions`` and ``vocab``
+    once per index, in ``__post_init__``, which both :func:`build_index`
+    and :func:`load_index` pass through; they are never saved.
     """
 
     dimensions: tuple[Dimension, ...]
@@ -75,6 +81,16 @@ class HypercubeIndex:
     _vector_cache: dict[tuple[str, int, Dimension], tuple[list[str], np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    phrase_dims: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
+    phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims_by_key: dict[str, list[Dimension]] = {}
+        for dim in self.dimensions:
+            for key in self.vocab.get(dim, ()):
+                dims_by_key.setdefault(key, []).append(dim)
+        self.phrase_dims = {key: tuple(sorted(dims)) for key, dims in dims_by_key.items()}
+        self.phrase_table = _phrase_table(self.phrase_dims)
 
     @property
     def doc_count(self) -> int:

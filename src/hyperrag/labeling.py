@@ -39,6 +39,9 @@ CANONICAL_DIMENSIONS: tuple[Dimension, ...] = (
 # Trailing runs of sentence punctuation and whitespace, removed from keys.
 _TRAILING_JUNK = re.compile(r"[\s.,;:!?]+$")
 
+# First token -> the phrases starting with it, longest first (see _phrase_table).
+PhraseTable = dict[str, tuple[tuple[str, ...], ...]]
+
 # Characters stripped from both ends of a text token (but kept inside it,
 # so "4-8" and "fay's" survive intact).
 _TOKEN_STRIP = string.punctuation + "“”‘’‚„«»‹›…–—"
@@ -156,9 +159,17 @@ class Gazetteer:
 
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
+    ``tables`` holds one matcher table per non-empty dimension, in sorted
+    dimension order; it is derived from ``entries`` once, on
+    construction, and shared by every document extracted.
     """
 
     entries: dict[Dimension, frozenset[str]]
+    tables: dict[Dimension, PhraseTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tables = {dim: _phrase_table(self.entries[dim]) for dim in sorted(self.entries) if self.entries[dim]}
+        object.__setattr__(self, "tables", tables)
 
     @classmethod
     def from_phrases(
@@ -195,18 +206,20 @@ def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazettee
     return Gazetteer.from_phrases(raw, extensions)
 
 
-def _phrase_table(phrases: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-    """Index phrases by first token, longest first, for the matcher."""
+def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
+    """Index phrases by first token, longest first, for the matcher.
+
+    Costs one pass over every phrase, so callers build it once per phrase
+    set (per index, per gazetteer) and never once per text scanned.
+    """
     table: dict[str, list[tuple[str, ...]]] = {}
     for phrase in phrases:
         toks = tuple(phrase.split())
         table.setdefault(toks[0], []).append(toks)
-    for cands in table.values():
-        cands.sort(key=lambda t: (-len(t), t))
-    return table
+    return {first: tuple(sorted(cands, key=lambda t: (-len(t), t))) for first, cands in table.items()}
 
 
-def match_phrases(tokens: list[str], table: dict[str, list[tuple[str, ...]]]) -> list[tuple[int, tuple[str, ...]]]:
+def match_phrases(tokens: list[str], table: PhraseTable) -> list[tuple[int, tuple[str, ...]]]:
     """Longest-match-wins, non-overlapping scan of a token sequence.
 
     At each position the longest phrase starting there is claimed and
@@ -237,15 +250,13 @@ def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
     longest match wins at each position, and matches within one
     dimension never overlap. The occurrence count of a label is its
     number of matches. Phrases from different dimensions may overlap
-    freely (each dimension scans independently).
+    freely (each dimension scans independently). The per-dimension
+    tables are the gazetteer's own, built once per gazetteer, so a
+    document costs a scan of its tokens and nothing per phrase.
     """
     tokens = tokenize(doc.text)
     labels = DocLabels(doc_id=doc.id)
-    for dim in sorted(gazetteer.entries):
-        phrases = gazetteer.entries[dim]
-        if not phrases:
-            continue
-        table = _phrase_table(phrases)
+    for dim, table in gazetteer.tables.items():
         for _pos, phrase_tokens in match_phrases(tokens, table):
             labels.add(dim, " ".join(phrase_tokens))
     return labels

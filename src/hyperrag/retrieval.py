@@ -23,7 +23,7 @@ from .corpus import _as_str, _iter_records, _require
 from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
-from .labeling import Dimension, _phrase_table, match_phrases, normalize_label, tokenize
+from .labeling import Dimension, match_phrases, normalize_label, tokenize
 
 DEFAULT_K = 3
 
@@ -186,7 +186,9 @@ def decompose_query(
     tagged with every dimension carrying the phrase) and then applies a
     content-word fallback: leftover non-stopword unigrams and bigrams
     become THEME candidates, kept only if some THEME label accepts them
-    semantically at the given threshold.
+    semantically at the given threshold. The phrase table and the
+    key -> dimensions map it scans with are the index's own, derived
+    once per index when it is built or loaded.
     """
     if external is not None:
         comps = []
@@ -197,21 +199,14 @@ def decompose_query(
         return QueryDecomposition(query_id=query_id, components=_dedupe(comps))
 
     tokens = tokenize(query)
-    phrase_dims: dict[str, list[Dimension]] = {}
-    for dim in ix.dimensions:
-        for key in ix.vocab.get(dim, ()):
-            phrase_dims.setdefault(key, []).append(dim)
-
     ordered: list[tuple[tuple, QueryComponent]] = []
     consumed = [False] * len(tokens)
-    if phrase_dims:
-        table = _phrase_table(phrase_dims)
-        for pos, phrase_tokens in match_phrases(tokens, table):
-            key = " ".join(phrase_tokens)
-            for span in range(pos, pos + len(phrase_tokens)):
-                consumed[span] = True
-            for dim in sorted(phrase_dims[key]):
-                ordered.append(((pos, key, dim), QueryComponent(dimension=dim, text=key, key=key)))
+    for pos, phrase_tokens in match_phrases(tokens, ix.phrase_table):
+        key = " ".join(phrase_tokens)
+        for span in range(pos, pos + len(phrase_tokens)):
+            consumed[span] = True
+        for dim in ix.phrase_dims[key]:
+            ordered.append(((pos, key, dim), QueryComponent(dimension=dim, text=key, key=key)))
 
     # Content-word fallback over the unconsumed remainder.
     runs: list[list[tuple[int, str]]] = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 import zlib
 from contextlib import contextmanager
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperrag import Corpus, Document, Gazetteer, QueryRecord
+from hyperrag import Corpus, Document, Gazetteer, QueryRecord, labeling
 
 # --------------------------------------------------------------------------
 # Three-document hurricane fixture. Label counts under the fixture gazetteer:
@@ -55,6 +56,9 @@ MELBOURNE_QUERY = "How much rainfall did Melbourne Beach, Florida receive from T
 # trigram cosine of "rainfall" vs "rain" is ~0.577, so 0.5 triggers the
 # fallback while 0.7 and above do not.
 FIXTURE_TAU = 0.5
+
+# The packaged sample data set (corpus, gazetteer, labels, queries).
+HURRICANE_MINI = Path(__file__).resolve().parent.parent / "data" / "hurricane_mini"
 
 
 def make_hurricane_corpus() -> Corpus:
@@ -126,6 +130,22 @@ def criterion(name: str, budget_s: float | None = None):
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s)", flush=True)
     if budget_s is not None:
         assert elapsed < budget_s, f"{name} took {elapsed:.2f}s, budget {budget_s}s"
+
+
+def count_table_builds(monkeypatch) -> list[int]:
+    """Record the phrase count of every phrase-table build, in every module that binds the builder."""
+    builds: list[int] = []
+    original = labeling._phrase_table
+
+    def counted(phrases):
+        table = original(phrases)
+        builds.append(len(phrases))
+        return table
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperrag") and getattr(module, "_phrase_table", None) is original:
+            monkeypatch.setattr(module, "_phrase_table", counted)
+    return builds
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,13 @@ class TestScore:
         ix = bm25_build(corpus)
         assert bm25_score(ix, ["rain", "coast"], "a") == bm25_score(ix, ["rain", "coast"], "b")
 
+    def test_repeated_query_term_counts_twice(self):
+        corpus = Corpus([Document(id="a", text="rain storm"), Document(id="b", text="dry spell")])
+        ix = bm25_build(corpus)
+        once = bm25_score(ix, ["rain"], "a")
+        assert bm25_score(ix, ["rain", "rain"], "a") == once + once
+        assert bm25_score(ix, ["rain"], "b") == 0.0
+
     def test_unknown_doc(self):
         ix = bm25_build(Corpus([Document(id="d", text="x y")]))
         with pytest.raises(UnknownDocId):
@@ -131,3 +138,27 @@ class TestRetrieve:
         ix = bm25_build(Corpus([Document(id="a", text="x y")]))
         with pytest.raises(ValueError):
             bm25_retrieve(ix, "x", k=0)
+
+    def test_scores_equal_per_document_scoring(self):
+        # Term-at-a-time accumulation adds the same floats in the same
+        # order as bm25_score, so the scores are equal, not just close.
+        rng = np.random.default_rng(17)
+        words = ["rain", "storm", "surge", "coast", "wind", "levee", "flood", "the", "of"]
+        for _case in range(40):
+            corpus = Corpus(
+                [
+                    Document(
+                        id=f"d{i:02d}",
+                        text=" ".join(words[int(rng.integers(0, len(words)))] for _ in range(int(rng.integers(1, 40)))),
+                    )
+                    for i in range(int(rng.integers(1, 25)))
+                ]
+            )
+            ix = bm25_build(corpus)
+            query = " ".join(words[int(rng.integers(0, len(words)))] for _ in range(int(rng.integers(1, 8))))
+            tokens = tokenize(query)
+            expected = sorted(
+                ((doc.id, bm25_score(ix, tokens, doc.id)) for doc in corpus if set(tokens) & set(tokenize(doc.text))),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            assert bm25_retrieve(ix, query, k=len(corpus)) == expected

@@ -117,6 +117,35 @@ class TestBuild:
         assert code == 2
         assert "line 2: malformed record" in capsys.readouterr().err
 
+    def test_invalid_utf8_corpus_is_data_error(self, fixture_files, tmp_path, capsys):
+        corpus = tmp_path / "latin1.jsonl"
+        corpus.write_bytes(b'{"id": "565", "text": "Melbourne Beach"}\n{"id": "246", "text": "Florida caf\xe9"}\n')
+        code = main(
+            [
+                "build",
+                "--corpus", str(corpus),
+                "--gazetteer", str(fixture_files["gazetteer"]),
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 2
+        assert "line 2: malformed record" in capsys.readouterr().err
+
+    def test_non_numeric_vector_is_data_error(self, fixture_files, tmp_path, capsys):
+        vectors = write_jsonl(tmp_path / "vec.jsonl", [{"key": "rain", "dim": 4, "values": ["x", 1, 2, 3]}])
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(fixture_files["gazetteer"]),
+                "--encoder", f"file:{vectors}",
+                "--embed-dim", "4",
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 2
+        assert "line 1: malformed record" in capsys.readouterr().err
+
 
 class TestQuery:
     def test_ranked_output(self, fixture_files, capsys):
@@ -215,6 +244,23 @@ class TestQuery:
             ]
         )
         assert code == 1
+
+    def test_encoder_other_than_the_index_is_data_error(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(fixture_files["index"]),
+                "--query", MELBOURNE_QUERY,
+                "--tau", str(FIXTURE_TAU),
+                "--embed-dim", "64",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'trigram' (dim 256)" in captured.err and "'trigram' (dim 64)" in captured.err
 
     def test_missing_index_is_data_error(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "none.hcix"), "--query", "rain"])

@@ -9,6 +9,7 @@ from hyperrag import (
     DuplicateId,
     EmptyText,
     IoFailure,
+    MalformedRecord,
     MissingField,
     load_corpus,
     load_queries,
@@ -75,6 +76,13 @@ class TestLoadCorpus:
         path = corpus_file(tmp_path, [{"id": "x", "text": "   "}])
         with pytest.raises(EmptyText):
             load_corpus(path)
+
+    def test_invalid_utf8_is_malformed_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "fine"}\n{"id": "b", "text": "caf\xe9"}\n')
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_no == 2
 
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):

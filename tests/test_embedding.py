@@ -10,6 +10,8 @@ from hyperrag import (
     DimMismatch,
     DocLabels,
     Document,
+    EncoderMismatch,
+    MalformedRecord,
     MissingKey,
     PrecomputedVectorEncoder,
     TrigramEncoder,
@@ -17,6 +19,7 @@ from hyperrag import (
     build_index,
     cosine,
     load_precomputed_vectors,
+    retrieve,
     semantic_neighbors,
 )
 
@@ -189,6 +192,13 @@ class TestPrecomputedVectors:
         with pytest.raises(DimMismatch):
             load_precomputed_vectors(path, ["rain"], dim=4)
 
+    @pytest.mark.parametrize("bad", ["x", True, None, [1.0], 10**400], ids=["string", "bool", "null", "array", "huge_int"])
+    def test_non_numeric_value_is_malformed(self, tmp_path, bad):
+        path = self.make_file(tmp_path, [("storm", [0, 1, 0, 0]), ("rain", [bad, 1, 2, 3])])
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_precomputed_vectors(path, ["rain"], dim=4)
+        assert excinfo.value.line_no == 2
+
     def test_encoder_contract_interchangeable(self, trigram, tmp_path):
         # A vectors file mirroring the trigram encoder's output plugs in
         # behind the same contract and yields identical neighbors.
@@ -213,3 +223,33 @@ class TestPrecomputedVectors:
         file_encoder = PrecomputedVectorEncoder({"rain": np.ones(4) / 2.0}, dim=4)
         with pytest.raises(MissingKey):
             file_encoder.encode("unseen phrase")
+
+
+class TestEncoderMismatch:
+    """An index with baked vectors answers only to the encoder that made them."""
+
+    def test_other_dim_raises_dim_mismatch(self, trigram):
+        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+        with pytest.raises(DimMismatch) as excinfo:
+            semantic_neighbors("rainfall", "THEME", ix, TrigramEncoder(dim=64), tau=0.3)
+        message = str(excinfo.value)
+        assert "'trigram' (dim 256)" in message and "'trigram' (dim 64)" in message
+        assert ix._vector_cache == {}
+
+    def test_other_name_raises_encoder_mismatch(self, trigram):
+        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+        file_encoder = PrecomputedVectorEncoder({"rainfall": trigram.encode("rainfall")}, dim=trigram.dim)
+        with pytest.raises(EncoderMismatch) as excinfo:
+            semantic_neighbors("rainfall", "THEME", ix, file_encoder, tau=0.3)
+        assert "'trigram'" in str(excinfo.value) and "'precomputed'" in str(excinfo.value)
+
+    def test_retrieve_raises(self, trigram):
+        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+        with pytest.raises(DimMismatch):
+            retrieve("rainfall totals", ix, TrigramEncoder(dim=64), tau=0.3)
+
+    def test_index_without_vectors_encodes_for_any_encoder(self):
+        ix = index_over_vocab(["rain", "storm surge"])
+        for encoder in (TrigramEncoder(dim=64), TrigramEncoder(dim=32)):
+            assert semantic_neighbors("rainfall", "THEME", ix, encoder, tau=0.3)
+        assert sorted(ix._vector_cache) == [("trigram", 32, "THEME"), ("trigram", 64, "THEME")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_jsonl
+from helpers import HURRICANE_MINI, count_table_builds, write_jsonl
 from oracles import substring_occurrences
 from hyperrag import (
     DocLabels,
@@ -15,7 +15,9 @@ from hyperrag import (
     NonPositiveCount,
     UnknownDimension,
     UnknownDocId,
+    extract_all,
     gazetteer_extract,
+    load_corpus,
     load_precomputed_labels,
     normalize_label,
     write_labels,
@@ -101,6 +103,21 @@ class TestGazetteerExtract:
         first = gazetteer_extract(doc, hurricane_gazetteer)
         second = gazetteer_extract(doc, hurricane_gazetteer)
         assert first == second
+
+    def test_one_table_per_dimension_for_whole_corpus(self, monkeypatch):
+        corpus = load_corpus(HURRICANE_MINI / "corpus.jsonl")
+        builds = count_table_builds(monkeypatch)
+        gazetteer = load_gazetteer(HURRICANE_MINI / "gazetteer.jsonl")
+        per_dim = [len(gazetteer.entries[dim]) for dim in sorted(gazetteer.entries)]
+        assert builds == per_dim
+        labels = extract_all(corpus, gazetteer)
+        assert len(corpus) > 1 and any(doc.counts for doc in labels.values())
+        assert builds == per_dim
+
+    def test_tables_skip_empty_dimensions_and_ignored_by_equality(self):
+        gaz = Gazetteer.from_phrases({"THEME": ["rain", "storm surge"], "PERSON": []})
+        assert list(gaz.tables) == ["THEME"]
+        assert gaz == Gazetteer.from_phrases({"THEME": ["storm surge", "rain"], "PERSON": []})
 
     def test_count_soundness_random_texts(self):
         # Matched counts can never exceed raw (overlap-permitting)

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import FIXTURE_TAU, MELBOURNE_QUERY, random_labeled_corpus, write_jsonl
+from helpers import (
+    FIXTURE_TAU,
+    HURRICANE_MINI,
+    MELBOURNE_QUERY,
+    count_table_builds,
+    random_labeled_corpus,
+    write_jsonl,
+)
 from oracles import brute_retrieve
 from hyperrag import (
     Corpus,
@@ -17,10 +24,16 @@ from hyperrag import (
     build_index,
     cosine,
     decompose_query,
+    extract_all,
+    load_corpus,
+    load_gazetteer,
+    load_index,
+    load_queries,
     match_component,
     rank,
     result_to_dict,
     retrieve,
+    save_index,
     score_documents,
 )
 from hyperrag.retrieval import EXACT, SEMANTIC, UNMATCHED, ScoredDoc
@@ -406,3 +419,67 @@ class TestOracleEquivalence:
                 {d: ix.forward[d] for d in ix.forward}, components, vocab, encoder, tau, k
             )
             assert got == expected
+
+
+def _mini_labels():
+    corpus = load_corpus(HURRICANE_MINI / "corpus.jsonl")
+    return corpus, extract_all(corpus, load_gazetteer(HURRICANE_MINI / "gazetteer.jsonl"))
+
+
+def _mini_index(encoder):
+    return build_index(*_mini_labels(), encoder=encoder)
+
+
+def _fixture_queries() -> list[str]:
+    return [q.question for q in load_queries(HURRICANE_MINI / "queries.jsonl")] + [
+        MELBOURNE_QUERY,
+        "hurricane season rains over the Atlantic",
+        "nothing here matches",
+    ]
+
+
+class TestIndexTables:
+    """Decomposition tables are derived once per index, never per query."""
+
+    def test_built_once_at_build_and_at_load(self, trigram, tmp_path, monkeypatch):
+        corpus, labels = _mini_labels()
+        builds = count_table_builds(monkeypatch)
+        ix = build_index(corpus, labels, encoder=trigram)
+        assert builds == [ix.label_key_count()]
+        save_index(ix, tmp_path / "mini.hcix")
+        load_index(tmp_path / "mini.hcix")
+        assert builds == [ix.label_key_count()] * 2
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_no_table_built_per_query(self, trigram, tmp_path, monkeypatch, source):
+        ix = _mini_index(trigram)
+        if source == "loaded":
+            save_index(ix, tmp_path / "mini.hcix")
+            ix = load_index(tmp_path / "mini.hcix")
+        builds = count_table_builds(monkeypatch)
+        for _round in range(5):
+            for query in _fixture_queries():
+                retrieve(query, ix, trigram, tau=FIXTURE_TAU)
+        assert builds == []
+
+    def test_loaded_index_answers_like_built(self, trigram, tmp_path):
+        ix = _mini_index(trigram)
+        save_index(ix, tmp_path / "mini.hcix")
+        loaded = load_index(tmp_path / "mini.hcix")
+        for query in _fixture_queries():
+            assert result_to_dict(retrieve(query, loaded, trigram, tau=FIXTURE_TAU)) == result_to_dict(
+                retrieve(query, ix, trigram, tau=FIXTURE_TAU)
+            )
+
+    def test_tables_match_the_vocabulary(self):
+        rng = np.random.default_rng(43)
+        for _case in range(30):
+            corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=20, multiword_labels=True)
+            ix = build_index(corpus, labels)
+            expected = {}
+            for dim in ix.dimensions:
+                for key in ix.vocab[dim]:
+                    expected.setdefault(key, set()).add(dim)
+            assert {key: set(dims) for key, dims in ix.phrase_dims.items()} == expected
+            assert all(list(dims) == sorted(dims) for dims in ix.phrase_dims.values())
+            assert {" ".join(toks) for cands in ix.phrase_table.values() for toks in cands} == set(expected)

@@ -180,7 +180,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         encoder=encoder,
         seed=seed,
-        parallel=args.parallel,
         k1=args.k1,
         b=args.b,
     )
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k1", type=float, default=DEFAULT_K1)
     p_bench.add_argument("--b", type=float, default=DEFAULT_B)
     p_bench.add_argument("--baseline", choices=["bm25", "none"], default="bm25")
-    p_bench.add_argument("--parallel", action="store_true", help="throughput mode (thread pool)")
     p_bench.add_argument("--out")
     _add_encoder_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)

@@ -232,19 +232,12 @@ def _time_passes(
     run_query: Callable[[str], object],
     questions: Sequence[str],
     repetitions: int,
-    parallel: bool,
 ) -> list[float]:
     """Per-query microseconds, one sample per repetition; first pass discarded."""
     def one_pass() -> float:
         start = time.perf_counter_ns()
-        if parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor() as pool:
-                list(pool.map(run_query, questions))
-        else:
-            for question in questions:
-                run_query(question)
+        for question in questions:
+            run_query(question)
         return (time.perf_counter_ns() - start) / 1000.0 / len(questions)
 
     one_pass()  # warm-up
@@ -263,7 +256,6 @@ def bench_latency(
     k: int = DEFAULT_K,
     encoder: Encoder | None = None,
     seed: int = 0,
-    parallel: bool = False,
     k1: float | None = None,
     b: float | None = None,
 ) -> list[BenchRow]:
@@ -314,7 +306,7 @@ def bench_latency(
 
             else:
                 raise ValueError(f"unknown engine {engine!r}")
-            samples = _time_passes(run_query, questions, repetitions, parallel)
+            samples = _time_passes(run_query, questions, repetitions)
             arr = np.array(samples)
             rows.append(
                 BenchRow(

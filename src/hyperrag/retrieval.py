@@ -14,6 +14,7 @@ always answer "why was this retrieved" — and "why not" for misses.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -292,6 +293,35 @@ def match_component(
     )
 
 
+def _score_row(
+    row: tuple[int, ...],
+    matches: Sequence[MatchEvidence],
+    hits: dict[tuple[int, int], MatchEvidence],
+    misses: Sequence[MatchEvidence],
+) -> tuple[int, int, int, tuple[MatchEvidence, ...]]:
+    """Coverage, indicator score, freq score and evidence of one row of counts.
+
+    ``row[i]`` is the occurrence count of component ``i``'s matched label
+    (0 when not covered). Hit evidence is taken from ``hits``, keyed by
+    (component, count), and added to it when first needed.
+    """
+    coverage = indicator = freq = 0
+    evidence = []
+    for i, (match, count) in enumerate(zip(matches, row)):
+        if count > 0:
+            coverage += 1
+            freq += count
+            if match.kind == EXACT:
+                indicator += 1
+            hit = hits.get((i, count))
+            if hit is None:
+                hit = hits[i, count] = replace(match, doc_count=count)
+            evidence.append(hit)
+        else:
+            evidence.append(misses[i])
+    return coverage, indicator, freq, tuple(evidence)
+
+
 def score_documents(
     decomposition: QueryDecomposition,
     matches: Sequence[MatchEvidence],
@@ -299,75 +329,84 @@ def score_documents(
 ) -> list[ScoredDoc]:
     """Score every candidate document by component coverage.
 
-    Candidates are the union of the posting lists of all matched labels;
-    documents sharing no label with the query are never touched. For
-    each candidate, ``coverage`` counts covered components,
-    ``indicator_score`` counts those covered by exact matches, and
-    ``freq_score`` sums the matched labels' occurrence counts.
+    Candidates and their counts come from the posting lists of the
+    matched labels alone, accumulated term at a time into one row of
+    per-component counts per candidate; ``forward`` is not read, and
+    documents sharing no label with the query are never touched. Each
+    component accumulates on its own, also when another resolves to the
+    same label. For each candidate, ``coverage`` counts covered
+    components, ``indicator_score`` counts those covered by exact
+    matches, and ``freq_score`` sums the matched labels' occurrence
+    counts. These and the evidence depend on the row alone, so each
+    distinct row is scored once per query. Evidence objects are
+    immutable and shared: one per (component, count) and one miss per
+    component. Every document gets its own evidence list.
     """
-    candidate_ids: set[str] = set()
-    for match in matches:
-        if match.matched_label is not None:
-            for posting in lookup(ix, match.dimension, match.matched_label):
-                candidate_ids.add(posting.doc_id)
+    rows: dict[str, list[int]] = {}
+    for i, match in enumerate(matches):
+        if match.matched_label is None:
+            continue
+        for doc_id, count in lookup(ix, match.dimension, match.matched_label):
+            row = rows.get(doc_id)
+            if row is None:
+                row = rows[doc_id] = [0] * len(matches)
+            row[i] = count
 
+    misses = [
+        MatchEvidence(
+            dimension=match.dimension,
+            component=match.component,
+            matched_label=None,
+            kind=UNMATCHED,
+            sim=0.0,
+        )
+        for match in matches
+    ]
+    hits: dict[tuple[int, int], MatchEvidence] = {}
+    by_row: dict[tuple[int, ...], tuple[int, int, int, tuple[MatchEvidence, ...]]] = {}
     scored = []
-    for doc_id in sorted(candidate_ids):
-        doc_labels = ix.forward[doc_id]
-        coverage = 0
-        indicator = 0
-        freq = 0
-        evidence = []
-        for match in matches:
-            count = 0
-            if match.matched_label is not None:
-                count = doc_labels.counts.get((match.dimension, match.matched_label), 0)
-            if count > 0:
-                coverage += 1
-                freq += count
-                if match.kind == EXACT:
-                    indicator += 1
-                evidence.append(replace(match, doc_count=count))
-            else:
-                evidence.append(
-                    MatchEvidence(
-                        dimension=match.dimension,
-                        component=match.component,
-                        matched_label=None,
-                        kind=UNMATCHED,
-                        sim=0.0,
-                    )
-                )
+    for doc_id in sorted(rows):
+        row = tuple(rows[doc_id])
+        scores = by_row.get(row)
+        if scores is None:
+            scores = by_row[row] = _score_row(row, matches, hits, misses)
+        coverage, indicator, freq, evidence = scores
         scored.append(
             ScoredDoc(
                 doc_id=doc_id,
                 coverage=coverage,
                 indicator_score=indicator,
                 freq_score=freq,
-                evidence=evidence,
+                evidence=list(evidence),
             )
         )
     return scored
 
 
-def _rank_key(doc: ScoredDoc) -> tuple:
-    return (-doc.coverage, -doc.freq_score, -doc.indicator_score, doc.doc_id)
-
-
 def rank(scored: Sequence[ScoredDoc], component_count: int, k: int = DEFAULT_K) -> list[ScoredDoc]:
-    """Order candidates and keep the top k.
+    """Order candidates and keep the top k, in one top-k pass.
 
     Documents covering every component form the preferred tier; when
     none exists, the best partial coverage leads. Both cases reduce to
-    one total order: coverage desc, then freq_score desc, then
-    indicator_score desc, then doc id asc.
+    one total order: full coverage first, then coverage desc, then
+    freq_score desc, then indicator_score desc, then doc id asc. The
+    pass selects the first k of that order without sorting the rest;
+    the result equals sorting every candidate and keeping k, ties
+    included.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    full = [doc for doc in scored if doc.coverage == component_count]
-    rest = [doc for doc in scored if doc.coverage != component_count]
-    ordered = sorted(full, key=_rank_key) + sorted(rest, key=_rank_key)
-    return ordered[:k]
+
+    def order(doc: ScoredDoc) -> tuple:
+        return (
+            doc.coverage != component_count,
+            -doc.coverage,
+            -doc.freq_score,
+            -doc.indicator_score,
+            doc.doc_id,
+        )
+
+    return heapq.nsmallest(k, scored, key=order)
 
 
 def retrieve(

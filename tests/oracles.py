@@ -8,8 +8,9 @@ evaluation. Property tests compare library output against these.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from hyperrag import DocLabels
+from hyperrag import DocLabels, MatchEvidence, ScoredDoc
 from hyperrag.labeling import tokenize
 
 
@@ -112,6 +113,39 @@ def brute_retrieve(
     order = lambda r: (-r[1], -r[3], -r[2], r[0])
     ranked = sorted(full, key=order) + sorted(partial, key=order)
     return ranked[:k]
+
+
+def brute_score(
+    labels_by_doc: dict[str, DocLabels], matches: list[MatchEvidence]
+) -> list[ScoredDoc]:
+    """Scan ALL documents and score each against every match from its own labels.
+
+    Returns a ``ScoredDoc`` with full per-component evidence for every
+    document covering at least one component, in doc id order. Evidence
+    is built afresh for every document and component: a covered
+    component is the match with the document's count, any other is an
+    unmatched miss with a zero count.
+    """
+    out = []
+    for doc_id in sorted(labels_by_doc):
+        counts = labels_by_doc[doc_id].counts
+        coverage = indicator = freq = 0
+        evidence = []
+        for match in matches:
+            count = counts.get((match.dimension, match.matched_label), 0)
+            if match.matched_label is not None and count > 0:
+                coverage += 1
+                freq += count
+                if match.kind == "exact":
+                    indicator += 1
+                evidence.append(replace(match, doc_count=count))
+            else:
+                evidence.append(
+                    MatchEvidence(match.dimension, match.component, None, "unmatched", 0.0)
+                )
+        if coverage > 0:
+            out.append(ScoredDoc(doc_id, coverage, indicator, freq, evidence))
+    return out
 
 
 def brute_cell(labels_by_doc: dict[str, DocLabels], coords: dict[str, str]) -> list[str]:

@@ -190,17 +190,3 @@ class TestBenchLatency:
         assert parsed[0] == ["engine", "fraction", "noise", "mean_us", "median_us", "p95_us"]
         assert len(parsed) == 2
         assert parsed[1][0] == "bm25"
-
-    def test_parallel_mode_runs(self, hurricane_corpus, hurricane_gazetteer, trigram):
-        queries = [QueryRecord(id="q", question="florida rain")]
-        rows = bench_latency(
-            hurricane_corpus,
-            hurricane_gazetteer,
-            queries,
-            engines=("hypercube",),
-            fractions=(1.0,),
-            repetitions=2,
-            encoder=trigram,
-            parallel=True,
-        )
-        assert len(rows) == 1 and rows[0].mean_us > 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helpers import (
     random_labeled_corpus,
     write_jsonl,
 )
-from oracles import brute_retrieve
+from oracles import brute_retrieve, brute_score
 from hyperrag import (
     Corpus,
     DocLabels,
@@ -36,7 +37,15 @@ from hyperrag import (
     save_index,
     score_documents,
 )
-from hyperrag.retrieval import EXACT, SEMANTIC, UNMATCHED, ScoredDoc
+from hyperrag import retrieval as retrieval_mod
+from hyperrag.retrieval import (
+    EXACT,
+    SEMANTIC,
+    UNMATCHED,
+    MatchEvidence,
+    QueryDecomposition,
+    ScoredDoc,
+)
 
 
 def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None):
@@ -292,6 +301,32 @@ class TestRank:
         scored = [make_scored(f"d{i}", 1, 1, i) for i in range(6)]
         assert len(rank(scored, 1, 2)) == 2
 
+    def test_equals_sorting_every_candidate(self):
+        # Random candidate lists, with repeated doc ids and coverage above
+        # the component count, against sorting both tiers in full.
+        rng = np.random.default_rng(47)
+
+        def order(doc):
+            return (-doc.coverage, -doc.freq_score, -doc.indicator_score, doc.doc_id)
+
+        for _case in range(300):
+            component_count = int(rng.integers(1, 4))
+            scored = [
+                make_scored(
+                    f"d{int(rng.integers(0, 6))}",
+                    int(rng.integers(0, component_count + 2)),
+                    int(rng.integers(0, 3)),
+                    int(rng.integers(0, 4)),
+                )
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            full = [doc for doc in scored if doc.coverage == component_count]
+            rest = [doc for doc in scored if doc.coverage != component_count]
+            reference = sorted(full, key=order) + sorted(rest, key=order)
+            for k in range(1, len(scored) + 3):
+                ranked = rank(scored, component_count, k)
+                assert [id(doc) for doc in ranked] == [id(doc) for doc in reference[:k]]
+
 
 class TestRetrieve:
     def test_melbourne_query_ranks_565_first(self, hurricane_index, trigram):
@@ -401,7 +436,81 @@ def _random_components(rng, vocab_by_dim):
     return components
 
 
+def _random_matches(rng, vocab_by_dim) -> list[MatchEvidence]:
+    """Resolved components of every kind over a random index's vocabulary.
+
+    Exact and semantic matches of labels the index holds, unmatched
+    components, a second component resolved to a label already matched,
+    and labels (in a known or an unknown dimension) the index lacks.
+    """
+    dims = sorted(vocab_by_dim)
+    matches = []
+    for j in range(int(rng.integers(0, 7))):
+        resolved = [m for m in matches if m.matched_label is not None]
+        roll = rng.random()
+        dim = dims[int(rng.integers(0, len(dims)))] if dims else "THEME"
+        keys = vocab_by_dim.get(dim, [])
+        if keys and roll < 0.35:
+            key = keys[int(rng.integers(0, len(keys)))]
+            matches.append(MatchEvidence(dim, key, key, EXACT, 1.0))
+        elif keys and roll < 0.6:
+            key = keys[int(rng.integers(0, len(keys)))]
+            sim = round(float(rng.uniform(0.3, 0.99)), 4)
+            matches.append(MatchEvidence(dim, f"{key}s{j}", key, SEMANTIC, sim))
+        elif resolved and roll < 0.75:
+            twin = resolved[int(rng.integers(0, len(resolved)))]
+            label = twin.matched_label
+            matches.append(MatchEvidence(twin.dimension, f"twin{j}", label, SEMANTIC, 0.8))
+        elif roll < 0.85:
+            matches.append(MatchEvidence(dim, f"miss{j}", None, UNMATCHED, 0.0))
+        else:
+            absent_dim = dim if rng.random() < 0.5 else "NOWHERE"
+            matches.append(MatchEvidence(absent_dim, f"zzz{j}", f"zzz{j}", SEMANTIC, 0.6))
+    return matches
+
+
+def _decomposition_of(matches) -> QueryDecomposition:
+    return QueryDecomposition(
+        query_id="",
+        components=[QueryComponent(m.dimension, m.component, m.component) for m in matches],
+    )
+
+
 class TestOracleEquivalence:
+    def test_score_documents_equals_full_scan(self):
+        rng = np.random.default_rng(43)
+        for _case in range(200):
+            corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
+            ix = build_index(corpus, labels)
+            matches = _random_matches(rng, vocab)
+            expected = brute_score(labels, matches)
+            ix.forward = {}  # candidates and counts come from the postings alone
+            scored = score_documents(_decomposition_of(matches), matches, ix)
+            assert scored == expected
+            assert len({id(doc.evidence) for doc in scored}) == len(scored)
+
+    def test_each_evidence_object_built_once_per_query(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        built = []
+
+        def counting_replace(match, **changes):
+            built.append((match, changes["doc_count"]))
+            return replace(match, **changes)
+
+        monkeypatch.setattr(retrieval_mod, "replace", counting_replace)
+        for _case in range(50):
+            corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
+            matches = _random_matches(rng, vocab)
+            built.clear()
+            ix = build_index(corpus, labels)
+            scored = score_documents(_decomposition_of(matches), matches, ix)
+            hits: dict[tuple[int, int], set[int]] = {}
+            for doc in scored:
+                for i, ev in enumerate(doc.evidence):
+                    hits.setdefault((i, ev.doc_count), set()).add(id(ev))
+            assert all(len(objects) == 1 for objects in hits.values())
+            assert len(built) == sum(1 for (_i, count) in hits if count > 0)
+
     def test_external_decomposition_cases(self):
         rng = np.random.default_rng(41)
         encoder = TrigramEncoder(dim=64)

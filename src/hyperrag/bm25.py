@@ -42,6 +42,8 @@ class Bm25Index:
 def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
     if len(corpus) == 0:
         raise ValueError("cannot build BM25 over an empty corpus")
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be a finite number >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
     doc_len: dict[str, int] = {}

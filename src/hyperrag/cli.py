@@ -152,8 +152,14 @@ def _cmd_bench(args) -> int:
         raise _usage(f"--reps must be >= 1, got {args.reps}")
     if args.noise < 0:
         raise _usage(f"--noise must be >= 0, got {args.noise}")
+    if not 0.0 <= args.k1 < float("inf"):
+        raise _usage(f"--k1 must be a finite number >= 0, got {args.k1}")
     if not 0.0 <= args.b <= 1.0:
         raise _usage(f"--b must lie in [0, 1], got {args.b}")
+    try:
+        seed = int(os.environ.get("HYPERRAG_SEED", args.seed))
+    except ValueError:
+        raise _usage(f"HYPERRAG_SEED must be an integer, got {os.environ['HYPERRAG_SEED']!r}")
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f]
     except ValueError:
@@ -166,7 +172,6 @@ def _cmd_bench(args) -> int:
     engines = ["hypercube"]
     if args.baseline == "bm25":
         engines.append("bm25")
-    seed = int(os.environ.get("HYPERRAG_SEED", args.seed))
     encoder = _make_encoder(args)
     rows = bench_latency(
         corpus,

@@ -183,7 +183,7 @@ def eval_recall(
         if not record.gold_doc_ids:
             raise MissingGold(record.id)
         for gold_id in record.gold_doc_ids:
-            if gold_id not in ix.forward:
+            if gold_id not in ix.doc_ids:
                 raise MissingGold(record.id, f"gold doc {gold_id!r} not in corpus")
 
     depth = max(k, max(EvalReport.REPORTED_KS))

@@ -12,6 +12,7 @@ no locking. There is no incremental update — rebuild to change it.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import os
@@ -56,35 +57,38 @@ class CellAddress:
 
 @dataclass
 class HypercubeIndex:
-    """Forward and inverted views of the same document-to-label assignment.
+    """The document-to-label assignment, each fact held once.
 
-    ``inverted[dim][key]`` is a posting list sorted strictly by doc id;
-    ``forward[doc_id]`` holds the document's DocLabels (possibly empty);
-    ``vocab[dim]`` is the key set of ``inverted[dim]``. The two views
-    stay symmetric by construction: a posting (d, c) exists exactly when
-    the forward labels of d carry count c for that (dim, key).
+    ``inverted[dim][key]`` is a posting list sorted strictly by doc id
+    and is the only place a count is held. ``doc_ids`` lists every
+    indexed document, unlabeled ones included. ``surfaces[doc_id]``
+    maps ``(dim, key)`` to the surface strings seen for that label, only
+    where they are not just ``{key}``; every such label has a posting
+    for the document.
 
-    ``phrase_dims`` (key -> sorted dimensions carrying it) and
-    ``phrase_table`` (the first-token table over every key) serve query
-    decomposition. They are derived from ``dimensions`` and ``vocab``
-    once per index, in ``__post_init__``, which both :func:`build_index`
-    and :func:`load_index` pass through; they are never saved.
+    ``vocab[dim]`` (the key set of ``inverted[dim]``), ``phrase_dims`` (key
+    -> sorted dimensions carrying it) and ``phrase_table`` (the
+    first-token table over every key) are derived from ``inverted`` once
+    per index, in ``__post_init__``, which both :func:`build_index` and
+    :func:`load_index` pass through; they are never saved.
     """
 
     dimensions: tuple[Dimension, ...]
     inverted: dict[Dimension, dict[str, list[Posting]]]
-    forward: dict[str, DocLabels]
-    vocab: dict[Dimension, set[str]]
+    doc_ids: frozenset[str]
+    surfaces: dict[str, dict[tuple[Dimension, str], set[str]]]
     label_vectors: LabelVectors | None = field(default=None)
     # Label vectors encoded on demand for an encoder the baked vectors do
     # not match, keyed by (encoder name, encoder dim, dimension).
     _vector_cache: dict[tuple[str, int, Dimension], tuple[list[str], np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    vocab: dict[Dimension, set[str]] = field(init=False, repr=False, compare=False)
     phrase_dims: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.vocab = {dim: set(postings_by_key) for dim, postings_by_key in self.inverted.items()}
         dims_by_key: dict[str, list[Dimension]] = {}
         for dim in self.dimensions:
             for key in self.vocab.get(dim, ()):
@@ -94,10 +98,15 @@ class HypercubeIndex:
 
     @property
     def doc_count(self) -> int:
-        return len(self.forward)
+        return len(self.doc_ids)
 
     def label_key_count(self) -> int:
         return sum(len(keys) for keys in self.vocab.values())
+
+
+def _plain(key: str, seen: set[str]) -> bool:
+    """Whether a label's surface set is just ``{key}``, which is never stored."""
+    return len(seen) == 1 and key in seen
 
 
 def build_index(
@@ -109,9 +118,11 @@ def build_index(
     """Index a corpus under a label assignment.
 
     Every labeled doc id must exist in the corpus. Documents without
-    labels still get a forward entry (with zero labels) and appear in no
-    posting list. When an encoder is given, label vectors for the whole
-    vocabulary are computed now and stored with the index.
+    labels are listed in ``doc_ids`` and appear in no posting list. Each
+    label's count goes into its posting; its surface set is referenced,
+    not copied, unless it is just ``{key}``. When an encoder is given,
+    label vectors for the whole vocabulary are computed now and stored
+    with the index.
     """
     for doc_id in labels:
         if doc_id not in corpus:
@@ -125,30 +136,39 @@ def build_index(
         dims = CANONICAL_DIMENSIONS + tuple(extras)
     else:
         dims = tuple(dimensions)
-    dim_set = set(dims)
 
     inverted: dict[Dimension, dict[str, list[Posting]]] = {dim: {} for dim in dims}
-    forward: dict[str, DocLabels] = {}
+    surfaces: dict[str, dict[tuple[Dimension, str], set[str]]] = {}
     for doc in corpus:
-        doc_labels = labels.get(doc.id, DocLabels(doc_id=doc.id))
-        forward[doc.id] = doc_labels
-        for (dim, key), count in doc_labels.counts.items():
-            if dim not in dim_set:
+        doc_labels = labels.get(doc.id)
+        if doc_labels is None:
+            continue
+        for pair, count in doc_labels.counts.items():
+            dim, key = pair
+            postings_by_key = inverted.get(dim)
+            if postings_by_key is None:
                 raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
             if count < 1:
                 raise NonPositiveCount(f"({dim}, {key!r}) in doc {doc.id!r}")
-            inverted[dim].setdefault(key, []).append(Posting(doc.id, count))
+            postings_by_key.setdefault(key, []).append(Posting(doc.id, count))
+            seen = doc_labels.surfaces.get(pair)
+            if seen is not None and not _plain(key, seen):
+                surfaces.setdefault(doc.id, {})[pair] = seen
 
     for postings_by_key in inverted.values():
         for postings in postings_by_key.values():
             postings.sort(key=lambda p: p.doc_id)
 
-    vocab = {dim: set(postings_by_key) for dim, postings_by_key in inverted.items()}
-    ix = HypercubeIndex(dimensions=dims, inverted=inverted, forward=forward, vocab=vocab)
+    ix = HypercubeIndex(
+        dimensions=dims,
+        inverted=inverted,
+        doc_ids=frozenset(doc.id for doc in corpus),
+        surfaces=surfaces,
+    )
     if encoder is not None:
         from .embedding import build_label_vectors
 
-        ix.label_vectors = build_label_vectors(vocab, encoder)
+        ix.label_vectors = build_label_vectors(ix.vocab, encoder)
     return ix
 
 
@@ -181,29 +201,6 @@ def cell_documents(ix: HypercubeIndex, address: CellAddress | Mapping[Dimension,
     return sorted(common)
 
 
-def verify_symmetry(ix: HypercubeIndex) -> None:
-    """Full cross-walk of the forward <-> inverted invariant; raises on violation."""
-    seen_pairs = 0
-    for dim, postings_by_key in ix.inverted.items():
-        if set(postings_by_key) != ix.vocab.get(dim, set()):
-            raise AssertionError(f"vocab out of sync for dimension {dim}")
-        for key, postings in postings_by_key.items():
-            ids = [p.doc_id for p in postings]
-            if ids != sorted(ids) or len(set(ids)) != len(ids):
-                raise AssertionError(f"posting list for ({dim}, {key!r}) not strictly sorted")
-            for posting in postings:
-                forward_count = ix.forward[posting.doc_id].counts.get((dim, key))
-                if forward_count != posting.count:
-                    raise AssertionError(
-                        f"posting ({dim}, {key!r}, {posting.doc_id}) count {posting.count} "
-                        f"!= forward count {forward_count}"
-                    )
-                seen_pairs += 1
-    forward_pairs = sum(len(labels.counts) for labels in ix.forward.values())
-    if forward_pairs != seen_pairs:
-        raise AssertionError(f"forward holds {forward_pairs} label pairs, inverted holds {seen_pairs}")
-
-
 def _canonical_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
@@ -211,12 +208,10 @@ def _canonical_json(obj: object) -> bytes:
 def _forward_payload(ix: HypercubeIndex) -> dict:
     """Every doc id, plus the surface sets that are not just ``{key}``."""
     surfaces: dict[str, dict[str, dict[str, list[str]]]] = {}
-    for doc_id, doc_labels in ix.forward.items():
-        for dim, key in doc_labels.counts:
-            seen = doc_labels.surfaces.get((dim, key))
-            if seen is not None and seen != {key}:
-                surfaces.setdefault(doc_id, {}).setdefault(dim, {})[key] = sorted(seen)
-    return {"doc_ids": sorted(ix.forward), "surfaces": surfaces}
+    for doc_id, by_pair in ix.surfaces.items():
+        for (dim, key), seen in by_pair.items():
+            surfaces.setdefault(doc_id, {}).setdefault(dim, {})[key] = sorted(seen)
+    return {"doc_ids": sorted(ix.doc_ids), "surfaces": surfaces}
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -315,51 +310,57 @@ def _str_list(value: object, path: str | Path, what: str) -> list[str]:
 
 
 def _load_postings(
-    raw: memoryview, dim: Dimension, forward: dict[str, DocLabels], path: str | Path
+    raw: memoryview, dim: Dimension, doc_ids: frozenset[str], path: str | Path
 ) -> dict[str, list[Posting]]:
-    """Parse one ``inverted:<DIM>`` section and enter each posting's count into ``forward``."""
+    """Parse one ``inverted:<DIM>`` section; every posting's doc id must be in ``doc_ids``."""
     where = f"section {_INVERTED}{dim}"
     postings_by_key: dict[str, list[Posting]] = {}
     for key, entries in _parse(raw, path, where, dict).items():
         if not isinstance(entries, list) or not entries:
             raise _malformed(path, f"{where}, key {key!r}: postings must be a non-empty array")
-        pair = (dim, key)
         postings = []
         prev = None
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise _malformed(path, f"{where}, key {key!r}: {entry!r} is not a [doc_id, count] pair")
             doc_id, count = entry
-            doc_labels = forward.get(doc_id) if isinstance(doc_id, str) else None
-            if doc_labels is None:
+            if not isinstance(doc_id, str) or doc_id not in doc_ids:
                 raise _malformed(path, f"{where}, key {key!r}: doc id {doc_id!r} is not in forward")
             if type(count) is not int or count < 1:
                 raise _malformed(path, f"{where}, key {key!r}, doc {doc_id!r}: count {count!r} is not an integer >= 1")
             if prev is not None and doc_id <= prev:
                 raise _malformed(path, f"{where}, key {key!r}: doc ids not strictly increasing at {doc_id!r}")
             prev = doc_id
-            doc_labels.counts[pair] = count
-            doc_labels.surfaces[pair] = {key}
             postings.append(Posting(doc_id, count))
         postings_by_key[key] = postings
     return postings_by_key
 
 
-def _load_surfaces(surfaces: object, forward: dict[str, DocLabels], path: str | Path) -> None:
-    """Overwrite the default ``{key}`` surface sets with the recorded ones."""
+def _load_surfaces(
+    surfaces: object,
+    doc_ids: frozenset[str],
+    inverted: dict[Dimension, dict[str, list[Posting]]],
+    path: str | Path,
+) -> dict[str, dict[tuple[Dimension, str], set[str]]]:
+    """Parse ``forward`` surfaces; each must belong to a label with a posting for its doc."""
     if not isinstance(surfaces, dict):
         raise _malformed(path, "forward surfaces must be a JSON object")
+    loaded: dict[str, dict[tuple[Dimension, str], set[str]]] = {}
     for doc_id, by_dim in surfaces.items():
-        doc_labels = forward.get(doc_id)
-        if doc_labels is None or not isinstance(by_dim, dict):
+        if doc_id not in doc_ids or not isinstance(by_dim, dict):
             raise _malformed(path, f"forward surfaces of doc {doc_id!r}: unknown doc or not an object")
         for dim, by_key in by_dim.items():
             if not isinstance(by_key, dict):
                 raise _malformed(path, f"forward surfaces of doc {doc_id!r}, {dim}: not an object")
             for key, seen in by_key.items():
-                if (dim, key) not in doc_labels.counts:
+                postings = inverted.get(dim, {}).get(key, [])
+                at = bisect.bisect_left(postings, (doc_id,))
+                if at == len(postings) or postings[at].doc_id != doc_id:
                     raise _malformed(path, f"forward surfaces of doc {doc_id!r}: no posting for ({dim}, {key!r})")
-                doc_labels.surfaces[(dim, key)] = set(_str_list(seen, path, "a surface set"))
+                seen = set(_str_list(seen, path, "a surface set"))
+                if not _plain(key, seen):
+                    loaded.setdefault(doc_id, {})[(dim, key)] = seen
+    return loaded
 
 
 def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
@@ -385,14 +386,15 @@ def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere surfaces as ChecksumMismatch. Each document's
-    labels are rebuilt from the postings: counts from the ``inverted``
-    sections, surfaces from ``forward`` where recorded and ``{key}``
-    otherwise. An unknown magic or version surfaces as
-    FormatVersionMismatch; version-1 files must be rebuilt. So does a
+    corruption anywhere surfaces as ChecksumMismatch. No per-document
+    object is built: the postings come from the ``inverted`` sections,
+    ``doc_ids`` and the recorded surface sets from ``forward``. An
+    unknown magic or version surfaces as FormatVersionMismatch;
+    version-1 files must be rebuilt. So does a
     container whose CRC passes but whose content is malformed: a header
     or section of the wrong shape, a posting for a doc id missing from
-    ``forward``, duplicate doc ids, or a count below 1.
+    ``forward``, duplicate doc ids, a count below 1, or a surface set for
+    a label with no posting for its doc.
     """
     try:
         blob = Path(path).read_bytes()
@@ -442,21 +444,17 @@ def load_index(path: str | Path) -> HypercubeIndex:
     forward_payload = _parse(raw_sections["forward"], path, "section forward", dict)
     if set(forward_payload) != {"doc_ids", "surfaces"}:
         raise _malformed(path, "section forward must hold exactly doc_ids and surfaces")
-    doc_ids = _str_list(forward_payload["doc_ids"], path, "forward doc_ids")
-    forward = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
-    if len(forward) != len(doc_ids):
+    doc_id_list = _str_list(forward_payload["doc_ids"], path, "forward doc_ids")
+    doc_ids = frozenset(doc_id_list)
+    if len(doc_ids) != len(doc_id_list):
         raise _malformed(path, "forward doc_ids holds duplicates")
 
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
-    inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, forward, path) for dim in dimensions}
-    _load_surfaces(forward_payload["surfaces"], forward, path)
-    label_vectors = _load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None
-
-    vocab = {dim: set(postings_by_key) for dim, postings_by_key in inverted.items()}
+    inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions}
     return HypercubeIndex(
         dimensions=dimensions,
         inverted=inverted,
-        forward=forward,
-        vocab=vocab,
-        label_vectors=label_vectors,
+        doc_ids=doc_ids,
+        surfaces=_load_surfaces(forward_payload["surfaces"], doc_ids, inverted, path),
+        label_vectors=_load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None,
     )

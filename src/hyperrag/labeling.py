@@ -91,19 +91,6 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Label:
-    dimension: Dimension
-    surface: str
-    key: str = ""
-
-    def __post_init__(self):
-        if not self.key:
-            object.__setattr__(self, "key", normalize_label(self.surface))
-        if not self.key:
-            raise ValueError(f"label surface {self.surface!r} normalizes to empty")
-
-
 @dataclass
 class DocLabels:
     """A document's labels, grouped by (dimension, key) with counts.
@@ -125,21 +112,6 @@ class DocLabels:
         pair = (dimension, key)
         self.counts[pair] = self.counts.get(pair, 0) + count
         self.surfaces.setdefault(pair, set()).add(surface if surface is not None else key)
-
-    def label_count(self) -> int:
-        """Number of distinct (dimension, key) pairs."""
-        return len(self.counts)
-
-    def keys_for(self, dimension: Dimension) -> set[str]:
-        return {key for (dim, key) in self.counts if dim == dimension}
-
-    def merge(self, other: "DocLabels") -> None:
-        """Additive merge: counts add, surface sets union."""
-        if other.doc_id != self.doc_id:
-            raise ValueError(f"cannot merge labels of {other.doc_id!r} into {self.doc_id!r}")
-        for pair, count in other.counts.items():
-            self.counts[pair] = self.counts.get(pair, 0) + count
-            self.surfaces.setdefault(pair, set()).update(other.surfaces.get(pair, set()))
 
 
 def _gazetteer_key(phrase: str) -> str:

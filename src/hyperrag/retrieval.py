@@ -331,16 +331,15 @@ def score_documents(
 
     Candidates and their counts come from the posting lists of the
     matched labels alone, accumulated term at a time into one row of
-    per-component counts per candidate; ``forward`` is not read, and
-    documents sharing no label with the query are never touched. Each
-    component accumulates on its own, also when another resolves to the
-    same label. For each candidate, ``coverage`` counts covered
-    components, ``indicator_score`` counts those covered by exact
-    matches, and ``freq_score`` sums the matched labels' occurrence
-    counts. These and the evidence depend on the row alone, so each
-    distinct row is scored once per query. Evidence objects are
-    immutable and shared: one per (component, count) and one miss per
-    component. Every document gets its own evidence list.
+    per-component counts per candidate; documents sharing no label with
+    the query are never touched. Each component accumulates on its own,
+    also when another resolves to the same label. For each candidate,
+    ``coverage`` counts covered components, ``indicator_score`` counts
+    those covered by exact matches, and ``freq_score`` sums the matched
+    labels' occurrence counts. These and the evidence depend on the row
+    alone, so each distinct row is scored once per query. Evidence
+    objects are immutable and shared: one per (component, count) and one
+    miss per component. Every document gets its own evidence list.
     """
     rows: dict[str, list[int]] = {}
     for i, match in enumerate(matches):

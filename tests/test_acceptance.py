@@ -143,9 +143,7 @@ def test_c3_oracle_equivalence():
             k = int(rng.integers(1, 9))
             result = retrieve("q", ix, encoder, tau=tau, k=k, external=components)
             got = [(d.doc_id, d.coverage, d.indicator_score, d.freq_score) for d in result.ranked]
-            expected = brute_retrieve(
-                {d: ix.forward[d] for d in ix.forward}, components, vocab, encoder, tau, k
-            )
+            expected = brute_retrieve(labels, components, vocab, encoder, tau, k)
             if got != expected:
                 mismatches += 1
 
@@ -171,9 +169,7 @@ def test_c3_oracle_equivalence():
                 for dim in sorted(vocab)
                 if token in vocab[dim]
             ]
-            expected = brute_retrieve(
-                {d: ix.forward[d] for d in ix.forward}, components, vocab, None, 1.0, k
-            )
+            expected = brute_retrieve(labels, components, vocab, None, 1.0, k)
             if got != expected:
                 mismatches += 1
 
@@ -181,7 +177,7 @@ def test_c3_oracle_equivalence():
 
 
 def test_c4_index_symmetry_and_persistence(tmp_path):
-    """Forward/inverted cross-walk plus save/load equality on 100 random indexes."""
+    """Postings equal the input label assignment, plus save/load equality, on 100 random indexes."""
     with criterion("C4 index-symmetry-persistence", budget_s=30.0):
         rng = np.random.default_rng(202)
         encoder = TrigramEncoder(dim=32)
@@ -189,11 +185,11 @@ def test_c4_index_symmetry_and_persistence(tmp_path):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=30, multiword_labels=True)
             ix = build_index(corpus, labels, encoder=encoder if case % 2 == 0 else None)
 
-            # Independent cross-walk: rebuild the inverted view from the
-            # forward view and demand exact agreement.
+            # Independent cross-walk: rebuild the postings from the label
+            # assignment the index was built from and demand exact agreement.
             rebuilt: dict[str, dict[str, list]] = {dim: {} for dim in ix.dimensions}
-            for doc_id in sorted(ix.forward):
-                for (dim, key), count in ix.forward[doc_id].counts.items():
+            for doc_id in sorted(labels):
+                for (dim, key), count in labels[doc_id].counts.items():
                     rebuilt[dim].setdefault(key, []).append((doc_id, count))
             for dim in ix.dimensions:
                 got_postings = {

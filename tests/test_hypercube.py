@@ -28,7 +28,6 @@ from hyperrag import (
     load_index,
     lookup,
     save_index,
-    verify_symmetry,
 )
 from hyperrag import hypercube as hypercube_mod
 
@@ -43,8 +42,8 @@ class TestBuildIndex:
     def test_empty_label_map(self, hurricane_corpus):
         ix = build_index(hurricane_corpus, {})
         assert all(not keys for keys in ix.vocab.values())
-        assert set(ix.forward) == {"565", "246", "535"}
-        assert all(labels.label_count() == 0 for labels in ix.forward.values())
+        assert ix.doc_ids == {"565", "246", "535"}
+        assert ix.surfaces == {}
 
     def test_single_doc_single_label(self):
         corpus = Corpus([Document(id="d1", text="storm ahead")])
@@ -59,14 +58,6 @@ class TestBuildIndex:
         stray.add("THEME", "rain")
         with pytest.raises(UnknownDocId):
             build_index(hurricane_corpus, {"999": stray})
-
-    def test_symmetry_on_fixture(self, hurricane_index):
-        verify_symmetry(hurricane_index)
-
-    def test_symmetry_detects_corruption(self, hurricane_index):
-        hurricane_index.forward["565"].counts[("THEME", "rain")] = 99
-        with pytest.raises(AssertionError):
-            verify_symmetry(hurricane_index)
 
     def test_posting_lists_sorted(self, hurricane_index):
         for postings_by_key in hurricane_index.inverted.values():
@@ -166,7 +157,6 @@ class TestPersistence:
         save_index(hurricane_index, path)
         loaded = load_index(path)
         assert loaded == hurricane_index
-        verify_symmetry(loaded)
 
     def test_byte_deterministic(self, hurricane_index, tmp_path):
         first, second = tmp_path / "a.hcix", tmp_path / "b.hcix"
@@ -260,12 +250,41 @@ class TestContainerV2:
             save_index(ix, path)
             loaded = load_index(path)
             assert loaded == ix
-            assert loaded.forward["d3"] == DocLabels(doc_id="d3")
-            assert loaded.forward["d1"].surfaces == {
-                ("THEME", "storm surge"): {"Storm Surge", "storm surge"},
-                ("LOCATION", "florida"): {"florida"},
+            assert loaded.doc_ids == {"d1", "d2", "d3"}
+            assert loaded.surfaces == {
+                "d1": {("THEME", "storm surge"): {"Storm Surge", "storm surge"}},
+                "d2": {("EVENT", "fay"): {"FAY.", "Fay"}},
             }
-            verify_symmetry(loaded)
+
+    def test_round_trip_random_surfaces(self, tmp_path):
+        # Labels seen in case and punctuation variants of their keys, with
+        # or without the key itself; unlabeled docs ride along.
+        rng = np.random.default_rng(17)
+        variants = (str.upper, str.title, lambda key: f"{key}.", lambda key: f"“{key}”")
+        encoder = TrigramEncoder(dim=16)
+        unlabeled = 0
+        for case in range(40):
+            corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
+            expected = {}
+            for doc_id, doc_labels in labels.items():
+                for dim, key in list(doc_labels.counts):
+                    roll = rng.random()
+                    variant = variants[int(rng.integers(0, len(variants)))](key)
+                    if roll < 0.3:
+                        doc_labels.add(dim, key, surface=variant)
+                    elif roll < 0.6:
+                        doc_labels.surfaces[(dim, key)] = {variant}
+                    seen = doc_labels.surfaces[(dim, key)]
+                    if seen != {key}:
+                        expected.setdefault(doc_id, {})[(dim, key)] = seen
+            ix = build_index(corpus, labels, encoder=encoder if case % 2 else None)
+            assert ix.surfaces == expected
+            assert ix.doc_ids == {doc.id for doc in corpus}
+            unlabeled += sum(1 for doc in corpus if not (doc.id in labels and labels[doc.id].counts))
+            path = tmp_path / f"case{case}.hcix"
+            save_index(ix, path)
+            assert load_index(path) == ix
+        assert unlabeled > 0
 
     def test_version_1_file_rejected(self, hurricane_index, tmp_path):
         path = tmp_path / "ix.hcix"

@@ -11,7 +11,6 @@ from hyperrag import (
     DocLabels,
     Document,
     Gazetteer,
-    Label,
     NonPositiveCount,
     UnknownDimension,
     UnknownDocId,
@@ -251,29 +250,10 @@ class TestPrecomputedLabels:
 
 
 class TestDocLabels:
-    def test_distinct_pair_count(self):
-        labels = DocLabels(doc_id="d")
-        labels.add("THEME", "rain", 5)
-        labels.add("LOCATION", "florida")
-        assert labels.label_count() == 2
-        assert labels.keys_for("THEME") == {"rain"}
-
     def test_rejects_nonpositive(self):
         labels = DocLabels(doc_id="d")
         with pytest.raises(NonPositiveCount):
             labels.add("THEME", "rain", 0)
-
-
-class TestLabelType:
-    def test_key_derived_from_surface(self):
-        label = Label(dimension="EVENT", surface="Tropical  Storm Fay.")
-        assert label.key == "tropical storm fay"
-        # Normalizing an already-normalized key is a no-op.
-        assert Label(dimension="EVENT", surface=label.key).key == label.key
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(ValueError):
-            Label(dimension="THEME", surface="...")
 
 
 class TestWriteLabels:

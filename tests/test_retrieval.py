@@ -48,15 +48,18 @@ from hyperrag.retrieval import (
 )
 
 
-def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None):
-    docs, labels = [], {}
+def doc_labels_of(label_map: dict[str, dict[tuple[str, str], int]]) -> dict[str, DocLabels]:
+    labels = {}
     for doc_id, pairs in label_map.items():
-        docs.append(Document(id=doc_id, text="placeholder body text"))
-        doc_labels = DocLabels(doc_id=doc_id)
+        doc_labels = labels[doc_id] = DocLabels(doc_id=doc_id)
         for (dim, key), count in pairs.items():
             doc_labels.add(dim, key, count)
-        labels[doc_id] = doc_labels
-    return build_index(Corpus(docs), labels, encoder=encoder)
+    return labels
+
+
+def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None):
+    docs = [Document(id=doc_id, text="placeholder body text") for doc_id in label_map]
+    return build_index(Corpus(docs), doc_labels_of(label_map), encoder=encoder)
 
 
 class TestDecomposeQuery:
@@ -358,12 +361,10 @@ class TestRetrieve:
         assert result.ranked[0].coverage == result.decomposition.component_count == 3
 
     def test_single_label_query_takes_highest_count(self, trigram):
-        ix = simple_index(
-            {"low": {("THEME", "rain"): 2}, "high": {("THEME", "rain"): 7}},
-            encoder=trigram,
-        )
+        label_map = {"low": {("THEME", "rain"): 2}, "high": {("THEME", "rain"): 7}}
+        ix = simple_index(label_map, encoder=trigram)
         result = retrieve("rain", ix, trigram, tau=FIXTURE_TAU, k=1)
-        labels = {d: ix.forward[d] for d in ix.forward}
+        labels = doc_labels_of(label_map)
         expected = brute_retrieve(labels, [("THEME", "rain")], {"THEME": ["rain"]}, trigram, FIXTURE_TAU, 1)
         assert [d.doc_id for d in result.ranked] == [row[0] for row in expected] == ["high"]
 
@@ -484,7 +485,6 @@ class TestOracleEquivalence:
             ix = build_index(corpus, labels)
             matches = _random_matches(rng, vocab)
             expected = brute_score(labels, matches)
-            ix.forward = {}  # candidates and counts come from the postings alone
             scored = score_documents(_decomposition_of(matches), matches, ix)
             assert scored == expected
             assert len({id(doc.evidence) for doc in scored}) == len(scored)
@@ -524,9 +524,7 @@ class TestOracleEquivalence:
             got = [
                 (d.doc_id, d.coverage, d.indicator_score, d.freq_score) for d in result.ranked
             ]
-            expected = brute_retrieve(
-                {d: ix.forward[d] for d in ix.forward}, components, vocab, encoder, tau, k
-            )
+            expected = brute_retrieve(labels, components, vocab, encoder, tau, k)
             assert got == expected
 
 

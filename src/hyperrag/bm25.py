@@ -22,7 +22,6 @@ DEFAULT_B = 0.75
 
 @dataclass
 class Bm25Index:
-    doc_freq: dict[str, int]
     postings: dict[str, list[tuple[str, int]]]
     doc_len: dict[str, int]
     avg_doc_len: float
@@ -35,7 +34,7 @@ class Bm25Index:
 
     def idf(self, term: str) -> float:
         n = self.doc_count
-        df = self.doc_freq.get(term, 0)
+        df = len(self.postings.get(term, ()))
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
 
@@ -47,25 +46,19 @@ def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> 
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
     doc_len: dict[str, int] = {}
-    tf_by_doc: dict[str, dict[str, int]] = {}
+    postings: dict[str, list[tuple[str, int]]] = {}
     for doc in corpus:
         tokens = tokenize(doc.text)
         doc_len[doc.id] = len(tokens)
         counts: dict[str, int] = {}
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
-        tf_by_doc[doc.id] = counts
-
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for doc in corpus:
-        for term, tf in tf_by_doc[doc.id].items():
+        for term, tf in counts.items():
             postings.setdefault(term, []).append((doc.id, tf))
     for plist in postings.values():
         plist.sort(key=lambda p: p[0])
-    doc_freq = {term: len(plist) for term, plist in postings.items()}
     avg = sum(doc_len.values()) / len(doc_len)
     return Bm25Index(
-        doc_freq=doc_freq,
         postings=postings,
         doc_len=doc_len,
         avg_doc_len=avg,

@@ -96,8 +96,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    corpus = load_corpus(args.corpus)
     extensions = tuple(args.dimensions or ())
+    for pos, dim in enumerate(extensions):
+        if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
+            raise _usage(f"--dimensions repeats dimension {dim!r}")
+    corpus = load_corpus(args.corpus)
     labels = {}
     if args.gazetteer:
         gazetteer = load_gazetteer(args.gazetteer, extensions)

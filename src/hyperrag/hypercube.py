@@ -117,12 +117,12 @@ def build_index(
 ) -> HypercubeIndex:
     """Index a corpus under a label assignment.
 
-    Every labeled doc id must exist in the corpus. Documents without
-    labels are listed in ``doc_ids`` and appear in no posting list. Each
-    label's count goes into its posting; its surface set is referenced,
-    not copied, unless it is just ``{key}``. When an encoder is given,
-    label vectors for the whole vocabulary are computed now and stored
-    with the index.
+    Every labeled doc id must exist in the corpus, and no dimension may
+    be given twice. Documents without labels are listed in ``doc_ids``
+    and appear in no posting list. Each label's count goes into its
+    posting; its surface set is referenced, not copied, unless it is
+    just ``{key}``. When an encoder is given, label vectors for the whole
+    vocabulary are computed now and stored with the index.
     """
     for doc_id in labels:
         if doc_id not in corpus:
@@ -136,6 +136,9 @@ def build_index(
         dims = CANONICAL_DIMENSIONS + tuple(extras)
     else:
         dims = tuple(dimensions)
+        for pos, dim in enumerate(dims):
+            if dim in dims[:pos]:
+                raise ValueError(f"dimension {dim!r} appears twice in {dims}")
 
     inverted: dict[Dimension, dict[str, list[Posting]]] = {dim: {} for dim in dims}
     surfaces: dict[str, dict[tuple[Dimension, str], set[str]]] = {}

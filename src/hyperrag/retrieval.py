@@ -8,8 +8,9 @@ documents come only from the posting lists of matched labels (never a
 corpus scan), are scored by how many components they cover, and ranked
 with full-coverage documents ahead of everything else.
 
-Every returned document carries per-component evidence, so a result can
-always answer "why was this retrieved" — and "why not" for misses.
+Candidates are scored as plain rows of counts; only the k documents a
+query returns get per-component evidence, so every returned document
+can answer "why was this retrieved" — and "why not" for misses.
 """
 
 from __future__ import annotations
@@ -293,53 +294,21 @@ def match_component(
     )
 
 
-def _score_row(
-    row: tuple[int, ...],
-    matches: Sequence[MatchEvidence],
-    hits: dict[tuple[int, int], MatchEvidence],
-    misses: Sequence[MatchEvidence],
-) -> tuple[int, int, int, tuple[MatchEvidence, ...]]:
-    """Coverage, indicator score, freq score and evidence of one row of counts.
-
-    ``row[i]`` is the occurrence count of component ``i``'s matched label
-    (0 when not covered). Hit evidence is taken from ``hits``, keyed by
-    (component, count), and added to it when first needed.
-    """
-    coverage = indicator = freq = 0
-    evidence = []
-    for i, (match, count) in enumerate(zip(matches, row)):
-        if count > 0:
-            coverage += 1
-            freq += count
-            if match.kind == EXACT:
-                indicator += 1
-            hit = hits.get((i, count))
-            if hit is None:
-                hit = hits[i, count] = replace(match, doc_count=count)
-            evidence.append(hit)
-        else:
-            evidence.append(misses[i])
-    return coverage, indicator, freq, tuple(evidence)
-
-
 def score_documents(
-    decomposition: QueryDecomposition,
-    matches: Sequence[MatchEvidence],
-    ix: HypercubeIndex,
-) -> list[ScoredDoc]:
-    """Score every candidate document by component coverage.
+    matches: Sequence[MatchEvidence], ix: HypercubeIndex
+) -> list[tuple[str, int, int, int, list[int]]]:
+    """Score every candidate document by component coverage, as plain rows.
 
     Candidates and their counts come from the posting lists of the
-    matched labels alone, accumulated term at a time into one row of
-    per-component counts per candidate; documents sharing no label with
-    the query are never touched. Each component accumulates on its own,
-    also when another resolves to the same label. For each candidate,
-    ``coverage`` counts covered components, ``indicator_score`` counts
-    those covered by exact matches, and ``freq_score`` sums the matched
-    labels' occurrence counts. These and the evidence depend on the row
-    alone, so each distinct row is scored once per query. Evidence
-    objects are immutable and shared: one per (component, count) and one
-    miss per component. Every document gets its own evidence list.
+    matched labels alone, accumulated term at a time; documents sharing
+    no label with the query are never touched. Each component
+    accumulates on its own, also when another resolves to the same
+    label. One row ``(doc_id, coverage, indicator, freq, counts)`` per
+    candidate: ``counts[i]`` is the occurrence count of component ``i``'s
+    matched label (0 when not covered), ``coverage`` counts covered
+    components, ``indicator`` those covered by exact matches, and
+    ``freq`` sums the counts. No evidence is built here; :func:`rank`
+    builds it for the documents it keeps.
     """
     rows: dict[str, list[int]] = {}
     for i, match in enumerate(matches):
@@ -351,61 +320,57 @@ def score_documents(
                 row = rows[doc_id] = [0] * len(matches)
             row[i] = count
 
-    misses = [
-        MatchEvidence(
-            dimension=match.dimension,
-            component=match.component,
-            matched_label=None,
-            kind=UNMATCHED,
-            sim=0.0,
+    exact = [i for i, match in enumerate(matches) if match.kind == EXACT]
+    return [
+        (
+            doc_id,
+            len(counts) - counts.count(0),
+            sum(1 for i in exact if counts[i]),
+            sum(counts),
+            counts,
         )
-        for match in matches
+        for doc_id, counts in rows.items()
     ]
-    hits: dict[tuple[int, int], MatchEvidence] = {}
-    by_row: dict[tuple[int, ...], tuple[int, int, int, tuple[MatchEvidence, ...]]] = {}
-    scored = []
-    for doc_id in sorted(rows):
-        row = tuple(rows[doc_id])
-        scores = by_row.get(row)
-        if scores is None:
-            scores = by_row[row] = _score_row(row, matches, hits, misses)
-        coverage, indicator, freq, evidence = scores
-        scored.append(
-            ScoredDoc(
-                doc_id=doc_id,
-                coverage=coverage,
-                indicator_score=indicator,
-                freq_score=freq,
-                evidence=list(evidence),
-            )
-        )
-    return scored
 
 
-def rank(scored: Sequence[ScoredDoc], component_count: int, k: int = DEFAULT_K) -> list[ScoredDoc]:
-    """Order candidates and keep the top k, in one top-k pass.
+def rank(
+    rows: Iterable[tuple[str, int, int, int, list[int]]],
+    matches: Sequence[MatchEvidence],
+    k: int = DEFAULT_K,
+) -> list[ScoredDoc]:
+    """Keep the top k rows of :func:`score_documents` in one top-k pass.
 
-    Documents covering every component form the preferred tier; when
-    none exists, the best partial coverage leads. Both cases reduce to
-    one total order: full coverage first, then coverage desc, then
-    freq_score desc, then indicator_score desc, then doc id asc. The
-    pass selects the first k of that order without sorting the rest;
-    the result equals sorting every candidate and keeping k, ties
-    included.
+    Documents covering every one of the ``len(matches)`` components form
+    the preferred tier; when none exists, the best partial coverage
+    leads. Both cases reduce to one total order: full coverage first,
+    then coverage desc, then freq desc, then indicator desc, then doc id
+    asc. The pass selects the first k of that order without sorting the
+    rest; the result equals sorting every row and keeping k, ties
+    included. Only the kept documents get evidence, one entry per
+    component: the match with the document's count when covered, an
+    unmatched miss with a zero count otherwise.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-    def order(doc: ScoredDoc) -> tuple:
-        return (
-            doc.coverage != component_count,
-            -doc.coverage,
-            -doc.freq_score,
-            -doc.indicator_score,
-            doc.doc_id,
+    n = len(matches)
+    kept = heapq.nsmallest(
+        k, rows, key=lambda row: (row[1] != n, -row[1], -row[3], -row[2], row[0])
+    )
+    return [
+        ScoredDoc(
+            doc_id=doc_id,
+            coverage=coverage,
+            indicator_score=indicator,
+            freq_score=freq,
+            evidence=[
+                replace(match, doc_count=count)
+                if count
+                else MatchEvidence(match.dimension, match.component, None, UNMATCHED, 0.0)
+                for match, count in zip(matches, counts)
+            ],
         )
-
-    return heapq.nsmallest(k, scored, key=order)
+        for doc_id, coverage, indicator, freq, counts in kept
+    ]
 
 
 def retrieve(
@@ -429,8 +394,7 @@ def retrieve(
     t1 = time.perf_counter_ns()
     matches = [match_component(comp, ix, encoder, tau) for comp in decomposition.components]
     t2 = time.perf_counter_ns()
-    scored = score_documents(decomposition, matches, ix)
-    ranked = rank(scored, decomposition.component_count, k)
+    ranked = rank(score_documents(matches, ix), matches, k)
     t3 = time.perf_counter_ns()
     timing = PhaseTimings(
         decompose_us=(t1 - t0) / 1000.0,

@@ -74,6 +74,23 @@ class TestBuild:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("dimensions", [["THEME"], ["HAZARD", "HAZARD"]])
+    def test_repeated_dimension_is_usage_error(self, tmp_path, capsys, dimensions):
+        # Checked before any file is read: the inputs need not exist.
+        out = tmp_path / "x.hcix"
+        code = main(
+            [
+                "build",
+                "--corpus", str(tmp_path / "absent.jsonl"),
+                "--gazetteer", str(tmp_path / "absent.jsonl"),
+                "--dimensions", *dimensions,
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "--dimensions repeats" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_build_data_error_exit_2(self, fixture_files, tmp_path):
         bad = write_jsonl(tmp_path / "bad.jsonl", [{"id": "x"}])
         code = main(

@@ -59,6 +59,13 @@ class TestBuildIndex:
         with pytest.raises(UnknownDocId):
             build_index(hurricane_corpus, {"999": stray})
 
+    @pytest.mark.parametrize("dimensions", [("THEME", "THEME"), ("LOCATION", "HAZARD", "HAZARD")])
+    def test_repeated_dimension_rejected(self, hurricane_corpus, dimensions):
+        # A repeated dimension would write two sections of one name,
+        # which the loader rejects.
+        with pytest.raises(ValueError, match="twice"):
+            build_index(hurricane_corpus, {}, dimensions=dimensions)
+
     def test_posting_lists_sorted(self, hurricane_index):
         for postings_by_key in hurricane_index.inverted.values():
             for postings in postings_by_key.values():

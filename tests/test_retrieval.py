@@ -43,7 +43,6 @@ from hyperrag.retrieval import (
     SEMANTIC,
     UNMATCHED,
     MatchEvidence,
-    QueryDecomposition,
     ScoredDoc,
 )
 
@@ -202,40 +201,33 @@ class TestMatchComponent:
         assert match.kind == UNMATCHED
 
 
+def _fixture_matches(ix, encoder):
+    decomposition = decompose_query(MELBOURNE_QUERY, ix, encoder=encoder, tau=FIXTURE_TAU)
+    return [match_component(c, ix, encoder, FIXTURE_TAU) for c in decomposition.components]
+
+
 class TestScoreDocuments:
     def test_fixture_scores(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            MELBOURNE_QUERY, hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        matches = [
-            match_component(c, hurricane_index, trigram, FIXTURE_TAU)
-            for c in decomposition.components
-        ]
-        scored = {d.doc_id: d for d in score_documents(decomposition, matches, hurricane_index)}
+        matches = _fixture_matches(hurricane_index, trigram)
+        rows = score_documents(matches, hurricane_index)
+        scored = {row[0]: row for row in rows}
         assert set(scored) == {"565", "246", "535"}
-        assert (scored["565"].coverage, scored["565"].indicator_score, scored["565"].freq_score) == (3, 2, 7)
-        assert scored["246"].coverage == 2
+        assert scored["565"][1:4] == (3, 2, 7)
+        assert scored["246"][1] == 2
+        assert scored["535"][1] == 1
+        ranked = {doc.doc_id: doc for doc in rank(rows, matches, k=len(rows))}
         assert {
             (ev.dimension, ev.matched_label)
-            for ev in scored["246"].evidence
+            for ev in ranked["246"].evidence
             if ev.doc_count > 0
         } == {("LOCATION", "florida"), ("EVENT", "tropical storm fay")}
-        assert scored["535"].coverage == 1
 
     def test_empty_decomposition(self, hurricane_index):
-        from hyperrag.retrieval import QueryDecomposition
-
-        assert score_documents(QueryDecomposition(query_id=""), [], hurricane_index) == []
+        assert score_documents([], hurricane_index) == []
 
     def test_candidates_cover_every_posting(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            MELBOURNE_QUERY, hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        matches = [
-            match_component(c, hurricane_index, trigram, FIXTURE_TAU)
-            for c in decomposition.components
-        ]
-        scored_ids = {d.doc_id for d in score_documents(decomposition, matches, hurricane_index)}
+        matches = _fixture_matches(hurricane_index, trigram)
+        scored_ids = {row[0] for row in score_documents(matches, hurricane_index)}
         from hyperrag import lookup
 
         for match in matches:
@@ -245,68 +237,81 @@ class TestScoreDocuments:
                 assert posting.doc_id in scored_ids
 
     def test_every_candidate_covers_something(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            MELBOURNE_QUERY, hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        matches = [
-            match_component(c, hurricane_index, trigram, FIXTURE_TAU)
-            for c in decomposition.components
-        ]
-        for doc in score_documents(decomposition, matches, hurricane_index):
-            assert doc.coverage >= 1
-            assert doc.freq_score >= doc.coverage
+        matches = _fixture_matches(hurricane_index, trigram)
+        for _doc_id, coverage, _indicator, freq, _counts in score_documents(
+            matches, hurricane_index
+        ):
+            assert coverage >= 1
+            assert freq >= coverage
 
 
-def make_scored(doc_id, coverage, indicator, freq):
-    return ScoredDoc(doc_id=doc_id, coverage=coverage, indicator_score=indicator, freq_score=freq)
+def _components(n):
+    """``n`` exact matches, one per query component."""
+    return [MatchEvidence("THEME", f"c{i}", f"c{i}", EXACT, 1.0) for i in range(n)]
+
+
+def make_row(doc_id, coverage, indicator, freq, n):
+    """A score row whose first ``coverage`` of ``n`` components have count 1."""
+    return (doc_id, coverage, indicator, freq, [int(i < coverage) for i in range(n)])
+
+
+def _evidence(matches, counts):
+    """Evidence of a kept document, built afresh from its counts."""
+    return [
+        replace(match, doc_count=count)
+        if count
+        else MatchEvidence(match.dimension, match.component, None, UNMATCHED, 0.0)
+        for match, count in zip(matches, counts)
+    ]
 
 
 class TestRank:
     def test_two_tier_ordering(self):
-        scored = [
-            make_scored("D", 1, 1, 1),
-            make_scored("C", 2, 2, 2),
-            make_scored("B", 3, 3, 3),
-            make_scored("A", 3, 3, 4),
+        rows = [
+            make_row("D", 1, 1, 1, 3),
+            make_row("C", 2, 2, 2, 3),
+            make_row("B", 3, 3, 3, 3),
+            make_row("A", 3, 3, 4, 3),
         ]
-        ranked = rank(scored, component_count=3, k=4)
+        ranked = rank(rows, _components(3), k=4)
         assert [d.doc_id for d in ranked] == ["A", "B", "C", "D"]
         assert [d.coverage for d in ranked[:2]] == [3, 3]
 
     def test_fallback_when_no_full_coverage(self):
-        scored = [make_scored("D", 1, 1, 1), make_scored("C", 2, 2, 2)]
-        ranked = rank(scored, component_count=3, k=4)
+        rows = [make_row("D", 1, 1, 1, 3), make_row("C", 2, 2, 2, 3)]
+        ranked = rank(rows, _components(3), k=4)
         assert [d.doc_id for d in ranked] == ["C", "D"]
 
     def test_zero_coverage_docs_never_ranked(self):
-        # score_documents never emits coverage-0 docs; rank over an empty
+        # score_documents never emits coverage-0 rows; rank over an empty
         # candidate list stays empty.
-        assert rank([], component_count=2, k=3) == []
+        assert rank([], _components(2), k=3) == []
 
     def test_tie_break_chain(self):
-        scored = [
-            make_scored("b", 2, 1, 5),
-            make_scored("a", 2, 2, 5),
-            make_scored("c", 2, 2, 6),
+        rows = [
+            make_row("b", 2, 1, 5, 2),
+            make_row("a", 2, 2, 5, 2),
+            make_row("c", 2, 2, 6, 2),
         ]
-        ranked = rank(scored, component_count=2, k=3)
+        ranked = rank(rows, _components(2), k=3)
         assert [d.doc_id for d in ranked] == ["c", "a", "b"]
 
     def test_doc_id_breaks_final_tie(self):
-        scored = [make_scored("z", 1, 1, 1), make_scored("a", 1, 1, 1)]
-        assert [d.doc_id for d in rank(scored, 1, 2)] == ["a", "z"]
+        rows = [make_row("z", 1, 1, 1, 1), make_row("a", 1, 1, 1, 1)]
+        assert [d.doc_id for d in rank(rows, _components(1), 2)] == ["a", "z"]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            rank([], component_count=1, k=0)
+            rank([], _components(1), k=0)
 
     def test_k_truncates(self):
-        scored = [make_scored(f"d{i}", 1, 1, i) for i in range(6)]
-        assert len(rank(scored, 1, 2)) == 2
+        rows = [make_row(f"d{i}", 1, 1, i, 1) for i in range(6)]
+        assert len(rank(rows, _components(1), 2)) == 2
 
     def test_equals_sorting_every_candidate(self):
-        # Random candidate lists, with repeated doc ids and coverage above
-        # the component count, against sorting both tiers in full.
+        # Random candidate rows, with repeated doc ids and coverage above
+        # the component count, against sorting both tiers in full and
+        # building evidence for every row.
         rng = np.random.default_rng(47)
 
         def order(doc):
@@ -314,21 +319,29 @@ class TestRank:
 
         for _case in range(300):
             component_count = int(rng.integers(1, 4))
-            scored = [
-                make_scored(
+            matches = [
+                MatchEvidence("THEME", f"c{i}", f"l{i}", EXACT if rng.random() < 0.5 else SEMANTIC, 0.7)
+                for i in range(component_count)
+            ]
+            rows = [
+                (
                     f"d{int(rng.integers(0, 6))}",
                     int(rng.integers(0, component_count + 2)),
                     int(rng.integers(0, 3)),
                     int(rng.integers(0, 4)),
+                    [int(rng.integers(0, 3)) for _ in range(component_count)],
                 )
                 for _ in range(int(rng.integers(0, 12)))
+            ]
+            scored = [
+                ScoredDoc(doc_id, coverage, indicator, freq, _evidence(matches, counts))
+                for doc_id, coverage, indicator, freq, counts in rows
             ]
             full = [doc for doc in scored if doc.coverage == component_count]
             rest = [doc for doc in scored if doc.coverage != component_count]
             reference = sorted(full, key=order) + sorted(rest, key=order)
-            for k in range(1, len(scored) + 3):
-                ranked = rank(scored, component_count, k)
-                assert [id(doc) for doc in ranked] == [id(doc) for doc in reference[:k]]
+            for k in range(1, len(rows) + 3):
+                assert rank(rows, matches, k) == reference[:k]
 
 
 class TestRetrieve:
@@ -470,13 +483,6 @@ def _random_matches(rng, vocab_by_dim) -> list[MatchEvidence]:
     return matches
 
 
-def _decomposition_of(matches) -> QueryDecomposition:
-    return QueryDecomposition(
-        query_id="",
-        components=[QueryComponent(m.dimension, m.component, m.component) for m in matches],
-    )
-
-
 class TestOracleEquivalence:
     def test_score_documents_equals_full_scan(self):
         rng = np.random.default_rng(43)
@@ -485,31 +491,53 @@ class TestOracleEquivalence:
             ix = build_index(corpus, labels)
             matches = _random_matches(rng, vocab)
             expected = brute_score(labels, matches)
-            scored = score_documents(_decomposition_of(matches), matches, ix)
-            assert scored == expected
-            assert len({id(doc.evidence) for doc in scored}) == len(scored)
+            expected.sort(
+                key=lambda doc: (
+                    doc.coverage != len(matches),
+                    -doc.coverage,
+                    -doc.freq_score,
+                    -doc.indicator_score,
+                    doc.doc_id,
+                )
+            )
+            rows = score_documents(matches, ix)
+            assert len(rows) == len(expected)
+            for k in range(1, len(expected) + 3):
+                ranked = rank(rows, matches, k)
+                assert ranked == expected[:k]
+                assert len({id(doc.evidence) for doc in ranked}) == len(ranked)
 
-    def test_each_evidence_object_built_once_per_query(self, monkeypatch):
+    def test_evidence_built_only_for_kept_documents(self, monkeypatch):
+        # Counts what the score and rank phases create: a ScoredDoc per
+        # kept document, a hit per component it covers, a miss per other
+        # component, and nothing for candidates rank drops.
         rng = np.random.default_rng(45)
-        built = []
+        built = {"hits": 0, "misses": 0, "docs": 0}
 
-        def counting_replace(match, **changes):
-            built.append((match, changes["doc_count"]))
-            return replace(match, **changes)
+        def counting(name, make):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
 
-        monkeypatch.setattr(retrieval_mod, "replace", counting_replace)
+            return wrapper
+
+        monkeypatch.setattr(retrieval_mod, "replace", counting("hits", replace))
+        monkeypatch.setattr(retrieval_mod, "MatchEvidence", counting("misses", MatchEvidence))
+        monkeypatch.setattr(retrieval_mod, "ScoredDoc", counting("docs", ScoredDoc))
         for _case in range(50):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
-            matches = _random_matches(rng, vocab)
-            built.clear()
             ix = build_index(corpus, labels)
-            scored = score_documents(_decomposition_of(matches), matches, ix)
-            hits: dict[tuple[int, int], set[int]] = {}
-            for doc in scored:
-                for i, ev in enumerate(doc.evidence):
-                    hits.setdefault((i, ev.doc_count), set()).add(id(ev))
-            assert all(len(objects) == 1 for objects in hits.values())
-            assert len(built) == sum(1 for (_i, count) in hits if count > 0)
+            matches = _random_matches(rng, vocab)
+            candidates = len(brute_score(labels, matches))
+            for k in (1, 3, max(candidates, 1)):
+                built.update(hits=0, misses=0, docs=0)
+                ranked = rank(score_documents(matches, ix), matches, k)
+                assert len(ranked) == min(k, candidates)
+                assert built == {
+                    "hits": sum(doc.coverage for doc in ranked),
+                    "misses": sum(len(matches) - doc.coverage for doc in ranked),
+                    "docs": len(ranked),
+                }
 
     def test_external_decomposition_cases(self):
         rng = np.random.default_rng(41)

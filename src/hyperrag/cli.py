@@ -24,7 +24,7 @@ from .embedding import (
     TrigramEncoder,
     load_precomputed_vectors,
 )
-from .errors import HyperRagError
+from .errors import HyperRagError, IoFailure
 from .evaluation import bench_latency, eval_recall, write_bench_csv
 from .hypercube import CellAddress, build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
@@ -61,7 +61,7 @@ def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_encoder(args, ix=None):
-    if args.tau is not None and not 0.0 <= args.tau <= 1.0:
+    if not 0.0 <= args.tau <= 1.0:
         raise _usage(f"--tau must lie in [0, 1], got {args.tau}")
     if args.embed_dim < 1:
         raise _usage(f"--embed-dim must be >= 1, got {args.embed_dim}")
@@ -90,7 +90,10 @@ def _check_k(k: int) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
     else:
         print(text)
 

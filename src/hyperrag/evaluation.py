@@ -17,10 +17,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bm25 import bm25_build, bm25_retrieve
+from .bm25 import DEFAULT_B, DEFAULT_K1, bm25_build, bm25_retrieve
 from .corpus import Corpus, Document, QueryRecord
 from .embedding import DEFAULT_TAU, Encoder
-from .errors import MissingGold
+from .errors import IoFailure, MissingGold
 from .hypercube import HypercubeIndex, build_index
 from .labeling import Gazetteer, extract_all, normalize_label
 from .retrieval import DEFAULT_K, PhaseTimings, retrieve
@@ -256,8 +256,8 @@ def bench_latency(
     k: int = DEFAULT_K,
     encoder: Encoder | None = None,
     seed: int = 0,
-    k1: float | None = None,
-    b: float | None = None,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
 ) -> list[BenchRow]:
     """Latency table across corpus fractions, optionally plus a noise row.
 
@@ -294,12 +294,7 @@ def bench_latency(
                     return retrieve(question, _ix, encoder, tau=tau, k=k)
 
             elif engine == "bm25":
-                bm25_params = {}
-                if k1 is not None:
-                    bm25_params["k1"] = k1
-                if b is not None:
-                    bm25_params["b"] = b
-                bix = bm25_build(sub, **bm25_params)
+                bix = bm25_build(sub, k1=k1, b=b)
 
                 def run_query(question: str, _bix=bix) -> object:
                     return bm25_retrieve(_bix, question, k=k)
@@ -323,10 +318,13 @@ def bench_latency(
 
 
 def write_bench_csv(rows: Sequence[BenchRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["engine", "fraction", "noise", "mean_us", "median_us", "p95_us"])
-        for row in rows:
-            writer.writerow(
-                [row.engine, row.fraction, row.noise, f"{row.mean_us:.3f}", f"{row.median_us:.3f}", f"{row.p95_us:.3f}"]
-            )
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["engine", "fraction", "noise", "mean_us", "median_us", "p95_us"])
+            for row in rows:
+                writer.writerow(
+                    [row.engine, row.fraction, row.noise, f"{row.mean_us:.3f}", f"{row.median_us:.3f}", f"{row.p95_us:.3f}"]
+                )
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc

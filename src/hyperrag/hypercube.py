@@ -12,7 +12,6 @@ no locking. There is no incremental update — rebuild to change it.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 import os
@@ -35,7 +34,7 @@ from .errors import (
 from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _phrase_table
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _INVERTED = "inverted:"
 
 
@@ -61,10 +60,8 @@ class HypercubeIndex:
 
     ``inverted[dim][key]`` is a posting list sorted strictly by doc id
     and is the only place a count is held. ``doc_ids`` lists every
-    indexed document, unlabeled ones included. ``surfaces[doc_id]``
-    maps ``(dim, key)`` to the surface strings seen for that label, only
-    where they are not just ``{key}``; every such label has a posting
-    for the document.
+    indexed document, unlabeled ones included. Labels are held by their
+    normalized keys only.
 
     ``vocab[dim]`` (the key set of ``inverted[dim]``), ``phrase_dims`` (key
     -> sorted dimensions carrying it) and ``phrase_table`` (the
@@ -76,7 +73,6 @@ class HypercubeIndex:
     dimensions: tuple[Dimension, ...]
     inverted: dict[Dimension, dict[str, list[Posting]]]
     doc_ids: frozenset[str]
-    surfaces: dict[str, dict[tuple[Dimension, str], set[str]]]
     label_vectors: LabelVectors | None = field(default=None)
     # Label vectors encoded on demand for an encoder the baked vectors do
     # not match, keyed by (encoder name, encoder dim, dimension).
@@ -104,11 +100,6 @@ class HypercubeIndex:
         return sum(len(keys) for keys in self.vocab.values())
 
 
-def _plain(key: str, seen: set[str]) -> bool:
-    """Whether a label's surface set is just ``{key}``, which is never stored."""
-    return len(seen) == 1 and key in seen
-
-
 def build_index(
     corpus: Corpus,
     labels: Mapping[str, DocLabels],
@@ -120,8 +111,7 @@ def build_index(
     Every labeled doc id must exist in the corpus, and no dimension may
     be given twice. Documents without labels are listed in ``doc_ids``
     and appear in no posting list. Each label's count goes into its
-    posting; its surface set is referenced, not copied, unless it is
-    just ``{key}``. When an encoder is given, label vectors for the whole
+    posting. When an encoder is given, label vectors for the whole
     vocabulary are computed now and stored with the index.
     """
     for doc_id in labels:
@@ -141,22 +131,17 @@ def build_index(
                 raise ValueError(f"dimension {dim!r} appears twice in {dims}")
 
     inverted: dict[Dimension, dict[str, list[Posting]]] = {dim: {} for dim in dims}
-    surfaces: dict[str, dict[tuple[Dimension, str], set[str]]] = {}
     for doc in corpus:
         doc_labels = labels.get(doc.id)
         if doc_labels is None:
             continue
-        for pair, count in doc_labels.counts.items():
-            dim, key = pair
+        for (dim, key), count in doc_labels.counts.items():
             postings_by_key = inverted.get(dim)
             if postings_by_key is None:
                 raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
             if count < 1:
                 raise NonPositiveCount(f"({dim}, {key!r}) in doc {doc.id!r}")
             postings_by_key.setdefault(key, []).append(Posting(doc.id, count))
-            seen = doc_labels.surfaces.get(pair)
-            if seen is not None and not _plain(key, seen):
-                surfaces.setdefault(doc.id, {})[pair] = seen
 
     for postings_by_key in inverted.values():
         for postings in postings_by_key.values():
@@ -166,7 +151,6 @@ def build_index(
         dimensions=dims,
         inverted=inverted,
         doc_ids=frozenset(doc.id for doc in corpus),
-        surfaces=surfaces,
     )
     if encoder is not None:
         from .embedding import build_label_vectors
@@ -208,15 +192,6 @@ def _canonical_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def _forward_payload(ix: HypercubeIndex) -> dict:
-    """Every doc id, plus the surface sets that are not just ``{key}``."""
-    surfaces: dict[str, dict[str, dict[str, list[str]]]] = {}
-    for doc_id, by_pair in ix.surfaces.items():
-        for (dim, key), seen in by_pair.items():
-            surfaces.setdefault(doc_id, {}).setdefault(dim, {})[key] = sorted(seen)
-    return {"doc_ids": sorted(ix.doc_ids), "surfaces": surfaces}
-
-
 def _replace_file(path: Path, data: bytes) -> None:
     """Write ``data`` to a fresh sibling of ``path``, then rename it over ``path``.
 
@@ -246,8 +221,7 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
       ``[[doc_id, count], ...]``. The only place a count is written; the
       index's dimensions are read back from these section names.
     * ``forward``: ``doc_ids``, every document id sorted (unlabeled ones
-      included), and ``surfaces``, doc id -> dimension -> key -> sorted
-      surface strings, only where a key's surfaces are not just ``{key}``.
+      included), and nothing else.
     * ``vectors``, when label vectors are attached: encoder name, vector
       dim, and per dimension the encoded keys and matrix rows.
 
@@ -263,7 +237,7 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
             for key, postings in ix.inverted.get(dim, {}).items()
         }
         sections.append((f"{_INVERTED}{dim}", _canonical_json(postings_by_key)))
-    sections.append(("forward", _canonical_json(_forward_payload(ix))))
+    sections.append(("forward", _canonical_json({"doc_ids": sorted(ix.doc_ids)})))
     if ix.label_vectors is not None:
         vectors_payload = {
             "encoder": ix.label_vectors.encoder_name,
@@ -339,33 +313,6 @@ def _load_postings(
     return postings_by_key
 
 
-def _load_surfaces(
-    surfaces: object,
-    doc_ids: frozenset[str],
-    inverted: dict[Dimension, dict[str, list[Posting]]],
-    path: str | Path,
-) -> dict[str, dict[tuple[Dimension, str], set[str]]]:
-    """Parse ``forward`` surfaces; each must belong to a label with a posting for its doc."""
-    if not isinstance(surfaces, dict):
-        raise _malformed(path, "forward surfaces must be a JSON object")
-    loaded: dict[str, dict[tuple[Dimension, str], set[str]]] = {}
-    for doc_id, by_dim in surfaces.items():
-        if doc_id not in doc_ids or not isinstance(by_dim, dict):
-            raise _malformed(path, f"forward surfaces of doc {doc_id!r}: unknown doc or not an object")
-        for dim, by_key in by_dim.items():
-            if not isinstance(by_key, dict):
-                raise _malformed(path, f"forward surfaces of doc {doc_id!r}, {dim}: not an object")
-            for key, seen in by_key.items():
-                postings = inverted.get(dim, {}).get(key, [])
-                at = bisect.bisect_left(postings, (doc_id,))
-                if at == len(postings) or postings[at].doc_id != doc_id:
-                    raise _malformed(path, f"forward surfaces of doc {doc_id!r}: no posting for ({dim}, {key!r})")
-                seen = set(_str_list(seen, path, "a surface set"))
-                if not _plain(key, seen):
-                    loaded.setdefault(doc_id, {})[(dim, key)] = seen
-    return loaded
-
-
 def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
     payload = _parse(raw, path, "section vectors", dict)
     encoder_name, dim, by_dimension = payload.get("encoder"), payload.get("dim"), payload.get("by_dimension")
@@ -389,15 +336,14 @@ def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere surfaces as ChecksumMismatch. No per-document
-    object is built: the postings come from the ``inverted`` sections,
-    ``doc_ids`` and the recorded surface sets from ``forward``. An
-    unknown magic or version surfaces as FormatVersionMismatch;
-    version-1 files must be rebuilt. So does a
-    container whose CRC passes but whose content is malformed: a header
-    or section of the wrong shape, a posting for a doc id missing from
-    ``forward``, duplicate doc ids, a count below 1, or a surface set for
-    a label with no posting for its doc.
+    corruption anywhere raises ChecksumMismatch. No per-document object
+    is built: the postings come from the ``inverted`` sections,
+    ``doc_ids`` from ``forward``. An unknown magic or version raises
+    FormatVersionMismatch; version-1 and version-2 files must be rebuilt.
+    So does a container whose CRC passes but whose content is malformed:
+    a header or section of the wrong shape, a ``forward`` holding
+    anything but ``doc_ids``, a posting for a doc id missing from
+    ``forward``, duplicate doc ids, or a count below 1.
     """
     try:
         blob = Path(path).read_bytes()
@@ -445,19 +391,17 @@ def load_index(path: str | Path) -> HypercubeIndex:
         raise _malformed(path, "no forward section")
 
     forward_payload = _parse(raw_sections["forward"], path, "section forward", dict)
-    if set(forward_payload) != {"doc_ids", "surfaces"}:
-        raise _malformed(path, "section forward must hold exactly doc_ids and surfaces")
+    if set(forward_payload) != {"doc_ids"}:
+        raise _malformed(path, "section forward must hold exactly doc_ids")
     doc_id_list = _str_list(forward_payload["doc_ids"], path, "forward doc_ids")
     doc_ids = frozenset(doc_id_list)
     if len(doc_ids) != len(doc_id_list):
         raise _malformed(path, "forward doc_ids holds duplicates")
 
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
-    inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions}
     return HypercubeIndex(
         dimensions=dimensions,
-        inverted=inverted,
+        inverted={dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions},
         doc_ids=doc_ids,
-        surfaces=_load_surfaces(forward_payload["surfaces"], doc_ids, inverted, path),
         label_vectors=_load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None,
     )

@@ -96,22 +96,20 @@ class DocLabels:
     """A document's labels, grouped by (dimension, key) with counts.
 
     ``counts[(dim, key)]`` is how often the label occurs in the document
-    (always >= 1); ``surfaces`` records the surface strings seen for
-    each key.
+    (always >= 1). Keys are normalized; the strings a label was spelled
+    with are not kept.
     """
 
     doc_id: str
     counts: dict[tuple[Dimension, str], int] = field(default_factory=dict)
-    surfaces: dict[tuple[Dimension, str], set[str]] = field(default_factory=dict)
 
-    def add(self, dimension: Dimension, key: str, count: int = 1, surface: str | None = None) -> None:
+    def add(self, dimension: Dimension, key: str, count: int = 1) -> None:
         if count < 1:
             raise NonPositiveCount(f"({dimension}, {key!r}) -> {count}")
         if not key:
             raise ValueError("empty label key")
         pair = (dimension, key)
         self.counts[pair] = self.counts.get(pair, 0) + count
-        self.surfaces.setdefault(pair, set()).add(surface if surface is not None else key)
 
 
 def _gazetteer_key(phrase: str) -> str:
@@ -266,7 +264,7 @@ def load_precomputed_labels(
         key = normalize_label(surface)
         if not key:
             raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
-        result.setdefault(doc_id, DocLabels(doc_id=doc_id)).add(dim, key, count, surface=surface)
+        result.setdefault(doc_id, DocLabels(doc_id=doc_id)).add(dim, key, count)
     return result
 
 

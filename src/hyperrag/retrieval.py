@@ -187,10 +187,11 @@ def decompose_query(
     union of all dimension vocabularies (longest match wins, matches
     tagged with every dimension carrying the phrase) and then applies a
     content-word fallback: leftover non-stopword unigrams and bigrams
-    become THEME candidates, kept only if some THEME label accepts them
-    semantically at the given threshold. The phrase table and the
-    key -> dimensions map it scans with are the index's own, derived
-    once per index when it is built or loaded.
+    become THEME candidates, kept only if :func:`match_component`
+    resolves them against THEME (exactly, or semantically at the given
+    threshold). The phrase table and the key -> dimensions map it scans
+    with are the index's own, derived once per index when it is built
+    or loaded.
     """
     if external is not None:
         comps = []
@@ -231,20 +232,13 @@ def decompose_query(
             candidates.append((pos, f"{first} {second}"))
 
     if encoder is not None:
-        theme_vocab = ix.vocab.get("THEME", set())
         for pos, text in candidates:
             key = normalize_label(text)
             if not key or key in STOPWORDS:
                 continue
-            if key in theme_vocab:
-                ordered.append(((pos, key, "THEME"), QueryComponent("THEME", text, key)))
-                continue
-            try:
-                neighbors = semantic_neighbors(key, "THEME", ix, encoder, tau)
-            except (UnencodableText, MissingKey):
-                continue
-            if neighbors:
-                ordered.append(((pos, key, "THEME"), QueryComponent("THEME", text, key)))
+            component = QueryComponent("THEME", text, key)
+            if match_component(component, ix, encoder, tau).kind != UNMATCHED:
+                ordered.append(((pos, key, "THEME"), component))
 
     ordered.sort(key=lambda item: item[0])
     return QueryDecomposition(query_id=query_id, components=_dedupe(c for _sort_key, c in ordered))

@@ -451,6 +451,30 @@ class TestBench:
         assert "--k1" in capsys.readouterr().err
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["query", "eval", "inspect", "bench"])
+    def test_missing_out_directory_is_data_error(self, fixture_files, tmp_path, capsys, command):
+        index = str(build_fixture_index(fixture_files))
+        out = tmp_path / "absent" / "out.txt"
+        args = {
+            "query": ["--index", index, "--query", MELBOURNE_QUERY],
+            "eval": ["--index", index, "--queries", str(fixture_files["queries"])],
+            "inspect": ["--index", index],
+            "bench": [
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(fixture_files["gazetteer"]),
+                "--queries", str(fixture_files["queries"]),
+                "--fractions", "1",
+                "--reps", "1",
+                "--baseline", "none",
+            ],
+        }[command]
+        capsys.readouterr()
+        code = main([command, *args, "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert main(["query", "--bogus"]) == 1

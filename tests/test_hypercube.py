@@ -43,7 +43,6 @@ class TestBuildIndex:
         ix = build_index(hurricane_corpus, {})
         assert all(not keys for keys in ix.vocab.values())
         assert ix.doc_ids == {"565", "246", "535"}
-        assert ix.surfaces == {}
 
     def test_single_doc_single_label(self):
         corpus = Corpus([Document(id="d1", text="storm ahead")])
@@ -214,90 +213,78 @@ class TestPersistence:
             assert load_index(path) == ix
 
 
-def _surfaces_index(encoder=None):
-    """Three docs: d1 carries a key with two surfaces differing only in case, d3 no label."""
+def _merged_counts_index(encoder=None):
+    """Three docs: d1 and d2 each add one label twice, d3 has no label."""
     corpus = Corpus(
         [Document(id=doc_id, text="storm text") for doc_id in ("d2", "d1", "d3")]
     )
     d1, d2 = DocLabels(doc_id="d1"), DocLabels(doc_id="d2")
-    d1.add("THEME", "storm surge", 2, surface="Storm Surge")
-    d1.add("THEME", "storm surge", 1, surface="storm surge")
+    d1.add("THEME", "storm surge", 2)
+    d1.add("THEME", "storm surge", 1)
     d1.add("LOCATION", "florida")
     d2.add("THEME", "storm surge", 4)
-    d2.add("EVENT", "fay", 1, surface="Fay")
-    d2.add("EVENT", "fay", 1, surface="FAY.")
+    d2.add("EVENT", "fay", 1)
+    d2.add("EVENT", "fay", 1)
     return build_index(corpus, {"d1": d1, "d2": d2}, encoder=encoder)
 
 
-class TestContainerV2:
+class TestContainerV3:
     def test_each_fact_stored_once(self, tmp_path):
-        ix = _surfaces_index(TrigramEncoder(dim=16))
+        ix = _merged_counts_index(TrigramEncoder(dim=16))
         path = tmp_path / "ix.hcix"
         save_index(ix, path)
         header, sections = read_container(path)
         inverted = [f"inverted:{dim}" for dim in ix.dimensions]
-        assert header == {"version": 2, "sections": inverted + ["forward", "vectors"]}
+        assert header == {"version": 3, "sections": inverted + ["forward", "vectors"]}
         # Counts live only in the postings ...
         assert sections["inverted:THEME"] == {"storm surge": [["d1", 3], ["d2", 4]]}
         assert sections["inverted:EVENT"] == {"fay": [["d2", 2]]}
         assert sections["inverted:LOCATION"] == {"florida": [["d1", 1]]}
-        # ... and forward holds the doc ids plus the surfaces that differ from the key.
-        assert sections["forward"] == {
-            "doc_ids": ["d1", "d2", "d3"],
-            "surfaces": {
-                "d1": {"THEME": {"storm surge": ["Storm Surge", "storm surge"]}},
-                "d2": {"EVENT": {"fay": ["FAY.", "Fay"]}},
-            },
-        }
+        # ... and forward holds the doc ids and nothing else.
+        assert sections["forward"] == {"doc_ids": ["d1", "d2", "d3"]}
 
-    def test_round_trip_surfaces_and_unlabeled_doc(self, tmp_path):
+    def test_round_trip_merged_counts_and_unlabeled_doc(self, tmp_path):
         for encoder in (None, TrigramEncoder(dim=16)):
-            ix = _surfaces_index(encoder)
+            ix = _merged_counts_index(encoder)
             path = tmp_path / "ix.hcix"
             save_index(ix, path)
             loaded = load_index(path)
             assert loaded == ix
             assert loaded.doc_ids == {"d1", "d2", "d3"}
-            assert loaded.surfaces == {
-                "d1": {("THEME", "storm surge"): {"Storm Surge", "storm surge"}},
-                "d2": {("EVENT", "fay"): {"FAY.", "Fay"}},
-            }
 
-    def test_round_trip_random_surfaces(self, tmp_path):
-        # Labels seen in case and punctuation variants of their keys, with
-        # or without the key itself; unlabeled docs ride along.
+    def test_round_trip_random_multiword(self, tmp_path):
+        # Random indexes with multi-word keys; unlabeled docs ride along.
         rng = np.random.default_rng(17)
-        variants = (str.upper, str.title, lambda key: f"{key}.", lambda key: f"“{key}”")
         encoder = TrigramEncoder(dim=16)
-        unlabeled = 0
+        unlabeled = multiword = 0
         for case in range(40):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
-            expected = {}
-            for doc_id, doc_labels in labels.items():
-                for dim, key in list(doc_labels.counts):
-                    roll = rng.random()
-                    variant = variants[int(rng.integers(0, len(variants)))](key)
-                    if roll < 0.3:
-                        doc_labels.add(dim, key, surface=variant)
-                    elif roll < 0.6:
-                        doc_labels.surfaces[(dim, key)] = {variant}
-                    seen = doc_labels.surfaces[(dim, key)]
-                    if seen != {key}:
-                        expected.setdefault(doc_id, {})[(dim, key)] = seen
             ix = build_index(corpus, labels, encoder=encoder if case % 2 else None)
-            assert ix.surfaces == expected
             assert ix.doc_ids == {doc.id for doc in corpus}
             unlabeled += sum(1 for doc in corpus if not (doc.id in labels and labels[doc.id].counts))
+            multiword += sum(" " in key for keys in ix.vocab.values() for key in keys)
             path = tmp_path / f"case{case}.hcix"
             save_index(ix, path)
             assert load_index(path) == ix
         assert unlabeled > 0
+        assert multiword > 0
 
     def test_version_1_file_rejected(self, hurricane_index, tmp_path):
         path = tmp_path / "ix.hcix"
         save_index(hurricane_index, path)
         header, sections = read_container(path)
         header.update(version=1, dimensions=list(hurricane_index.dimensions), doc_count=3)
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
+    def test_version_2_file_rejected(self, hurricane_index, tmp_path):
+        # Version 2 also kept label surface strings in forward.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header["version"] = 2
+        sections["forward"]["surfaces"] = {}
         write_container(path, header, sections)
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
             load_index(path)

@@ -195,7 +195,6 @@ class TestPrecomputedLabels:
         )
         labels = load_precomputed_labels(path, hurricane_corpus)
         assert labels["246"].counts == {("EVENT", "tropical storm fay"): 1}
-        assert labels["246"].surfaces[("EVENT", "tropical storm fay")] == {"Tropical Storm Fay"}
 
     def test_unknown_doc_id(self, hurricane_corpus, tmp_path):
         path = write_jsonl(

@@ -31,7 +31,8 @@ for doc_id in ("565", "246", "535"):
 encoder = hr.TrigramEncoder()
 index = hr.build_index(corpus, labels, encoder=encoder)
 print(f"\nindex: {index.label_key_count()} label keys across {len(index.dimensions)} dimensions")
-print("THEME 'rain' posting list:", hr.lookup(index, "THEME", "rain"))
+# A posting list holds document ordinals and counts; iterating it gives (doc_id, count) pairs.
+print("THEME 'rain' posting list:", [tuple(posting) for posting in hr.lookup(index, "THEME", "rain")])
 
 # One cube cell = one coordinate per participating dimension.
 cell = {"LOCATION": "melbourne beach", "EVENT": "tropical storm fay", "THEME": "rain"}

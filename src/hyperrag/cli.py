@@ -32,6 +32,7 @@ from .labeling import (
     extract_all,
     load_gazetteer,
     load_precomputed_labels,
+    normalize_label,
 )
 from .retrieval import DEFAULT_K, ExternalDecompositions, format_result, result_to_dict, retrieve
 
@@ -208,9 +209,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.label is not None and not args.dim:
+        raise _usage("--label needs --dim")
     ix = load_index(args.index)
-    if args.label and args.dim:
-        postings = lookup(ix, args.dim, args.label)
+    # Labels are normalized as build and query normalize them.
+    if args.label is not None:
+        postings = lookup(ix, args.dim, normalize_label(args.label))
         if args.json:
             payload = [{"doc_id": p.doc_id, "count": p.count} for p in postings]
             _emit(json.dumps(payload, sort_keys=True), args.out)
@@ -222,8 +226,8 @@ def _cmd_inspect(args) -> int:
         for part in args.cell.split(","):
             if "=" not in part:
                 raise _usage(f"bad --cell coordinate {part!r}; expected DIM=label")
-            dim, key = part.split("=", 1)
-            coords[dim] = key
+            dim, label = part.split("=", 1)
+            coords[dim] = normalize_label(label)
         docs = cell_documents(ix, CellAddress(coords))
         _emit(json.dumps(docs) if args.json else "\n".join(docs) if docs else "(empty)", args.out)
         return EXIT_OK

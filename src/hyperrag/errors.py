@@ -57,8 +57,10 @@ class UnknownDimension(HyperRagError):
 
 
 class NonPositiveCount(HyperRagError):
+    """A label count below 1, or above what an index holds (2**31 - 1)."""
+
     def __init__(self, detail: str):
-        super().__init__(f"count must be >= 1: {detail}")
+        super().__init__(f"count must be an integer from 1 to {2**31 - 1}: {detail}")
 
 
 class FormatVersionMismatch(HyperRagError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -183,7 +184,8 @@ def eval_recall(
         if not record.gold_doc_ids:
             raise MissingGold(record.id)
         for gold_id in record.gold_doc_ids:
-            if gold_id not in ix.doc_ids:
+            pos = bisect_left(ix.doc_ids, gold_id)
+            if pos == len(ix.doc_ids) or ix.doc_ids[pos] != gold_id:
                 raise MissingGold(record.id, f"gold doc {gold_id!r} not in corpus")
 
     depth = max(k, max(EvalReport.REPORTED_KS))

@@ -18,7 +18,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,13 +34,74 @@ from .errors import (
 from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _phrase_table
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _INVERTED = "inverted:"
+# Ordinals and counts are held as int32; a label count must fit.
+MAX_COUNT = 2**31 - 1
 
 
 class Posting(NamedTuple):
     doc_id: str
     count: int
+
+
+class Postings:
+    """One label's posting list as two parallel, read-only int32 arrays.
+
+    ``ordinals[i]`` is a position in the index's sorted ``doc_ids`` and
+    rises strictly, so the list runs in doc-id order; ``counts[i]`` is
+    the label's occurrence count in that document. The arrays are views
+    into one array per dimension, the only copy of the postings.
+    ``len`` is the posting count, iteration yields ``Posting(doc_id,
+    count)`` with Python values, and two lists are equal when their
+    arrays are.
+    """
+
+    __slots__ = ("doc_ids", "ordinals", "counts")
+
+    def __init__(self, doc_ids: tuple[str, ...], ordinals: np.ndarray, counts: np.ndarray):
+        self.doc_ids = doc_ids
+        self.ordinals = ordinals
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.ordinals)
+
+    def __iter__(self) -> Iterator[Posting]:
+        doc_ids = self.doc_ids
+        return map(Posting, [doc_ids[o] for o in self.ordinals.tolist()], self.counts.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Postings):
+            return NotImplemented
+        return np.array_equal(self.ordinals, other.ordinals) and np.array_equal(self.counts, other.counts)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Postings({[tuple(p) for p in self]})"
+
+
+def _frozen(values: object) -> np.ndarray:
+    array = np.array(values, dtype=np.int32)
+    array.flags.writeable = False
+    return array
+
+
+_NO_POSTINGS = Postings((), _frozen([]), _frozen([]))
+
+
+def _slice_postings(
+    doc_ids: tuple[str, ...], keys: list[str], lengths: list[int], ordinals: np.ndarray, counts: np.ndarray
+) -> dict[str, Postings]:
+    """One dimension's postings: consecutive runs of ``lengths`` entries, one run per key."""
+    postings_by_key = {}
+    start = 0
+    for key, length in zip(keys, lengths):
+        end = start + length
+        postings_by_key[key] = Postings(doc_ids, ordinals[start:end], counts[start:end])
+        start = end
+    return postings_by_key
 
 
 @dataclass(frozen=True)
@@ -58,10 +119,11 @@ class CellAddress:
 class HypercubeIndex:
     """The document-to-label assignment, each fact held once.
 
-    ``inverted[dim][key]`` is a posting list sorted strictly by doc id
-    and is the only place a count is held. ``doc_ids`` lists every
-    indexed document, unlabeled ones included. Labels are held by their
-    normalized keys only.
+    ``doc_ids`` is the sorted tuple of every indexed document id,
+    unlabeled ones included; a document's position in it is its ordinal,
+    so ordinal order is doc-id order. ``inverted[dim][key]`` is a
+    :class:`Postings` of ordinals and counts, the only place a count is
+    held. Labels are held by their normalized keys only.
 
     ``vocab[dim]`` (the key set of ``inverted[dim]``), ``phrase_dims`` (key
     -> sorted dimensions carrying it) and ``phrase_table`` (the
@@ -71,8 +133,8 @@ class HypercubeIndex:
     """
 
     dimensions: tuple[Dimension, ...]
-    inverted: dict[Dimension, dict[str, list[Posting]]]
-    doc_ids: frozenset[str]
+    inverted: dict[Dimension, dict[str, Postings]]
+    doc_ids: tuple[str, ...]
     label_vectors: LabelVectors | None = field(default=None)
     # Label vectors encoded on demand for an encoder the baked vectors do
     # not match, keyed by (encoder name, encoder dim, dimension).
@@ -110,9 +172,11 @@ def build_index(
 
     Every labeled doc id must exist in the corpus, and no dimension may
     be given twice. Documents without labels are listed in ``doc_ids``
-    and appear in no posting list. Each label's count goes into its
-    posting. When an encoder is given, label vectors for the whole
-    vocabulary are computed now and stored with the index.
+    and appear in no posting list. Each label's count, from 1 to
+    ``MAX_COUNT``, goes into its posting. Documents are visited in
+    doc-id order, so every posting list comes out sorted. When an
+    encoder is given, label vectors for the whole vocabulary are
+    computed now and stored with the index.
     """
     for doc_id in labels:
         if doc_id not in corpus:
@@ -130,28 +194,37 @@ def build_index(
             if dim in dims[:pos]:
                 raise ValueError(f"dimension {dim!r} appears twice in {dims}")
 
-    inverted: dict[Dimension, dict[str, list[Posting]]] = {dim: {} for dim in dims}
-    for doc in corpus:
-        doc_labels = labels.get(doc.id)
+    doc_ids = tuple(sorted(doc.id for doc in corpus))
+    # Per dimension: key -> (ordinals, counts), appended in ordinal order.
+    runs: dict[Dimension, dict[str, tuple[list[int], list[int]]]] = {dim: {} for dim in dims}
+    for ordinal, doc_id in enumerate(doc_ids):
+        doc_labels = labels.get(doc_id)
         if doc_labels is None:
             continue
         for (dim, key), count in doc_labels.counts.items():
-            postings_by_key = inverted.get(dim)
-            if postings_by_key is None:
+            runs_by_key = runs.get(dim)
+            if runs_by_key is None:
                 raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
-            if count < 1:
-                raise NonPositiveCount(f"({dim}, {key!r}) in doc {doc.id!r}")
-            postings_by_key.setdefault(key, []).append(Posting(doc.id, count))
+            if not 1 <= count <= MAX_COUNT:
+                raise NonPositiveCount(f"({dim}, {key!r}) in doc {doc_id!r} -> {count}")
+            run = runs_by_key.get(key)
+            if run is None:
+                run = runs_by_key[key] = ([], [])
+            run[0].append(ordinal)
+            run[1].append(count)
 
-    for postings_by_key in inverted.values():
-        for postings in postings_by_key.values():
-            postings.sort(key=lambda p: p.doc_id)
+    inverted = {}
+    for dim, runs_by_key in runs.items():
+        keys = sorted(runs_by_key)
+        inverted[dim] = _slice_postings(
+            doc_ids,
+            keys,
+            [len(runs_by_key[key][0]) for key in keys],
+            _frozen([o for key in keys for o in runs_by_key[key][0]]),
+            _frozen([c for key in keys for c in runs_by_key[key][1]]),
+        )
 
-    ix = HypercubeIndex(
-        dimensions=dims,
-        inverted=inverted,
-        doc_ids=frozenset(doc.id for doc in corpus),
-    )
+    ix = HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids)
     if encoder is not None:
         from .embedding import build_label_vectors
 
@@ -159,33 +232,32 @@ def build_index(
     return ix
 
 
-def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> list[Posting]:
-    """Posting list of one label; empty if the key (or dimension) is unseen.
+def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> Postings:
+    """Posting list of one label, in doc-id order; empty if the key (or dimension) is unseen.
 
-    A hash lookup plus a list reference — cost independent of corpus
-    size.
+    Two hash lookups returning the stored :class:`Postings` — cost
+    independent of corpus size.
     """
-    return ix.inverted.get(dim, {}).get(key, [])
+    return ix.inverted.get(dim, {}).get(key, _NO_POSTINGS)
 
 
 def cell_documents(ix: HypercubeIndex, address: CellAddress | Mapping[Dimension, str]) -> list[str]:
     """Documents occupying the cube cell at the given coordinates.
 
-    The sorted intersection of the coordinate posting lists; any
-    coordinate with an empty posting list empties the cell.
+    The intersection of the coordinate posting lists' ordinals, as doc
+    ids in sorted order; any coordinate with an empty posting list
+    empties the cell.
     """
     coords = address.coords if isinstance(address, CellAddress) else address
     if not coords:
         raise ValueError("cell address needs at least one coordinate")
-    id_sets = []
+    common = None
     for dim, key in coords.items():
-        postings = lookup(ix, dim, key)
-        if not postings:
+        ordinals = lookup(ix, dim, key).ordinals
+        common = ordinals if common is None else np.intersect1d(common, ordinals, assume_unique=True)
+        if not len(common):
             return []
-        id_sets.append({p.doc_id for p in postings})
-    id_sets.sort(key=len)
-    common = set.intersection(*id_sets)
-    return sorted(common)
+    return [ix.doc_ids[o] for o in common.tolist()]
 
 
 def _canonical_json(obj: object) -> bytes:
@@ -217,27 +289,35 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
     4-byte big-endian. The header holds only ``version`` and the ordered
     ``sections`` names. Each fact is stored once:
 
-    * ``inverted:<DIM>``, one per dimension in index order: key ->
-      ``[[doc_id, count], ...]``. The only place a count is written; the
-      index's dimensions are read back from these section names.
+    * ``inverted:<DIM>``, one per dimension in index order:
+      ``{keys, lengths, docs, counts}``. ``keys`` are the dimension's
+      keys, sorted; key ``i`` owns the next ``lengths[i]`` entries of
+      ``docs`` (doc ordinals, rising within a key) and ``counts``. The
+      only place a count is written; the index's dimensions are read
+      back from these section names.
     * ``forward``: ``doc_ids``, every document id sorted (unlabeled ones
-      included), and nothing else.
+      included), and nothing else. An ordinal is a position in it.
     * ``vectors``, when label vectors are attached: encoder name, vector
       dim, and per dimension the encoded keys and matrix rows.
 
-    Keys are written sorted and postings doc-id sorted, so identical
+    Keys are written sorted and postings in ordinal order, so identical
     indexes produce identical bytes. The bytes go to a temporary sibling
     that is renamed over ``path`` once complete, so a failed write leaves
     the previous file intact.
     """
     sections: list[tuple[str, bytes]] = []
     for dim in ix.dimensions:
-        postings_by_key = {
-            key: [[p.doc_id, p.count] for p in postings]
-            for key, postings in ix.inverted.get(dim, {}).items()
+        postings_by_key = ix.inverted.get(dim, {})
+        keys = sorted(postings_by_key)
+        postings = [postings_by_key[key] for key in keys]
+        payload = {
+            "keys": keys,
+            "lengths": [len(p) for p in postings],
+            "docs": np.concatenate([p.ordinals for p in postings]).tolist() if postings else [],
+            "counts": np.concatenate([p.counts for p in postings]).tolist() if postings else [],
         }
-        sections.append((f"{_INVERTED}{dim}", _canonical_json(postings_by_key)))
-    sections.append(("forward", _canonical_json({"doc_ids": sorted(ix.doc_ids)})))
+        sections.append((f"{_INVERTED}{dim}", _canonical_json(payload)))
+    sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
     if ix.label_vectors is not None:
         vectors_payload = {
             "encoder": ix.label_vectors.encoder_name,
@@ -286,31 +366,48 @@ def _str_list(value: object, path: str | Path, what: str) -> list[str]:
     return value
 
 
+def _int_list(value: object, path: str | Path, what: str, low: int, high: int) -> list[int]:
+    """A JSON array of integers, each in ``[low, high]`` (booleans are not integers)."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise _malformed(path, f"{what} must be an array of integers")
+    if value and (min(value) < low or max(value) > high):
+        raise _malformed(path, f"{what} holds a value outside [{low}, {high}]")
+    return value
+
+
 def _load_postings(
-    raw: memoryview, dim: Dimension, doc_ids: frozenset[str], path: str | Path
-) -> dict[str, list[Posting]]:
-    """Parse one ``inverted:<DIM>`` section; every posting's doc id must be in ``doc_ids``."""
+    raw: memoryview, dim: Dimension, doc_ids: tuple[str, ...], path: str | Path
+) -> dict[str, Postings]:
+    """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
+
+    Every ordinal must index ``doc_ids`` and rise strictly within its
+    key, every count lie in ``[1, MAX_COUNT]``, and the lengths (each
+    >= 1, one per key) partition the arrays.
+    """
     where = f"section {_INVERTED}{dim}"
-    postings_by_key: dict[str, list[Posting]] = {}
-    for key, entries in _parse(raw, path, where, dict).items():
-        if not isinstance(entries, list) or not entries:
-            raise _malformed(path, f"{where}, key {key!r}: postings must be a non-empty array")
-        postings = []
-        prev = None
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise _malformed(path, f"{where}, key {key!r}: {entry!r} is not a [doc_id, count] pair")
-            doc_id, count = entry
-            if not isinstance(doc_id, str) or doc_id not in doc_ids:
-                raise _malformed(path, f"{where}, key {key!r}: doc id {doc_id!r} is not in forward")
-            if type(count) is not int or count < 1:
-                raise _malformed(path, f"{where}, key {key!r}, doc {doc_id!r}: count {count!r} is not an integer >= 1")
-            if prev is not None and doc_id <= prev:
-                raise _malformed(path, f"{where}, key {key!r}: doc ids not strictly increasing at {doc_id!r}")
-            prev = doc_id
-            postings.append(Posting(doc_id, count))
-        postings_by_key[key] = postings
-    return postings_by_key
+    payload = _parse(raw, path, where, dict)
+    if set(payload) != {"keys", "lengths", "docs", "counts"}:
+        raise _malformed(path, f"{where} must hold exactly keys, lengths, docs and counts")
+    keys = _str_list(payload["keys"], path, f"{where} keys")
+    if len(set(keys)) != len(keys):
+        raise _malformed(path, f"{where} keys hold duplicates")
+    docs = _int_list(payload["docs"], path, f"{where} docs", 0, len(doc_ids) - 1)
+    counts = _int_list(payload["counts"], path, f"{where} counts", 1, MAX_COUNT)
+    lengths = _int_list(payload["lengths"], path, f"{where} lengths", 1, len(docs))
+    if len(lengths) != len(keys) or sum(lengths) != len(docs) or len(counts) != len(docs):
+        raise _malformed(
+            path,
+            f"{where}: {len(lengths)} lengths summing to {sum(lengths)} for {len(keys)} keys, "
+            f"{len(docs)} docs and {len(counts)} counts",
+        )
+    ordinals = _frozen(docs)
+    rising = np.diff(ordinals) > 0
+    rising[np.cumsum(lengths[:-1], dtype=np.int64) - 1] = True  # a new key may start lower
+    if not rising.all():
+        at = int(np.argmin(rising)) + 1
+        key = keys[int(np.searchsorted(np.cumsum(lengths), at, side="right"))]
+        raise _malformed(path, f"{where}, key {key!r}: doc ordinals not strictly increasing")
+    return _slice_postings(doc_ids, keys, lengths, ordinals, _frozen(counts))
 
 
 def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
@@ -336,14 +433,16 @@ def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere raises ChecksumMismatch. No per-document object
-    is built: the postings come from the ``inverted`` sections,
-    ``doc_ids`` from ``forward``. An unknown magic or version raises
-    FormatVersionMismatch; version-1 and version-2 files must be rebuilt.
+    corruption anywhere raises ChecksumMismatch. No per-posting object
+    is built: each ``inverted`` section becomes one ordinals array and
+    one counts array, checked in whole-array passes, and ``doc_ids``
+    comes from ``forward``. An unknown magic or version raises
+    FormatVersionMismatch; files of versions 1 to 3 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
     a header or section of the wrong shape, a ``forward`` holding
-    anything but ``doc_ids``, a posting for a doc id missing from
-    ``forward``, duplicate doc ids, or a count below 1.
+    anything but ``doc_ids`` in strictly increasing order, an ordinal
+    outside ``doc_ids`` or not rising within its key, a count outside
+    ``[1, MAX_COUNT]``, or lengths that do not partition the postings.
     """
     try:
         blob = Path(path).read_bytes()
@@ -393,10 +492,9 @@ def load_index(path: str | Path) -> HypercubeIndex:
     forward_payload = _parse(raw_sections["forward"], path, "section forward", dict)
     if set(forward_payload) != {"doc_ids"}:
         raise _malformed(path, "section forward must hold exactly doc_ids")
-    doc_id_list = _str_list(forward_payload["doc_ids"], path, "forward doc_ids")
-    doc_ids = frozenset(doc_id_list)
-    if len(doc_ids) != len(doc_id_list):
-        raise _malformed(path, "forward doc_ids holds duplicates")
+    doc_ids = tuple(_str_list(forward_payload["doc_ids"], path, "forward doc_ids"))
+    if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
+        raise _malformed(path, "forward doc_ids are not strictly increasing")
 
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
     return HypercubeIndex(

@@ -8,18 +8,20 @@ documents come only from the posting lists of matched labels (never a
 corpus scan), are scored by how many components they cover, and ranked
 with full-coverage documents ahead of everything else.
 
-Candidates are scored as plain rows of counts; only the k documents a
-query returns get per-component evidence, so every returned document
-can answer "why was this retrieved" — and "why not" for misses.
+Candidates are scored as arrays of counts over the matched postings;
+only the k documents a query returns get per-component evidence, so
+every returned document can answer "why was this retrieved" — and "why
+not" for misses.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import _as_str, _iter_records, _require
 from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
@@ -288,71 +290,99 @@ def match_component(
     )
 
 
-def score_documents(
-    matches: Sequence[MatchEvidence], ix: HypercubeIndex
-) -> list[tuple[str, int, int, int, list[int]]]:
-    """Score every candidate document by component coverage, as plain rows.
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Every candidate document of one query, as parallel arrays.
+
+    Entry ``j`` is the document ``doc_ids[ordinals[j]]``. ``counts[j, i]``
+    is the occurrence count of component ``i``'s matched label in it (0
+    when not covered); ``coverage[j]`` counts its covered components,
+    ``indicator[j]`` those covered by exact matches, and ``freq[j]`` sums
+    its counts. ``len`` is the candidate count; iteration yields the
+    rows ``(doc_id, coverage, indicator, freq, counts)`` as Python values.
+    """
+
+    doc_ids: tuple[str, ...]
+    ordinals: np.ndarray
+    counts: np.ndarray
+    coverage: np.ndarray
+    indicator: np.ndarray
+    freq: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ordinals)
+
+    def __iter__(self) -> Iterator[tuple[str, int, int, int, list[int]]]:
+        doc_ids = self.doc_ids
+        for ordinal, coverage, indicator, freq, counts in zip(
+            self.ordinals.tolist(),
+            self.coverage.tolist(),
+            self.indicator.tolist(),
+            self.freq.tolist(),
+            self.counts.tolist(),
+        ):
+            yield doc_ids[ordinal], coverage, indicator, freq, counts
+
+
+_NO_INTS = np.zeros(0, dtype=np.int32)
+
+
+def score_documents(matches: Sequence[MatchEvidence], ix: HypercubeIndex) -> Scores:
+    """Score every candidate document by component coverage, as arrays.
 
     Candidates and their counts come from the posting lists of the
-    matched labels alone, accumulated term at a time; documents sharing
-    no label with the query are never touched. Each component
-    accumulates on its own, also when another resolves to the same
-    label. One row ``(doc_id, coverage, indicator, freq, counts)`` per
-    candidate: ``counts[i]`` is the occurrence count of component ``i``'s
-    matched label (0 when not covered), ``coverage`` counts covered
-    components, ``indicator`` those covered by exact matches, and
-    ``freq`` sums the counts. No evidence is built here; :func:`rank`
-    builds it for the documents it keeps.
+    matched labels alone: their ordinals are concatenated and made
+    unique (which sorts the candidates into doc-id order), the counts
+    are scattered into a candidates x components matrix, and coverage
+    and indicator are counted per candidate with ``np.bincount``.
+    Documents sharing no label with the query are never touched, and no
+    array is sized by the corpus. Each component keeps its own column,
+    also when another resolves to the same label. No evidence is built
+    here; :func:`rank` builds it for the documents it keeps.
     """
-    rows: dict[str, list[int]] = {}
-    for i, match in enumerate(matches):
-        if match.matched_label is None:
-            continue
-        for doc_id, count in lookup(ix, match.dimension, match.matched_label):
-            row = rows.get(doc_id)
-            if row is None:
-                row = rows[doc_id] = [0] * len(matches)
-            row[i] = count
-
-    exact = [i for i, match in enumerate(matches) if match.kind == EXACT]
-    return [
-        (
-            doc_id,
-            len(counts) - counts.count(0),
-            sum(1 for i in exact if counts[i]),
-            sum(counts),
-            counts,
-        )
-        for doc_id, counts in rows.items()
-    ]
+    columns = [i for i, match in enumerate(matches) if match.matched_label is not None]
+    postings = [lookup(ix, matches[i].dimension, matches[i].matched_label) for i in columns]
+    ordinals, row = np.unique(
+        np.concatenate([p.ordinals for p in postings] or [_NO_INTS]), return_inverse=True
+    )
+    column = np.repeat(np.array(columns, dtype=np.intp), [len(p) for p in postings])
+    counts = np.zeros((len(ordinals), len(matches)), dtype=np.int64)
+    counts[row, column] = np.concatenate([p.counts for p in postings] or [_NO_INTS])
+    exact = np.array([match.kind == EXACT for match in matches], dtype=bool)
+    # One posting per covered (candidate, component) pair, so counting
+    # each candidate's postings counts its covered components.
+    return Scores(
+        doc_ids=ix.doc_ids,
+        ordinals=ordinals,
+        counts=counts,
+        coverage=np.bincount(row, minlength=len(ordinals)),
+        indicator=np.bincount(row[exact[column]], minlength=len(ordinals)),
+        freq=counts.sum(axis=1),
+    )
 
 
-def rank(
-    rows: Iterable[tuple[str, int, int, int, list[int]]],
-    matches: Sequence[MatchEvidence],
-    k: int = DEFAULT_K,
-) -> list[ScoredDoc]:
-    """Keep the top k rows of :func:`score_documents` in one top-k pass.
+def rank(scores: Scores, matches: Sequence[MatchEvidence], k: int = DEFAULT_K) -> list[ScoredDoc]:
+    """Keep the top k candidates of :func:`score_documents`.
 
     Documents covering every one of the ``len(matches)`` components form
     the preferred tier; when none exists, the best partial coverage
     leads. Both cases reduce to one total order: full coverage first,
     then coverage desc, then freq desc, then indicator desc, then doc id
-    asc. The pass selects the first k of that order without sorting the
-    rest; the result equals sorting every row and keeping k, ties
-    included. Only the kept documents get evidence, one entry per
-    component: the match with the document's count when covered, an
-    unmatched miss with a zero count otherwise.
+    asc (ordinal order is doc-id order). One ``np.lexsort`` over those
+    keys orders the candidates, stably, so the result equals sorting
+    every candidate and keeping k, ties included. Only the kept
+    documents get evidence, one entry per component: the match with the
+    document's count when covered, an unmatched miss with a zero count
+    otherwise.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(matches)
-    kept = heapq.nsmallest(
-        k, rows, key=lambda row: (row[1] != n, -row[1], -row[3], -row[2], row[0])
-    )
+    partial = scores.coverage != len(matches)
+    kept = np.lexsort((scores.ordinals, -scores.indicator, -scores.freq, -scores.coverage, partial))[:k]
+    doc_ids = scores.doc_ids
     return [
         ScoredDoc(
-            doc_id=doc_id,
+            doc_id=doc_ids[ordinal],
             coverage=coverage,
             indicator_score=indicator,
             freq_score=freq,
@@ -363,7 +393,13 @@ def rank(
                 for match, count in zip(matches, counts)
             ],
         )
-        for doc_id, coverage, indicator, freq, counts in kept
+        for ordinal, coverage, indicator, freq, counts in zip(
+            scores.ordinals[kept].tolist(),
+            scores.coverage[kept].tolist(),
+            scores.indicator[kept].tolist(),
+            scores.freq[kept].tolist(),
+            scores.counts[kept].tolist(),
+        )
     ]
 
 

@@ -356,6 +356,43 @@ class TestInspect:
         assert code == 0
         assert "documents: 3" in out
 
+    def test_label_is_normalized(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "inspect",
+                "--index", str(fixture_files["index"]),
+                "--dim", "LOCATION",
+                "--label", "Melbourne Beach",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.strip() == "565\t1"
+
+    def test_cell_labels_are_normalized(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "inspect",
+                "--index", str(fixture_files["index"]),
+                "--cell", "LOCATION=Florida,EVENT=Tropical Storm FAY",
+                "--json",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out) == ["246"]
+
+    def test_label_without_dim_is_usage_error(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), "--label", "rain"])
+        assert code == 1
+        assert "--label needs --dim" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_report(self, fixture_files, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_labeled_corpus, read_container, write_container
-from oracles import brute_cell
+from oracles import brute_cell, brute_score
 from hyperrag import (
     CellAddress,
     ChecksumMismatch,
@@ -20,6 +20,7 @@ from hyperrag import (
     FormatVersionMismatch,
     HyperRagError,
     IoFailure,
+    NonPositiveCount,
     Posting,
     TrigramEncoder,
     UnknownDocId,
@@ -27,14 +28,17 @@ from hyperrag import (
     cell_documents,
     load_index,
     lookup,
+    rank,
     save_index,
+    score_documents,
 )
 from hyperrag import hypercube as hypercube_mod
+from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence
 
 
 class TestBuildIndex:
     def test_fixture_event_postings(self, hurricane_index):
-        assert hurricane_index.inverted["EVENT"]["tropical storm fay"] == [
+        assert list(hurricane_index.inverted["EVENT"]["tropical storm fay"]) == [
             Posting("246", 1),
             Posting("565", 1),
         ]
@@ -42,14 +46,14 @@ class TestBuildIndex:
     def test_empty_label_map(self, hurricane_corpus):
         ix = build_index(hurricane_corpus, {})
         assert all(not keys for keys in ix.vocab.values())
-        assert ix.doc_ids == {"565", "246", "535"}
+        assert ix.doc_ids == ("246", "535", "565")
 
     def test_single_doc_single_label(self):
         corpus = Corpus([Document(id="d1", text="storm ahead")])
         labels = {"d1": DocLabels(doc_id="d1")}
         labels["d1"].add("THEME", "storm")
         ix = build_index(corpus, labels)
-        assert ix.inverted["THEME"]["storm"] == [Posting("d1", 1)]
+        assert list(ix.inverted["THEME"]["storm"]) == [Posting("d1", 1)]
         assert ix.vocab["THEME"] == {"storm"}
 
     def test_unknown_doc_id(self, hurricane_corpus):
@@ -57,6 +61,19 @@ class TestBuildIndex:
         stray.add("THEME", "rain")
         with pytest.raises(UnknownDocId):
             build_index(hurricane_corpus, {"999": stray})
+
+    def test_count_range(self, tmp_path):
+        # Counts are held as int32: the largest one round-trips, one more is a data error.
+        corpus = Corpus([Document(id="d1", text="storm ahead")])
+        labels = {"d1": DocLabels(doc_id="d1")}
+        labels["d1"].add("THEME", "storm", 2**31 - 1)
+        ix = build_index(corpus, labels)
+        path = tmp_path / "ix.hcix"
+        save_index(ix, path)
+        assert list(lookup(load_index(path), "THEME", "storm")) == [Posting("d1", 2**31 - 1)]
+        labels["d1"].add("THEME", "storm", 1)
+        with pytest.raises(NonPositiveCount):
+            build_index(corpus, labels)
 
     @pytest.mark.parametrize("dimensions", [("THEME", "THEME"), ("LOCATION", "HAZARD", "HAZARD")])
     def test_repeated_dimension_rejected(self, hurricane_corpus, dimensions):
@@ -75,14 +92,14 @@ class TestBuildIndex:
 
 class TestLookup:
     def test_theme_rain(self, hurricane_index):
-        assert lookup(hurricane_index, "THEME", "rain") == [Posting("565", 5)]
+        assert list(lookup(hurricane_index, "THEME", "rain")) == [Posting("565", 5)]
 
     def test_unseen_key(self, hurricane_index):
-        assert lookup(hurricane_index, "THEME", "blizzard") == []
-        assert lookup(hurricane_index, "NOPE", "rain") == []
+        assert list(lookup(hurricane_index, "THEME", "blizzard")) == []
+        assert list(lookup(hurricane_index, "NOPE", "rain")) == []
 
     def test_location_florida(self, hurricane_index):
-        assert lookup(hurricane_index, "LOCATION", "florida") == [
+        assert list(lookup(hurricane_index, "LOCATION", "florida")) == [
             Posting("246", 1),
             Posting("535", 1),
         ]
@@ -213,6 +230,76 @@ class TestPersistence:
             assert load_index(path) == ix
 
 
+# Ids whose code-point order differs from numeric order ("10" < "9") and
+# from case-insensitive order ("Z" < "d2"), with non-ASCII ids sorting
+# after every ASCII one; each index inserts them in a shuffled order.
+_TRICKY_IDS = ["9", "10", "100", "D1", "d2", "D10", "Z", "é1", "ä", "日本", "ß", "0", "-1", "1e3"]
+
+
+class TestDocIdOrder:
+    """Ordinal order is doc-id string order, whatever order documents arrive in."""
+
+    def _random_index(self, rng):
+        picked = rng.permutation(len(_TRICKY_IDS))[: int(rng.integers(4, len(_TRICKY_IDS) + 1))]
+        ids = [_TRICKY_IDS[i] for i in picked]
+        corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ids])
+        labels = {}
+        for doc_id in ids:
+            doc_labels = labels[doc_id] = DocLabels(doc_id=doc_id)
+            for dim, key in (("THEME", "rain"), ("THEME", "surge"), ("LOCATION", "coast"), ("EVENT", "fay")):
+                if rng.random() < 0.6:
+                    # Counts of 1 or 2 leave many full ties for the doc id to break.
+                    doc_labels.add(dim, key, int(rng.integers(1, 3)))
+        return ids, labels, build_index(corpus, labels)
+
+    def test_round_trip_lookup_and_rank_follow_string_order(self, tmp_path):
+        rng = np.random.default_rng(29)
+        tied = shuffled = 0
+        for case in range(60):
+            ids, labels, ix = self._random_index(rng)
+            assert ix.doc_ids == tuple(sorted(ids))
+            shuffled += list(ix.doc_ids) != ids
+
+            path = tmp_path / f"case{case}.hcix"
+            save_index(ix, path)
+            assert load_index(path) == ix
+
+            for dim, postings_by_key in ix.inverted.items():
+                for key in postings_by_key:
+                    expected = [
+                        (doc_id, labels[doc_id].counts[(dim, key)])
+                        for doc_id in sorted(ids)
+                        if (dim, key) in labels[doc_id].counts
+                    ]
+                    assert [tuple(p) for p in lookup(ix, dim, key)] == expected
+
+            matches = [
+                MatchEvidence(dim, key, key, EXACT if rng.random() < 0.5 else SEMANTIC, 0.8)
+                for dim, key in (("THEME", "rain"), ("LOCATION", "coast"), ("EVENT", "fay"))
+                if rng.random() < 0.8
+            ]
+            expected = sorted(
+                brute_score(labels, matches),
+                key=lambda doc: (
+                    doc.coverage != len(matches),
+                    -doc.coverage,
+                    -doc.freq_score,
+                    -doc.indicator_score,
+                    doc.doc_id,
+                ),
+            )
+            scores = score_documents(matches, ix)
+            assert len(scores) == len(expected)
+            for k in range(1, len(expected) + 2):
+                assert rank(scores, matches, k) == expected[:k]
+            tied += sum(
+                (a.coverage, a.freq_score, a.indicator_score) == (b.coverage, b.freq_score, b.indicator_score)
+                for a, b in zip(expected, expected[1:])
+            )
+        assert shuffled > 50
+        assert tied > 50
+
+
 def _merged_counts_index(encoder=None):
     """Three docs: d1 and d2 each add one label twice, d3 has no label."""
     corpus = Corpus(
@@ -235,12 +322,17 @@ class TestContainerV3:
         save_index(ix, path)
         header, sections = read_container(path)
         inverted = [f"inverted:{dim}" for dim in ix.dimensions]
-        assert header == {"version": 3, "sections": inverted + ["forward", "vectors"]}
-        # Counts live only in the postings ...
-        assert sections["inverted:THEME"] == {"storm surge": [["d1", 3], ["d2", 4]]}
-        assert sections["inverted:EVENT"] == {"fay": [["d2", 2]]}
-        assert sections["inverted:LOCATION"] == {"florida": [["d1", 1]]}
-        # ... and forward holds the doc ids and nothing else.
+        assert header == {"version": 4, "sections": inverted + ["forward", "vectors"]}
+        # Counts live only in the postings, next to doc ordinals ...
+        assert sections["inverted:THEME"] == {
+            "keys": ["storm surge"], "lengths": [2], "docs": [0, 1], "counts": [3, 4]
+        }
+        assert sections["inverted:EVENT"] == {"keys": ["fay"], "lengths": [1], "docs": [1], "counts": [2]}
+        assert sections["inverted:LOCATION"] == {
+            "keys": ["florida"], "lengths": [1], "docs": [0], "counts": [1]
+        }
+        assert sections["inverted:DATE"] == {"keys": [], "lengths": [], "docs": [], "counts": []}
+        # ... and forward holds the doc ids, whose positions the ordinals are, and nothing else.
         assert sections["forward"] == {"doc_ids": ["d1", "d2", "d3"]}
 
     def test_round_trip_merged_counts_and_unlabeled_doc(self, tmp_path):
@@ -250,7 +342,7 @@ class TestContainerV3:
             save_index(ix, path)
             loaded = load_index(path)
             assert loaded == ix
-            assert loaded.doc_ids == {"d1", "d2", "d3"}
+            assert loaded.doc_ids == ("d1", "d2", "d3")
 
     def test_round_trip_random_multiword(self, tmp_path):
         # Random indexes with multi-word keys; unlabeled docs ride along.
@@ -260,7 +352,7 @@ class TestContainerV3:
         for case in range(40):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
             ix = build_index(corpus, labels, encoder=encoder if case % 2 else None)
-            assert ix.doc_ids == {doc.id for doc in corpus}
+            assert ix.doc_ids == tuple(sorted(doc.id for doc in corpus))
             unlabeled += sum(1 for doc in corpus if not (doc.id in labels and labels[doc.id].counts))
             multiword += sum(" " in key for keys in ix.vocab.values() for key in keys)
             path = tmp_path / f"case{case}.hcix"
@@ -289,6 +381,34 @@ class TestContainerV3:
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
             load_index(path)
 
+    def test_version_3_file_rejected(self, hurricane_index, tmp_path):
+        # Version 3 wrote each posting as a [doc_id, count] pair.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header["version"] = 3
+        sections["inverted:THEME"] = {"rain": [["565", 5]]}
+        sections["inverted:LOCATION"] = {"florida": [["246", 1], ["535", 1]], "melbourne beach": [["565", 1]]}
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
+    def test_ordinals_may_drop_across_a_key_boundary(self, tmp_path):
+        # Key "alpha" holds the later document, so its run ends above
+        # where "beta"'s starts; each key still rises on its own.
+        corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ("a", "b")])
+        labels = {"a": DocLabels(doc_id="a"), "b": DocLabels(doc_id="b")}
+        labels["b"].add("THEME", "alpha", 2)
+        labels["a"].add("THEME", "beta", 3)
+        ix = build_index(corpus, labels)
+        path = tmp_path / "ix.hcix"
+        save_index(ix, path)
+        _header, sections = read_container(path)
+        assert sections["inverted:THEME"] == {
+            "keys": ["alpha", "beta"], "lengths": [1, 1], "docs": [1, 0], "counts": [2, 3]
+        }
+        assert load_index(path) == ix
+
 
 def _drop_doc(sections, doc_id):
     sections["forward"]["doc_ids"].remove(doc_id)
@@ -309,21 +429,45 @@ MALFORMED = {
     "section_not_listed": lambda h, s: h["sections"].remove("vectors"),
     "no_forward_section": lambda h, s: h["sections"].remove("forward") or s.pop("forward"),
     "section_not_json": lambda h, s: s.update(forward=b"{not json"),
-    "inverted_not_object": lambda h, s: s.update({"inverted:THEME": [["rain", "565", 5]]}),
-    "postings_not_array": lambda h, s: s["inverted:THEME"].update(rain={"565": 5}),
-    "postings_empty": lambda h, s: s["inverted:THEME"].update(rain=[]),
-    "posting_not_pair": lambda h, s: s["inverted:THEME"].update(rain=[["565"]]),
+    # The fixture's doc ids are ("246", "535", "565"). THEME holds key
+    # "rain" with ordinal 2, count 5; LOCATION holds "florida" (ordinals
+    # 0, 1) and "melbourne beach" (ordinal 2), every count 1.
+    "inverted_not_object": lambda h, s: s.update({"inverted:THEME": [["rain"], [1], [2], [5]]}),
+    "inverted_extra_key": lambda h, s: s["inverted:THEME"].update(extra=[]),
+    "inverted_without_counts": lambda h, s: s["inverted:THEME"].pop("counts"),
+    "keys_not_strings": lambda h, s: s["inverted:THEME"].update(keys=[1]),
+    "keys_repeat": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "florida"]),
+    "postings_not_array": lambda h, s: s["inverted:THEME"].update(docs={"2": 5}),
+    "postings_empty": lambda h, s: s["inverted:THEME"].update(lengths=[0], docs=[], counts=[]),
+    "posting_not_pair": lambda h, s: s["inverted:THEME"].update(counts=[]),
     "posting_doc_not_in_forward": lambda h, s: _drop_doc(s, "565"),
-    "posting_doc_not_string": lambda h, s: s["inverted:THEME"].update(rain=[[565, 5]]),
-    "postings_unsorted": lambda h, s: s["inverted:LOCATION"]["florida"].reverse(),
-    "postings_repeat_doc": lambda h, s: s["inverted:THEME"].update(rain=[["565", 2], ["565", 3]]),
-    "count_zero": lambda h, s: s["inverted:THEME"].update(rain=[["565", 0]]),
-    "count_negative": lambda h, s: s["inverted:THEME"].update(rain=[["565", -5]]),
-    "count_not_integer": lambda h, s: s["inverted:THEME"].update(rain=[["565", "5"]]),
-    "count_boolean": lambda h, s: s["inverted:THEME"].update(rain=[["565", True]]),
+    "posting_doc_not_string": lambda h, s: s["inverted:THEME"].update(docs=["565"]),
+    "postings_unsorted": lambda h, s: s["inverted:LOCATION"].update(docs=[1, 0, 2]),
+    "postings_repeat_doc": lambda h, s: s["inverted:LOCATION"].update(docs=[0, 0, 2]),
+    "ordinal_past_doc_ids": lambda h, s: s["inverted:THEME"].update(docs=[3]),
+    "ordinal_negative": lambda h, s: s["inverted:THEME"].update(docs=[-1]),
+    "ordinal_boolean": lambda h, s: s["inverted:THEME"].update(docs=[True]),
+    "ordinal_float": lambda h, s: s["inverted:THEME"].update(docs=[2.0]),
+    "ordinal_huge": lambda h, s: s["inverted:THEME"].update(docs=[2**70]),
+    "count_zero": lambda h, s: s["inverted:THEME"].update(counts=[0]),
+    "count_negative": lambda h, s: s["inverted:THEME"].update(counts=[-5]),
+    "count_not_integer": lambda h, s: s["inverted:THEME"].update(counts=["5"]),
+    "count_boolean": lambda h, s: s["inverted:THEME"].update(counts=[True]),
+    "count_float": lambda h, s: s["inverted:THEME"].update(counts=[5.0]),
+    "count_huge": lambda h, s: s["inverted:THEME"].update(counts=[2**70]),
+    "count_past_int32": lambda h, s: s["inverted:THEME"].update(counts=[2**31]),
+    "lengths_fewer_than_keys": lambda h, s: s["inverted:LOCATION"].update(lengths=[3]),
+    "lengths_sum_short": lambda h, s: s["inverted:LOCATION"].update(lengths=[1, 1]),
+    "lengths_sum_long": lambda h, s: s["inverted:LOCATION"].update(lengths=[2, 2]),
+    "length_zero": lambda h, s: s["inverted:LOCATION"].update(lengths=[3, 0]),
+    "length_negative": lambda h, s: s["inverted:LOCATION"].update(lengths=[4, -1]),
+    "length_boolean": lambda h, s: s["inverted:LOCATION"].update(lengths=[2, True]),
+    "length_float": lambda h, s: s["inverted:LOCATION"].update(lengths=[2.0, 1]),
+    "length_huge": lambda h, s: s["inverted:THEME"].update(lengths=[2**70]),
     "forward_not_object": lambda h, s: s.update(forward=["565", "246", "535"]),
     "forward_extra_key": lambda h, s: s["forward"].update(labels={}),
     "duplicate_doc_ids": lambda h, s: s["forward"]["doc_ids"].append("565"),
+    "doc_ids_unsorted": lambda h, s: s["forward"]["doc_ids"].reverse(),
     "doc_ids_not_strings": lambda h, s: s["forward"].update(doc_ids=[565, 246, 535]),
     "surfaces_not_object": lambda h, s: s["forward"].update(surfaces=[]),
     "surfaces_of_unknown_doc": lambda h, s: s["forward"].update(surfaces={"999": {}}),

@@ -44,6 +44,7 @@ from hyperrag.retrieval import (
     UNMATCHED,
     MatchEvidence,
     ScoredDoc,
+    Scores,
 )
 
 
@@ -223,7 +224,7 @@ class TestScoreDocuments:
         } == {("LOCATION", "florida"), ("EVENT", "tropical storm fay")}
 
     def test_empty_decomposition(self, hurricane_index):
-        assert score_documents([], hurricane_index) == []
+        assert list(score_documents([], hurricane_index)) == []
 
     def test_candidates_cover_every_posting(self, hurricane_index, trigram):
         matches = _fixture_matches(hurricane_index, trigram)
@@ -255,6 +256,24 @@ def make_row(doc_id, coverage, indicator, freq, n):
     return (doc_id, coverage, indicator, freq, [int(i < coverage) for i in range(n)])
 
 
+def rank_rows(rows, matches, k):
+    """``rank`` over ``Scores`` holding the ``(doc_id, coverage, indicator, freq, counts)`` rows in order."""
+    doc_ids = tuple(sorted({row[0] for row in rows}))
+
+    def column(i):
+        return np.array([row[i] for row in rows], dtype=np.int64)
+
+    scores = Scores(
+        doc_ids=doc_ids,
+        ordinals=np.array([doc_ids.index(row[0]) for row in rows], dtype=np.int64),
+        counts=np.array([row[4] for row in rows], dtype=np.int64).reshape(len(rows), len(matches)),
+        coverage=column(1),
+        indicator=column(2),
+        freq=column(3),
+    )
+    return rank(scores, matches, k)
+
+
 def _evidence(matches, counts):
     """Evidence of a kept document, built afresh from its counts."""
     return [
@@ -273,19 +292,19 @@ class TestRank:
             make_row("B", 3, 3, 3, 3),
             make_row("A", 3, 3, 4, 3),
         ]
-        ranked = rank(rows, _components(3), k=4)
+        ranked = rank_rows(rows, _components(3), k=4)
         assert [d.doc_id for d in ranked] == ["A", "B", "C", "D"]
         assert [d.coverage for d in ranked[:2]] == [3, 3]
 
     def test_fallback_when_no_full_coverage(self):
         rows = [make_row("D", 1, 1, 1, 3), make_row("C", 2, 2, 2, 3)]
-        ranked = rank(rows, _components(3), k=4)
+        ranked = rank_rows(rows, _components(3), k=4)
         assert [d.doc_id for d in ranked] == ["C", "D"]
 
     def test_zero_coverage_docs_never_ranked(self):
         # score_documents never emits coverage-0 rows; rank over an empty
         # candidate list stays empty.
-        assert rank([], _components(2), k=3) == []
+        assert rank_rows([], _components(2), k=3) == []
 
     def test_tie_break_chain(self):
         rows = [
@@ -293,20 +312,20 @@ class TestRank:
             make_row("a", 2, 2, 5, 2),
             make_row("c", 2, 2, 6, 2),
         ]
-        ranked = rank(rows, _components(2), k=3)
+        ranked = rank_rows(rows, _components(2), k=3)
         assert [d.doc_id for d in ranked] == ["c", "a", "b"]
 
     def test_doc_id_breaks_final_tie(self):
         rows = [make_row("z", 1, 1, 1, 1), make_row("a", 1, 1, 1, 1)]
-        assert [d.doc_id for d in rank(rows, _components(1), 2)] == ["a", "z"]
+        assert [d.doc_id for d in rank_rows(rows, _components(1), 2)] == ["a", "z"]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            rank([], _components(1), k=0)
+            rank_rows([], _components(1), k=0)
 
     def test_k_truncates(self):
         rows = [make_row(f"d{i}", 1, 1, i, 1) for i in range(6)]
-        assert len(rank(rows, _components(1), 2)) == 2
+        assert len(rank_rows(rows, _components(1), 2)) == 2
 
     def test_equals_sorting_every_candidate(self):
         # Random candidate rows, with repeated doc ids and coverage above
@@ -341,7 +360,7 @@ class TestRank:
             rest = [doc for doc in scored if doc.coverage != component_count]
             reference = sorted(full, key=order) + sorted(rest, key=order)
             for k in range(1, len(rows) + 3):
-                assert rank(rows, matches, k) == reference[:k]
+                assert rank_rows(rows, matches, k) == reference[:k]
 
 
 class TestRetrieve:

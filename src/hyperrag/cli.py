@@ -61,7 +61,8 @@ def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
 
-def _make_encoder(args, ix=None):
+def _make_encoder(args, keys=()):
+    """The encoder the flags name; a ``file:`` encoder must hold a vector for every key in ``keys``."""
     if not 0.0 <= args.tau <= 1.0:
         raise _usage(f"--tau must lie in [0, 1], got {args.tau}")
     if args.embed_dim < 1:
@@ -69,12 +70,7 @@ def _make_encoder(args, ix=None):
     if args.encoder == "trigram":
         return TrigramEncoder(dim=args.embed_dim)
     if args.encoder.startswith("file:"):
-        path = args.encoder[len("file:") :]
-        expected: set[str] = set()
-        if ix is not None:
-            for keys in ix.vocab.values():
-                expected.update(keys)
-        vectors = load_precomputed_vectors(path, expected, dim=args.embed_dim)
+        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys, dim=args.embed_dim)
         return PrecomputedVectorEncoder(vectors, dim=args.embed_dim)
     raise _usage(f"unknown encoder {args.encoder!r}")
 
@@ -114,7 +110,7 @@ def _cmd_build(args) -> int:
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
-    encoder = _make_encoder(args)
+    encoder = _make_encoder(args, {key for doc in labels.values() for _dim, key in doc.counts})
     ix = build_index(corpus, labels, dimensions=dimensions, encoder=encoder)
     save_index(ix, args.out)
     print(
@@ -128,7 +124,7 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     _check_k(args.k)
     ix = load_index(args.index)
-    encoder = _make_encoder(args, ix)
+    encoder = _make_encoder(args, set().union(*ix.vocab.values()))
     external = None
     if args.decomposition:
         table = ExternalDecompositions.load(args.decomposition)
@@ -144,7 +140,7 @@ def _cmd_query(args) -> int:
 def _cmd_eval(args) -> int:
     _check_k(args.k)
     ix = load_index(args.index)
-    encoder = _make_encoder(args, ix)
+    encoder = _make_encoder(args, set().union(*ix.vocab.values()))
     queries = load_queries(args.queries)
     report = eval_recall(ix, encoder, queries, k=args.k, tau=args.tau)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False), args.out)
@@ -208,10 +204,17 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _check_dimension(ix, dim: str) -> None:
+    if dim not in ix.dimensions:
+        raise _usage(f"the index has no dimension {dim!r}; its dimensions are {', '.join(ix.dimensions)}")
+
+
 def _cmd_inspect(args) -> int:
     if args.label is not None and not args.dim:
         raise _usage("--label needs --dim")
     ix = load_index(args.index)
+    if args.dim is not None:
+        _check_dimension(ix, args.dim)
     # Labels are normalized as build and query normalize them.
     if args.label is not None:
         postings = lookup(ix, args.dim, normalize_label(args.label))
@@ -227,6 +230,7 @@ def _cmd_inspect(args) -> int:
             if "=" not in part:
                 raise _usage(f"bad --cell coordinate {part!r}; expected DIM=label")
             dim, label = part.split("=", 1)
+            _check_dimension(ix, dim)
             coords[dim] = normalize_label(label)
         docs = cell_documents(ix, CellAddress(coords))
         _emit(json.dumps(docs) if args.json else "\n".join(docs) if docs else "(empty)", args.out)

@@ -14,8 +14,9 @@ Anything honoring the contract plugs into retrieval unchanged.
 
 from __future__ import annotations
 
+import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 
@@ -106,34 +107,26 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class LabelVectors:
-    """Per-dimension vector table for an index's label vocabulary.
+    """The encoder an index was built with, and the vector tables derived with it.
 
-    Built once at index time so a query pays only one encode plus one
-    vocabulary scan. Keys that the encoder cannot embed are left out;
-    they can still match exactly but never semantically.
+    The identity, and all a container stores, is ``(encoder_name, dim,
+    checksums)``: one CRC-32 per index dimension over its encodable keys
+    and float64 rows. ``by_dimension`` holds the ``(keys, matrix)`` tables
+    derived so far: all of them after :func:`build_index`, none after
+    :func:`load_index`. Keys the encoder cannot embed are left out; they
+    can still match exactly but never semantically.
     """
 
     encoder_name: str
     dim: int
-    by_dimension: dict[Dimension, tuple[list[str], np.ndarray]]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelVectors):
-            return NotImplemented
-        if self.encoder_name != other.encoder_name or self.dim != other.dim:
-            return False
-        if set(self.by_dimension) != set(other.by_dimension):
-            return False
-        for dim, (keys, matrix) in self.by_dimension.items():
-            other_keys, other_matrix = other.by_dimension[dim]
-            if keys != other_keys or not np.array_equal(matrix, other_matrix):
-                return False
-        return True
+    checksums: dict[Dimension, int]
+    by_dimension: dict[Dimension, tuple[list[str], np.ndarray]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encoder) -> LabelVectors:
-    """Encode every encodable label key of every dimension."""
+    """Encode every encodable label key of every dimension, and checksum each dimension's table."""
     by_dimension: dict[Dimension, tuple[list[str], np.ndarray]] = {}
+    checksums: dict[Dimension, int] = {}
     for dim in sorted(vocab):
         keys, rows = [], []
         for key in sorted(vocab[dim]):
@@ -144,35 +137,43 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
             keys.append(key)
         matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
         by_dimension[dim] = (keys, matrix)
-    return LabelVectors(encoder_name=encoder.name, dim=encoder.dim, by_dimension=by_dimension)
+        crc = zlib.crc32(json.dumps(keys, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+        checksums[dim] = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8").tobytes(), crc)
+    return LabelVectors(encoder.name, encoder.dim, checksums, by_dimension)
 
 
 def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray]:
-    """Vectors for one dimension's vocabulary.
+    """Vectors for one dimension's vocabulary, derived on the dimension's first scan.
 
-    An index with baked vectors answers only to the encoder that made
-    them: a query encoder of another dim raises DimMismatch, one of
-    another name EncoderMismatch. Only an index built without vectors
-    encodes its vocabulary here, once per encoder and dimension.
+    An index built with an encoder answers only to it: a query encoder
+    of another dim raises DimMismatch, one of another name
+    EncoderMismatch, and one whose table misses the dimension's checksum
+    EncoderMismatch naming the dimension. An index built without one
+    derives tables for any encoder, once per encoder and dimension.
     """
-    baked = ix.label_vectors
-    if baked is not None:
-        if baked.dim != encoder.dim or baked.encoder_name != encoder.name:
-            detail = (
-                f"the index's label vectors come from encoder {baked.encoder_name!r} (dim {baked.dim}), "
-                f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
-                "query with the build encoder or rebuild the index"
+    vectors = ix.label_vectors
+    if vectors is None:
+        vectors = ix._vector_cache.setdefault((encoder.name, encoder.dim), LabelVectors(encoder.name, encoder.dim, {}))
+    elif vectors.dim != encoder.dim or vectors.encoder_name != encoder.name:
+        detail = (
+            f"the index's label vectors come from encoder {vectors.encoder_name!r} (dim {vectors.dim}), "
+            f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
+            "query with the build encoder or rebuild the index"
+        )
+        if vectors.dim != encoder.dim:
+            raise DimMismatch(vectors.dim, encoder.dim, detail)
+        raise EncoderMismatch(detail)
+    table = vectors.by_dimension.get(dim)
+    if table is None:
+        derived = build_label_vectors({dim: ix.vocab.get(dim, ())}, encoder)
+        checksum = derived.checksums[dim]
+        if vectors.checksums.get(dim, checksum) != checksum:
+            raise EncoderMismatch(
+                f"the query encoder {encoder.name!r} (dim {encoder.dim}) does not reproduce the index's "
+                f"label vectors of dimension {dim!r}; query with the build encoder or rebuild the index"
             )
-            if baked.dim != encoder.dim:
-                raise DimMismatch(baked.dim, encoder.dim, detail)
-            raise EncoderMismatch(detail)
-        return baked.by_dimension.get(dim) or ([], np.zeros((0, baked.dim), dtype=np.float64))
-    cache = ix._vector_cache
-    cache_key = (encoder.name, encoder.dim, dim)
-    if cache_key not in cache:
-        built = build_label_vectors({dim: ix.vocab.get(dim, set())}, encoder)
-        cache[cache_key] = built.by_dimension[dim]
-    return cache[cache_key]
+        table = vectors.by_dimension[dim] = derived.by_dimension[dim]
+    return table
 
 
 def semantic_neighbors(

@@ -86,7 +86,7 @@ class DimMismatch(HyperRagError):
 
 
 class EncoderMismatch(HyperRagError):
-    """A query encoder differs from the one that made an index's baked label vectors."""
+    """A query encoder differs from, or does not reproduce the vectors of, the one that built an index."""
 
 
 class MissingKey(HyperRagError):

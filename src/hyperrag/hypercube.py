@@ -34,7 +34,7 @@ from .errors import (
 from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _phrase_table
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _INVERTED = "inverted:"
 # Ordinals and counts are held as int32; a label count must fit.
 MAX_COUNT = 2**31 - 1
@@ -130,15 +130,16 @@ class HypercubeIndex:
     first-token table over every key) are derived from ``inverted`` once
     per index, in ``__post_init__``, which both :func:`build_index` and
     :func:`load_index` pass through; they are never saved.
+    ``label_vectors`` names the build encoder and checksums each
+    dimension's table; tables for an index built without one go to
+    ``_vector_cache``, one :class:`LabelVectors` per query encoder.
     """
 
     dimensions: tuple[Dimension, ...]
     inverted: dict[Dimension, dict[str, Postings]]
     doc_ids: tuple[str, ...]
     label_vectors: LabelVectors | None = field(default=None)
-    # Label vectors encoded on demand for an encoder the baked vectors do
-    # not match, keyed by (encoder name, encoder dim, dimension).
-    _vector_cache: dict[tuple[str, int, Dimension], tuple[list[str], np.ndarray]] = field(
+    _vector_cache: dict[tuple[str, int], LabelVectors] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     vocab: dict[Dimension, set[str]] = field(init=False, repr=False, compare=False)
@@ -176,7 +177,7 @@ def build_index(
     ``MAX_COUNT``, goes into its posting. Documents are visited in
     doc-id order, so every posting list comes out sorted. When an
     encoder is given, label vectors for the whole vocabulary are
-    computed now and stored with the index.
+    computed now, and the index answers only to that encoder.
     """
     for doc_id in labels:
         if doc_id not in corpus:
@@ -297,8 +298,8 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
       back from these section names.
     * ``forward``: ``doc_ids``, every document id sorted (unlabeled ones
       included), and nothing else. An ordinal is a position in it.
-    * ``vectors``, when label vectors are attached: encoder name, vector
-      dim, and per dimension the encoded keys and matrix rows.
+    * ``vectors``, when the index has label vectors: ``{encoder, dim,
+      checksums}``, one CRC-32 per dimension; no vector is written.
 
     Keys are written sorted and postings in ordinal order, so identical
     indexes produce identical bytes. The bytes go to a temporary sibling
@@ -318,16 +319,10 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
         }
         sections.append((f"{_INVERTED}{dim}", _canonical_json(payload)))
     sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
-    if ix.label_vectors is not None:
-        vectors_payload = {
-            "encoder": ix.label_vectors.encoder_name,
-            "dim": ix.label_vectors.dim,
-            "by_dimension": {
-                dim: {"keys": keys, "matrix": [[float(x) for x in row] for row in matrix]}
-                for dim, (keys, matrix) in ix.label_vectors.by_dimension.items()
-            },
-        }
-        sections.append(("vectors", _canonical_json(vectors_payload)))
+    vectors = ix.label_vectors
+    if vectors is not None:
+        payload = {"encoder": vectors.encoder_name, "dim": vectors.dim, "checksums": vectors.checksums}
+        sections.append(("vectors", _canonical_json(payload)))
 
     header = {"version": _FORMAT_VERSION, "sections": [name for name, _payload in sections]}
     body = bytearray()
@@ -380,9 +375,9 @@ def _load_postings(
 ) -> dict[str, Postings]:
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
-    Every ordinal must index ``doc_ids`` and rise strictly within its
-    key, every count lie in ``[1, MAX_COUNT]``, and the lengths (each
-    >= 1, one per key) partition the arrays.
+    Every key must hold a word, every ordinal must index ``doc_ids`` and
+    rise strictly within its key, every count lie in ``[1, MAX_COUNT]``,
+    and the lengths (each >= 1, one per key) partition the arrays.
     """
     where = f"section {_INVERTED}{dim}"
     payload = _parse(raw, path, where, dict)
@@ -391,6 +386,8 @@ def _load_postings(
     keys = _str_list(payload["keys"], path, f"{where} keys")
     if len(set(keys)) != len(keys):
         raise _malformed(path, f"{where} keys hold duplicates")
+    if not all(map(str.split, keys)):
+        raise _malformed(path, f"{where} holds a key without a word")
     docs = _int_list(payload["docs"], path, f"{where} docs", 0, len(doc_ids) - 1)
     counts = _int_list(payload["counts"], path, f"{where} counts", 1, MAX_COUNT)
     lengths = _int_list(payload["lengths"], path, f"{where} lengths", 1, len(docs))
@@ -410,23 +407,18 @@ def _load_postings(
     return _slice_postings(doc_ids, keys, lengths, ordinals, _frozen(counts))
 
 
-def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
+def _load_vectors(raw: memoryview, dimensions: tuple[Dimension, ...], path: str | Path) -> LabelVectors:
     payload = _parse(raw, path, "section vectors", dict)
-    encoder_name, dim, by_dimension = payload.get("encoder"), payload.get("dim"), payload.get("by_dimension")
-    if not isinstance(encoder_name, str) or type(dim) is not int or dim < 1 or not isinstance(by_dimension, dict):
-        raise _malformed(path, "section vectors needs an encoder name, a dim >= 1 and a by_dimension object")
-    tables: dict[Dimension, tuple[list[str], np.ndarray]] = {}
-    for label_dim, entry in by_dimension.items():
-        where = f"vectors of {label_dim}"
-        if not isinstance(entry, dict) or not isinstance(entry.get("matrix"), list):
-            raise _malformed(path, f"{where}: needs keys and a matrix array")
-        keys = _str_list(entry.get("keys"), path, f"{where} keys")
-        try:
-            matrix = np.asarray(entry["matrix"], dtype=np.float64).reshape(len(keys), dim)
-        except (TypeError, ValueError) as exc:
-            raise _malformed(path, f"{where}: matrix is not {len(keys)} x {dim} numbers ({exc})") from None
-        tables[label_dim] = (keys, matrix)
-    return LabelVectors(encoder_name=encoder_name, dim=dim, by_dimension=tables)
+    if set(payload) != {"encoder", "dim", "checksums"}:
+        raise _malformed(path, "section vectors must hold exactly encoder, dim and checksums")
+    encoder_name, dim, checksums = payload["encoder"], payload["dim"], payload["checksums"]
+    if not isinstance(encoder_name, str) or type(dim) is not int or dim < 1:
+        raise _malformed(path, "section vectors needs an encoder name and a dim >= 1")
+    if not isinstance(checksums, dict) or set(checksums) != set(dimensions):
+        raise _malformed(path, f"vectors checksums must name exactly the index dimensions {list(dimensions)}")
+    if not all(type(crc) is int and 0 <= crc < 2**32 for crc in checksums.values()):
+        raise _malformed(path, "vectors checksums must be integers in [0, 2**32)")
+    return LabelVectors(encoder_name=encoder_name, dim=dim, checksums=checksums)
 
 
 def load_index(path: str | Path) -> HypercubeIndex:
@@ -436,13 +428,15 @@ def load_index(path: str | Path) -> HypercubeIndex:
     corruption anywhere raises ChecksumMismatch. No per-posting object
     is built: each ``inverted`` section becomes one ordinals array and
     one counts array, checked in whole-array passes, and ``doc_ids``
-    comes from ``forward``. An unknown magic or version raises
-    FormatVersionMismatch; files of versions 1 to 3 must be rebuilt.
+    comes from ``forward``; label vectors are left for scans to derive.
+    An unknown magic or version raises FormatVersionMismatch; files of
+    versions 1 to 4 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
     a header or section of the wrong shape, a ``forward`` holding
     anything but ``doc_ids`` in strictly increasing order, an ordinal
     outside ``doc_ids`` or not rising within its key, a count outside
-    ``[1, MAX_COUNT]``, or lengths that do not partition the postings.
+    ``[1, MAX_COUNT]``, lengths that do not partition the postings, or
+    ``vectors`` other than a name, a dim and a checksum per dimension.
     """
     try:
         blob = Path(path).read_bytes()
@@ -501,5 +495,5 @@ def load_index(path: str | Path) -> HypercubeIndex:
         dimensions=dimensions,
         inverted={dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions},
         doc_ids=doc_ids,
-        label_vectors=_load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None,
+        label_vectors=_load_vectors(raw_sections["vectors"], dimensions, path) if "vectors" in raw_sections else None,
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperrag import Corpus, Document, Gazetteer, QueryRecord, labeling
+from hyperrag import Corpus, Document, Gazetteer, QueryRecord, embedding, labeling
 
 # --------------------------------------------------------------------------
 # Three-document hurricane fixture. Label counts under the fixture gazetteer:
@@ -146,6 +146,19 @@ def count_table_builds(monkeypatch) -> list[int]:
         if name.startswith("hyperrag") and getattr(module, "_phrase_table", None) is original:
             monkeypatch.setattr(module, "_phrase_table", counted)
     return builds
+
+
+def count_derivations(monkeypatch) -> list[tuple]:
+    """Record (encoder name, encoder dim, dimensions) of every ``build_label_vectors`` call."""
+    calls: list[tuple] = []
+    original = embedding.build_label_vectors
+
+    def counted(vocab, encoder):
+        calls.append((encoder.name, encoder.dim, tuple(sorted(vocab))))
+        return original(vocab, encoder)
+
+    monkeypatch.setattr(embedding, "build_label_vectors", counted)
+    return calls
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from helpers import (
     write_container,
     write_jsonl,
 )
+from hyperrag import TrigramEncoder
 from hyperrag.cli import main
 
 
@@ -57,6 +58,23 @@ def build_fixture_index(files):
     )
     assert code == 0
     return files["index"]
+
+
+def write_vectors(path, keys):
+    """A 16-dim vectors file holding the trigram vector of each key."""
+    encoder = TrigramEncoder(dim=16)
+    return write_jsonl(path, [{"key": key, "dim": 16, "values": encoder.encode(key).tolist()} for key in keys])
+
+
+def build_args(files, encoder):
+    return [
+        "build",
+        "--corpus", str(files["corpus"]),
+        "--gazetteer", str(files["gazetteer"]),
+        "--encoder", encoder,
+        "--embed-dim", "16",
+        "--out", str(files["index"]),
+    ]
 
 
 class TestBuild:
@@ -162,6 +180,24 @@ class TestBuild:
         )
         assert code == 2
         assert "line 1: malformed record" in capsys.readouterr().err
+
+
+    def test_vectors_file_missing_a_label_key_fails_before_writing(self, fixture_files, tmp_path, capsys):
+        vectors = write_vectors(tmp_path / "vec.jsonl", ["rain", "melbourne beach", "tropical storm fay"])
+        code = main(build_args(fixture_files, f"file:{vectors}"))
+        assert code == 2
+        assert "no vector for key 'florida'" in capsys.readouterr().err
+        assert not fixture_files["index"].exists()
+
+    def test_vectors_file_with_every_label_key_builds_queries_and_evals(self, fixture_files, tmp_path, capsys):
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay", "rainfall"]
+        encoder = ["--encoder", f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}", "--embed-dim", "16"]
+        assert main(build_args(fixture_files, encoder[1])) == 0
+        index = ["--index", str(fixture_files["index"]), "--tau", str(FIXTURE_TAU), *encoder]
+        assert main(["query", *index, "--query", MELBOURNE_QUERY, "--json"]) == 0
+        matches = json.loads(capsys.readouterr().out)["matches"]
+        assert {"dim": "THEME", "component": "rainfall", "matched_label": "rain"}.items() <= matches[0].items()
+        assert main(["eval", *index, "--queries", str(fixture_files["queries"])]) == 0
 
 
 class TestQuery:
@@ -385,6 +421,20 @@ class TestInspect:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out) == ["246"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dim", "theme", "--label", "rain"], ["--dim", "theme"], ["--cell", "NOPE=rain"]],
+        ids=["dim_and_label", "dim_alone", "cell"],
+    )
+    def test_unknown_dimension_is_usage_error(self, fixture_files, capsys, flags):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "LOCATION, DATE, EVENT, ORGANIZATION, PERSON, THEME" in captured.err
 
     def test_label_without_dim_is_usage_error(self, fixture_files, capsys):
         build_fixture_index(fixture_files)

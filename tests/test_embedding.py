@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_labeled_corpus, write_jsonl
+from helpers import count_derivations, random_labeled_corpus, read_container, write_container, write_jsonl
 from oracles import brute_neighbors
 from hyperrag import (
     Corpus,
@@ -18,8 +18,10 @@ from hyperrag import (
     UnencodableText,
     build_index,
     cosine,
+    load_index,
     load_precomputed_vectors,
     retrieve,
+    save_index,
     semantic_neighbors,
 )
 
@@ -225,16 +227,31 @@ class TestPrecomputedVectors:
             file_encoder.encode("unseen phrase")
 
 
-class TestEncoderMismatch:
-    """An index with baked vectors answers only to the encoder that made them."""
+class _RolledTrigram(TrigramEncoder):
+    """Same name and dim as TrigramEncoder, but every trigram hashes one bucket further."""
 
-    def test_other_dim_raises_dim_mismatch(self, trigram):
-        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+    def encode(self, text):
+        return np.roll(super().encode(text), 1)
+
+
+def _saved_and_loaded(ix, path):
+    save_index(ix, path)
+    return load_index(path)
+
+
+class TestEncoderMismatch:
+    """An index with label vectors answers only to the encoder that made them."""
+
+    def test_other_dim_raises_dim_mismatch(self, trigram, tmp_path, monkeypatch):
+        ix = _saved_and_loaded(index_over_vocab(["rain", "storm surge"], encoder=trigram), tmp_path / "ix.hcix")
+        derivations = count_derivations(monkeypatch)
         with pytest.raises(DimMismatch) as excinfo:
             semantic_neighbors("rainfall", "THEME", ix, TrigramEncoder(dim=64), tau=0.3)
         message = str(excinfo.value)
         assert "'trigram' (dim 256)" in message and "'trigram' (dim 64)" in message
-        assert ix._vector_cache == {}
+        # A mismatch encodes nothing: no table is derived or kept.
+        assert derivations == []
+        assert ix.label_vectors.by_dimension == {} and ix._vector_cache == {}
 
     def test_other_name_raises_encoder_mismatch(self, trigram):
         ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
@@ -248,8 +265,53 @@ class TestEncoderMismatch:
         with pytest.raises(DimMismatch):
             retrieve("rainfall totals", ix, TrigramEncoder(dim=64), tau=0.3)
 
-    def test_index_without_vectors_encodes_for_any_encoder(self):
+    def test_index_without_vectors_encodes_for_any_encoder(self, monkeypatch):
         ix = index_over_vocab(["rain", "storm surge"])
-        for encoder in (TrigramEncoder(dim=64), TrigramEncoder(dim=32)):
-            assert semantic_neighbors("rainfall", "THEME", ix, encoder, tau=0.3)
-        assert sorted(ix._vector_cache) == [("trigram", 32, "THEME"), ("trigram", 64, "THEME")]
+        derivations = count_derivations(monkeypatch)
+        for _round in range(3):
+            for encoder in (TrigramEncoder(dim=64), TrigramEncoder(dim=32)):
+                assert semantic_neighbors("rainfall", "THEME", ix, encoder, tau=0.3)
+        # One derivation per encoder x dimension, each kept for its encoder.
+        assert derivations == [("trigram", 64, ("THEME",)), ("trigram", 32, ("THEME",))]
+        assert {key: list(vectors.by_dimension) for key, vectors in ix._vector_cache.items()} == {
+            ("trigram", 64): ["THEME"],
+            ("trigram", 32): ["THEME"],
+        }
+        assert ix.label_vectors is None
+
+    @pytest.mark.parametrize("source", ["vectors_file", "trigram_subclass"])
+    def test_loaded_index_rejects_same_name_and_dim_with_other_output(self, trigram, tmp_path, source):
+        keys = ["rain", "storm surge", "rainfall"]
+        if source == "vectors_file":
+            # Two vector files for the same keys: the second holds other vectors.
+            def file_encoder(name, vectors_of):
+                path = write_jsonl(
+                    tmp_path / name, [{"key": key, "dim": 16, "values": list(vectors_of(key))} for key in keys]
+                )
+                return PrecomputedVectorEncoder(load_precomputed_vectors(path, keys, dim=16), dim=16)
+
+            build_encoder = file_encoder("a.jsonl", TrigramEncoder(dim=16).encode)
+            query_encoder = file_encoder("b.jsonl", _RolledTrigram(dim=16).encode)
+        else:
+            build_encoder, query_encoder = trigram, _RolledTrigram()
+        assert (build_encoder.name, build_encoder.dim) == (query_encoder.name, query_encoder.dim)
+        ix = _saved_and_loaded(index_over_vocab(keys[:2], encoder=build_encoder), tmp_path / "ix.hcix")
+        with pytest.raises(EncoderMismatch, match="dimension 'THEME'"):
+            semantic_neighbors("rainfall", "THEME", ix, query_encoder, tau=0.3)
+        with pytest.raises(EncoderMismatch, match="dimension 'THEME'"):
+            retrieve("rainfall totals", ix, query_encoder, tau=0.3)
+        # The build encoder still answers, with the vectors it built.
+        assert semantic_neighbors("rainfall", "THEME", ix, build_encoder, tau=0.3) == semantic_neighbors(
+            "rainfall", "THEME", index_over_vocab(keys[:2], encoder=build_encoder), build_encoder, tau=0.3
+        )
+
+    def test_loaded_checksum_is_checked_on_first_scan(self, trigram, tmp_path):
+        path = tmp_path / "ix.hcix"
+        save_index(index_over_vocab(["rain", "storm surge"], encoder=trigram), path)
+        header, sections = read_container(path)
+        sections["vectors"]["checksums"]["THEME"] ^= 1
+        write_container(path, header, sections)
+        ix = load_index(path)
+        assert semantic_neighbors("rainfall", "LOCATION", ix, trigram, tau=0.3) == []
+        with pytest.raises(EncoderMismatch, match="dimension 'THEME'"):
+            semantic_neighbors("rainfall", "THEME", ix, trigram, tau=0.3)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import builtins
 import io
+import json
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -322,7 +324,7 @@ class TestContainerV3:
         save_index(ix, path)
         header, sections = read_container(path)
         inverted = [f"inverted:{dim}" for dim in ix.dimensions]
-        assert header == {"version": 4, "sections": inverted + ["forward", "vectors"]}
+        assert header == {"version": 5, "sections": inverted + ["forward", "vectors"]}
         # Counts live only in the postings, next to doc ordinals ...
         assert sections["inverted:THEME"] == {
             "keys": ["storm surge"], "lengths": [2], "docs": [0, 1], "counts": [3, 4]
@@ -334,6 +336,18 @@ class TestContainerV3:
         assert sections["inverted:DATE"] == {"keys": [], "lengths": [], "docs": [], "counts": []}
         # ... and forward holds the doc ids, whose positions the ordinals are, and nothing else.
         assert sections["forward"] == {"doc_ids": ["d1", "d2", "d3"]}
+        # vectors holds the encoder's identity and, per dimension, a CRC-32 of
+        # its keys (a compact JSON array) then its little-endian float64 rows.
+        encoder = TrigramEncoder(dim=16)
+        expected = {}
+        for dim in ix.dimensions:
+            keys = sorted(ix.vocab[dim])
+            crc = zlib.crc32(json.dumps(keys, separators=(",", ":")).encode("utf-8"))
+            for key in keys:
+                crc = zlib.crc32(encoder.encode(key).astype("<f8").tobytes(), crc)
+            expected[dim] = crc
+        assert expected["DATE"] == zlib.crc32(b"[]")
+        assert sections["vectors"] == {"encoder": "trigram", "dim": 16, "checksums": expected}
 
     def test_round_trip_merged_counts_and_unlabeled_doc(self, tmp_path):
         for encoder in (None, TrigramEncoder(dim=16)):
@@ -393,6 +407,22 @@ class TestContainerV3:
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
             load_index(path)
 
+    def test_version_4_file_rejected(self, hurricane_index, tmp_path):
+        # Version 4 stored every dimension's label vectors as a JSON matrix.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header["version"] = 4
+        keys, matrix = hurricane_index.label_vectors.by_dimension["THEME"]
+        sections["vectors"] = {
+            "encoder": "trigram",
+            "dim": 256,
+            "by_dimension": {"THEME": {"keys": keys, "matrix": matrix.tolist()}},
+        }
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
     def test_ordinals_may_drop_across_a_key_boundary(self, tmp_path):
         # Key "alpha" holds the later document, so its run ends above
         # where "beta"'s starts; each key still rises on its own.
@@ -437,6 +467,8 @@ MALFORMED = {
     "inverted_without_counts": lambda h, s: s["inverted:THEME"].pop("counts"),
     "keys_not_strings": lambda h, s: s["inverted:THEME"].update(keys=[1]),
     "keys_repeat": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "florida"]),
+    "key_empty": lambda h, s: s["inverted:LOCATION"].update(keys=["", "melbourne beach"]),
+    "key_blank": lambda h, s: s["inverted:THEME"].update(keys=[" "]),
     "postings_not_array": lambda h, s: s["inverted:THEME"].update(docs={"2": 5}),
     "postings_empty": lambda h, s: s["inverted:THEME"].update(lengths=[0], docs=[], counts=[]),
     "posting_not_pair": lambda h, s: s["inverted:THEME"].update(counts=[]),
@@ -477,13 +509,28 @@ MALFORMED = {
     "surfaces_not_strings": lambda h, s: s["forward"].update(
         surfaces={"565": {"THEME": {"rain": [["Rain"]]}}}
     ),
+    # The vectors section is {encoder, dim, checksums}, one checksum per
+    # index dimension. The three ids naming a matrix or its keys date from
+    # the stored-matrix layout; each now breaks the checksums' shape, their
+    # values, or the encoder name.
     "vectors_not_object": lambda h, s: s.update(vectors=[]),
     "vectors_without_dim": lambda h, s: s["vectors"].pop("dim"),
-    "vectors_matrix_misshapen": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(matrix=[[1.0]]),
-    "vectors_matrix_not_numbers": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(
-        matrix=[["x"] * 256]
+    "vectors_matrix_misshapen": lambda h, s: s["vectors"].update(checksums=list(s["vectors"]["checksums"].values())),
+    "vectors_matrix_not_numbers": lambda h, s: s["vectors"].update(checksums=dict.fromkeys(s["vectors"]["checksums"])),
+    "vector_keys_not_strings": lambda h, s: s["vectors"].update(encoder=1),
+    # A stored table, as in the reproduced phantom-key and non-unit-row files.
+    "vectors_with_by_dimension": lambda h, s: s["vectors"].update(
+        by_dimension={"THEME": {"keys": ["rain", "zzzz"], "matrix": [[1.0] * 256, [1.0] * 256]}}
     ),
-    "vector_keys_not_strings": lambda h, s: s["vectors"]["by_dimension"]["THEME"].update(keys=[1]),
+    "vectors_with_matrix": lambda h, s: s["vectors"].update(matrix=[[100.0] * 256]),
+    "vectors_dim_zero": lambda h, s: s["vectors"].update(dim=0),
+    "checksum_of_unknown_dimension": lambda h, s: s["vectors"]["checksums"].update(NOPE=0),
+    "checksum_missing": lambda h, s: s["vectors"]["checksums"].pop("THEME"),
+    "checksum_string": lambda h, s: s["vectors"]["checksums"].update(THEME="0"),
+    "checksum_boolean": lambda h, s: s["vectors"]["checksums"].update(THEME=True),
+    "checksum_float": lambda h, s: s["vectors"]["checksums"].update(THEME=1.0),
+    "checksum_negative": lambda h, s: s["vectors"]["checksums"].update(THEME=-1),
+    "checksum_2_32": lambda h, s: s["vectors"]["checksums"].update(THEME=2**32),
 }
 
 

@@ -10,6 +10,7 @@ from helpers import (
     FIXTURE_TAU,
     HURRICANE_MINI,
     MELBOURNE_QUERY,
+    count_derivations,
     count_table_builds,
     random_labeled_corpus,
     write_jsonl,
@@ -20,8 +21,10 @@ from hyperrag import (
     DocLabels,
     Document,
     ExternalDecompositions,
+    PrecomputedVectorEncoder,
     QueryComponent,
     TrigramEncoder,
+    UnencodableText,
     build_index,
     cosine,
     decompose_query,
@@ -31,6 +34,7 @@ from hyperrag import (
     load_index,
     load_queries,
     match_component,
+    normalize_label,
     rank,
     result_to_dict,
     retrieve,
@@ -584,6 +588,21 @@ def _mini_index(encoder):
     return build_index(*_mini_labels(), encoder=encoder)
 
 
+def _mini_vectors_encoder() -> PrecomputedVectorEncoder:
+    """Precomputed 64-dim vectors for every mini key and every query word (trigram-made, another dim)."""
+    _corpus, labels = _mini_labels()
+    words = {key for doc in labels.values() for _dim, key in doc.counts}
+    words |= {normalize_label(word) for query in _fixture_queries() for word in query.split()}
+    encoder = TrigramEncoder(dim=64)
+    vectors = {}
+    for word in sorted(words):
+        try:
+            vectors[word] = encoder.encode(word)
+        except UnencodableText:
+            pass
+    return PrecomputedVectorEncoder(vectors, dim=64)
+
+
 def _fixture_queries() -> list[str]:
     return [q.question for q in load_queries(HURRICANE_MINI / "queries.jsonl")] + [
         MELBOURNE_QUERY,
@@ -617,13 +636,51 @@ class TestIndexTables:
         assert builds == []
 
     def test_loaded_index_answers_like_built(self, trigram, tmp_path):
-        ix = _mini_index(trigram)
-        save_index(ix, tmp_path / "mini.hcix")
-        loaded = load_index(tmp_path / "mini.hcix")
-        for query in _fixture_queries():
-            assert result_to_dict(retrieve(query, loaded, trigram, tau=FIXTURE_TAU)) == result_to_dict(
+        for encoder in (trigram, _mini_vectors_encoder()):
+            ix = _mini_index(encoder)
+            save_index(ix, tmp_path / "mini.hcix")
+            loaded = load_index(tmp_path / "mini.hcix")
+            for query in _fixture_queries():
+                assert result_to_dict(retrieve(query, loaded, encoder, tau=FIXTURE_TAU)) == result_to_dict(
+                    retrieve(query, ix, encoder, tau=FIXTURE_TAU)
+                )
+
+    def test_loaded_label_vectors_derived_once_per_scanned_dimension(self, trigram, tmp_path, monkeypatch):
+        save_index(_mini_index(trigram), tmp_path / "mini.hcix")
+        ix = load_index(tmp_path / "mini.hcix")
+        assert ix.label_vectors.by_dimension == {}
+        derivations = count_derivations(monkeypatch)
+        scanned = []
+        scan = retrieval_mod.semantic_neighbors
+
+        def recording_scan(component, dim, *args):
+            scanned.append(dim)
+            return scan(component, dim, *args)
+
+        monkeypatch.setattr(retrieval_mod, "semantic_neighbors", recording_scan)
+        for _round in range(5):
+            for query in _fixture_queries():
                 retrieve(query, ix, trigram, tau=FIXTURE_TAU)
-            )
+        assert scanned and set(scanned) < set(ix.dimensions)
+        assert sorted(derivations) == sorted(("trigram", trigram.dim, (dim,)) for dim in set(scanned))
+        assert set(ix.label_vectors.by_dimension) == set(scanned)
+
+    def test_loaded_random_indexes_answer_like_built(self, tmp_path):
+        rng = np.random.default_rng(47)
+        encoder = TrigramEncoder(dim=32)
+        for _case in range(40):
+            corpus, labels, vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
+            ix = build_index(corpus, labels, encoder=encoder)
+            save_index(ix, tmp_path / "ix.hcix")
+            loaded = load_index(tmp_path / "ix.hcix")
+            for _query in range(4):
+                components = _random_components(rng, vocab)
+                tau = float(rng.uniform(0.15, 0.95))
+                query = " ".join(text for _dim, text in components)
+                for external in (components, None):
+                    assert result_to_dict(
+                        retrieve(query, loaded, encoder, tau=tau, external=external)
+                    ) == result_to_dict(retrieve(query, ix, encoder, tau=tau, external=external))
 
     def test_tables_match_the_vocabulary(self):
         rng = np.random.default_rng(43)

@@ -75,6 +75,11 @@ def _make_encoder(args, keys=()):
     raise _usage(f"unknown encoder {args.encoder!r}")
 
 
+def _label_keys(labels) -> set[str]:
+    """Every label key of the extracted or loaded labels: the keys a ``file:`` encoder must cover."""
+    return {key for doc in labels.values() for _dim, key in doc.counts}
+
+
 def _usage(message: str) -> SystemExit:
     print(f"hyperrag: error: {message}", file=sys.stderr)
     return SystemExit(EXIT_USAGE)
@@ -110,7 +115,7 @@ def _cmd_build(args) -> int:
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
-    encoder = _make_encoder(args, {key for doc in labels.values() for _dim, key in doc.counts})
+    encoder = _make_encoder(args, _label_keys(labels))
     ix = build_index(corpus, labels, dimensions=dimensions, encoder=encoder)
     save_index(ix, args.out)
     print(
@@ -175,7 +180,7 @@ def _cmd_bench(args) -> int:
     engines = ["hypercube"]
     if args.baseline == "bm25":
         engines.append("bm25")
-    encoder = _make_encoder(args)
+    encoder = _make_encoder(args, _label_keys(extract_all(corpus, gazetteer)))
     rows = bench_latency(
         corpus,
         gazetteer,

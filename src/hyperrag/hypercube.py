@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveCount,
     UnknownDocId,
 )
-from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _phrase_table
+from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _all_normalized, _phrase_table
 
 _MAGIC = b"HRIX"
 _FORMAT_VERSION = 5
@@ -375,9 +375,10 @@ def _load_postings(
 ) -> dict[str, Postings]:
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
-    Every key must hold a word, every ordinal must index ``doc_ids`` and
-    rise strictly within its key, every count lie in ``[1, MAX_COUNT]``,
-    and the lengths (each >= 1, one per key) partition the arrays.
+    Every key must be its own non-empty ``normalize_label`` (so a query
+    can reach it), every ordinal must index ``doc_ids`` and rise strictly
+    within its key, every count lie in ``[1, MAX_COUNT]``, and the
+    lengths (each >= 1, one per key) partition the arrays.
     """
     where = f"section {_INVERTED}{dim}"
     payload = _parse(raw, path, where, dict)
@@ -386,8 +387,8 @@ def _load_postings(
     keys = _str_list(payload["keys"], path, f"{where} keys")
     if len(set(keys)) != len(keys):
         raise _malformed(path, f"{where} keys hold duplicates")
-    if not all(map(str.split, keys)):
-        raise _malformed(path, f"{where} holds a key without a word")
+    if not _all_normalized(keys):
+        raise _malformed(path, f"{where} holds a key that is empty or not normalized")
     docs = _int_list(payload["docs"], path, f"{where} docs", 0, len(doc_ids) - 1)
     counts = _int_list(payload["counts"], path, f"{where} counts", 1, MAX_COUNT)
     lengths = _int_list(payload["lengths"], path, f"{where} lengths", 1, len(docs))

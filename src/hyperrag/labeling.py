@@ -74,6 +74,26 @@ def normalize_label(surface: str) -> str:
     return s
 
 
+def _all_normalized(keys: list[str]) -> bool:
+    """Whether every key is non-empty and equal to its own :func:`normalize_label`.
+
+    Tested on all keys joined by newlines at once rather than key by
+    key. A newline is a starter that composes with nothing, so case
+    folding and NFC leave the joined string alone exactly when they
+    leave every key alone. A key holds no whitespace but single inner
+    spaces exactly when splitting the joined string on whitespace only
+    turns its newlines into spaces, and no newline comes from a key.
+    """
+    joined = "\n".join(keys)
+    return not keys or (
+        all(keys)
+        and joined.count("\n") == len(keys) - 1
+        and " ".join(joined.split()) == joined.replace("\n", " ")
+        and {key[-1] for key in keys}.isdisjoint(".,;:!?")
+        and unicodedata.normalize("NFC", joined.casefold()) == joined
+    )
+
+
 def tokenize(text: str) -> list[str]:
     """Normalized word tokens of free text.
 

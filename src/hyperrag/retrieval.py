@@ -37,8 +37,8 @@ UNMATCHED = "unmatched"
 
 # Function words ignored by the content-word fallback of the built-in
 # query decomposer. Deliberately small: a candidate that survives this
-# filter still has to earn a semantic match against the THEME vocabulary
-# before it becomes a component.
+# filter still has to match a THEME label, exactly or semantically, in
+# the match phase, or retrieve drops it.
 STOPWORDS = frozenset(
     """
     a an the and or but if then than that this these those such per also
@@ -67,7 +67,9 @@ class QueryDecomposition:
 
     Components are deduplicated by (dimension, key); order is the scan
     order of the first occurrence, ties broken by key then dimension.
-    ``component_count`` is the denominator for full coverage.
+    ``component_count`` is the denominator for full coverage once
+    :func:`retrieve` has dropped the content-word candidates that match
+    no label; straight from :func:`decompose_query` it still counts them.
     """
 
     query_id: str
@@ -177,21 +179,19 @@ def decompose_query(
     ix: HypercubeIndex,
     external: Sequence[tuple[str, str]] | None = None,
     *,
-    encoder: Encoder | None = None,
-    tau: float = DEFAULT_TAU,
     query_id: str = "",
 ) -> QueryDecomposition:
-    """Split a query into dimension-tagged components.
+    """Split a query into dimension-tagged components, lexically.
 
     With ``external`` given, those (dimension, text) pairs are used
     verbatim after normalization — including components no cube label
     will ever match. The built-in path instead scans the query with the
     union of all dimension vocabularies (longest match wins, matches
-    tagged with every dimension carrying the phrase) and then applies a
+    tagged with every dimension carrying the phrase) and then adds a
     content-word fallback: leftover non-stopword unigrams and bigrams
-    become THEME candidates, kept only if :func:`match_component`
-    resolves them against THEME (exactly, or semantically at the given
-    threshold). The phrase table and the key -> dimensions map it scans
+    become THEME candidates. Nothing here meets a vector; :func:`retrieve`
+    resolves every component once and drops the candidates that match
+    no label. The phrase table and the key -> dimensions map it scans
     with are the index's own, derived once per index when it is built
     or loaded.
     """
@@ -226,21 +226,12 @@ def decompose_query(
     if current:
         runs.append(current)
 
-    candidates: list[tuple[int, str]] = []
     for run in runs:
-        for pos, token in run:
-            candidates.append((pos, token))
-        for (pos, first), (_next_pos, second) in zip(run, run[1:]):
-            candidates.append((pos, f"{first} {second}"))
-
-    if encoder is not None:
+        candidates = run + [(pos, f"{first} {second}") for (pos, first), (_, second) in zip(run, run[1:])]
         for pos, text in candidates:
             key = normalize_label(text)
-            if not key or key in STOPWORDS:
-                continue
-            component = QueryComponent("THEME", text, key)
-            if match_component(component, ix, encoder, tau).kind != UNMATCHED:
-                ordered.append(((pos, key, "THEME"), component))
+            if key and key not in STOPWORDS:
+                ordered.append(((pos, key, "THEME"), QueryComponent("THEME", text, key)))
 
     ordered.sort(key=lambda item: item[0])
     return QueryDecomposition(query_id=query_id, components=_dedupe(c for _sort_key, c in ordered))
@@ -414,15 +405,23 @@ def retrieve(
 ) -> RetrievalResult:
     """Full pipeline for one query; deterministic for fixed inputs.
 
+    The match phase is the only place a component meets the vocabulary
+    or the vectors: :func:`match_component` runs once per component. On
+    the built-in path (no ``external``) the components that resolve
+    ``unmatched`` are dropped, from the matches and from the result's
+    decomposition alike. Only content-word candidates can be dropped,
+    since a phrase component's key is a label of each of its dimensions.
     Timing covers the decompose / match / score phases on a monotonic
     clock and is the only part of the result that varies between calls.
     """
     t0 = time.perf_counter_ns()
-    decomposition = decompose_query(
-        query, ix, external, encoder=encoder, tau=tau, query_id=query_id
-    )
+    decomposition = decompose_query(query, ix, external, query_id=query_id)
     t1 = time.perf_counter_ns()
     matches = [match_component(comp, ix, encoder, tau) for comp in decomposition.components]
+    if external is None:
+        kept = [(comp, m) for comp, m in zip(decomposition.components, matches) if m.kind != UNMATCHED]
+        decomposition.components = [comp for comp, _m in kept]
+        matches = [m for _comp, m in kept]
     t2 = time.perf_counter_ns()
     ranked = rank(score_documents(matches, ix), matches, k)
     t3 = time.perf_counter_ns()

@@ -77,6 +77,20 @@ def build_args(files, encoder):
     ]
 
 
+def bench_args(files, vectors, out_path):
+    return [
+        "bench",
+        "--corpus", str(files["corpus"]),
+        "--gazetteer", str(files["gazetteer"]),
+        "--queries", str(files["queries"]),
+        "--fractions", "1",
+        "--reps", "1",
+        "--encoder", f"file:{vectors}",
+        "--embed-dim", "16",
+        "--out", str(out_path),
+    ]
+
+
 class TestBuild:
     def test_build_writes_index(self, fixture_files):
         index_path = build_fixture_index(fixture_files)
@@ -329,6 +343,19 @@ class TestQuery:
         assert code == 2
         assert "malformed index container" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_unnormalized_key_is_data_error(self, fixture_files, capsys, command):
+        index = build_fixture_index(fixture_files)
+        header, sections = read_container(index)
+        location = sections["inverted:LOCATION"]
+        location["keys"] = [key + " " if key == "florida" else key for key in location["keys"]]
+        write_container(index, header, sections)
+        capsys.readouterr()
+        source = ["--query", MELBOURNE_QUERY] if command == "query" else ["--queries", str(fixture_files["queries"])]
+        code = main([command, "--index", str(index), *source])
+        assert code == 2
+        assert "not normalized" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "components, message",
         [
@@ -485,6 +512,21 @@ class TestBench:
         assert lines[0] == "engine,fraction,noise,mean_us,median_us,p95_us"
         # 2 fractions x 2 engines + noise row x 2 engines
         assert len(lines) == 1 + 6
+
+    def test_vectors_file_missing_a_label_key_is_data_error(self, fixture_files, tmp_path, capsys):
+        vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"])
+        out_path = tmp_path / "bench.csv"
+        code = main(bench_args(fixture_files, vectors, out_path))
+        assert code == 2
+        assert "no vector for key" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_vectors_file_with_every_label_key(self, fixture_files, tmp_path):
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
+        out_path = tmp_path / "bench.csv"
+        code = main(bench_args(fixture_files, write_vectors(tmp_path / "vec.jsonl", keys), out_path))
+        assert code == 0
+        assert out_path.read_text().startswith("engine,fraction,noise,mean_us,median_us,p95_us")
 
     def test_seed_env_honored(self, fixture_files, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERRAG_SEED", "123")

@@ -30,6 +30,7 @@ from hyperrag import (
     cell_documents,
     load_index,
     lookup,
+    normalize_label,
     rank,
     save_index,
     score_documents,
@@ -469,6 +470,11 @@ MALFORMED = {
     "keys_repeat": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "florida"]),
     "key_empty": lambda h, s: s["inverted:LOCATION"].update(keys=["", "melbourne beach"]),
     "key_blank": lambda h, s: s["inverted:THEME"].update(keys=[" "]),
+    # Keys no query can reach, since queries are normalized: each used to
+    # load, and the first two then failed queries with a KeyError.
+    "key_trailing_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida ", "melbourne beach"]),
+    "key_double_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "melbourne  beach"]),
+    "key_upper_case": lambda h, s: s["inverted:LOCATION"].update(keys=["Florida", "melbourne beach"]),
     "postings_not_array": lambda h, s: s["inverted:THEME"].update(docs={"2": 5}),
     "postings_empty": lambda h, s: s["inverted:THEME"].update(lengths=[0], docs=[], counts=[]),
     "posting_not_pair": lambda h, s: s["inverted:THEME"].update(counts=[]),
@@ -585,6 +591,32 @@ class TestMalformedContainer:
             load_index(path)
         except HyperRagError:
             pass
+
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        keys=st.lists(
+            st.lists(
+                st.sampled_from(["a", "B", "ǰ", "j\u030c", "\u0301", "ß", " ", "\xa0", "\t", "\n", ".", "?", "-"]),
+                max_size=4,
+            ).map("".join),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        )
+    )
+    def test_keys_load_only_when_normalized(self, hurricane_index, tmp_path, keys):
+        # LOCATION holds two keys; their postings stay valid whatever they are called.
+        path = tmp_path / "keys.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        sections["inverted:LOCATION"]["keys"] = keys
+        write_container(path, header, sections)
+        if all(key and normalize_label(key) == key for key in keys):
+            assert set(load_index(path).vocab["LOCATION"]) == set(keys)
+        else:
+            with pytest.raises(FormatVersionMismatch, match="not normalized"):
+                load_index(path)
 
 
 class _HalfWriter:

@@ -66,32 +66,46 @@ def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None)
     return build_index(Corpus(docs), doc_labels_of(label_map), encoder=encoder)
 
 
+def _kept_components(result):
+    """The components ``retrieve`` kept, checked to line up with its matches one for one."""
+    components = result.decomposition.components
+    assert [(m.dimension, m.component) for m in result.matches] == [(c.dimension, c.key) for c in components]
+    return components
+
+
 class TestDecomposeQuery:
     def test_melbourne_query_components(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            MELBOURNE_QUERY, hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        assert {(c.dimension, c.key) for c in decomposition.components} == {
+        result = retrieve(MELBOURNE_QUERY, hurricane_index, trigram, tau=FIXTURE_TAU)
+        assert {(c.dimension, c.key) for c in _kept_components(result)} == {
             ("LOCATION", "melbourne beach"),
             ("LOCATION", "florida"),
             ("EVENT", "tropical storm fay"),
             ("THEME", "rainfall"),
         }
-        assert decomposition.component_count == 4
+        assert result.decomposition.component_count == 4
 
     def test_fallback_candidate_needs_semantic_support(self, hurricane_index, trigram):
         # "receive" survives the stopword filter but matches no THEME
-        # label, so the built-in path drops it.
-        decomposition = decompose_query(
-            MELBOURNE_QUERY, hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        assert "receive" not in {c.key for c in decomposition.components}
+        # label, so retrieve drops it.
+        result = retrieve(MELBOURNE_QUERY, hurricane_index, trigram, tau=FIXTURE_TAU)
+        assert "receive" not in {c.key for c in _kept_components(result)}
+
+    def test_lexical_decomposition_keeps_every_content_word(self, hurricane_index):
+        # No encoder to vet them: both content words come back as THEME
+        # candidates, in query order among the phrase components.
+        decomposition = decompose_query(MELBOURNE_QUERY, hurricane_index)
+        assert [(c.dimension, c.key) for c in decomposition.components] == [
+            ("THEME", "rainfall"),
+            ("LOCATION", "melbourne beach"),
+            ("LOCATION", "florida"),
+            ("THEME", "receive"),
+            ("EVENT", "tropical storm fay"),
+        ]
 
     def test_no_hits_yields_empty(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            "did they watch it", hurricane_index, encoder=trigram, tau=FIXTURE_TAU
-        )
-        assert decomposition.components == []
+        result = retrieve("did they watch it", hurricane_index, trigram, tau=FIXTURE_TAU)
+        assert _kept_components(result) == []
+        assert result.ranked == []
 
     def test_external_used_verbatim(self, hurricane_index):
         external = [("THEME", "Rainfall"), ("LOCATION", "Melbourne   Beach."), ("THEME", "rainfall")]
@@ -107,27 +121,23 @@ class TestDecomposeQuery:
         assert decomposition.component_count == 2
 
     def test_order_is_first_match_position(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            "tropical storm fay drenched melbourne beach", hurricane_index, encoder=trigram
-        )
-        assert [c.key for c in decomposition.components] == [
+        result = retrieve("tropical storm fay drenched melbourne beach", hurricane_index, trigram)
+        assert [c.key for c in _kept_components(result)] == [
             "tropical storm fay",
             "melbourne beach",
         ]
 
     def test_without_encoder_only_vocab_grounded(self, hurricane_index):
-        decomposition = decompose_query(MELBOURNE_QUERY, hurricane_index)
-        assert {c.key for c in decomposition.components} == {
+        result = retrieve(MELBOURNE_QUERY, hurricane_index)
+        assert {c.key for c in _kept_components(result)} == {
             "melbourne beach",
             "florida",
             "tropical storm fay",
         }
 
     def test_dedup_by_dimension_and_key(self, hurricane_index, trigram):
-        decomposition = decompose_query(
-            "florida and florida again", hurricane_index, encoder=trigram
-        )
-        assert [(c.dimension, c.key) for c in decomposition.components] == [
+        result = retrieve("florida and florida again", hurricane_index, trigram)
+        assert [(c.dimension, c.key) for c in _kept_components(result)] == [
             ("LOCATION", "florida")
         ]
 
@@ -207,8 +217,7 @@ class TestMatchComponent:
 
 
 def _fixture_matches(ix, encoder):
-    decomposition = decompose_query(MELBOURNE_QUERY, ix, encoder=encoder, tau=FIXTURE_TAU)
-    return [match_component(c, ix, encoder, FIXTURE_TAU) for c in decomposition.components]
+    return retrieve(MELBOURNE_QUERY, ix, encoder, tau=FIXTURE_TAU).matches
 
 
 class TestScoreDocuments:
@@ -410,6 +419,25 @@ class TestRetrieve:
         assert json.dumps(result_to_dict(first), sort_keys=True) == json.dumps(
             result_to_dict(second), sort_keys=True
         )
+
+    def test_each_component_scanned_once_per_query(self, trigram, monkeypatch):
+        ix = _mini_index(trigram)
+        scan = retrieval_mod.semantic_neighbors
+        scanned = []
+
+        def recording_scan(component, dim, *args):
+            scanned.append((component, dim))
+            return scan(component, dim, *args)
+
+        monkeypatch.setattr(retrieval_mod, "semantic_neighbors", recording_scan)
+        scans = 0
+        for _round in range(5):
+            for query in _fixture_queries():
+                scanned.clear()
+                retrieve(query, ix, trigram, tau=FIXTURE_TAU)
+                assert len(scanned) == len(set(scanned)), (query, scanned)
+                scans += len(scanned)
+        assert scans
 
     def test_timing_phases_recorded(self, hurricane_index, trigram):
         result = retrieve(MELBOURNE_QUERY, hurricane_index, trigram, tau=FIXTURE_TAU)

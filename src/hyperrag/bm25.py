@@ -3,34 +3,75 @@
 Tokenization matches the rest of the package (normalized whitespace
 tokens, stopwords kept, no stemming). The IDF uses the +1-inside-log
 variant so scores are never negative.
+
+The index uses the label cube's postings layout. ``doc_ids`` is the
+sorted tuple of document ids and a document's position in it is its
+ordinal, so ordinal order is doc-id order. Each term's postings are a
+:class:`~hyperrag.hypercube.Postings` of int32 ordinals and term
+frequencies, sliced from one array pair for the whole vocabulary. Each
+document's length norm ``k1 * (1 - b + b * len / avglen)`` is computed
+once, at build.
+
+A query is scored term at a time into one float64 accumulator with a
+slot per document: each query token, in order and with repeats, adds
+its term's contribution at its postings' ordinals. Every contribution is
+strictly positive (idf > 0 because df <= N, and tf >= 1), so the nonzero
+slots are exactly the documents holding at least one query term, the
+candidates. Scoring is vectorized but still touches every posting of
+every query term, so its cost grows with the postings a query touches:
+noise documents that share common words with the query slow BM25, which
+is what the noise-scaling criterion measures against the cube.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import UnknownDocId
+from .hypercube import Postings, _freeze_runs, _frozen
 from .labeling import tokenize
 
 DEFAULT_K1 = 1.5
 DEFAULT_B = 0.75
 
 
-@dataclass
+@dataclass(eq=False)
 class Bm25Index:
-    postings: dict[str, list[tuple[str, int]]]
-    doc_len: dict[str, int]
-    avg_doc_len: float
+    """Term postings over doc ordinals, plus one length norm per document.
+
+    ``doc_len[o]`` is the token count of document ``doc_ids[o]``.
+    ``avg_doc_len`` and ``norm`` (``k1 * (1 - b + b * doc_len / avg_doc_len)``
+    per ordinal) are derived from it once, in ``__post_init__``.
+    """
+
+    doc_ids: tuple[str, ...]
+    postings: dict[str, Postings]
+    doc_len: np.ndarray
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    avg_doc_len: float = field(init=False)
+    norm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.avg_doc_len = int(self.doc_len.sum()) / len(self.doc_len)
+        if self.avg_doc_len > 0:
+            # Elementwise, in the formula's own order: each norm is the float a
+            # per-document evaluation gives, so scores stay bit-identical.
+            norm = self.k1 * (1.0 - self.b + self.b * self.doc_len / self.avg_doc_len)
+        else:
+            # Every document is empty, so no posting exists to read a norm.
+            norm = np.zeros(len(self.doc_len))
+        norm.flags.writeable = False
+        self.norm = norm
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_len)
+        return len(self.doc_ids)
 
     def idf(self, term: str) -> float:
         n = self.doc_count
@@ -45,31 +86,24 @@ def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> 
         raise ValueError(f"k1 must be a finite number >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
-    doc_len: dict[str, int] = {}
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for doc in corpus:
-        tokens = tokenize(doc.text)
-        doc_len[doc.id] = len(tokens)
+    doc_ids = tuple(sorted(doc.id for doc in corpus))
+    doc_len = []
+    # term -> (ordinals, counts), appended in ordinal order.
+    runs: dict[str, tuple[list[int], list[int]]] = {}
+    for ordinal, doc_id in enumerate(doc_ids):
+        tokens = tokenize(corpus.get(doc_id).text)
+        doc_len.append(len(tokens))
         counts: dict[str, int] = {}
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((doc.id, tf))
-    for plist in postings.values():
-        plist.sort(key=lambda p: p[0])
-    avg = sum(doc_len.values()) / len(doc_len)
-    return Bm25Index(
-        postings=postings,
-        doc_len=doc_len,
-        avg_doc_len=avg,
-        k1=k1,
-        b=b,
-    )
-
-
-def _term_score(ix: Bm25Index, idf: float, tf: int, doc_id: str) -> float:
-    length_norm = ix.k1 * (1.0 - ix.b + ix.b * ix.doc_len[doc_id] / ix.avg_doc_len)
-    return idf * (tf * (ix.k1 + 1.0)) / (tf + length_norm)
+            run = runs.get(term)
+            if run is None:
+                run = runs[term] = ([], [])
+            run[0].append(ordinal)
+            run[1].append(tf)
+    postings = _freeze_runs(doc_ids, runs, list(runs))
+    return Bm25Index(doc_ids=doc_ids, postings=postings, doc_len=_frozen(doc_len), k1=k1, b=b)
 
 
 def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
@@ -77,16 +111,21 @@ def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
 
     sum over terms of idf * tf*(k1+1) / (tf + k1*(1 - b + b*len/avglen));
     terms absent from the document contribute zero. Each tf is found by
-    bisection in the term's doc-id-sorted posting list.
+    binary search for the document's ordinal in the term's ordinals.
     """
-    if doc_id not in ix.doc_len:
+    ordinal = bisect_left(ix.doc_ids, doc_id)
+    if ordinal == len(ix.doc_ids) or ix.doc_ids[ordinal] != doc_id:
         raise UnknownDocId(doc_id)
+    norm = float(ix.norm[ordinal])
     score = 0.0
     for term in query_tokens:
-        plist = ix.postings.get(term, ())
-        at = bisect.bisect_left(plist, (doc_id,))
-        if at < len(plist) and plist[at][0] == doc_id:
-            score += _term_score(ix, ix.idf(term), plist[at][1], doc_id)
+        postings = ix.postings.get(term)
+        if postings is None:
+            continue
+        at = int(np.searchsorted(postings.ordinals, ordinal))
+        if at < len(postings) and postings.ordinals[at] == ordinal:
+            tf = int(postings.counts[at])
+            score += ix.idf(term) * (tf * (ix.k1 + 1.0)) / (tf + norm)
     return score
 
 
@@ -94,18 +133,21 @@ def bm25_retrieve(ix: Bm25Index, query: str, k: int = 3) -> list[tuple[str, floa
     """Top-k (doc_id, score), score descending, doc id ascending on ties.
 
     Only documents containing at least one query term are scored or
-    returned. Scoring runs term at a time over the posting lists, query
+    returned. Scoring runs term at a time into one accumulator, query
     tokens in order with repeats, so each document receives the same
     float additions in the same order as :func:`bm25_score` makes.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores: dict[str, float] = {}
+    acc = np.zeros(ix.doc_count)
     for term in tokenize(query):
-        plist = ix.postings.get(term)
-        if not plist:
+        postings = ix.postings.get(term)
+        if postings is None:
             continue
-        idf = ix.idf(term)
-        for doc_id, tf in plist:
-            scores[doc_id] = scores.get(doc_id, 0.0) + _term_score(ix, idf, tf, doc_id)
-    return heapq.nsmallest(k, scores.items(), key=lambda pair: (-pair[1], pair[0]))
+        ordinals, tf = postings.ordinals, postings.counts
+        acc[ordinals] += ix.idf(term) * (tf * (ix.k1 + 1.0)) / (tf + ix.norm[ordinals])
+    candidates = np.flatnonzero(acc)
+    scores = acc[candidates]
+    top = candidates[np.lexsort((candidates, -scores))[:k]]
+    doc_ids = ix.doc_ids
+    return [(doc_ids[o], score) for o, score in zip(top.tolist(), acc[top].tolist())]

@@ -230,20 +230,12 @@ class BenchRow:
     samples: list[float] = field(default_factory=list, repr=False)
 
 
-def _time_passes(
-    run_query: Callable[[str], object],
-    questions: Sequence[str],
-    repetitions: int,
-) -> list[float]:
-    """Per-query microseconds, one sample per repetition; first pass discarded."""
-    def one_pass() -> float:
-        start = time.perf_counter_ns()
-        for question in questions:
-            run_query(question)
-        return (time.perf_counter_ns() - start) / 1000.0 / len(questions)
-
-    one_pass()  # warm-up
-    return [one_pass() for _ in range(repetitions)]
+def _time_pass(run_query: Callable[[str], object], questions: Sequence[str]) -> float:
+    """Mean per-query microseconds over one pass of ``questions``."""
+    start = time.perf_counter_ns()
+    for question in questions:
+        run_query(question)
+    return (time.perf_counter_ns() - start) / 1000.0 / len(questions)
 
 
 def bench_latency(
@@ -263,11 +255,14 @@ def bench_latency(
 ) -> list[BenchRow]:
     """Latency table across corpus fractions, optionally plus a noise row.
 
-    For each fraction a prefix sub-corpus is indexed per engine and the
-    query batch is timed ``repetitions`` times after one warm-up pass
-    (one sample = mean per-query time of a pass). When ``noise`` > 0 an
-    extra row at fraction 1.0 measures the corpus with that many noise
-    documents appended. Build time is never included.
+    For each fraction a prefix sub-corpus is indexed per engine. When
+    ``noise`` > 0 an extra row at fraction 1.0 measures the corpus with
+    that many noise documents appended. Every configuration is built and
+    warmed with one untimed pass first; then each repetition times one
+    pass of every configuration in turn (one sample = mean per-query
+    time of a pass), so a change in host speed during the run falls on
+    all rows alike rather than on one block of them. Build time is never
+    included.
     """
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
@@ -282,7 +277,8 @@ def bench_latency(
     if noise > 0:
         runs.append((1.0, noise))
 
-    rows = []
+    keys: list[tuple[str, float, int]] = []
+    runners: list[Callable[[str], object]] = []
     for fraction, noise_docs in runs:
         n = max(1, round(fraction * len(corpus)))
         sub = Corpus(list(corpus.documents[:n]))
@@ -303,19 +299,30 @@ def bench_latency(
 
             else:
                 raise ValueError(f"unknown engine {engine!r}")
-            samples = _time_passes(run_query, questions, repetitions)
-            arr = np.array(samples)
-            rows.append(
-                BenchRow(
-                    engine=engine,
-                    fraction=fraction,
-                    noise=noise_docs,
-                    mean_us=float(arr.mean()),
-                    median_us=float(np.median(arr)),
-                    p95_us=float(np.percentile(arr, 95)),
-                    samples=samples,
-                )
+            keys.append((engine, fraction, noise_docs))
+            runners.append(run_query)
+
+    for run_query in runners:
+        _time_pass(run_query, questions)  # warm-up
+    samples: list[list[float]] = [[] for _ in runners]
+    for _ in range(repetitions):
+        for run_query, config_samples in zip(runners, samples):
+            config_samples.append(_time_pass(run_query, questions))
+
+    rows = []
+    for (engine, fraction, noise_docs), config_samples in zip(keys, samples):
+        arr = np.array(config_samples)
+        rows.append(
+            BenchRow(
+                engine=engine,
+                fraction=fraction,
+                noise=noise_docs,
+                mean_us=float(arr.mean()),
+                median_us=float(np.median(arr)),
+                p95_us=float(np.percentile(arr, 95)),
+                samples=config_samples,
             )
+        )
     return rows
 
 

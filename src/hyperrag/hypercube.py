@@ -104,6 +104,19 @@ def _slice_postings(
     return postings_by_key
 
 
+def _freeze_runs(
+    doc_ids: tuple[str, ...], runs: Mapping[str, tuple[list[int], list[int]]], keys: list[str]
+) -> dict[str, Postings]:
+    """Per-key ``(ordinals, counts)`` lists, concatenated in ``keys`` order into one array pair and sliced."""
+    return _slice_postings(
+        doc_ids,
+        keys,
+        [len(runs[key][0]) for key in keys],
+        _frozen([o for key in keys for o in runs[key][0]]),
+        _frozen([c for key in keys for c in runs[key][1]]),
+    )
+
+
 @dataclass(frozen=True)
 class CellAddress:
     """One coordinate per participating dimension; addresses one cube cell."""
@@ -214,16 +227,9 @@ def build_index(
             run[0].append(ordinal)
             run[1].append(count)
 
-    inverted = {}
-    for dim, runs_by_key in runs.items():
-        keys = sorted(runs_by_key)
-        inverted[dim] = _slice_postings(
-            doc_ids,
-            keys,
-            [len(runs_by_key[key][0]) for key in keys],
-            _frozen([o for key in keys for o in runs_by_key[key][0]]),
-            _frozen([c for key in keys for c in runs_by_key[key][1]]),
-        )
+    inverted = {
+        dim: _freeze_runs(doc_ids, runs_by_key, sorted(runs_by_key)) for dim, runs_by_key in runs.items()
+    }
 
     ix = HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids)
     if encoder is not None:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import MELBOURNE_QUERY
-from oracles import brute_bm25_score
+from oracles import brute_bm25_all, brute_bm25_score
 from hyperrag import Corpus, Document, UnknownDocId, bm25_build, bm25_retrieve, bm25_score
 from hyperrag.labeling import tokenize
 
@@ -16,19 +17,32 @@ class TestBuild:
         corpus = Corpus([Document(id="d", text="storm surge warning")])
         ix = bm25_build(corpus)
         assert ix.avg_doc_len == 3.0
-        assert ix.doc_len["d"] == 3
+        assert ix.doc_ids == ("d",)
+        assert ix.doc_len.tolist() == [3]
 
     def test_absent_term(self):
         corpus = Corpus([Document(id="d", text="storm surge")])
         ix = bm25_build(corpus)
-        assert ix.postings.get("tornado", []) == []
+        assert "tornado" not in ix.postings
 
     def test_df_counts_documents(self):
         corpus = Corpus(
             [Document(id="a", text="rain rain rain"), Document(id="b", text="rain stopped")]
         )
         ix = bm25_build(corpus)
-        assert ix.postings["rain"] == [("a", 3), ("b", 1)]
+        assert list(ix.postings["rain"]) == [("a", 3), ("b", 1)]
+
+    def test_corpus_of_empty_documents(self):
+        # Every document tokenizes to nothing, so the average length is 0
+        # and no posting exists; the length norms must not divide 0 by 0.
+        corpus = Corpus([Document(id="a", text=","), Document(id="b", text=",")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ix = bm25_build(corpus)
+            assert ix.avg_doc_len == 0.0
+            assert ix.postings == {}
+            assert bm25_retrieve(ix, "rain", k=3) == []
+            assert bm25_score(ix, ["rain"], "a") == 0.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -170,3 +184,37 @@ class TestRetrieve:
                 key=lambda pair: (-pair[1], pair[0]),
             )
             assert bm25_retrieve(ix, query, k=len(corpus)) == expected
+
+    def test_top_k_equals_brute_force_ranking(self):
+        # Doc ids are handed in shuffled and unpadded ("d10" sorts before
+        # "d9"), so ordinal order must be string order, not input order.
+        # Duplicated texts tie; queries repeat tokens and hold a word no
+        # document has; k stays below the candidate count.
+        rng = np.random.default_rng(23)
+        words = ["rain", "storm", "surge", "coast", "wind", "levee", "flood", "the", "of"]
+        truncated = ties = 0
+        for _case in range(60):
+            texts = [
+                " ".join(words[int(rng.integers(0, len(words)))] for _ in range(int(rng.integers(1, 30))))
+                for _ in range(int(rng.integers(2, 30)))
+            ]
+            texts += [texts[int(rng.integers(0, len(texts)))] for _ in range(int(rng.integers(1, 4)))]
+            ids = [f"d{n}" for n in rng.permutation(len(texts)).tolist()]
+            doc_texts = dict(zip(ids, texts))
+            ix = bm25_build(Corpus([Document(id=d, text=t) for d, t in doc_texts.items()]))
+            query_words = [words[int(rng.integers(0, len(words)))] for _ in range(int(rng.integers(1, 5)))]
+            query = " ".join(query_words + query_words[:1] + ["tornado"])
+            tokens = tokenize(query)
+            candidates = {d for d, t in doc_texts.items() if set(tokens) & set(tokenize(t))}
+            ranking = sorted(
+                ((d, s) for d, s in brute_bm25_all(doc_texts, query).items() if d in candidates),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            k = int(rng.integers(1, len(candidates))) if len(candidates) > 1 else 1
+            got = bm25_retrieve(ix, query, k=k)
+            assert [d for d, _s in got] == [d for d, _s in ranking[:k]]
+            ties += any(ranking[i][1] == ranking[i + 1][1] for i in range(k))
+            for doc_id, score in got:
+                assert score == bm25_score(ix, tokens, doc_id)
+            truncated += k < len(candidates)
+        assert truncated >= 50 and ties >= 10

@@ -122,8 +122,10 @@ def _as_str(value: object, line_no: int, key: str) -> str:
 def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file.
 
-    Raises MissingField / DuplicateId / EmptyText on the first bad
-    record; the order of documents matches the file.
+    Raises MissingField / MalformedRecord / EmptyText / DuplicateId on
+    the first bad record; the order of documents matches the file. A
+    blank text is rejected by :class:`Document` itself, which splits
+    the text once for its word count.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -132,13 +134,12 @@ def load_corpus(path: str | Path) -> Corpus:
         if not doc_id:
             raise MissingField(line_no, "id")
         text = _as_str(_require(obj, "text", line_no), line_no, "text")
-        if not text.split():
-            raise EmptyText(doc_id)
         title = _as_str(obj.get("title", ""), line_no, "title")
+        doc = Document(id=doc_id, text=text, title=title)
         if doc_id in seen:
             raise DuplicateId(doc_id)
         seen.add(doc_id)
-        documents.append(Document(id=doc_id, text=text, title=title))
+        documents.append(doc)
     return Corpus(documents)
 
 

@@ -20,7 +20,7 @@ import string
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .corpus import Corpus, Document, _as_str, _iter_records, _require
 from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
@@ -150,16 +150,20 @@ class Gazetteer:
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
     ``tables`` holds one matcher table per non-empty dimension, in sorted
-    dimension order; it is derived from ``entries`` once, on
-    construction, and shared by every document extracted.
+    dimension order, and ``first_tokens`` is the union of their keys:
+    the tokens at which some phrase of some dimension can start. Both
+    are derived from ``entries`` once, on construction, and shared by
+    every document extracted.
     """
 
     entries: dict[Dimension, frozenset[str]]
     tables: dict[Dimension, PhraseTable] = field(init=False, repr=False, compare=False)
+    first_tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tables = {dim: _phrase_table(self.entries[dim]) for dim in sorted(self.entries) if self.entries[dim]}
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "first_tokens", frozenset().union(*tables.values()))
 
     @classmethod
     def from_phrases(
@@ -184,16 +188,23 @@ class Gazetteer:
 
 
 def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazetteer:
-    """Read a line-delimited gazetteer file with keys ``dim`` and ``phrase``."""
-    raw: dict[Dimension, list[str]] = {}
+    """Read a line-delimited gazetteer file with keys ``dim`` and ``phrase``.
+
+    Each phrase is normalized once, where a failure can name its line;
+    the dimensions are checked after the whole file has parsed.
+    """
+    keys: dict[Dimension, set[str]] = {}
     for line_no, obj in _iter_records(path):
         dim = _as_str(_require(obj, "dim", line_no), line_no, "dim")
         phrase = _as_str(_require(obj, "phrase", line_no), line_no, "phrase")
         try:
-            raw.setdefault(dim, []).append(_gazetteer_key(phrase))
+            keys.setdefault(dim, set()).add(_gazetteer_key(phrase))
         except ValueError as exc:
             raise MalformedRecord(line_no, str(exc)) from None
-    return Gazetteer.from_phrases(raw, extensions)
+    extensions = set(extensions)
+    for dim in keys:
+        ensure_dimension(dim, extensions)
+    return Gazetteer(entries={dim: frozenset(dim_keys) for dim, dim_keys in keys.items()})
 
 
 def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
@@ -209,27 +220,34 @@ def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
     return {first: tuple(sorted(cands, key=lambda t: (-len(t), t))) for first, cands in table.items()}
 
 
-def match_phrases(tokens: list[str], table: PhraseTable) -> list[tuple[int, tuple[str, ...]]]:
+def phrase_starts(tokens: list[str], first_tokens: Container[str]) -> list[int]:
+    """Ascending positions of the tokens that can start a phrase."""
+    return [i for i, tok in enumerate(tokens) if tok in first_tokens]
+
+
+def match_phrases(
+    tokens: list[str], starts: Iterable[int], table: PhraseTable
+) -> list[tuple[int, tuple[str, ...]]]:
     """Longest-match-wins, non-overlapping scan of a token sequence.
 
-    At each position the longest phrase starting there is claimed and
-    the scan skips past it; unmatched tokens advance one step. Returns
-    (start position, phrase tokens) pairs in scan order.
+    Left to right, the longest phrase starting at a position is claimed
+    and the scan resumes past its end. Only the positions in ``starts``
+    are tried: they must ascend and include every position whose token
+    is a key of ``table`` (any superset, such as :func:`phrase_starts`
+    over a union of tables, gives the same hits), since no phrase begins
+    anywhere else. Returns (start position, phrase tokens) pairs in scan
+    order.
     """
     hits: list[tuple[int, tuple[str, ...]]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        matched = None
+    end = 0
+    for i in starts:
+        if i < end:
+            continue
         for cand in table.get(tokens[i], ()):
             if tuple(tokens[i : i + len(cand)]) == cand:
-                matched = cand
+                hits.append((i, cand))
+                end = i + len(cand)
                 break
-        if matched is None:
-            i += 1
-        else:
-            hits.append((i, matched))
-            i += len(matched)
     return hits
 
 
@@ -241,13 +259,17 @@ def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
     dimension never overlap. The occurrence count of a label is its
     number of matches. Phrases from different dimensions may overlap
     freely (each dimension scans independently). The per-dimension
-    tables are the gazetteer's own, built once per gazetteer, so a
-    document costs a scan of its tokens and nothing per phrase.
+    tables are the gazetteer's own, built once per gazetteer. A document
+    costs one tokenize and one pass for the positions whose token starts
+    some phrase (``first_tokens``); each dimension then visits only
+    those positions, so text in which no phrase can start costs no more
+    than that.
     """
     tokens = tokenize(doc.text)
     labels = DocLabels(doc_id=doc.id)
+    starts = phrase_starts(tokens, gazetteer.first_tokens)
     for dim, table in gazetteer.tables.items():
-        for _pos, phrase_tokens in match_phrases(tokens, table):
+        for _pos, phrase_tokens in match_phrases(tokens, starts, table):
             labels.add(dim, " ".join(phrase_tokens))
     return labels
 
@@ -266,10 +288,13 @@ def load_precomputed_labels(
     """Ingest a label file produced by an external extractor.
 
     Records carry ``doc_id``, ``dim``, ``label`` and ``count``. Label
-    strings are normalized on ingest; repeated (doc, dim, label) records
-    merge additively, and passing ``into`` merges across files.
+    strings are normalized on ingest, each distinct spelling once per
+    file, so records spelling a label alike share one key string;
+    repeated (doc, dim, label) records merge additively, and passing
+    ``into`` merges across files.
     """
     result: dict[str, DocLabels] = into if into is not None else {}
+    keys: dict[str, str] = {}
     for line_no, obj in _iter_records(path):
         doc_id = _as_str(_require(obj, "doc_id", line_no), line_no, "doc_id")
         if doc_id not in corpus:
@@ -281,9 +306,11 @@ def load_precomputed_labels(
             raise NonPositiveCount(f"line {line_no}: count {count!r} is not an integer")
         if count < 1:
             raise NonPositiveCount(f"line {line_no}: ({dim}, {surface!r}) -> {count}")
-        key = normalize_label(surface)
-        if not key:
-            raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
+        key = keys.get(surface)
+        if key is None:
+            key = keys[surface] = normalize_label(surface)
+            if not key:
+                raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
         result.setdefault(doc_id, DocLabels(doc_id=doc_id)).add(dim, key, count)
     return result
 

@@ -27,7 +27,7 @@ from .corpus import _as_str, _iter_records, _require
 from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
-from .labeling import Dimension, match_phrases, normalize_label, tokenize
+from .labeling import Dimension, match_phrases, normalize_label, phrase_starts, tokenize
 
 DEFAULT_K = 3
 
@@ -206,7 +206,8 @@ def decompose_query(
     tokens = tokenize(query)
     ordered: list[tuple[tuple, QueryComponent]] = []
     consumed = [False] * len(tokens)
-    for pos, phrase_tokens in match_phrases(tokens, ix.phrase_table):
+    starts = phrase_starts(tokens, ix.phrase_table)
+    for pos, phrase_tokens in match_phrases(tokens, starts, ix.phrase_table):
         key = " ".join(phrase_tokens)
         for span in range(pos, pos + len(phrase_tokens)):
             consumed[span] = True

@@ -163,6 +163,29 @@ def substring_occurrences(phrase_tokens: list[str], text_tokens: list[str]) -> i
     return sum(1 for i in range(n - m + 1) if text_tokens[i : i + m] == phrase_tokens)
 
 
+def brute_longest_match(tokens: list[str], phrases) -> list[tuple[int, str]]:
+    """Longest-match-wins, non-overlapping scan with no table.
+
+    Every position is tried against every phrase; the longest one that
+    matches there is claimed and the scan skips past it. Returns
+    (start position, phrase) pairs in scan order.
+    """
+    hits = []
+    i = 0
+    while i < len(tokens):
+        best = None
+        for phrase in phrases:
+            words = phrase.split()
+            if tokens[i : i + len(words)] == words and (best is None or len(words) > len(best.split())):
+                best = phrase
+        if best is None:
+            i += 1
+        else:
+            hits.append((i, best))
+            i += len(best.split())
+    return hits
+
+
 def brute_bm25_all(
     doc_texts: dict[str, str],
     query: str,

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import HURRICANE_MINI, count_table_builds, write_jsonl
-from oracles import substring_occurrences
+from oracles import brute_longest_match, substring_occurrences
 from hyperrag import (
     DocLabels,
     Document,
     Gazetteer,
+    MalformedRecord,
     NonPositiveCount,
     UnknownDimension,
     UnknownDocId,
@@ -21,6 +22,7 @@ from hyperrag import (
     normalize_label,
     write_labels,
 )
+from hyperrag import labeling
 from hyperrag.labeling import load_gazetteer, tokenize
 
 
@@ -152,6 +154,32 @@ class TestGazetteerExtract:
             count = labels.counts.get(("THEME", phrase), 0)
             assert count <= substring_occurrences(phrase.split(), text_tokens)
 
+    @given(
+        st.lists(st.sampled_from(["aa", "Bb", "cc.", "dd", "ee"]), min_size=0, max_size=40),
+        st.dictionaries(
+            st.sampled_from(["LOCATION", "EVENT", "THEME"]),
+            st.lists(
+                st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=1, max_size=4),
+                max_size=6,
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_brute_longest_match(self, words, phrase_lists):
+        # Small shared alphabets make repeated tokens, phrases that are
+        # prefixes of others, and first tokens shared across dimensions.
+        doc = Document(id="d", text=" ".join(["zz", *words]))
+        gaz = Gazetteer.from_phrases(
+            {dim: {" ".join(toks) for toks in lists} for dim, lists in phrase_lists.items()}
+        )
+        tokens = tokenize(doc.text)
+        expected = {}
+        for dim in sorted(gaz.entries):
+            for _pos, phrase in brute_longest_match(tokens, gaz.entries[dim]):
+                expected[(dim, phrase)] = expected.get((dim, phrase), 0) + 1
+        assert gazetteer_extract(doc, gaz).counts == expected
+
 
 class TestGazetteerType:
     def test_phrases_normalized_and_validated(self):
@@ -247,6 +275,28 @@ class TestPrecomputedLabels:
         labels = load_precomputed_labels(path, hurricane_corpus, extensions=["HAZARD"])
         assert labels["565"].counts == {("HAZARD", "breach"): 1}
 
+    def test_each_spelling_normalized_once(self, hurricane_corpus, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(surface):
+            calls.append(surface)
+            return normalize_label(surface)
+
+        monkeypatch.setattr(labeling, "normalize_label", counted)
+        records = [{"doc_id": "565", "dim": "THEME", "label": "Rain", "count": 1}] * 1000
+        records += [
+            {"doc_id": "246", "dim": "LOCATION", "label": "Florida ", "count": 2},
+            {"doc_id": "246", "dim": "LOCATION", "label": "florida", "count": 3},
+        ]
+        labels = load_precomputed_labels(write_jsonl(tmp_path / "labels.jsonl", records), hurricane_corpus)
+        assert sorted(calls) == ["Florida ", "Rain", "florida"]
+        assert labels["565"].counts == {("THEME", "rain"): 1000}
+        assert labels["246"].counts == {("LOCATION", "florida"): 5}
+
+        records.append({"doc_id": "565", "dim": "THEME", "label": "?!", "count": 1})
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_precomputed_labels(write_jsonl(tmp_path / "bad.jsonl", records), hurricane_corpus)
+        assert excinfo.value.line_no == len(records)
 
 class TestDocLabels:
     def test_rejects_nonpositive(self):

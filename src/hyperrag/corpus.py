@@ -79,10 +79,23 @@ class QueryRecord:
     gold_doc_ids: tuple[str, ...] | None = None
 
 
+# One decoder for every record: ``raw_decode`` skips the two regex
+# whitespace scans ``json.loads`` makes around it; the checks those scans
+# and ``loads`` make are done in ``_iter_records`` with the same messages.
+_raw_decode = json.JSONDecoder().raw_decode
+
+# JSON's whitespace, less "\n", which separates records.
+_JSON_SPACE = " \t\r"
+
+
 def _iter_records(path: str | Path):
     """Yield (line_no, parsed object) for each non-blank line.
 
-    Invalid UTF-8 is a MalformedRecord naming the line that holds it.
+    Records are separated by ``"\n"`` alone, so any other character may
+    appear inside a JSON string, and ``"\r\n"`` works because ``"\r"`` is
+    JSON whitespace. Each line is accepted or refused exactly as
+    ``json.loads`` would, with its message. Invalid UTF-8 is a
+    MalformedRecord naming the line that holds it.
     """
     try:
         raw = Path(path).read_bytes()
@@ -93,11 +106,17 @@ def _iter_records(path: str | Path):
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise MalformedRecord(line_no, f"invalid UTF-8 at byte {exc.start}") from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line or line.isspace():
             continue
         try:
-            obj = json.loads(line)
+            if line[0] == "\ufeff":
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            if end != len(line):
+                end = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
         if not isinstance(obj, dict):
@@ -119,6 +138,16 @@ def _as_str(value: object, line_no: int, key: str) -> str:
     raise MalformedRecord(line_no, f"{key} must be a string")
 
 
+def _str_field(obj: dict, key: str, line_no: int) -> str:
+    """The required field ``key`` as a string (an integer is spelled out)."""
+    value = obj.get(key)
+    if type(value) is str:
+        return value
+    if value is None:
+        raise MissingField(line_no, key)
+    return _as_str(value, line_no, key)
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file.
 
@@ -130,10 +159,10 @@ def load_corpus(path: str | Path) -> Corpus:
     documents: list[Document] = []
     seen: set[str] = set()
     for line_no, obj in _iter_records(path):
-        doc_id = _as_str(_require(obj, "id", line_no), line_no, "id")
+        doc_id = _str_field(obj, "id", line_no)
         if not doc_id:
             raise MissingField(line_no, "id")
-        text = _as_str(_require(obj, "text", line_no), line_no, "text")
+        text = _str_field(obj, "text", line_no)
         title = _as_str(obj.get("title", ""), line_no, "title")
         doc = Document(id=doc_id, text=text, title=title)
         if doc_id in seen:
@@ -148,8 +177,8 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
     records: list[QueryRecord] = []
     seen: set[str] = set()
     for line_no, obj in _iter_records(path):
-        qid = _as_str(_require(obj, "id", line_no), line_no, "id")
-        question = _as_str(_require(obj, "question", line_no), line_no, "question")
+        qid = _str_field(obj, "id", line_no)
+        question = _str_field(obj, "question", line_no)
         if not question.strip():
             raise MissingField(line_no, "question")
         if qid in seen:

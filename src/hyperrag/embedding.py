@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .corpus import _as_str, _iter_records, _require
+from .corpus import _iter_records, _require, _str_field
 from .errors import DimMismatch, EncoderMismatch, MalformedRecord, MissingKey, UnencodableText
 from .labeling import Dimension, normalize_label
 
@@ -214,7 +214,7 @@ def load_precomputed_vectors(
     """
     vectors: dict[str, np.ndarray] = {}
     for line_no, obj in _iter_records(path):
-        key = normalize_label(_as_str(_require(obj, "key", line_no), line_no, "key"))
+        key = normalize_label(_str_field(obj, "key", line_no))
         declared = obj.get("dim", dim)
         values = _require(obj, "values", line_no)
         if not isinstance(values, list):

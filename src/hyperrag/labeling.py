@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Iterable, Mapping
 
-from .corpus import Corpus, Document, _as_str, _iter_records, _require
+from .corpus import Corpus, Document, _iter_records, _str_field
 from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
 
 Dimension = str
@@ -47,9 +47,13 @@ PhraseTable = dict[str, tuple[tuple[str, ...], ...]]
 _TOKEN_STRIP = string.punctuation + "“”‘’‚„«»‹›…–—"
 
 
-def ensure_dimension(name: str, extensions: Iterable[str] = ()) -> Dimension:
-    """Validate a dimension name against the canonical set plus declared extensions."""
-    if name in CANONICAL_DIMENSIONS or name in set(extensions):
+def ensure_dimension(name: str, extensions: Container[str] = ()) -> Dimension:
+    """Validate a dimension name against the canonical set plus declared extensions.
+
+    ``extensions`` is tested with ``in`` on every call, so a caller that
+    checks many names passes a set, built once.
+    """
+    if name in CANONICAL_DIMENSIONS or name in extensions:
         return name
     raise UnknownDimension(name)
 
@@ -171,6 +175,7 @@ class Gazetteer:
         entries: Mapping[Dimension, Iterable[str]],
         extensions: Iterable[str] = (),
     ) -> "Gazetteer":
+        extensions = set(extensions)
         normalized: dict[Dimension, frozenset[str]] = {}
         for dim, phrases in entries.items():
             ensure_dimension(dim, extensions)
@@ -195,8 +200,8 @@ def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazettee
     """
     keys: dict[Dimension, set[str]] = {}
     for line_no, obj in _iter_records(path):
-        dim = _as_str(_require(obj, "dim", line_no), line_no, "dim")
-        phrase = _as_str(_require(obj, "phrase", line_no), line_no, "phrase")
+        dim = _str_field(obj, "dim", line_no)
+        phrase = _str_field(obj, "phrase", line_no)
         try:
             keys.setdefault(dim, set()).add(_gazetteer_key(phrase))
         except ValueError as exc:
@@ -295,12 +300,14 @@ def load_precomputed_labels(
     """
     result: dict[str, DocLabels] = into if into is not None else {}
     keys: dict[str, str] = {}
+    ids = corpus.id_index
+    extensions = set(extensions)
     for line_no, obj in _iter_records(path):
-        doc_id = _as_str(_require(obj, "doc_id", line_no), line_no, "doc_id")
-        if doc_id not in corpus:
+        doc_id = _str_field(obj, "doc_id", line_no)
+        if doc_id not in ids:
             raise UnknownDocId(doc_id)
-        dim = ensure_dimension(_as_str(_require(obj, "dim", line_no), line_no, "dim"), extensions)
-        surface = _as_str(_require(obj, "label", line_no), line_no, "label")
+        dim = ensure_dimension(_str_field(obj, "dim", line_no), extensions)
+        surface = _str_field(obj, "label", line_no)
         count = obj.get("count", 1)
         if not isinstance(count, int) or isinstance(count, bool):
             raise NonPositiveCount(f"line {line_no}: count {count!r} is not an integer")
@@ -311,7 +318,10 @@ def load_precomputed_labels(
             key = keys[surface] = normalize_label(surface)
             if not key:
                 raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
-        result.setdefault(doc_id, DocLabels(doc_id=doc_id)).add(dim, key, count)
+        labels = result.get(doc_id)
+        if labels is None:
+            labels = result[doc_id] = DocLabels(doc_id=doc_id)
+        labels.add(dim, key, count)
     return result
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import _as_str, _iter_records, _require
+from .corpus import _as_str, _iter_records, _require, _str_field
 from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
@@ -146,8 +146,8 @@ class ExternalDecompositions:
                 raise MalformedRecord(line_no, "components must be an array of objects")
             comps = [
                 (
-                    _as_str(_require(entry, "dim", line_no), line_no, "dim"),
-                    _as_str(_require(entry, "text", line_no), line_no, "text"),
+                    _str_field(entry, "dim", line_no),
+                    _str_field(entry, "text", line_no),
                 )
                 for entry in raw
             ]

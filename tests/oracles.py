@@ -7,10 +7,11 @@ evaluation. Property tests compare library output against these.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
-from hyperrag import DocLabels, MatchEvidence, ScoredDoc
+from hyperrag import DocLabels, MalformedRecord, MatchEvidence, ScoredDoc
 from hyperrag.labeling import tokenize
 
 
@@ -222,3 +223,22 @@ def brute_bm25_score(
     b: float = 0.75,
 ) -> float:
     return brute_bm25_all(doc_texts, query, k1, b)[doc_id]
+
+
+def json_lines_records(text: str):
+    """(line_no, object) per non-blank line of a JSON Lines text, by ``json.loads``.
+
+    Lines are split on ``"\n"`` alone. A line that ``json.loads`` refuses,
+    or whose value is not an object, raises MalformedRecord with its line
+    number and the decoder's message.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_no, str(exc)) from None
+        if not isinstance(obj, dict):
+            raise MalformedRecord(line_no, "record must be an object")
+        yield line_no, obj

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import DOC_246, DOC_535, DOC_565, write_jsonl
+from oracles import json_lines_records
 from hyperrag import (
     Corpus,
     Document,
@@ -14,6 +19,7 @@ from hyperrag import (
     load_corpus,
     load_queries,
 )
+from hyperrag.corpus import _iter_records
 
 
 def corpus_file(tmp_path, records):
@@ -84,6 +90,32 @@ class TestLoadCorpus:
             load_corpus(path)
         assert excinfo.value.line_no == 2
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_line_breaking_characters_inside_strings(self, tmp_path, char):
+        # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a record.
+        records = [
+            {"id": "a", "text": f"rain{char}fall in miami"},
+            {"id": "b", "title": f"t{char}", "text": f"{char}surge{char}"},
+        ]
+        corpus = load_corpus(corpus_file(tmp_path, records))
+        assert [(d.id, d.title, d.text) for d in corpus] == [
+            ("a", "", f"rain{char}fall in miami"),
+            ("b", f"t{char}", f"{char}surge{char}"),
+        ]
+
+    def test_crlf_file_with_blank_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "x y"}\r\n\r\n{"id": "b", "text": "z"}\r\n')
+        assert [(d.id, d.text) for d in load_corpus(path)] == [("a", "x y"), ("b", "z")]
+
+    def test_lone_cr_does_not_separate_records(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "x"}\r{"id": "b", "text": "z"}\n')
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_no == 1
+        assert "Extra data" in str(excinfo.value)
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             load_corpus(tmp_path / "nope.jsonl")
@@ -106,6 +138,67 @@ class TestLoadCorpus:
             doc = Document(id="d", text=text)
             assert doc.word_count == len(text.split())
             assert doc.word_count >= 1
+
+
+def _drain(records) -> tuple[str, tuple[int, str] | None]:
+    """The records read before any MalformedRecord (as a repr, so NaN
+    compares equal to itself), and that error's line number and text."""
+    out = []
+    try:
+        for record in records:
+            out.append(record)
+    except MalformedRecord as exc:
+        return repr(out), (exc.line_no, str(exc))
+    return repr(out), None
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+# Characters that JSON, the line splitter or str.isspace treat specially, and any other.
+_TEXT = st.text(
+    st.sampled_from('ab \t\r"\\{}\u2028\u2029\u0085\u00a0\x0c\ufeff') | st.characters(codec="utf-8")
+)
+
+
+@st.composite
+def _body(draw) -> str:
+    """One line's content: a record, a non-object, truncated JSON or text."""
+    kind = draw(st.sampled_from(["object", "value", "truncated", "text", "blank"]))
+    if kind == "blank":
+        return ""
+    if kind == "text":
+        return draw(_TEXT)
+    if kind == "value":
+        value = draw(_JSON_VALUES)
+    else:
+        value = draw(st.dictionaries(_TEXT, _JSON_VALUES, max_size=4))
+    dumped = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    if kind == "truncated":
+        dumped = dumped[: draw(st.integers(0, max(0, len(dumped) - 1)))]
+    return dumped
+
+
+# Put before and after a line's content: JSON whitespace, other whitespace, a BOM, garbage.
+_EDGE = st.sampled_from(
+    ["", " ", "\t", "\r", " \t\r ", "\u00a0", "\x0c", "\ufeff", "\u2028", "x", "}", " 1", "{}"]
+)
+_LINE = st.builds(lambda head, body, tail: head + body + tail, _EDGE, _body(), _EDGE)
+
+
+class TestRecordDecoder:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(lines=st.lists(_LINE, max_size=5), final_newline=st.booleans())
+    def test_matches_json_loads_per_line(self, tmp_path, lines, final_newline):
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert _drain(_iter_records(path)) == _drain(json_lines_records(text))
 
 
 class TestCorpusType:

@@ -214,6 +214,20 @@ class TestGazetteerType:
         assert gaz.entries["THEME"] == frozenset({"rain"})
         assert gaz.entries["LOCATION"] == frozenset({"melbourne beach"})
 
+    def test_extensions_from_a_generator(self):
+        gaz = Gazetteer.from_phrases(
+            {"HAZARD": ["x y"], "SECTOR": ["y z"]}, extensions=(d for d in ["HAZARD", "SECTOR"])
+        )
+        assert gaz.entries == {"HAZARD": frozenset({"x y"}), "SECTOR": frozenset({"y z"})}
+
+    def test_load_gazetteer_extensions_from_a_generator(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "gaz.jsonl",
+            [{"dim": "HAZARD", "phrase": "x y"}, {"dim": "SECTOR", "phrase": "y z"}],
+        )
+        gaz = load_gazetteer(path, extensions=(d for d in ["HAZARD", "SECTOR"]))
+        assert gaz.entries == {"HAZARD": frozenset({"x y"}), "SECTOR": frozenset({"y z"})}
+
 
 class TestPrecomputedLabels:
     def test_ingest_normalizes(self, hurricane_corpus, tmp_path):
@@ -274,6 +288,19 @@ class TestPrecomputedLabels:
             load_precomputed_labels(path, hurricane_corpus)
         labels = load_precomputed_labels(path, hurricane_corpus, extensions=["HAZARD"])
         assert labels["565"].counts == {("HAZARD", "breach"): 1}
+
+    def test_extensions_from_a_generator(self, hurricane_corpus, tmp_path):
+        path = write_jsonl(
+            tmp_path / "labels.jsonl",
+            [
+                {"doc_id": "565", "dim": "HAZARD", "label": "breach", "count": 1},
+                {"doc_id": "565", "dim": "SECTOR", "label": "ports", "count": 2},
+            ],
+        )
+        labels = load_precomputed_labels(
+            path, hurricane_corpus, extensions=(d for d in ["HAZARD", "SECTOR"])
+        )
+        assert labels["565"].counts == {("HAZARD", "breach"): 1, ("SECTOR", "ports"): 2}
 
     def test_each_spelling_normalized_once(self, hurricane_corpus, tmp_path, monkeypatch):
         calls = []

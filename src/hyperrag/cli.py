@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bm25 import DEFAULT_B, DEFAULT_K1
 from .corpus import load_corpus, load_queries
 from .embedding import (
     DEFAULT_EMBED_DIM,
@@ -26,7 +25,7 @@ from .embedding import (
 )
 from .errors import HyperRagError, IoFailure
 from .evaluation import bench_latency, eval_recall, write_bench_csv
-from .hypercube import CellAddress, build_index, cell_documents, load_index, lookup, save_index
+from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
     CANONICAL_DIMENSIONS,
     extract_all,
@@ -160,12 +159,8 @@ def _cmd_bench(args) -> int:
         raise _usage(f"--reps must be >= 1, got {args.reps}")
     if args.noise < 0:
         raise _usage(f"--noise must be >= 0, got {args.noise}")
-    if not 0.0 <= args.k1 < float("inf"):
-        raise _usage(f"--k1 must be a finite number >= 0, got {args.k1}")
-    if not 0.0 <= args.b <= 1.0:
-        raise _usage(f"--b must lie in [0, 1], got {args.b}")
     try:
-        seed = int(os.environ.get("HYPERRAG_SEED", args.seed))
+        seed = int(os.environ.get("HYPERRAG_SEED", 0))
     except ValueError:
         raise _usage(f"HYPERRAG_SEED must be an integer, got {os.environ['HYPERRAG_SEED']!r}")
     try:
@@ -193,8 +188,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         encoder=encoder,
         seed=seed,
-        k1=args.k1,
-        b=args.b,
     )
     if args.out:
         write_bench_csv(rows, args.out)
@@ -237,7 +230,7 @@ def _cmd_inspect(args) -> int:
             dim, label = part.split("=", 1)
             _check_dimension(ix, dim)
             coords[dim] = normalize_label(label)
-        docs = cell_documents(ix, CellAddress(coords))
+        docs = cell_documents(ix, coords)
         _emit(json.dumps(docs) if args.json else "\n".join(docs) if docs else "(empty)", args.out)
         return EXIT_OK
     # Default: per-dimension vocabulary summary.
@@ -293,10 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--fractions", default="0.125,0.25,0.5,1")
     p_bench.add_argument("--noise", type=int, default=0)
     p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--k", type=int, default=DEFAULT_K)
-    p_bench.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p_bench.add_argument("--b", type=float, default=DEFAULT_B)
     p_bench.add_argument("--baseline", choices=["bm25", "none"], default="bm25")
     p_bench.add_argument("--out")
     _add_encoder_flags(p_bench)

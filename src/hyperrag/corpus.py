@@ -21,22 +21,19 @@ from .errors import DuplicateId, EmptyText, IoFailure, MalformedRecord, MissingF
 class Document:
     """One corpus text; the unit of retrieval.
 
-    ``word_count`` is derived from ``text`` (whitespace tokens) and is
-    never read from the file.
+    The id must be non-empty and the text must hold a non-whitespace
+    character.
     """
 
     id: str
     text: str
     title: str = ""
-    word_count: int = field(init=False, compare=True, default=0)
 
     def __post_init__(self):
         if not self.id:
             raise MalformedRecord(0, "document id must be non-empty")
-        words = self.text.split()
-        if not words:
+        if not self.text or self.text.isspace():
             raise EmptyText(self.id)
-        object.__setattr__(self, "word_count", len(words))
 
 
 @dataclass
@@ -153,8 +150,7 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Raises MissingField / MalformedRecord / EmptyText / DuplicateId on
     the first bad record; the order of documents matches the file. A
-    blank text is rejected by :class:`Document` itself, which splits
-    the text once for its word count.
+    blank text is rejected by :class:`Document` itself.
     """
     documents: list[Document] = []
     seen: set[str] = set()

@@ -98,13 +98,6 @@ class PrecomputedVectorEncoder:
             raise MissingKey(key) from None
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of unit vectors, clamped to [-1, 1]."""
-    if a.shape != b.shape:
-        raise DimMismatch(int(a.shape[0]), int(b.shape[0]))
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
 @dataclass
 class LabelVectors:
     """The encoder an index was built with, and the vector tables derived with it.

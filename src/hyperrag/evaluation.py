@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bm25 import DEFAULT_B, DEFAULT_K1, bm25_build, bm25_retrieve
+from .bm25 import bm25_build, bm25_retrieve
 from .corpus import Corpus, Document, QueryRecord
 from .embedding import DEFAULT_TAU, Encoder
 from .errors import IoFailure, MissingGold
@@ -250,8 +250,6 @@ def bench_latency(
     k: int = DEFAULT_K,
     encoder: Encoder | None = None,
     seed: int = 0,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
 ) -> list[BenchRow]:
     """Latency table across corpus fractions, optionally plus a noise row.
 
@@ -292,7 +290,7 @@ def bench_latency(
                     return retrieve(question, _ix, encoder, tau=tau, k=k)
 
             elif engine == "bm25":
-                bix = bm25_build(sub, k1=k1, b=b)
+                bix = bm25_build(sub)
 
                 def run_query(question: str, _bix=bix) -> object:
                     return bm25_retrieve(_bix, question, k=k)

@@ -18,7 +18,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,15 @@ from .errors import (
     NonPositiveCount,
     UnknownDocId,
 )
-from .labeling import CANONICAL_DIMENSIONS, DocLabels, Dimension, PhraseTable, _all_normalized, _phrase_table
+from .labeling import (
+    CANONICAL_DIMENSIONS,
+    DocLabels,
+    Dimension,
+    PhraseTable,
+    _all_normalized,
+    _phrase_table,
+    normalize_label,
+)
 
 _MAGIC = b"HRIX"
 _FORMAT_VERSION = 5
@@ -117,17 +125,6 @@ def _freeze_runs(
     )
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """One coordinate per participating dimension; addresses one cube cell."""
-
-    coords: Mapping[Dimension, str]
-
-    def __post_init__(self):
-        if not self.coords:
-            raise ValueError("cell address needs at least one coordinate")
-
-
 @dataclass
 class HypercubeIndex:
     """The document-to-label assignment, each fact held once.
@@ -138,11 +135,12 @@ class HypercubeIndex:
     :class:`Postings` of ordinals and counts, the only place a count is
     held. Labels are held by their normalized keys only.
 
-    ``vocab[dim]`` (the key set of ``inverted[dim]``), ``phrase_dims`` (key
-    -> sorted dimensions carrying it) and ``phrase_table`` (the
-    first-token table over every key) are derived from ``inverted`` once
-    per index, in ``__post_init__``, which both :func:`build_index` and
-    :func:`load_index` pass through; they are never saved.
+    ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
+    copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
+    ``phrase_table`` (the first-token table over every key) are derived
+    from ``inverted`` once per index, in ``__post_init__``, which both
+    :func:`build_index` and :func:`load_index` pass through; none of the
+    three is saved.
     ``label_vectors`` names the build encoder and checksums each
     dimension's table; tables for an index built without one go to
     ``_vector_cache``, one :class:`LabelVectors` per query encoder.
@@ -155,12 +153,12 @@ class HypercubeIndex:
     _vector_cache: dict[tuple[str, int], LabelVectors] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    vocab: dict[Dimension, set[str]] = field(init=False, repr=False, compare=False)
+    vocab: dict[Dimension, KeysView[str]] = field(init=False, repr=False, compare=False)
     phrase_dims: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vocab = {dim: set(postings_by_key) for dim, postings_by_key in self.inverted.items()}
+        self.vocab = {dim: postings_by_key.keys() for dim, postings_by_key in self.inverted.items()}
         dims_by_key: dict[str, list[Dimension]] = {}
         for dim in self.dimensions:
             for key in self.vocab.get(dim, ()):
@@ -184,8 +182,10 @@ def build_index(
 ) -> HypercubeIndex:
     """Index a corpus under a label assignment.
 
-    Every labeled doc id must exist in the corpus, and no dimension may
-    be given twice. Documents without labels are listed in ``doc_ids``
+    Every labeled doc id must exist in the corpus, no dimension may be
+    given twice, and every label key must be non-empty and its own
+    :func:`normalize_label`, as :func:`load_index` demands of a saved
+    key. Documents without labels are listed in ``doc_ids``
     and appear in no posting list. Each label's count, from 1 to
     ``MAX_COUNT``, goes into its posting. Documents are visited in
     doc-id order, so every posting list comes out sorted. When an
@@ -227,9 +227,13 @@ def build_index(
             run[0].append(ordinal)
             run[1].append(count)
 
-    inverted = {
-        dim: _freeze_runs(doc_ids, runs_by_key, sorted(runs_by_key)) for dim, runs_by_key in runs.items()
-    }
+    inverted = {}
+    for dim, runs_by_key in runs.items():
+        keys = sorted(runs_by_key)
+        if not _all_normalized(keys):
+            key = next(key for key in keys if not key or normalize_label(key) != key)
+            raise ValueError(f"label key {key!r} in dimension {dim!r} is empty or not normalized")
+        inverted[dim] = _freeze_runs(doc_ids, runs_by_key, keys)
 
     ix = HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids)
     if encoder is not None:
@@ -248,14 +252,13 @@ def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> Postings:
     return ix.inverted.get(dim, {}).get(key, _NO_POSTINGS)
 
 
-def cell_documents(ix: HypercubeIndex, address: CellAddress | Mapping[Dimension, str]) -> list[str]:
-    """Documents occupying the cube cell at the given coordinates.
+def cell_documents(ix: HypercubeIndex, coords: Mapping[Dimension, str]) -> list[str]:
+    """Documents occupying the cube cell at the given coordinates, one key per dimension.
 
     The intersection of the coordinate posting lists' ordinals, as doc
     ids in sorted order; any coordinate with an empty posting list
     empties the cell.
     """
-    coords = address.coords if isinstance(address, CellAddress) else address
     if not coords:
         raise ValueError("cell address needs at least one coordinate")
     common = None

@@ -14,7 +14,6 @@ always means the same thing no matter where it came from.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 import unicodedata
@@ -324,18 +323,3 @@ def load_precomputed_labels(
         labels.add(dim, key, count)
     return result
 
-
-def write_labels(labels: Mapping[str, DocLabels], path: str | Path) -> None:
-    """Serialize a label map back to the line-delimited file format."""
-    lines = []
-    for doc_id in sorted(labels):
-        doc_labels = labels[doc_id]
-        for (dim, key) in sorted(doc_labels.counts):
-            lines.append(
-                json.dumps(
-                    {"doc_id": doc_id, "dim": dim, "label": key, "count": doc_labels.counts[(dim, key)]},
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -561,24 +561,6 @@ class TestBench:
         assert code == 1
         assert "HYPERRAG_SEED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k1", ["-1", "nan", "inf"])
-    def test_bad_k1_is_usage_error(self, fixture_files, tmp_path, k1, capsys):
-        code = main(
-            [
-                "bench",
-                "--corpus", str(fixture_files["corpus"]),
-                "--gazetteer", str(fixture_files["gazetteer"]),
-                "--queries", str(fixture_files["queries"]),
-                "--fractions", "1",
-                "--reps", "1",
-                "--k1", k1,
-                "--b", "0",
-                "--out", str(tmp_path / "bench.csv"),
-            ]
-        )
-        assert code == 1
-        assert "--k1" in capsys.readouterr().err
-
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", ["query", "eval", "inspect", "bench"])

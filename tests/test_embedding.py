@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_derivations, random_labeled_corpus, read_container, write_container, write_jsonl
-from oracles import brute_neighbors
+from oracles import brute_neighbors, py_cosine
 from hyperrag import (
     Corpus,
     DimMismatch,
@@ -17,7 +17,6 @@ from hyperrag import (
     TrigramEncoder,
     UnencodableText,
     build_index,
-    cosine,
     load_index,
     load_precomputed_vectors,
     retrieve,
@@ -43,7 +42,7 @@ class TestTrigramEncoder:
 
     def test_self_similarity(self, trigram):
         vec = trigram.encode("rain")
-        assert cosine(vec, trigram.encode("rain")) == pytest.approx(1.0, abs=1e-12)
+        assert py_cosine(vec, trigram.encode("rain")) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norm(self, trigram):
         for text in ["rain", "tropical storm fay", "melbourne beach"]:
@@ -53,7 +52,7 @@ class TestTrigramEncoder:
         # "rainfall" shares trigrams with "rain" and none with "tornado";
         # both sides computed fresh from the reference hasher.
         rainfall = trigram.encode("rainfall")
-        assert cosine(rainfall, trigram.encode("rain")) > cosine(
+        assert py_cosine(rainfall, trigram.encode("rain")) > py_cosine(
             rainfall, trigram.encode("tornado")
         )
 
@@ -71,28 +70,6 @@ class TestTrigramEncoder:
         assert enc.encode("storm").shape == (64,)
 
 
-class TestCosine:
-    def test_self_and_negation(self, trigram):
-        vec = trigram.encode("storm")
-        assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
-        assert cosine(vec, -vec) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_orthogonal_basis(self):
-        e1 = np.zeros(8)
-        e2 = np.zeros(8)
-        e1[0] = 1.0
-        e2[1] = 1.0
-        assert cosine(e1, e2) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            cosine(np.zeros(4), np.zeros(5))
-
-    def test_clamped(self):
-        vec = np.ones(3) / np.sqrt(3.0)
-        assert -1.0 <= cosine(vec, vec) <= 1.0
-
-
 class TestSemanticNeighbors:
     def test_rainfall_matches_rain(self, trigram):
         ix = index_over_vocab(["rain"])
@@ -101,7 +78,7 @@ class TestSemanticNeighbors:
         key, sim = hits[0]
         assert key == "rain"
         assert sim == pytest.approx(
-            cosine(trigram.encode("rainfall"), trigram.encode("rain")), abs=1e-12
+            py_cosine(trigram.encode("rainfall"), trigram.encode("rain")), abs=1e-12
         )
 
     def test_tau_one_without_exact_twin_is_empty(self, trigram):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import re
 import time
 import zlib
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from helpers import random_labeled_corpus, read_container, write_container
 from oracles import brute_cell, brute_score
 from hyperrag import (
-    CellAddress,
     ChecksumMismatch,
     Corpus,
     DocLabels,
@@ -31,12 +31,10 @@ from hyperrag import (
     load_index,
     lookup,
     normalize_label,
-    rank,
     save_index,
-    score_documents,
 )
 from hyperrag import hypercube as hypercube_mod
-from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence
+from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence, rank, score_documents
 
 
 class TestBuildIndex:
@@ -84,6 +82,17 @@ class TestBuildIndex:
         # which the loader rejects.
         with pytest.raises(ValueError, match="twice"):
             build_index(hurricane_corpus, {}, dimensions=dimensions)
+
+    @pytest.mark.parametrize("key", ["Rain.", "RAIN", " rain", "heavy  rain"])
+    def test_unnormalized_key_rejected(self, key):
+        # load_index refuses a key that is not its own normalize_label, and
+        # no query can reach one, so build_index refuses it before any save.
+        corpus = Corpus([Document(id="d1", text="rain ahead")])
+        labels = {"d1": DocLabels(doc_id="d1")}
+        labels["d1"].add("THEME", "rain")
+        labels["d1"].add("THEME", key)
+        with pytest.raises(ValueError, match=re.escape(f"{key!r} in dimension 'THEME'")):
+            build_index(corpus, labels)
 
     def test_posting_lists_sorted(self, hurricane_index):
         for postings_by_key in hurricane_index.inverted.values():
@@ -139,9 +148,7 @@ class TestLookup:
 
 class TestCellDocuments:
     def test_full_address(self, hurricane_index):
-        addr = CellAddress(
-            {"LOCATION": "melbourne beach", "EVENT": "tropical storm fay", "THEME": "rain"}
-        )
+        addr = {"LOCATION": "melbourne beach", "EVENT": "tropical storm fay", "THEME": "rain"}
         assert cell_documents(hurricane_index, addr) == ["565"]
 
     def test_single_coordinate_degenerates_to_lookup(self, hurricane_index):
@@ -160,8 +167,6 @@ class TestCellDocuments:
     def test_empty_address_rejected(self, hurricane_index):
         with pytest.raises(ValueError):
             cell_documents(hurricane_index, {})
-        with pytest.raises(ValueError):
-            CellAddress({})
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(11)

@@ -20,7 +20,6 @@ from hyperrag import (
     load_corpus,
     load_precomputed_labels,
     normalize_label,
-    write_labels,
 )
 from hyperrag import labeling
 from hyperrag.labeling import load_gazetteer, tokenize
@@ -330,16 +329,3 @@ class TestDocLabels:
         labels = DocLabels(doc_id="d")
         with pytest.raises(NonPositiveCount):
             labels.add("THEME", "rain", 0)
-
-
-class TestWriteLabels:
-    def test_round_trip(self, hurricane_corpus, hurricane_gazetteer, tmp_path):
-        from hyperrag import extract_all
-
-        labels = extract_all(hurricane_corpus, hurricane_gazetteer)
-        path = tmp_path / "labels.jsonl"
-        write_labels(labels, path)
-        reloaded = load_precomputed_labels(path, hurricane_corpus)
-        for doc_id, doc_labels in labels.items():
-            if doc_labels.counts:
-                assert reloaded[doc_id].counts == doc_labels.counts

@@ -15,7 +15,7 @@ from helpers import (
     random_labeled_corpus,
     write_jsonl,
 )
-from oracles import brute_retrieve, brute_score
+from oracles import brute_retrieve, brute_score, py_cosine
 from hyperrag import (
     Corpus,
     DocLabels,
@@ -26,20 +26,15 @@ from hyperrag import (
     TrigramEncoder,
     UnencodableText,
     build_index,
-    cosine,
-    decompose_query,
     extract_all,
     load_corpus,
     load_gazetteer,
     load_index,
     load_queries,
-    match_component,
     normalize_label,
-    rank,
     result_to_dict,
     retrieve,
     save_index,
-    score_documents,
 )
 from hyperrag import retrieval as retrieval_mod
 from hyperrag.retrieval import (
@@ -49,6 +44,10 @@ from hyperrag.retrieval import (
     MatchEvidence,
     ScoredDoc,
     Scores,
+    decompose_query,
+    match_component,
+    rank,
+    score_documents,
 )
 
 
@@ -181,7 +180,7 @@ class TestMatchComponent:
         assert match.kind == SEMANTIC
         assert match.matched_label == "rain"
         assert match.sim == pytest.approx(
-            cosine(trigram.encode("rainfall"), trigram.encode("rain")), abs=1e-12
+            py_cosine(trigram.encode("rainfall"), trigram.encode("rain")), abs=1e-12
         )
         assert match.sim >= FIXTURE_TAU
 

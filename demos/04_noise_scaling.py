@@ -36,7 +36,6 @@ rows = hr.bench_latency(
     corpus,
     gazetteer,
     queries,
-    engines=("hypercube", "bm25"),
     fractions=(1.0,),
     noise=NOISE_DOCS,
     repetitions=10,

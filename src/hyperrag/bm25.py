@@ -8,9 +8,10 @@ The index uses the label cube's postings layout. ``doc_ids`` is the
 sorted tuple of document ids and a document's position in it is its
 ordinal, so ordinal order is doc-id order. Each term's postings are a
 :class:`~hyperrag.hypercube.Postings` of int32 ordinals and term
-frequencies, sliced from one array pair for the whole vocabulary. Each
-document's length norm ``k1 * (1 - b + b * len / avglen)`` is computed
-once, at build.
+frequencies, sliced from one array pair for the whole vocabulary. The
+parameters are fixed at ``K1`` = 1.5 and ``B`` = 0.75. Each document's
+length norm ``K1 * (1 - B + B * len / avglen)`` is computed once, at
+build.
 
 A query is scored term at a time into one float64 accumulator with a
 slot per document: each query token, in order and with repeats, adds
@@ -36,8 +37,8 @@ from .errors import UnknownDocId
 from .hypercube import Postings, _freeze_runs, _frozen
 from .labeling import tokenize
 
-DEFAULT_K1 = 1.5
-DEFAULT_B = 0.75
+K1 = 1.5
+B = 0.75
 
 
 @dataclass(eq=False)
@@ -45,15 +46,13 @@ class Bm25Index:
     """Term postings over doc ordinals, plus one length norm per document.
 
     ``doc_len[o]`` is the token count of document ``doc_ids[o]``.
-    ``avg_doc_len`` and ``norm`` (``k1 * (1 - b + b * doc_len / avg_doc_len)``
+    ``avg_doc_len`` and ``norm`` (``K1 * (1 - B + B * doc_len / avg_doc_len)``
     per ordinal) are derived from it once, in ``__post_init__``.
     """
 
     doc_ids: tuple[str, ...]
     postings: dict[str, Postings]
     doc_len: np.ndarray
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
     avg_doc_len: float = field(init=False)
     norm: np.ndarray = field(init=False, repr=False)
 
@@ -62,7 +61,7 @@ class Bm25Index:
         if self.avg_doc_len > 0:
             # Elementwise, in the formula's own order: each norm is the float a
             # per-document evaluation gives, so scores stay bit-identical.
-            norm = self.k1 * (1.0 - self.b + self.b * self.doc_len / self.avg_doc_len)
+            norm = K1 * (1.0 - B + B * self.doc_len / self.avg_doc_len)
         else:
             # Every document is empty, so no posting exists to read a norm.
             norm = np.zeros(len(self.doc_len))
@@ -79,13 +78,10 @@ class Bm25Index:
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+def bm25_build(corpus: Corpus) -> Bm25Index:
+    """Index ``corpus`` for Okapi BM25 at ``K1`` = 1.5 and ``B`` = 0.75; an empty corpus raises ValueError."""
     if len(corpus) == 0:
         raise ValueError("cannot build BM25 over an empty corpus")
-    if not 0.0 <= k1 < math.inf:
-        raise ValueError(f"k1 must be a finite number >= 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
     doc_ids = tuple(sorted(doc.id for doc in corpus))
     doc_len = []
     # term -> (ordinals, counts), appended in ordinal order.
@@ -103,13 +99,13 @@ def bm25_build(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> 
             run[0].append(ordinal)
             run[1].append(tf)
     postings = _freeze_runs(doc_ids, runs, list(runs))
-    return Bm25Index(doc_ids=doc_ids, postings=postings, doc_len=_frozen(doc_len), k1=k1, b=b)
+    return Bm25Index(doc_ids=doc_ids, postings=postings, doc_len=_frozen(doc_len))
 
 
 def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
     """Okapi score of one document for the given tokens.
 
-    sum over terms of idf * tf*(k1+1) / (tf + k1*(1 - b + b*len/avglen));
+    sum over terms of idf * tf*(K1+1) / (tf + K1*(1 - B + B*len/avglen));
     terms absent from the document contribute zero. Each tf is found by
     binary search for the document's ordinal in the term's ordinals.
     """
@@ -125,7 +121,7 @@ def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
         at = int(np.searchsorted(postings.ordinals, ordinal))
         if at < len(postings) and postings.ordinals[at] == ordinal:
             tf = int(postings.counts[at])
-            score += ix.idf(term) * (tf * (ix.k1 + 1.0)) / (tf + norm)
+            score += ix.idf(term) * (tf * (K1 + 1.0)) / (tf + norm)
     return score
 
 
@@ -145,7 +141,7 @@ def bm25_retrieve(ix: Bm25Index, query: str, k: int = 3) -> list[tuple[str, floa
         if postings is None:
             continue
         ordinals, tf = postings.ordinals, postings.counts
-        acc[ordinals] += ix.idf(term) * (tf * (ix.k1 + 1.0)) / (tf + ix.norm[ordinals])
+        acc[ordinals] += ix.idf(term) * (tf * (K1 + 1.0)) / (tf + ix.norm[ordinals])
     candidates = np.flatnonzero(acc)
     scores = acc[candidates]
     top = candidates[np.lexsort((candidates, -scores))[:k]]

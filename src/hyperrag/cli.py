@@ -24,7 +24,7 @@ from .embedding import (
     load_precomputed_vectors,
 )
 from .errors import HyperRagError, IoFailure
-from .evaluation import bench_latency, eval_recall, write_bench_csv
+from .evaluation import bench_latency, eval_recall, format_bench_csv
 from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
     CANONICAL_DIMENSIONS,
@@ -50,33 +50,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--encoder",
-        default="trigram",
-        help="'trigram' or 'file:<vectors.jsonl>' (default: trigram)",
-    )
-    parser.add_argument("--embed-dim", type=int, default=DEFAULT_EMBED_DIM)
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
+def _add_encoder_flags(parser: argparse.ArgumentParser, *, dim: bool, tau: bool) -> None:
+    parser.add_argument("--encoder", default="trigram", help="'trigram' or 'file:<vectors.jsonl>' (default: trigram)")
+    if dim:
+        parser.add_argument("--embed-dim", type=int, default=DEFAULT_EMBED_DIM)
+    if tau:
+        parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
 
-def _make_encoder(args, keys=()):
-    """The encoder the flags name; a ``file:`` encoder must hold a vector for every key in ``keys``."""
-    if not 0.0 <= args.tau <= 1.0:
-        raise _usage(f"--tau must lie in [0, 1], got {args.tau}")
-    if args.embed_dim < 1:
-        raise _usage(f"--embed-dim must be >= 1, got {args.embed_dim}")
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau <= 1.0:
+        raise _usage(f"--tau must lie in [0, 1], got {tau}")
+
+
+def _make_encoder(args, dim: int, keys):
+    """The ``--encoder`` encoder at ``dim``; only a ``file:`` one calls ``keys()``, and must cover each key."""
+    if dim < 1:
+        raise _usage(f"--embed-dim must be >= 1, got {dim}")
     if args.encoder == "trigram":
-        return TrigramEncoder(dim=args.embed_dim)
+        return TrigramEncoder(dim=dim)
     if args.encoder.startswith("file:"):
-        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys, dim=args.embed_dim)
-        return PrecomputedVectorEncoder(vectors, dim=args.embed_dim)
+        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys(), dim=dim)
+        return PrecomputedVectorEncoder(vectors, dim=dim)
     raise _usage(f"unknown encoder {args.encoder!r}")
 
 
 def _label_keys(labels) -> set[str]:
     """Every label key of the extracted or loaded labels: the keys a ``file:`` encoder must cover."""
     return {key for doc in labels.values() for _dim, key in doc.counts}
+
+
+def _index_encoder(args, ix):
+    """The query encoder for ``ix``, at the vector length the index records (the default if none)."""
+    dim = ix.label_vectors.dim if ix.label_vectors is not None else DEFAULT_EMBED_DIM
+    return _make_encoder(args, dim, lambda: set().union(*ix.vocab.values()))
 
 
 def _usage(message: str) -> SystemExit:
@@ -114,7 +121,7 @@ def _cmd_build(args) -> int:
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
-    encoder = _make_encoder(args, _label_keys(labels))
+    encoder = _make_encoder(args, args.embed_dim, lambda: _label_keys(labels))
     ix = build_index(corpus, labels, dimensions=dimensions, encoder=encoder)
     save_index(ix, args.out)
     print(
@@ -127,8 +134,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     _check_k(args.k)
+    _check_tau(args.tau)
     ix = load_index(args.index)
-    encoder = _make_encoder(args, set().union(*ix.vocab.values()))
+    encoder = _index_encoder(args, ix)
     external = None
     if args.decomposition:
         table = ExternalDecompositions.load(args.decomposition)
@@ -143,8 +151,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_k(args.k)
+    _check_tau(args.tau)
     ix = load_index(args.index)
-    encoder = _make_encoder(args, set().union(*ix.vocab.values()))
+    encoder = _index_encoder(args, ix)
     queries = load_queries(args.queries)
     report = eval_recall(ix, encoder, queries, k=args.k, tau=args.tau)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False), args.out)
@@ -155,6 +164,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     _check_k(args.k)
+    _check_tau(args.tau)
     if args.reps < 1:
         raise _usage(f"--reps must be >= 1, got {args.reps}")
     if args.noise < 0:
@@ -172,15 +182,11 @@ def _cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus)
     gazetteer = load_gazetteer(args.gazetteer)
     queries = load_queries(args.queries)
-    engines = ["hypercube"]
-    if args.baseline == "bm25":
-        engines.append("bm25")
-    encoder = _make_encoder(args, _label_keys(extract_all(corpus, gazetteer)))
+    encoder = _make_encoder(args, args.embed_dim, lambda: _label_keys(extract_all(corpus, gazetteer)))
     rows = bench_latency(
         corpus,
         gazetteer,
         queries,
-        engines=engines,
         fractions=fractions,
         noise=args.noise,
         repetitions=args.reps,
@@ -189,16 +195,9 @@ def _cmd_bench(args) -> int:
         encoder=encoder,
         seed=seed,
     )
+    _emit(format_bench_csv(rows), args.out)
     if args.out:
-        write_bench_csv(rows, args.out)
         print(f"wrote {len(rows)} rows -> {args.out}", file=sys.stderr)
-    else:
-        print("engine,fraction,noise,mean_us,median_us,p95_us")
-        for row in rows:
-            print(
-                f"{row.engine},{row.fraction},{row.noise},"
-                f"{row.mean_us:.3f},{row.median_us:.3f},{row.p95_us:.3f}"
-            )
     return EXIT_OK
 
 
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--gazetteer")
     p_build.add_argument("--dimensions", nargs="*", help="extension dimension names (upper-case)")
     p_build.add_argument("--out", required=True)
-    _add_encoder_flags(p_build)
+    _add_encoder_flags(p_build, dim=True, tau=False)
     p_build.set_defaults(func=_cmd_build)
 
     p_query = sub.add_parser("query", help="run one query against an index")
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--explain", action="store_true")
     p_query.add_argument("--json", action="store_true")
     p_query.add_argument("--out")
-    _add_encoder_flags(p_query)
+    _add_encoder_flags(p_query, dim=False, tau=True)
     p_query.set_defaults(func=_cmd_query)
 
     p_eval = sub.add_parser("eval", help="recall/MRR against gold doc ids")
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--queries", required=True)
     p_eval.add_argument("--k", type=int, default=DEFAULT_K)
     p_eval.add_argument("--out")
-    _add_encoder_flags(p_eval)
+    _add_encoder_flags(p_eval, dim=False, tau=True)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_bench = sub.add_parser("bench", help="latency vs corpus size")
@@ -287,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--noise", type=int, default=0)
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--k", type=int, default=DEFAULT_K)
-    p_bench.add_argument("--baseline", choices=["bm25", "none"], default="bm25")
     p_bench.add_argument("--out")
-    _add_encoder_flags(p_bench)
+    _add_encoder_flags(p_bench, dim=True, tau=True)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_inspect = sub.add_parser("inspect", help="peek inside an index")

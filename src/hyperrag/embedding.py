@@ -135,27 +135,39 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
     return LabelVectors(encoder.name, encoder.dim, checksums, by_dimension)
 
 
+def check_encoder_and_tau(ix: "HypercubeIndex", encoder: Encoder | None, tau: float) -> None:
+    """Refuse a tau outside [0, 1] (ValueError) and a query encoder the index was not built with.
+
+    A query encoder of another dim than the index's label vectors raises
+    DimMismatch, one of another name EncoderMismatch. No encoder, and an
+    index built without one, pass. The check reads no query text.
+    """
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    vectors = ix.label_vectors
+    if encoder is None or vectors is None or (vectors.dim, vectors.encoder_name) == (encoder.dim, encoder.name):
+        return
+    detail = (
+        f"the index's label vectors come from encoder {vectors.encoder_name!r} (dim {vectors.dim}), "
+        f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
+        "query with the build encoder or rebuild the index"
+    )
+    if vectors.dim != encoder.dim:
+        raise DimMismatch(vectors.dim, encoder.dim, detail)
+    raise EncoderMismatch(detail)
+
+
 def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray]:
     """Vectors for one dimension's vocabulary, derived on the dimension's first scan.
 
-    An index built with an encoder answers only to it: a query encoder
-    of another dim raises DimMismatch, one of another name
-    EncoderMismatch, and one whose table misses the dimension's checksum
-    EncoderMismatch naming the dimension. An index built without one
-    derives tables for any encoder, once per encoder and dimension.
+    The encoder must pass :func:`check_encoder_and_tau`; a table that
+    misses the dimension's checksum raises EncoderMismatch naming it. An
+    index built without an encoder derives tables for any encoder, once
+    per encoder and dimension.
     """
     vectors = ix.label_vectors
     if vectors is None:
         vectors = ix._vector_cache.setdefault((encoder.name, encoder.dim), LabelVectors(encoder.name, encoder.dim, {}))
-    elif vectors.dim != encoder.dim or vectors.encoder_name != encoder.name:
-        detail = (
-            f"the index's label vectors come from encoder {vectors.encoder_name!r} (dim {vectors.dim}), "
-            f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
-            "query with the build encoder or rebuild the index"
-        )
-        if vectors.dim != encoder.dim:
-            raise DimMismatch(vectors.dim, encoder.dim, detail)
-        raise EncoderMismatch(detail)
     table = vectors.by_dimension.get(dim)
     if table is None:
         derived = build_label_vectors({dim: ix.vocab.get(dim, ())}, encoder)
@@ -180,10 +192,11 @@ def semantic_neighbors(
 
     Exhaustive scan over the dimension's vocabulary; results are
     ``(key, sim)`` with sim >= tau, sorted by similarity descending then
-    key ascending. Encoding failures for the component propagate.
+    key ascending. tau and the encoder are checked first, by
+    :func:`check_encoder_and_tau`; encoding failures for the component
+    propagate.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    check_encoder_and_tau(ix, encoder, tau)
     query_vec = encoder.encode(component)
     keys, matrix = _vocab_vectors(ix, dim, encoder)
     if not keys:

@@ -9,11 +9,9 @@ noise documents that carry none of the in-domain labels.
 
 from __future__ import annotations
 
-import csv
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from .bm25 import bm25_build, bm25_retrieve
 from .corpus import Corpus, Document, QueryRecord
 from .embedding import DEFAULT_TAU, Encoder
-from .errors import IoFailure, MissingGold
+from .errors import MissingGold
 from .hypercube import HypercubeIndex, build_index
 from .labeling import Gazetteer, extract_all, normalize_label
 from .retrieval import DEFAULT_K, PhaseTimings, retrieve
@@ -242,7 +240,6 @@ def bench_latency(
     corpus: Corpus,
     gazetteer: Gazetteer,
     queries: Sequence[QueryRecord | str],
-    engines: Sequence[str] = ("hypercube", "bm25"),
     fractions: Sequence[float] = (0.125, 0.25, 0.5, 1.0),
     noise: int = 0,
     repetitions: int = 5,
@@ -251,11 +248,14 @@ def bench_latency(
     encoder: Encoder | None = None,
     seed: int = 0,
 ) -> list[BenchRow]:
-    """Latency table across corpus fractions, optionally plus a noise row.
+    """Latency table of both engines across corpus fractions, optionally plus a noise row.
 
-    For each fraction a prefix sub-corpus is indexed per engine. When
-    ``noise`` > 0 an extra row at fraction 1.0 measures the corpus with
-    that many noise documents appended. Every configuration is built and
+    For each fraction a prefix sub-corpus is indexed twice, for the
+    label cube and for BM25, giving a ``hypercube`` row and then a
+    ``bm25`` row. When ``noise`` > 0 an extra pair of rows at fraction
+    1.0 measures the corpus with that many noise documents appended; a
+    negative ``noise`` raises ValueError, as do a fraction outside
+    (0, 1] and ``repetitions`` < 1. Every configuration is built and
     warmed with one untimed pass first; then each repetition times one
     pass of every configuration in turn (one sample = mean per-query
     time of a pass), so a change in host speed during the run falls on
@@ -265,6 +265,8 @@ def bench_latency(
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fractions must lie in (0, 1], got {fraction}")
+    if noise < 0:
+        raise ValueError(f"noise document count must be >= 0, got {noise}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     questions = [q.question if isinstance(q, QueryRecord) else q for q in queries]
@@ -282,23 +284,17 @@ def bench_latency(
         sub = Corpus(list(corpus.documents[:n]))
         if noise_docs:
             sub = inject_noise(sub, noise_docs, seed, avoid_phrases=gazetteer.all_phrases())
-        for engine in engines:
-            if engine == "hypercube":
-                ix = build_index(sub, extract_all(sub, gazetteer), encoder=encoder)
+        ix = build_index(sub, extract_all(sub, gazetteer), encoder=encoder)
+        bix = bm25_build(sub)
 
-                def run_query(question: str, _ix=ix) -> object:
-                    return retrieve(question, _ix, encoder, tau=tau, k=k)
+        def run_cube(question: str, _ix=ix) -> object:
+            return retrieve(question, _ix, encoder, tau=tau, k=k)
 
-            elif engine == "bm25":
-                bix = bm25_build(sub)
+        def run_bm25(question: str, _bix=bix) -> object:
+            return bm25_retrieve(_bix, question, k=k)
 
-                def run_query(question: str, _bix=bix) -> object:
-                    return bm25_retrieve(_bix, question, k=k)
-
-            else:
-                raise ValueError(f"unknown engine {engine!r}")
-            keys.append((engine, fraction, noise_docs))
-            runners.append(run_query)
+        keys += [("hypercube", fraction, noise_docs), ("bm25", fraction, noise_docs)]
+        runners += [run_cube, run_bm25]
 
     for run_query in runners:
         _time_pass(run_query, questions)  # warm-up
@@ -324,14 +320,11 @@ def bench_latency(
     return rows
 
 
-def write_bench_csv(rows: Sequence[BenchRow], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["engine", "fraction", "noise", "mean_us", "median_us", "p95_us"])
-            for row in rows:
-                writer.writerow(
-                    [row.engine, row.fraction, row.noise, f"{row.mean_us:.3f}", f"{row.median_us:.3f}", f"{row.p95_us:.3f}"]
-                )
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+def format_bench_csv(rows: Sequence[BenchRow]) -> str:
+    """The latency table as CSV text: a header line, then one line per row, joined by bare newlines."""
+    lines = ["engine,fraction,noise,mean_us,median_us,p95_us"]
+    lines += [
+        f"{row.engine},{row.fraction},{row.noise},{row.mean_us:.3f},{row.median_us:.3f},{row.p95_us:.3f}"
+        for row in rows
+    ]
+    return "\n".join(lines)

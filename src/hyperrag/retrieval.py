@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import _as_str, _iter_records, _require, _str_field
-from .embedding import DEFAULT_TAU, Encoder, semantic_neighbors
+from .embedding import DEFAULT_TAU, Encoder, check_encoder_and_tau, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
 from .labeling import Dimension, match_phrases, normalize_label, phrase_starts, tokenize
@@ -412,9 +412,12 @@ def retrieve(
     ``unmatched`` are dropped, from the matches and from the result's
     decomposition alike. Only content-word candidates can be dropped,
     since a phrase component's key is a label of each of its dimensions.
-    Timing covers the decompose / match / score phases on a monotonic
-    clock and is the only part of the result that varies between calls.
+    tau and the encoder are checked once, up front, so an error for them
+    never depends on the query text. Timing covers the decompose / match
+    / score phases on a monotonic clock and is the only part of the
+    result that varies between calls.
     """
+    check_encoder_and_tau(ix, encoder, tau)
     t0 = time.perf_counter_ns()
     decomposition = decompose_query(query, ix, external, query_id=query_id)
     t1 = time.perf_counter_ns()
@@ -437,9 +440,9 @@ def retrieve(
     )
 
 
-def result_to_dict(result: RetrievalResult, include_timing: bool = False) -> dict:
-    """JSON-ready view of a result (timing excluded by default so output is reproducible)."""
-    payload = {
+def result_to_dict(result: RetrievalResult) -> dict:
+    """JSON-ready view of a result, without ``result.timing``, so equal inputs give equal output."""
+    return {
         "query": result.query,
         "components": [
             {"dim": c.dimension, "text": c.text, "key": c.key}
@@ -476,14 +479,6 @@ def result_to_dict(result: RetrievalResult, include_timing: bool = False) -> dic
             for doc in result.ranked
         ],
     }
-    if include_timing:
-        payload["timing_us"] = {
-            "decompose": result.timing.decompose_us,
-            "match": result.timing.match_us,
-            "score": result.timing.score_us,
-            "total": result.timing.total_us,
-        }
-    return payload
 
 
 def format_result(result: RetrievalResult, explain: bool = False) -> str:

@@ -226,7 +226,6 @@ def test_c5_noise_invariance_and_scaling(trigram):
             corpus,
             gazetteer,
             queries,
-            engines=("hypercube", "bm25"),
             fractions=(1.0,),
             noise=noise_docs,
             repetitions=20,

@@ -48,16 +48,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             bm25_build(Corpus([]))
 
-    @pytest.mark.parametrize("k1", [-1.0, -1e-9, math.nan, math.inf])
-    def test_bad_k1_rejected(self, k1):
-        with pytest.raises(ValueError, match="k1"):
-            bm25_build(Corpus([Document(id="d", text="storm surge")]), k1=k1, b=0.0)
-
-    def test_zero_k1_scores_presence_only(self):
-        corpus = Corpus([Document(id="a", text="rain rain rain"), Document(id="b", text="rain")])
-        ix = bm25_build(corpus, k1=0.0, b=0.0)
-        assert bm25_score(ix, ["rain"], "a") == bm25_score(ix, ["rain"], "b") == ix.idf("rain")
-
 
 class TestScore:
     def test_absent_term_contributes_zero(self):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,10 @@ from helpers import (
     write_jsonl,
 )
 from hyperrag import TrigramEncoder
-from hyperrag.cli import main
+from hyperrag import cli as cli_mod, evaluation as evaluation_mod
+from hyperrag.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -60,10 +66,10 @@ def build_fixture_index(files):
     return files["index"]
 
 
-def write_vectors(path, keys):
-    """A 16-dim vectors file holding the trigram vector of each key."""
-    encoder = TrigramEncoder(dim=16)
-    return write_jsonl(path, [{"key": key, "dim": 16, "values": encoder.encode(key).tolist()} for key in keys])
+def write_vectors(path, keys, dim=16):
+    """A vectors file holding the ``dim``-long trigram vector of each key."""
+    encoder = TrigramEncoder(dim=dim)
+    return write_jsonl(path, [{"key": key, "dim": dim, "values": encoder.encode(key).tolist()} for key in keys])
 
 
 def build_args(files, encoder):
@@ -77,18 +83,21 @@ def build_args(files, encoder):
     ]
 
 
-def bench_args(files, vectors, out_path):
-    return [
+def bench_args(files, vectors=None, out_path=None):
+    """One-fraction, one-repetition bench arguments; a 16-dim vectors file and ``--out`` when given."""
+    args = [
         "bench",
         "--corpus", str(files["corpus"]),
         "--gazetteer", str(files["gazetteer"]),
         "--queries", str(files["queries"]),
         "--fractions", "1",
         "--reps", "1",
-        "--encoder", f"file:{vectors}",
-        "--embed-dim", "16",
-        "--out", str(out_path),
     ]
+    if vectors is not None:
+        args += ["--encoder", f"file:{vectors}", "--embed-dim", "16"]
+    if out_path is not None:
+        args += ["--out", str(out_path)]
+    return args
 
 
 class TestBuild:
@@ -205,7 +214,8 @@ class TestBuild:
 
     def test_vectors_file_with_every_label_key_builds_queries_and_evals(self, fixture_files, tmp_path, capsys):
         keys = ["rain", "melbourne beach", "florida", "tropical storm fay", "rainfall"]
-        encoder = ["--encoder", f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}", "--embed-dim", "16"]
+        # query and eval take the vector length, 16, from the index.
+        encoder = ["--encoder", f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}"]
         assert main(build_args(fixture_files, encoder[1])) == 0
         index = ["--index", str(fixture_files["index"]), "--tau", str(FIXTURE_TAU), *encoder]
         assert main(["query", *index, "--query", MELBOURNE_QUERY, "--json"]) == 0
@@ -312,8 +322,10 @@ class TestQuery:
         )
         assert code == 1
 
-    def test_encoder_other_than_the_index_is_data_error(self, fixture_files, capsys):
+    def test_encoder_other_than_the_index_is_data_error(self, fixture_files, tmp_path, capsys):
         build_fixture_index(fixture_files)
+        # The same vectors as the index's trigram-256 ones, under another encoder name.
+        vectors = write_vectors(tmp_path / "vec.jsonl", ["rain", "melbourne beach", "florida", "tropical storm fay"], 256)
         capsys.readouterr()
         code = main(
             [
@@ -321,13 +333,41 @@ class TestQuery:
                 "--index", str(fixture_files["index"]),
                 "--query", MELBOURNE_QUERY,
                 "--tau", str(FIXTURE_TAU),
-                "--embed-dim", "64",
+                "--encoder", f"file:{vectors}",
             ]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "'trigram' (dim 256)" in captured.err and "'trigram' (dim 64)" in captured.err
+        assert "'trigram' (dim 256)" in captured.err and "'precomputed' (dim 256)" in captured.err
+
+    @pytest.mark.parametrize("query", ["florida", "rainfall in florida"])
+    def test_encoder_mismatch_does_not_depend_on_the_query(self, fixture_files, tmp_path, capsys, query):
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
+        assert main(build_args(fixture_files, f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}")) == 0
+        capsys.readouterr()
+        # "florida" matches exactly, so only an up-front check can refuse it.
+        code = main(["query", "--index", str(fixture_files["index"]), "--query", query])
+        assert code == 2
+        assert "'precomputed' (dim 16)" in capsys.readouterr().err
+
+    def test_embed_dim_comes_from_the_index(self, fixture_files, capsys):
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(fixture_files["gazetteer"]),
+                "--embed-dim", "64",
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        index = ["--index", str(fixture_files["index"]), "--tau", str(FIXTURE_TAU)]
+        assert main(["query", *index, "--query", MELBOURNE_QUERY, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["doc_id"] == "565"
+        assert main(["eval", *index, "--queries", str(fixture_files["queries"])]) == 0
+        assert main(["query", *index, "--query", "rain", "--embed-dim", "64"]) == 1
 
     def test_missing_index_is_data_error(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "none.hcix"), "--query", "rain"])
@@ -513,6 +553,37 @@ class TestBench:
         # 2 fractions x 2 engines + noise row x 2 engines
         assert len(lines) == 1 + 6
 
+    def test_stdout_and_out_file_carry_one_table(self, fixture_files, tmp_path, capsys):
+        out_path = tmp_path / "bench.csv"
+        assert main(bench_args(fixture_files)) == 0
+        printed = capsys.readouterr().out
+        assert main(bench_args(fixture_files, out_path=out_path)) == 0
+        written = out_path.read_bytes().decode("utf-8")
+        # Timings differ between runs; the layout, line endings and row keys do not.
+        for text in (printed, written):
+            assert "\r" not in text and text.endswith("\n")
+        printed_keys, written_keys = ([line.split(",")[:3] for line in text.splitlines()] for text in (printed, written))
+        assert printed_keys == written_keys == [
+            ["engine", "fraction", "noise"], ["hypercube", "1.0", "0"], ["bm25", "1.0", "0"]
+        ]
+
+    @pytest.mark.parametrize("encoder, calls", [("trigram", 1), ("file", 2)])
+    def test_label_keys_extracted_only_for_a_vectors_file(self, fixture_files, tmp_path, monkeypatch, encoder, calls):
+        counted = []
+        extract_all = evaluation_mod.extract_all
+
+        def counting_extract_all(*args):
+            counted.append(args)
+            return extract_all(*args)
+
+        for module in (cli_mod, evaluation_mod):
+            monkeypatch.setattr(module, "extract_all", counting_extract_all)
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
+        vectors = write_vectors(tmp_path / "vec.jsonl", keys) if encoder == "file" else None
+        assert main(bench_args(fixture_files, vectors, tmp_path / "bench.csv")) == 0
+        # bench_latency extracts once per fraction; a vectors file adds one pass for its keys.
+        assert len(counted) == calls
+
     def test_vectors_file_missing_a_label_key_is_data_error(self, fixture_files, tmp_path, capsys):
         vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"])
         out_path = tmp_path / "bench.csv"
@@ -539,7 +610,6 @@ class TestBench:
                 "--queries", str(fixture_files["queries"]),
                 "--fractions", "1",
                 "--reps", "1",
-                "--baseline", "none",
                 "--out", str(out_path),
             ]
         )
@@ -577,13 +647,28 @@ class TestUnwritableOut:
                 "--queries", str(fixture_files["queries"]),
                 "--fractions", "1",
                 "--reps", "1",
-                "--baseline", "none",
             ],
         }[command]
         capsys.readouterr()
         code = main([command, *args, "--out", str(out)])
         assert code == 2
         assert str(out) in capsys.readouterr().err
+
+
+class TestReadmeFlags:
+    def test_readme_flag_lists_equal_the_parser(self):
+        text = README.read_text(encoding="utf-8")
+        section = re.search(r"^Every flag of each command.*?\n\n(.*?)\n\n", text, re.M | re.S).group(1)
+        documented = {
+            command: set(re.findall(r"`(--[\w-]+)`", flags))
+            for command, flags in re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", section, re.M | re.S)
+        }
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            command: {a.option_strings[-1] for a in parser._actions if a.option_strings and a.dest != "help"}
+            for command, parser in subparsers.choices.items()
+        }
+        assert documented == parsed
 
 
 class TestUsageErrors:

@@ -242,6 +242,17 @@ class TestEncoderMismatch:
         with pytest.raises(DimMismatch):
             retrieve("rainfall totals", ix, TrigramEncoder(dim=64), tau=0.3)
 
+    @pytest.mark.parametrize("query", ["rain", "rainfall totals"])
+    def test_retrieve_raises_for_every_query(self, trigram, query):
+        # "rain" matches exactly, so only a check made before matching can refuse it.
+        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+        with pytest.raises(DimMismatch, match="'trigram' \\(dim 64\\)"):
+            retrieve(query, ix, TrigramEncoder(dim=64), tau=0.3)
+        # The index's own vectors, under another encoder name.
+        renamed = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "storm surge"]}, dim=trigram.dim)
+        with pytest.raises(EncoderMismatch, match="'precomputed' \\(dim 256\\)"):
+            retrieve(query, ix, renamed, tau=0.3)
+
     def test_index_without_vectors_encodes_for_any_encoder(self, monkeypatch):
         ix = index_over_vocab(["rain", "storm surge"])
         derivations = count_derivations(monkeypatch)

@@ -11,10 +11,10 @@ from hyperrag import (
     bench_latency,
     eval_recall,
     extract_all,
+    format_bench_csv,
     gazetteer_extract,
     inject_noise,
     retrieve,
-    write_bench_csv,
 )
 from hyperrag.evaluation import EvalReport
 
@@ -59,6 +59,12 @@ class TestEvalRecall:
         assert recomputed.recall_at == report.recall_at
         assert recomputed.mrr == report.mrr
         assert recomputed.mean_us == report.mean_us
+
+    def test_bad_tau_rejected_for_every_query(self, hurricane_index, trigram):
+        # "florida" matches exactly and never reaches a semantic scan.
+        queries = [QueryRecord(id="q", question="florida", gold_doc_ids=("565",))]
+        with pytest.raises(ValueError, match="tau"):
+            eval_recall(hurricane_index, trigram, queries, tau=42.0)
 
     def test_config_echo(self, hurricane_index, trigram):
         queries = [QueryRecord(id="q1", question=MELBOURNE_QUERY, gold_doc_ids=("565",))]
@@ -157,14 +163,18 @@ class TestBenchLatency:
             hurricane_corpus,
             hurricane_gazetteer,
             queries,
-            engines=("hypercube",),
             fractions=(1.0,),
             noise=50,
             repetitions=2,
             encoder=trigram,
             tau=FIXTURE_TAU,
         )
-        assert [(r.fraction, r.noise) for r in rows] == [(1.0, 0), (1.0, 50)]
+        assert [(r.engine, r.fraction, r.noise) for r in rows] == [
+            ("hypercube", 1.0, 0),
+            ("bm25", 1.0, 0),
+            ("hypercube", 1.0, 50),
+            ("bm25", 1.0, 50),
+        ]
 
     def test_invalid_fraction(self, hurricane_corpus, hurricane_gazetteer):
         with pytest.raises(ValueError):
@@ -172,21 +182,23 @@ class TestBenchLatency:
                 hurricane_corpus, hurricane_gazetteer, ["q"], fractions=(0.0,), repetitions=1
             )
 
-    def test_csv_columns(self, hurricane_corpus, hurricane_gazetteer, trigram, tmp_path):
+    def test_negative_noise_rejected(self, hurricane_corpus, hurricane_gazetteer):
+        with pytest.raises(ValueError, match="noise"):
+            bench_latency(hurricane_corpus, hurricane_gazetteer, ["rain in florida"], fractions=(1.0,), noise=-5)
+
+    def test_csv_columns(self, hurricane_corpus, hurricane_gazetteer, trigram):
         queries = [QueryRecord(id="q", question="florida")]
         rows = bench_latency(
             hurricane_corpus,
             hurricane_gazetteer,
             queries,
-            engines=("bm25",),
             fractions=(1.0,),
             repetitions=2,
             encoder=trigram,
         )
-        out = tmp_path / "bench.csv"
-        write_bench_csv(rows, out)
-        with open(out, newline="") as handle:
-            parsed = list(csv.reader(handle))
+        text = format_bench_csv(rows)
+        assert "\r" not in text and not text.endswith("\n")
+        parsed = list(csv.reader(text.split("\n")))
         assert parsed[0] == ["engine", "fraction", "noise", "mean_us", "median_us", "p95_us"]
-        assert len(parsed) == 2
-        assert parsed[1][0] == "bm25"
+        assert [(line[0], line[1], line[2]) for line in parsed[1:]] == [("hypercube", "1.0", "0"), ("bm25", "1.0", "0")]
+        assert all(float(value) > 0 for line in parsed[1:] for value in line[3:])

@@ -412,6 +412,12 @@ class TestRetrieve:
         expected = brute_retrieve(labels, [("THEME", "rain")], {"THEME": ["rain"]}, trigram, FIXTURE_TAU, 1)
         assert [d.doc_id for d in result.ranked] == [row[0] for row in expected] == ["high"]
 
+    @pytest.mark.parametrize("query", ["florida", "rainfall in florida"])
+    def test_bad_tau_raises_for_every_query(self, hurricane_index, trigram, query):
+        # "florida" matches exactly, so it never reaches a semantic scan.
+        with pytest.raises(ValueError, match="tau"):
+            retrieve(query, hurricane_index, trigram, tau=7.0)
+
     def test_deterministic_output(self, hurricane_index, trigram):
         first = retrieve(MELBOURNE_QUERY, hurricane_index, trigram, tau=FIXTURE_TAU, k=3)
         second = retrieve(MELBOURNE_QUERY, hurricane_index, trigram, tau=FIXTURE_TAU, k=3)

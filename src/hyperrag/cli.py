@@ -21,9 +21,10 @@ from .embedding import (
     DEFAULT_TAU,
     PrecomputedVectorEncoder,
     TrigramEncoder,
+    check_encoder_identity,
     load_precomputed_vectors,
 )
-from .errors import HyperRagError, IoFailure
+from .errors import HyperRagError, IoFailure, NoQueries
 from .evaluation import bench_latency, eval_recall, format_bench_csv
 from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
@@ -81,9 +82,24 @@ def _label_keys(labels) -> set[str]:
 
 
 def _index_encoder(args, ix):
-    """The query encoder for ``ix``, at the vector length the index records (the default if none)."""
+    """The query encoder for ``ix``, at the vector length the index records (the default if none).
+
+    A ``file:`` encoder is checked against the index's encoder before its
+    vectors file is read, so a file for an index built with another
+    encoder fails as that mismatch, not on a key the file lacks.
+    """
     dim = ix.label_vectors.dim if ix.label_vectors is not None else DEFAULT_EMBED_DIM
+    if args.encoder.startswith("file:"):
+        check_encoder_identity(ix, PrecomputedVectorEncoder.name, dim)
     return _make_encoder(args, dim, lambda: set().union(*ix.vocab.values()))
+
+
+def _load_queries(path: str):
+    """The queries of ``path``; a file holding none is a data error."""
+    queries = load_queries(path)
+    if not queries:
+        raise NoQueries(path)
+    return queries
 
 
 def _usage(message: str) -> SystemExit:
@@ -154,7 +170,7 @@ def _cmd_eval(args) -> int:
     _check_tau(args.tau)
     ix = load_index(args.index)
     encoder = _index_encoder(args, ix)
-    queries = load_queries(args.queries)
+    queries = _load_queries(args.queries)
     report = eval_recall(ix, encoder, queries, k=args.k, tau=args.tau)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False), args.out)
     recalls = " ".join(f"recall@{k}={v:.3f}" for k, v in sorted(report.recall_at.items()))
@@ -181,7 +197,7 @@ def _cmd_bench(args) -> int:
         raise _usage(f"fractions must lie in (0, 1]: {args.fractions!r}")
     corpus = load_corpus(args.corpus)
     gazetteer = load_gazetteer(args.gazetteer)
-    queries = load_queries(args.queries)
+    queries = _load_queries(args.queries)
     encoder = _make_encoder(args, args.embed_dim, lambda: _label_keys(extract_all(corpus, gazetteer)))
     rows = bench_latency(
         corpus,
@@ -228,7 +244,11 @@ def _cmd_inspect(args) -> int:
                 raise _usage(f"bad --cell coordinate {part!r}; expected DIM=label")
             dim, label = part.split("=", 1)
             _check_dimension(ix, dim)
+            if dim in coords:
+                raise _usage(f"--cell gives dimension {dim!r} twice; a cell has one coordinate per dimension")
             coords[dim] = normalize_label(label)
+            if not coords[dim]:
+                raise _usage(f"--cell coordinate {part!r} has a blank label")
         docs = cell_documents(ix, coords)
         _emit(json.dumps(docs) if args.json else "\n".join(docs) if docs else "(empty)", args.out)
         return EXIT_OK

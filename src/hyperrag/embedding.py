@@ -138,22 +138,30 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
 def check_encoder_and_tau(ix: "HypercubeIndex", encoder: Encoder | None, tau: float) -> None:
     """Refuse a tau outside [0, 1] (ValueError) and a query encoder the index was not built with.
 
-    A query encoder of another dim than the index's label vectors raises
-    DimMismatch, one of another name EncoderMismatch. No encoder, and an
-    index built without one, pass. The check reads no query text.
+    The encoder goes through :func:`check_encoder_identity`; no encoder
+    passes. The check reads no query text.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    if encoder is not None:
+        check_encoder_identity(ix, encoder.name, encoder.dim)
+
+
+def check_encoder_identity(ix: "HypercubeIndex", name: str, dim: int) -> None:
+    """Refuse an encoder of another ``dim`` (DimMismatch) or ``name`` (EncoderMismatch) than the index's.
+
+    An index built without an encoder accepts any.
+    """
     vectors = ix.label_vectors
-    if encoder is None or vectors is None or (vectors.dim, vectors.encoder_name) == (encoder.dim, encoder.name):
+    if vectors is None or (vectors.dim, vectors.encoder_name) == (dim, name):
         return
     detail = (
         f"the index's label vectors come from encoder {vectors.encoder_name!r} (dim {vectors.dim}), "
-        f"the query encoder is {encoder.name!r} (dim {encoder.dim}); "
+        f"the query encoder is {name!r} (dim {dim}); "
         "query with the build encoder or rebuild the index"
     )
-    if vectors.dim != encoder.dim:
-        raise DimMismatch(vectors.dim, encoder.dim, detail)
+    if vectors.dim != dim:
+        raise DimMismatch(vectors.dim, dim, detail)
     raise EncoderMismatch(detail)
 
 

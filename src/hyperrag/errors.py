@@ -95,6 +95,14 @@ class MissingKey(HyperRagError):
         super().__init__(f"no vector for key {key!r}")
 
 
+class NoQueries(HyperRagError):
+    """A queries file holds no query, so there is nothing to evaluate or time."""
+
+    def __init__(self, path: str):
+        self.path = path
+        super().__init__(f"{path}: the queries file holds no query")
+
+
 class MissingGold(HyperRagError):
     def __init__(self, query_id: str, detail: str = "no gold document ids"):
         self.query_id = query_id

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -42,10 +43,14 @@ from .labeling import (
 )
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 _INVERTED = "inverted:"
 # Ordinals and counts are held as int32; a label count must fit.
 MAX_COUNT = 2**31 - 1
+# The raw arrays of an ``inverted`` section, in file order, and the types
+# one may be written in, narrowest first, each with the largest value it holds.
+_ARRAYS = ("lengths", "docs", "counts")
+_ARRAY_TYPES = {"<u1": 2**8 - 1, "<u2": 2**16 - 1, "<i4": MAX_COUNT}
 
 
 class Posting(NamedTuple):
@@ -291,42 +296,59 @@ def _replace_file(path: Path, data: bytes) -> None:
         raise
 
 
+def _narrowest_type(array: np.ndarray) -> str:
+    """The first of ``_ARRAY_TYPES`` that holds every value of a non-negative int32 array."""
+    top = int(array.max()) if len(array) else 0
+    return next(kind for kind, limit in _ARRAY_TYPES.items() if top <= limit)
+
+
+def _postings_section(postings_by_key: Mapping[str, Postings]) -> bytes:
+    """One ``inverted`` section: a length-prefixed JSON part, then the raw arrays."""
+    keys = sorted(postings_by_key)
+    postings = [postings_by_key[key] for key in keys]
+    arrays = {
+        "lengths": np.array([len(p) for p in postings], dtype=np.int32),
+        "docs": np.concatenate([p.ordinals for p in postings]) if postings else _NO_POSTINGS.ordinals,
+        "counts": np.concatenate([p.counts for p in postings]) if postings else _NO_POSTINGS.counts,
+    }
+    types = {name: _narrowest_type(array) for name, array in arrays.items()}
+    head = _canonical_json({"keys": keys, **types})
+    return b"".join(
+        [len(head).to_bytes(4, "big"), head, *(arrays[name].astype(types[name]).tobytes() for name in _ARRAYS)]
+    )
+
+
 def save_index(ix: HypercubeIndex, path: str | Path) -> None:
     """Write the index as a single-file container, replacing ``path`` atomically.
 
     Layout: magic ``HRIX``, a length-prefixed JSON header, length-prefixed
-    JSON sections, then a CRC-32 over everything before it; lengths are
-    4-byte big-endian. The header holds only ``version`` and the ordered
+    sections, then a CRC-32 over everything before it; lengths are 4-byte
+    big-endian. The header holds only ``version`` (6) and the ordered
     ``sections`` names. Each fact is stored once:
 
-    * ``inverted:<DIM>``, one per dimension in index order:
-      ``{keys, lengths, docs, counts}``. ``keys`` are the dimension's
-      keys, sorted; key ``i`` owns the next ``lengths[i]`` entries of
-      ``docs`` (doc ordinals, rising within a key) and ``counts``. The
+    * ``inverted:<DIM>``, one per dimension in index order: a
+      length-prefixed JSON part ``{keys, lengths, docs, counts}``, whose
+      ``keys`` are the dimension's keys, sorted, and whose other three
+      entries name the type of the raw array of that name; then the
+      three arrays, back to back, in that order. Key ``i`` owns the next
+      ``lengths[i]`` entries of ``docs`` (doc ordinals, rising within a
+      key) and ``counts``. Each array is little-endian, in the narrowest
+      of ``<u1``, ``<u2`` and ``<i4`` that holds its largest value. The
       only place a count is written; the index's dimensions are read
       back from these section names.
-    * ``forward``: ``doc_ids``, every document id sorted (unlabeled ones
-      included), and nothing else. An ordinal is a position in it.
-    * ``vectors``, when the index has label vectors: ``{encoder, dim,
-      checksums}``, one CRC-32 per dimension; no vector is written.
+    * ``forward``: JSON ``{doc_ids}``, every document id sorted
+      (unlabeled ones included), and nothing else. An ordinal is a
+      position in it.
+    * ``vectors``, when the index has label vectors: JSON ``{encoder,
+      dim, checksums}``, one CRC-32 per dimension; no vector is written.
 
-    Keys are written sorted and postings in ordinal order, so identical
-    indexes produce identical bytes. The bytes go to a temporary sibling
-    that is renamed over ``path`` once complete, so a failed write leaves
-    the previous file intact.
+    Keys are written sorted, postings in ordinal order and each array's
+    type from its values alone, so identical indexes produce identical
+    bytes. The bytes go to a temporary sibling that is renamed over
+    ``path`` once complete, so a failed write leaves the previous file
+    intact.
     """
-    sections: list[tuple[str, bytes]] = []
-    for dim in ix.dimensions:
-        postings_by_key = ix.inverted.get(dim, {})
-        keys = sorted(postings_by_key)
-        postings = [postings_by_key[key] for key in keys]
-        payload = {
-            "keys": keys,
-            "lengths": [len(p) for p in postings],
-            "docs": np.concatenate([p.ordinals for p in postings]).tolist() if postings else [],
-            "counts": np.concatenate([p.counts for p in postings]).tolist() if postings else [],
-        }
-        sections.append((f"{_INVERTED}{dim}", _canonical_json(payload)))
+    sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted.get(dim, {}))) for dim in ix.dimensions]
     sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
     vectors = ix.label_vectors
     if vectors is not None:
@@ -365,18 +387,14 @@ def _parse(raw: memoryview, path: str | Path, what: str, kind: type) -> object:
 
 
 def _str_list(value: object, path: str | Path, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise _malformed(path, f"{what} must be an array of strings")
     return value
 
 
-def _int_list(value: object, path: str | Path, what: str, low: int, high: int) -> list[int]:
-    """A JSON array of integers, each in ``[low, high]`` (booleans are not integers)."""
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise _malformed(path, f"{what} must be an array of integers")
-    if value and (min(value) < low or max(value) > high):
+def _check_range(array: np.ndarray, low: int, high: int, path: str | Path, what: str) -> None:
+    if len(array) and (array.min() < low or array.max() > high):
         raise _malformed(path, f"{what} holds a value outside [{low}, {high}]")
-    return value
 
 
 def _load_postings(
@@ -384,37 +402,55 @@ def _load_postings(
 ) -> dict[str, Postings]:
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
-    Every key must be its own non-empty ``normalize_label`` (so a query
-    can reach it), every ordinal must index ``doc_ids`` and rise strictly
-    within its key, every count lie in ``[1, MAX_COUNT]``, and the
-    lengths (each >= 1, one per key) partition the arrays.
+    Each array type must be one of ``_ARRAY_TYPES`` and the arrays must
+    fill the section exactly. Every key must be unique and its own
+    non-empty ``normalize_label`` (so a query can reach it), every
+    ordinal must index ``doc_ids`` and rise strictly within its key,
+    every count lie in ``[1, MAX_COUNT]``, and the lengths (each >= 1,
+    one per key) partition the postings. The arrays are widened to
+    int32 once, and each key's postings are slices of them.
     """
     where = f"section {_INVERTED}{dim}"
-    payload = _parse(raw, path, where, dict)
-    if set(payload) != {"keys", "lengths", "docs", "counts"}:
+    head_end = 4 + int.from_bytes(raw[:4], "big")
+    if head_end > len(raw):
+        raise _malformed(path, f"{where}: its JSON part overruns the section")
+    payload = _parse(raw[4:head_end], path, where, dict)
+    if set(payload) != {"keys", *_ARRAYS}:
         raise _malformed(path, f"{where} must hold exactly keys, lengths, docs and counts")
     keys = _str_list(payload["keys"], path, f"{where} keys")
     if len(set(keys)) != len(keys):
         raise _malformed(path, f"{where} keys hold duplicates")
     if not _all_normalized(keys):
         raise _malformed(path, f"{where} holds a key that is empty or not normalized")
-    docs = _int_list(payload["docs"], path, f"{where} docs", 0, len(doc_ids) - 1)
-    counts = _int_list(payload["counts"], path, f"{where} counts", 1, MAX_COUNT)
-    lengths = _int_list(payload["lengths"], path, f"{where} lengths", 1, len(docs))
-    if len(lengths) != len(keys) or sum(lengths) != len(docs) or len(counts) != len(docs):
-        raise _malformed(
-            path,
-            f"{where}: {len(lengths)} lengths summing to {sum(lengths)} for {len(keys)} keys, "
-            f"{len(docs)} docs and {len(counts)} counts",
-        )
+    types = {}
+    for name in _ARRAYS:
+        kind = payload[name]
+        if type(kind) is not str or kind not in _ARRAY_TYPES:
+            raise _malformed(path, f"{where} {name} type {kind!r} is not one of {', '.join(_ARRAY_TYPES)}")
+        types[name] = np.dtype(kind)
+    lengths_end = head_end + len(keys) * types["lengths"].itemsize
+    n_postings, odd = divmod(len(raw) - lengths_end, types["docs"].itemsize + types["counts"].itemsize)
+    if n_postings < 0 or odd:
+        raise _malformed(path, f"{where}: the arrays do not fill the section's {len(raw) - head_end} bytes exactly")
+    counts_start = lengths_end + n_postings * types["docs"].itemsize
+    lengths = np.frombuffer(raw, types["lengths"], len(keys), head_end)
+    docs = np.frombuffer(raw, types["docs"], n_postings, lengths_end)
+    counts = np.frombuffer(raw, types["counts"], n_postings, counts_start)
+    _check_range(lengths, 1, n_postings, path, f"{where} lengths")
+    total = int(lengths.sum(dtype=np.int64))
+    if total != n_postings:
+        raise _malformed(path, f"{where}: {len(keys)} lengths sum to {total}, not {n_postings}")
+    _check_range(docs, 0, len(doc_ids) - 1, path, f"{where} docs")
+    _check_range(counts, 1, MAX_COUNT, path, f"{where} counts")
     ordinals = _frozen(docs)
     rising = np.diff(ordinals) > 0
-    rising[np.cumsum(lengths[:-1], dtype=np.int64) - 1] = True  # a new key may start lower
+    bounds = np.cumsum(lengths, dtype=np.int64)
+    rising[bounds[:-1] - 1] = True  # a new key may start lower
     if not rising.all():
         at = int(np.argmin(rising)) + 1
-        key = keys[int(np.searchsorted(np.cumsum(lengths), at, side="right"))]
+        key = keys[int(np.searchsorted(bounds, at, side="right"))]
         raise _malformed(path, f"{where}, key {key!r}: doc ordinals not strictly increasing")
-    return _slice_postings(doc_ids, keys, lengths, ordinals, _frozen(counts))
+    return _slice_postings(doc_ids, keys, lengths.tolist(), ordinals, _frozen(counts))
 
 
 def _load_vectors(raw: memoryview, dimensions: tuple[Dimension, ...], path: str | Path) -> LabelVectors:
@@ -436,17 +472,20 @@ def load_index(path: str | Path) -> HypercubeIndex:
 
     The CRC is verified before anything is parsed, so truncation or
     corruption anywhere raises ChecksumMismatch. No per-posting object
-    is built: each ``inverted`` section becomes one ordinals array and
-    one counts array, checked in whole-array passes, and ``doc_ids``
+    is built: each ``inverted`` section's raw arrays are read with
+    ``np.frombuffer``, checked in whole-array passes and widened to one
+    int32 ordinals array and one int32 counts array, and ``doc_ids``
     comes from ``forward``; label vectors are left for scans to derive.
     An unknown magic or version raises FormatVersionMismatch; files of
-    versions 1 to 4 must be rebuilt.
+    versions 1 to 5 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
-    a header or section of the wrong shape, a ``forward`` holding
-    anything but ``doc_ids`` in strictly increasing order, an ordinal
-    outside ``doc_ids`` or not rising within its key, a count outside
-    ``[1, MAX_COUNT]``, lengths that do not partition the postings, or
-    ``vectors`` other than a name, a dim and a checksum per dimension.
+    a header or section of the wrong shape, an array type other than
+    ``<u1``, ``<u2`` and ``<i4``, arrays that do not fill their section
+    exactly, a ``forward`` holding anything but ``doc_ids`` in strictly
+    increasing order, an ordinal outside ``doc_ids`` or not rising
+    within its key, a count outside ``[1, MAX_COUNT]``, lengths that do
+    not partition the postings, or ``vectors`` other than a name, a dim
+    and a checksum per dimension.
     """
     try:
         blob = Path(path).read_bytes()
@@ -497,7 +536,7 @@ def load_index(path: str | Path) -> HypercubeIndex:
     if set(forward_payload) != {"doc_ids"}:
         raise _malformed(path, "section forward must hold exactly doc_ids")
     doc_ids = tuple(_str_list(forward_payload["doc_ids"], path, "forward doc_ids"))
-    if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
+    if not all(map(operator.lt, doc_ids, doc_ids[1:])):
         raise _malformed(path, "forward doc_ids are not strictly increasing")
 
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))

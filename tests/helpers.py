@@ -88,30 +88,101 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
     return path
 
 
-def read_container(path: Path) -> tuple[dict, dict[str, object]]:
-    """Header and parsed sections of an index container, by the documented layout."""
+# The array types a version 6 ``inverted`` section may use, narrowest
+# first, then one wider type, so a test can write an array the reader
+# must refuse.
+_ARRAY_TYPES = ("<u1", "<u2", "<i4", "<i8")
+_ARRAYS = ("lengths", "docs", "counts")
+
+
+def decode_inverted(raw: bytes) -> dict[str, list]:
+    """A version 6 ``inverted`` section as ``{keys, lengths, docs, counts}``, arrays as lists of ints."""
+    head_end = 4 + int.from_bytes(raw[:4], "big")
+    head = json.loads(raw[4:head_end])
+    types = [np.dtype(head[name]) for name in _ARRAYS]
+    n_postings = (len(raw) - head_end - len(head["keys"]) * types[0].itemsize) // (
+        types[1].itemsize + types[2].itemsize
+    )
+    section, offset = {"keys": head["keys"]}, head_end
+    for name, kind, count in zip(_ARRAYS, types, (len(head["keys"]), n_postings, n_postings)):
+        section[name] = np.frombuffer(raw, kind, count, offset).tolist()
+        offset += count * kind.itemsize
+    return section
+
+
+def _encode_array(value: object) -> tuple[object, bytes]:
+    """The type written for one array entry, and its bytes.
+
+    A list of ints takes the first of ``_ARRAY_TYPES`` that holds its
+    values. ``(type, values)`` forces the type, and ``(type, bytes)``
+    writes the bytes verbatim. Anything else is written as the type
+    itself, followed by no bytes.
+    """
+    if isinstance(value, tuple):
+        kind, values = value
+        return kind, values if isinstance(values, bytes) else np.asarray(values, dtype=kind).tobytes()
+    if isinstance(value, list) and all(type(item) is int for item in value):
+        low, high = min(value, default=0), max(value, default=0)
+        kind = next(kind for kind in _ARRAY_TYPES if np.iinfo(kind).min <= low and high <= np.iinfo(kind).max)
+        return kind, np.asarray(value, dtype=kind).tobytes()
+    return value, b""
+
+
+def encode_inverted(section: object) -> bytes:
+    """Encode a (possibly malformed) ``inverted`` section by the version 6 layout.
+
+    A dict gives the JSON part: its ``lengths``, ``docs`` and ``counts``
+    entries are replaced by their types (see ``_encode_array``) and their
+    bytes follow in that order; other entries stay in the JSON part. Any
+    other value is the JSON part alone.
+    """
+    arrays = b""
+    if isinstance(section, dict):
+        section = dict(section)
+        for name in _ARRAYS:
+            if name in section:
+                section[name], raw = _encode_array(section[name])
+                arrays += raw
+    head = json.dumps(section, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return len(head).to_bytes(4, "big") + head + arrays
+
+
+def raw_sections(path: Path) -> tuple[dict, dict[str, bytes]]:
+    """Header and undecoded sections of an index container, by the documented layout."""
     blob = Path(path).read_bytes()
     offset = 4
 
-    def take() -> object:
+    def take() -> bytes:
         nonlocal offset
         start = offset + 4
         offset = start + int.from_bytes(blob[offset:start], "big")
-        return json.loads(blob[start:offset])
+        return blob[start:offset]
 
-    header = take()
+    header = json.loads(take())
     return header, {name: take() for name in header["sections"]}
+
+
+def read_container(path: Path) -> tuple[dict, dict[str, object]]:
+    """Header and decoded sections: ``inverted`` ones by :func:`decode_inverted`, the others as JSON."""
+    header, sections = raw_sections(path)
+    return header, {
+        name: decode_inverted(raw) if name.startswith("inverted:") else json.loads(raw)
+        for name, raw in sections.items()
+    }
 
 
 def write_container(path: Path, header: object, sections: dict[str, object]) -> None:
     """Encode a (possibly malformed) container with a valid CRC.
 
     Every value of ``sections`` is written in order whatever the header
-    lists; bytes values are written verbatim instead of as JSON.
+    lists: bytes verbatim, an ``inverted`` section with
+    :func:`encode_inverted`, and anything else as JSON.
     """
     parts = [json.dumps(header).encode("utf-8")] + [
-        part if isinstance(part, bytes) else json.dumps(part).encode("utf-8")
-        for part in sections.values()
+        part if isinstance(part, bytes)
+        else encode_inverted(part) if name.startswith("inverted:")
+        else json.dumps(part).encode("utf-8")
+        for name, part in sections.items()
     ]
     body = b"HRIX" + b"".join(len(part).to_bytes(4, "big") + part for part in parts)
     Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))

@@ -341,6 +341,21 @@ class TestQuery:
         assert captured.out == ""
         assert "'trigram' (dim 256)" in captured.err and "'precomputed' (dim 256)" in captured.err
 
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_vectors_file_for_another_encoder_is_refused_before_it_is_read(
+        self, fixture_files, tmp_path, capsys, command
+    ):
+        build_fixture_index(fixture_files)
+        # The file covers one of the index's four keys, so reading it would fail first.
+        vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"], 256)
+        capsys.readouterr()
+        source = ["--query", MELBOURNE_QUERY] if command == "query" else ["--queries", str(fixture_files["queries"])]
+        code = main([command, "--index", str(fixture_files["index"]), *source, "--encoder", f"file:{vectors}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no vector for key" not in err
+        assert "'trigram' (dim 256)" in err and "'precomputed' (dim 256)" in err
+
     @pytest.mark.parametrize("query", ["florida", "rainfall in florida"])
     def test_encoder_mismatch_does_not_depend_on_the_query(self, fixture_files, tmp_path, capsys, query):
         keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
@@ -503,6 +518,26 @@ class TestInspect:
         assert captured.out == ""
         assert "LOCATION, DATE, EVENT, ORGANIZATION, PERSON, THEME" in captured.err
 
+    @pytest.mark.parametrize("cell", ["THEME=storm,THEME=rain", "THEME=rain,THEME=storm"])
+    def test_repeated_cell_dimension_is_usage_error(self, fixture_files, capsys, cell):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), "--cell", cell])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "dimension 'THEME' twice" in captured.err
+
+    @pytest.mark.parametrize("cell", ["THEME=", "LOCATION=florida,THEME= ?"])
+    def test_blank_cell_label_is_usage_error(self, fixture_files, capsys, cell):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), "--cell", cell])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "blank label" in captured.err
+
     def test_label_without_dim_is_usage_error(self, fixture_files, capsys):
         build_fixture_index(fixture_files)
         capsys.readouterr()
@@ -529,6 +564,22 @@ class TestEval:
         report = json.loads(out_path.read_text())
         assert report["aggregates"]["recall_at"]["1"] == 1.0
         assert report["rows"][0]["retrieved_ids"][0] == "565"
+
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_empty_queries_file_is_data_error(self, fixture_files, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        out_path = tmp_path / "out.txt"
+        if command == "eval":
+            args = ["eval", "--index", str(build_fixture_index(fixture_files)), "--queries", str(empty)]
+        else:
+            args = [*bench_args(fixture_files), "--queries", str(empty)]  # the last --queries wins
+        capsys.readouterr()
+        code = main([*args, "--out", str(out_path)])
+        assert code == 2
+        assert f"{empty}: the queries file holds no query" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestBench:

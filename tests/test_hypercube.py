@@ -12,7 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_labeled_corpus, read_container, write_container
+from helpers import (
+    decode_inverted,
+    encode_inverted,
+    random_labeled_corpus,
+    raw_sections,
+    read_container,
+    write_container,
+)
 from oracles import brute_cell, brute_score
 from hyperrag import (
     ChecksumMismatch,
@@ -34,6 +41,7 @@ from hyperrag import (
     save_index,
 )
 from hyperrag import hypercube as hypercube_mod
+from hyperrag.hypercube import MAX_COUNT
 from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence, rank, score_documents
 
 
@@ -330,7 +338,7 @@ class TestContainerV3:
         save_index(ix, path)
         header, sections = read_container(path)
         inverted = [f"inverted:{dim}" for dim in ix.dimensions]
-        assert header == {"version": 5, "sections": inverted + ["forward", "vectors"]}
+        assert header == {"version": 6, "sections": inverted + ["forward", "vectors"]}
         # Counts live only in the postings, next to doc ordinals ...
         assert sections["inverted:THEME"] == {
             "keys": ["storm surge"], "lengths": [2], "docs": [0, 1], "counts": [3, 4]
@@ -340,6 +348,10 @@ class TestContainerV3:
             "keys": ["florida"], "lengths": [1], "docs": [0], "counts": [1]
         }
         assert sections["inverted:DATE"] == {"keys": [], "lengths": [], "docs": [], "counts": []}
+        # Each inverted section is a length-prefixed JSON part naming the
+        # array types, then the raw lengths, docs and counts.
+        head = b'{"counts":"<u1","docs":"<u1","keys":["storm surge"],"lengths":"<u1"}'
+        assert raw_sections(path)[1]["inverted:THEME"] == len(head).to_bytes(4, "big") + head + bytes([2, 0, 1, 3, 4])
         # ... and forward holds the doc ids, whose positions the ordinals are, and nothing else.
         assert sections["forward"] == {"doc_ids": ["d1", "d2", "d3"]}
         # vectors holds the encoder's identity and, per dimension, a CRC-32 of
@@ -429,6 +441,51 @@ class TestContainerV3:
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
             load_index(path)
 
+    def test_version_5_file_rejected(self, hurricane_index, tmp_path):
+        # Version 5 wrote each inverted section as one JSON object of integer arrays.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header["version"] = 5
+        for name, section in sections.items():
+            if name.startswith("inverted:"):
+                sections[name] = json.dumps(section).encode("utf-8")
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
+    def test_narrowest_type_at_each_boundary(self, tmp_path):
+        # One dimension per boundary: its largest ordinal, count or posting
+        # length sits on one side of 2**8 or 2**16.
+        n_docs = 2**16 + 1
+        doc_ids = [f"d{ordinal:05d}" for ordinal in range(n_docs)]
+        corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in doc_ids])
+        labels = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
+        expected = {}
+        for top in (2**8 - 1, 2**8, 2**16 - 1, 2**16):
+            kind = "<u1" if top < 2**8 else "<u2" if top < 2**16 else "<i4"
+            # The largest ordinal and count are ``top``; the one key holds one posting.
+            labels[doc_ids[top]].add(f"AT{top}", "storm", top)
+            expected[f"AT{top}"] = {"lengths": "<u1", "docs": kind, "counts": kind}
+            # A key holding ``top`` postings, of ordinals below ``top`` and count 1.
+            for doc_id in doc_ids[:top]:
+                labels[doc_id].add(f"RUN{top}", "storm")
+            below = "<u1" if top <= 2**8 else "<u2" if top <= 2**16 else "<i4"
+            expected[f"RUN{top}"] = {"lengths": kind, "docs": below, "counts": "<u1"}
+        labels[doc_ids[0]].add("MAX", "storm", MAX_COUNT)
+        expected["MAX"] = {"lengths": "<u1", "docs": "<u1", "counts": "<i4"}
+        ix = build_index(corpus, labels, dimensions=list(expected))
+        path = tmp_path / "ix.hcix"
+        save_index(ix, path)
+        _header, sections = raw_sections(path)
+        for dim, types in expected.items():
+            raw = sections[f"inverted:{dim}"]
+            head = json.loads(raw[4 : 4 + int.from_bytes(raw[:4], "big")])
+            assert {name: head[name] for name in types} == types, dim
+            # The test helper encodes a section exactly as the writer does.
+            assert encode_inverted(decode_inverted(raw)) == raw
+        assert load_index(path) == ix
+
     def test_ordinals_may_drop_across_a_key_boundary(self, tmp_path):
         # Key "alpha" holds the later document, so its run ends above
         # where "beta"'s starts; each key still rises on its own.
@@ -480,6 +537,9 @@ MALFORMED = {
     "key_trailing_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida ", "melbourne beach"]),
     "key_double_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "melbourne  beach"]),
     "key_upper_case": lambda h, s: s["inverted:LOCATION"].update(keys=["Florida", "melbourne beach"]),
+    # Version 6 names each array's type in the JSON part and writes the
+    # values raw, so an entry that used to hold a non-integer value now
+    # names a type the reader does not allow (see helpers.encode_inverted).
     "postings_not_array": lambda h, s: s["inverted:THEME"].update(docs={"2": 5}),
     "postings_empty": lambda h, s: s["inverted:THEME"].update(lengths=[0], docs=[], counts=[]),
     "posting_not_pair": lambda h, s: s["inverted:THEME"].update(counts=[]),
@@ -489,24 +549,42 @@ MALFORMED = {
     "postings_repeat_doc": lambda h, s: s["inverted:LOCATION"].update(docs=[0, 0, 2]),
     "ordinal_past_doc_ids": lambda h, s: s["inverted:THEME"].update(docs=[3]),
     "ordinal_negative": lambda h, s: s["inverted:THEME"].update(docs=[-1]),
-    "ordinal_boolean": lambda h, s: s["inverted:THEME"].update(docs=[True]),
-    "ordinal_float": lambda h, s: s["inverted:THEME"].update(docs=[2.0]),
-    "ordinal_huge": lambda h, s: s["inverted:THEME"].update(docs=[2**70]),
+    "ordinal_boolean": lambda h, s: s["inverted:THEME"].update(docs=("|b1", [True])),
+    "ordinal_float": lambda h, s: s["inverted:THEME"].update(docs=("<f8", [2.0])),
+    "ordinal_huge": lambda h, s: s["inverted:THEME"].update(docs=[2**40]),
     "count_zero": lambda h, s: s["inverted:THEME"].update(counts=[0]),
     "count_negative": lambda h, s: s["inverted:THEME"].update(counts=[-5]),
-    "count_not_integer": lambda h, s: s["inverted:THEME"].update(counts=["5"]),
-    "count_boolean": lambda h, s: s["inverted:THEME"].update(counts=[True]),
-    "count_float": lambda h, s: s["inverted:THEME"].update(counts=[5.0]),
-    "count_huge": lambda h, s: s["inverted:THEME"].update(counts=[2**70]),
+    "count_not_integer": lambda h, s: s["inverted:THEME"].update(counts=("<U1", ["5"])),
+    "count_boolean": lambda h, s: s["inverted:THEME"].update(counts=("|b1", [True])),
+    "count_float": lambda h, s: s["inverted:THEME"].update(counts=("<f4", [5.0])),
+    "count_huge": lambda h, s: s["inverted:THEME"].update(counts=[2**40]),
     "count_past_int32": lambda h, s: s["inverted:THEME"].update(counts=[2**31]),
     "lengths_fewer_than_keys": lambda h, s: s["inverted:LOCATION"].update(lengths=[3]),
     "lengths_sum_short": lambda h, s: s["inverted:LOCATION"].update(lengths=[1, 1]),
     "lengths_sum_long": lambda h, s: s["inverted:LOCATION"].update(lengths=[2, 2]),
     "length_zero": lambda h, s: s["inverted:LOCATION"].update(lengths=[3, 0]),
     "length_negative": lambda h, s: s["inverted:LOCATION"].update(lengths=[4, -1]),
-    "length_boolean": lambda h, s: s["inverted:LOCATION"].update(lengths=[2, True]),
-    "length_float": lambda h, s: s["inverted:LOCATION"].update(lengths=[2.0, 1]),
-    "length_huge": lambda h, s: s["inverted:THEME"].update(lengths=[2**70]),
+    "length_boolean": lambda h, s: s["inverted:LOCATION"].update(lengths=("|b1", [True, True])),
+    "length_float": lambda h, s: s["inverted:LOCATION"].update(lengths=("<f4", [2.0, 1.0])),
+    "length_huge": lambda h, s: s["inverted:THEME"].update(lengths=[2**40]),
+    # The binary layout itself: types outside <u1, <u2 and <i4, and arrays
+    # that do not fill their section exactly.
+    "type_unsigned_32": lambda h, s: s["inverted:THEME"].update(docs=("<u4", [2])),
+    "type_big_endian": lambda h, s: s["inverted:THEME"].update(docs=(">u2", [2])),
+    "type_not_string": lambda h, s: s["inverted:THEME"].update(counts=(1, b"\x05")),
+    "type_missing": lambda h, s: s["inverted:THEME"].update(counts=(None, b"\x05")),
+    "docs_not_whole_items": lambda h, s: s["inverted:THEME"].update(docs=("<u2", b"\x02\x00\x00")),
+    "arrays_trailing_byte": lambda h, s: s.update({"inverted:THEME": encode_inverted(s["inverted:THEME"]) + b"\x00"}),
+    "arrays_trailing_posting": lambda h, s: s.update(
+        {"inverted:THEME": encode_inverted(s["inverted:THEME"]) + b"\x01\x01"}
+    ),
+    "arrays_missing_byte": lambda h, s: s.update({"inverted:THEME": encode_inverted(s["inverted:THEME"])[:-1]}),
+    "json_part_overruns_section": lambda h, s: s.update({"inverted:THEME": b"\x00\x00\xff\xff{}"}),
+    "json_part_prefix_cut": lambda h, s: s.update({"inverted:THEME": b"\x00\x00"}),
+    "json_part_not_json": lambda h, s: s.update({"inverted:THEME": b"\x00\x00\x00\x02{x"}),
+    "inverted_as_version_5_json": lambda h, s: s.update(
+        {"inverted:THEME": json.dumps({"keys": ["rain"], "lengths": [1], "docs": [2], "counts": [5]}).encode()}
+    ),
     "forward_not_object": lambda h, s: s.update(forward=["565", "246", "535"]),
     "forward_extra_key": lambda h, s: s["forward"].update(labels={}),
     "duplicate_doc_ids": lambda h, s: s["forward"]["doc_ids"].append("565"),
@@ -543,6 +621,19 @@ MALFORMED = {
     "checksum_negative": lambda h, s: s["vectors"]["checksums"].update(THEME=-1),
     "checksum_2_32": lambda h, s: s["vectors"]["checksums"].update(THEME=2**32),
 }
+
+
+@pytest.fixture(scope="module")
+def wide_index():
+    """300 documents; THEME's arrays take about 1.2 kB, and the three types all occur."""
+    doc_ids = [f"d{ordinal:03d}" for ordinal in range(300)]
+    corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in doc_ids])
+    labels = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
+    for ordinal, doc_id in enumerate(doc_ids):
+        labels[doc_id].add("THEME", ("rain", "storm surge", "wind")[ordinal % 3], ordinal + 1)
+        if ordinal % 7 == 0:
+            labels[doc_id].add("LOCATION", "florida", 2**16 + ordinal)
+    return build_index(corpus, labels)
 
 
 class TestMalformedContainer:
@@ -597,6 +688,44 @@ class TestMalformedContainer:
         except HyperRagError:
             pass
 
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        dim=st.sampled_from(["THEME", "LOCATION"]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["flip", "cut", "insert"]),
+                # A position counted back from the section's end, where the arrays lie.
+                st.integers(min_value=0, max_value=2**11),
+                st.binary(min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_fuzzed_bytes_raise_only_data_errors(self, wide_index, tmp_path, dim, edits):
+        path = tmp_path / "bytes.hcix"
+        save_index(wide_index, path)
+        header, sections = raw_sections(path)
+        raw = bytearray(sections[f"inverted:{dim}"])
+        for edit, back, data in edits:
+            at = max(len(raw) - 1 - back % (len(raw) + 1), 0)
+            if edit == "flip" and raw:
+                raw[at] ^= data[0] or 0xFF
+            elif edit == "cut":
+                del raw[at:]
+            else:
+                raw[at:at] = data
+        sections[f"inverted:{dim}"] = bytes(raw)
+        # The CRC is recomputed, so the damaged section reaches the parser.
+        write_container(path, header, sections)
+        try:
+            loaded = load_index(path)
+        except HyperRagError:
+            return
+        # Whatever loads is a well-formed index: it saves and loads back unchanged.
+        save_index(loaded, path)
+        assert load_index(path) == loaded
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

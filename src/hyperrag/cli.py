@@ -230,7 +230,10 @@ def _cmd_inspect(args) -> int:
         _check_dimension(ix, args.dim)
     # Labels are normalized as build and query normalize them.
     if args.label is not None:
-        postings = lookup(ix, args.dim, normalize_label(args.label))
+        key = normalize_label(args.label)
+        if not key:
+            raise _usage(f"--label {args.label!r} is a blank label")
+        postings = lookup(ix, args.dim, key)
         if args.json:
             payload = [{"doc_id": p.doc_id, "count": p.count} for p in postings]
             _emit(json.dumps(payload, sort_keys=True), args.out)

@@ -17,7 +17,7 @@ not" for misses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -284,72 +284,87 @@ def match_component(
 
 @dataclass(frozen=True, eq=False)
 class Scores:
-    """Every candidate document of one query, as parallel arrays.
+    """Every candidate document of one query, over its postings sorted by candidate.
 
-    Entry ``j`` is the document ``doc_ids[ordinals[j]]``. ``counts[j, i]``
-    is the occurrence count of component ``i``'s matched label in it (0
-    when not covered); ``coverage[j]`` counts its covered components,
-    ``indicator[j]`` those covered by exact matches, and ``freq[j]`` sums
-    its counts. ``len`` is the candidate count; iteration yields the
-    rows ``(doc_id, coverage, indicator, freq, counts)`` as Python values.
+    Entry ``j`` of ``ordinals``, ``coverage``, ``indicator`` and ``freq``
+    is the candidate ``doc_ids[ordinals[j]]``: the number of components
+    it covers, how many of those are exact matches, and the sum of its
+    counts. Its postings are entries ``offsets[j]`` to ``offsets[j + 1]``
+    of ``components`` (the index of the query component each posting
+    matched, rising) and ``counts`` (the matched label's occurrence
+    count in the document). ``len`` is the candidate count; iteration
+    yields the rows ``(doc_id, coverage, indicator, freq, counts)`` as
+    Python values, ``counts`` holding one entry per component (0 when
+    not covered).
     """
 
     doc_ids: tuple[str, ...]
+    component_count: int
     ordinals: np.ndarray
-    counts: np.ndarray
     coverage: np.ndarray
     indicator: np.ndarray
     freq: np.ndarray
+    offsets: np.ndarray
+    components: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ordinals)
 
     def __iter__(self) -> Iterator[tuple[str, int, int, int, list[int]]]:
-        doc_ids = self.doc_ids
-        for ordinal, coverage, indicator, freq, counts in zip(
-            self.ordinals.tolist(),
-            self.coverage.tolist(),
-            self.indicator.tolist(),
-            self.freq.tolist(),
-            self.counts.tolist(),
+        doc_ids, offsets = self.doc_ids, self.offsets.tolist()
+        components, counts = self.components.tolist(), self.counts.tolist()
+        for j, (ordinal, coverage, indicator, freq) in enumerate(
+            zip(self.ordinals.tolist(), self.coverage.tolist(), self.indicator.tolist(), self.freq.tolist())
         ):
-            yield doc_ids[ordinal], coverage, indicator, freq, counts
+            row = [0] * self.component_count
+            for at in range(offsets[j], offsets[j + 1]):
+                row[components[at]] = counts[at]
+            yield doc_ids[ordinal], coverage, indicator, freq, row
 
 
 _NO_INTS = np.zeros(0, dtype=np.int32)
 
 
 def score_documents(matches: Sequence[MatchEvidence], ix: HypercubeIndex) -> Scores:
-    """Score every candidate document by component coverage, as arrays.
+    """Score every candidate document by component coverage, in one sorted pass.
 
     Candidates and their counts come from the posting lists of the
-    matched labels alone: their ordinals are concatenated and made
-    unique (which sorts the candidates into doc-id order), the counts
-    are scattered into a candidates x components matrix, and coverage
-    and indicator are counted per candidate with ``np.bincount``.
-    Documents sharing no label with the query are never touched, and no
-    array is sized by the corpus. Each component keeps its own column,
-    also when another resolves to the same label. No evidence is built
-    here; :func:`rank` builds it for the documents it keeps.
+    matched labels alone. Their ordinals are concatenated in component
+    order and sorted once, stably, so each candidate's postings form one
+    run, in doc-id order and, within the run, in component order. A
+    candidate's coverage is the length of its run (one posting per
+    covered component); its freq and indicator are sums over the run of
+    the counts and of the exact-match flags. Documents sharing no label
+    with the query are never touched, and no array is sized by the
+    corpus. Each component keeps its own postings, also when another
+    resolves to the same label. No evidence is built here; :func:`rank`
+    builds it for the documents it keeps.
     """
     columns = [i for i, match in enumerate(matches) if match.matched_label is not None]
     postings = [lookup(ix, matches[i].dimension, matches[i].matched_label) for i in columns]
-    ordinals, row = np.unique(
-        np.concatenate([p.ordinals for p in postings] or [_NO_INTS]), return_inverse=True
-    )
-    column = np.repeat(np.array(columns, dtype=np.intp), [len(p) for p in postings])
-    counts = np.zeros((len(ordinals), len(matches)), dtype=np.int64)
-    counts[row, column] = np.concatenate([p.counts for p in postings] or [_NO_INTS])
+    ordinals = np.concatenate([p.ordinals for p in postings] or [_NO_INTS])
+    order = np.argsort(ordinals, kind="stable")
+    ordinals = ordinals[order]
+    components = np.repeat(np.array(columns, dtype=np.intp), [len(p) for p in postings])[order]
+    counts = np.concatenate([p.counts for p in postings] or [_NO_INTS])[order]
+    # A run starts at the first posting and wherever the ordinal changes;
+    # the last offset closes the last run.
+    bounds = np.ones(len(ordinals) + 1, dtype=bool)
+    np.not_equal(ordinals[1:], ordinals[:-1], out=bounds[1:-1])
+    offsets = np.flatnonzero(bounds)
+    starts = offsets[:-1]
     exact = np.array([match.kind == EXACT for match in matches], dtype=bool)
-    # One posting per covered (candidate, component) pair, so counting
-    # each candidate's postings counts its covered components.
     return Scores(
         doc_ids=ix.doc_ids,
-        ordinals=ordinals,
+        component_count=len(matches),
+        ordinals=ordinals[starts],
+        coverage=np.diff(offsets),
+        indicator=np.add.reduceat(exact[components], starts),
+        freq=np.add.reduceat(counts, starts, dtype=np.int64),
+        offsets=offsets,
+        components=components,
         counts=counts,
-        coverage=np.bincount(row, minlength=len(ordinals)),
-        indicator=np.bincount(row[exact[column]], minlength=len(ordinals)),
-        freq=counts.sum(axis=1),
     )
 
 
@@ -358,41 +373,62 @@ def rank(scores: Scores, matches: Sequence[MatchEvidence], k: int = DEFAULT_K) -
 
     Documents covering every one of the ``len(matches)`` components form
     the preferred tier; when none exists, the best partial coverage
-    leads. Both cases reduce to one total order: full coverage first,
-    then coverage desc, then freq desc, then indicator desc, then doc id
-    asc (ordinal order is doc-id order). One ``np.lexsort`` over those
-    keys orders the candidates, stably, so the result equals sorting
-    every candidate and keeping k, ties included. Only the kept
-    documents get evidence, one entry per component: the match with the
-    document's count when covered, an unmatched miss with a zero count
-    otherwise.
+    leads. Since no candidate covers more than ``len(matches)``
+    components, both cases are one total order: coverage desc, then
+    freq desc, then indicator desc, then doc id asc (ordinal order is
+    doc-id order). A candidate below the k-th best coverage cannot be
+    among the top k, so that coverage, read off a count of candidates
+    per coverage, is a cut: one stable ``np.lexsort`` orders only the
+    candidates at or above it, and the result equals sorting every
+    candidate and keeping k, ties included. Only the kept documents get
+    evidence, one entry per component: the match with the document's
+    count when covered, an unmatched miss with a zero count otherwise.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    partial = scores.coverage != len(matches)
-    kept = np.lexsort((scores.ordinals, -scores.indicator, -scores.freq, -scores.coverage, partial))[:k]
-    doc_ids = scores.doc_ids
-    return [
-        ScoredDoc(
-            doc_id=doc_ids[ordinal],
-            coverage=coverage,
-            indicator_score=indicator,
-            freq_score=freq,
-            evidence=[
-                replace(match, doc_count=count)
-                if count
-                else MatchEvidence(match.dimension, match.component, None, UNMATCHED, 0.0)
-                for match, count in zip(matches, counts)
-            ],
-        )
-        for ordinal, coverage, indicator, freq, counts in zip(
-            scores.ordinals[kept].tolist(),
-            scores.coverage[kept].tolist(),
-            scores.indicator[kept].tolist(),
-            scores.freq[kept].tolist(),
-            scores.counts[kept].tolist(),
-        )
+    coverage = scores.coverage
+    # Walk the per-coverage tally down from the top until k candidates
+    # (or all of them) are at or above the cut.
+    tally = np.bincount(coverage).tolist()
+    cut, above = len(tally), 0
+    while above < k and cut > 0:
+        cut -= 1
+        above += tally[cut]
+    picked = np.flatnonzero(coverage >= cut)
+    kept = picked[
+        np.lexsort(
+            (scores.ordinals[picked], -scores.indicator[picked], -scores.freq[picked], -coverage[picked])
+        )[:k]
     ]
+    doc_ids, offsets = scores.doc_ids, scores.offsets
+    ranked = []
+    for j, ordinal, covered, indicator, freq in zip(
+        kept.tolist(),
+        scores.ordinals[kept].tolist(),
+        coverage[kept].tolist(),
+        scores.indicator[kept].tolist(),
+        scores.freq[kept].tolist(),
+    ):
+        run = slice(offsets[j], offsets[j + 1])
+        hits = dict(zip(scores.components[run].tolist(), scores.counts[run].tolist()))
+        evidence = [
+            MatchEvidence(
+                match.dimension, match.component, match.matched_label, match.kind, match.sim, doc_count=hits[i]
+            )
+            if i in hits
+            else MatchEvidence(match.dimension, match.component, None, UNMATCHED, 0.0)
+            for i, match in enumerate(matches)
+        ]
+        ranked.append(
+            ScoredDoc(
+                doc_id=doc_ids[ordinal],
+                coverage=covered,
+                indicator_score=indicator,
+                freq_score=freq,
+                evidence=evidence,
+            )
+        )
+    return ranked
 
 
 def retrieve(

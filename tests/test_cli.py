@@ -538,6 +538,16 @@ class TestInspect:
         assert captured.out == ""
         assert "blank label" in captured.err
 
+    @pytest.mark.parametrize("label", [" ", "?", ""])
+    def test_blank_label_is_usage_error(self, fixture_files, capsys, label):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), "--dim", "THEME", "--label", label])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "blank label" in captured.err
+
     def test_label_without_dim_is_usage_error(self, fixture_files, capsys):
         build_fixture_index(fixture_files)
         capsys.readouterr()

@@ -36,6 +36,10 @@ class TestEvalRecall:
         with pytest.raises(MissingGold):
             eval_recall(hurricane_index, trigram, [QueryRecord(id="q", question="x y z")])
 
+    def test_zero_queries_rejected(self, hurricane_index, trigram):
+        with pytest.raises(ValueError, match="zero queries"):
+            eval_recall(hurricane_index, trigram, [])
+
     def test_gold_absent_from_corpus_rejected(self, hurricane_index, trigram):
         queries = [QueryRecord(id="q", question="rain", gold_doc_ids=("999",))]
         with pytest.raises(MissingGold):

@@ -269,20 +269,29 @@ def make_row(doc_id, coverage, indicator, freq, n):
 
 
 def rank_rows(rows, matches, k):
-    """``rank`` over ``Scores`` holding the ``(doc_id, coverage, indicator, freq, counts)`` rows in order."""
-    doc_ids = tuple(sorted({row[0] for row in rows}))
+    """``rank`` over ``Scores`` holding the ``(doc_id, coverage, indicator, freq, counts)`` rows in order.
 
-    def column(i):
-        return np.array([row[i] for row in rows], dtype=np.int64)
+    Each row's postings are its nonzero counts, in component order; the
+    ``Scores`` is checked to iterate back to the rows.
+    """
+    doc_ids = tuple(sorted({row[0] for row in rows}))
+    postings = [[(i, count) for i, count in enumerate(row[4]) if count] for row in rows]
+
+    def ints(values):
+        return np.array(list(values), dtype=np.int64)
 
     scores = Scores(
         doc_ids=doc_ids,
-        ordinals=np.array([doc_ids.index(row[0]) for row in rows], dtype=np.int64),
-        counts=np.array([row[4] for row in rows], dtype=np.int64).reshape(len(rows), len(matches)),
-        coverage=column(1),
-        indicator=column(2),
-        freq=column(3),
+        component_count=len(matches),
+        ordinals=ints(doc_ids.index(row[0]) for row in rows),
+        coverage=ints(row[1] for row in rows),
+        indicator=ints(row[2] for row in rows),
+        freq=ints(row[3] for row in rows),
+        offsets=ints(np.cumsum([0] + [len(p) for p in postings])),
+        components=ints(i for p in postings for i, _count in p),
+        counts=ints(count for p in postings for _i, count in p),
     )
+    assert list(scores) == [tuple(row) for row in rows]
     return rank(scores, matches, k)
 
 
@@ -340,9 +349,10 @@ class TestRank:
         assert len(rank_rows(rows, _components(1), 2)) == 2
 
     def test_equals_sorting_every_candidate(self):
-        # Random candidate rows, with repeated doc ids and coverage above
-        # the component count, against sorting both tiers in full and
-        # building evidence for every row.
+        # Random candidate rows, with repeated doc ids and any coverage up
+        # to the component count (score_documents never exceeds it),
+        # against sorting both tiers in full and building evidence for
+        # every row.
         rng = np.random.default_rng(47)
 
         def order(doc):
@@ -357,7 +367,7 @@ class TestRank:
             rows = [
                 (
                     f"d{int(rng.integers(0, 6))}",
-                    int(rng.integers(0, component_count + 2)),
+                    int(rng.integers(0, component_count + 1)),
                     int(rng.integers(0, 3)),
                     int(rng.integers(0, 4)),
                     [int(rng.integers(0, 3)) for _ in range(component_count)],
@@ -373,6 +383,111 @@ class TestRank:
             reference = sorted(full, key=order) + sorted(rest, key=order)
             for k in range(1, len(rows) + 3):
                 assert rank_rows(rows, matches, k) == reference[:k]
+
+
+def _fully_sorted(label_map, matches):
+    """Every document covering a component, scored by ``brute_score`` and sorted in full."""
+    expected = brute_score(doc_labels_of(label_map), matches)
+    expected.sort(
+        key=lambda doc: (
+            doc.coverage != len(matches),
+            -doc.coverage,
+            -doc.freq_score,
+            -doc.indicator_score,
+            doc.doc_id,
+        )
+    )
+    return expected
+
+
+# Three components, one of them a semantic match, so indicator and
+# coverage differ.
+_CUT_MATCHES = [
+    MatchEvidence("THEME", "a", "a", EXACT, 1.0),
+    MatchEvidence("THEME", "bee", "b", SEMANTIC, 0.8),
+    MatchEvidence("HAZARD", "c", "c", EXACT, 1.0),
+]
+_CUT_PAIRS = [("THEME", "a"), ("THEME", "b"), ("HAZARD", "c")]
+
+
+def _tiers(full, tied, single):
+    """``full`` documents cover all three components, ``tied`` cover two, ``single`` one.
+
+    Counts repeat, so many documents tie on coverage, freq and indicator
+    alike, and doc ids are shuffled against the order they are made in.
+    """
+    label_map = {}
+    for i in range(full):
+        label_map[f"f{(i * 7) % full:02d}"] = {pair: 1 + i % 2 for pair in _CUT_PAIRS}
+    for i in range(tied):
+        pairs = [pair for j, pair in enumerate(_CUT_PAIRS) if j != i % 3]
+        label_map[f"t{(i * 17) % tied:02d}"] = {pair: 1 + i % 2 for pair in pairs}
+    for i in range(single):
+        label_map[f"s{(i * 11) % single:02d}"] = {_CUT_PAIRS[i % 3]: 1 + i % 3}
+    label_map["none"] = {("THEME", "other"): 4}
+    return label_map
+
+
+class TestTopKCut:
+    """``rank`` sorts only the candidates at or above the k-th best coverage.
+
+    Each case is checked against ``brute_score`` over every document,
+    sorted in full.
+    """
+
+    def check(self, label_map, matches, ks):
+        ix = simple_index(label_map)
+        expected = _fully_sorted(label_map, matches)
+        scores = score_documents(matches, ix)
+        assert len(scores) == len(expected)
+        for k in ks:
+            assert rank(scores, matches, k) == expected[:k], k
+
+    def test_many_candidates_tie_at_the_cut(self):
+        # 4 full, 40 at coverage 2: every k from 5 to 44 cuts at
+        # coverage 2, inside runs of exact ties.
+        self.check(_tiers(4, 40, 30), _CUT_MATCHES, range(5, 45))
+
+    def test_k_around_the_count_above_the_cut(self):
+        # k = 3, 4, 5 around the 4 full documents, and 43, 44, 45 around
+        # the 44 at coverage 2 or more.
+        self.check(_tiers(4, 40, 30), _CUT_MATCHES, (3, 4, 5, 43, 44, 45))
+
+    def test_k_above_the_candidate_count(self):
+        label_map = _tiers(2, 5, 4)
+        candidates = len(label_map) - 1
+        self.check(label_map, _CUT_MATCHES, (candidates, candidates + 1, 10**9))
+
+    def test_zero_candidates(self):
+        label_map = _tiers(2, 5, 4)
+        absent = [
+            MatchEvidence("THEME", "zzz", "zzz", SEMANTIC, 0.6),
+            MatchEvidence("NOWHERE", "a", "a", EXACT, 1.0),
+            MatchEvidence("THEME", "q", None, UNMATCHED, 0.0),
+        ]
+        for matches in ([], absent):
+            assert len(score_documents(matches, simple_index(label_map))) == 0
+            self.check(label_map, matches, (1, 3))
+
+    def test_single_component_every_candidate_ties_on_coverage(self):
+        label_map = {f"d{(i * 13) % 30:02d}": {("THEME", "a"): 1 + i % 3} for i in range(30)}
+        self.check(label_map, _CUT_MATCHES[:1], range(1, 33))
+        self.check(label_map, [MatchEvidence("THEME", "ay", "a", SEMANTIC, 0.7)], range(1, 33))
+
+    def test_random_tiers(self):
+        rng = np.random.default_rng(53)
+        for _case in range(60):
+            n = int(rng.integers(1, 5))
+            matches = [
+                MatchEvidence("THEME", f"c{i}", f"c{i}", EXACT if rng.random() < 0.6 else SEMANTIC, 0.9)
+                for i in range(n)
+            ]
+            label_map = {}
+            for d in range(int(rng.integers(0, 120))):
+                covered = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                label_map[f"d{d:03d}"] = {("THEME", f"c{i}"): int(rng.integers(1, 3)) for i in covered}
+            label_map["anchor"] = {("THEME", "c0"): 1}
+            self.check(label_map, matches, sorted({1, 2, 3, int(rng.integers(1, 130))}))
 
 
 class TestRetrieve:
@@ -565,10 +680,11 @@ class TestOracleEquivalence:
 
     def test_evidence_built_only_for_kept_documents(self, monkeypatch):
         # Counts what the score and rank phases create: a ScoredDoc per
-        # kept document, a hit per component it covers, a miss per other
-        # component, and nothing for candidates rank drops.
+        # kept document, one MatchEvidence per component of it (a hit per
+        # component it covers, a miss per other component), and nothing
+        # for candidates rank drops.
         rng = np.random.default_rng(45)
-        built = {"hits": 0, "misses": 0, "docs": 0}
+        built = {"evidence": 0, "docs": 0}
 
         def counting(name, make):
             def wrapper(*args, **kwargs):
@@ -577,8 +693,7 @@ class TestOracleEquivalence:
 
             return wrapper
 
-        monkeypatch.setattr(retrieval_mod, "replace", counting("hits", replace))
-        monkeypatch.setattr(retrieval_mod, "MatchEvidence", counting("misses", MatchEvidence))
+        monkeypatch.setattr(retrieval_mod, "MatchEvidence", counting("evidence", MatchEvidence))
         monkeypatch.setattr(retrieval_mod, "ScoredDoc", counting("docs", ScoredDoc))
         for _case in range(50):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
@@ -586,14 +701,16 @@ class TestOracleEquivalence:
             matches = _random_matches(rng, vocab)
             candidates = len(brute_score(labels, matches))
             for k in (1, 3, max(candidates, 1)):
-                built.update(hits=0, misses=0, docs=0)
+                built.update(evidence=0, docs=0)
                 ranked = rank(score_documents(matches, ix), matches, k)
                 assert len(ranked) == min(k, candidates)
-                assert built == {
-                    "hits": sum(doc.coverage for doc in ranked),
-                    "misses": sum(len(matches) - doc.coverage for doc in ranked),
-                    "docs": len(ranked),
-                }
+                assert built == {"evidence": len(matches) * len(ranked), "docs": len(ranked)}
+                hits = [[ev for ev in doc.evidence if ev.kind != UNMATCHED] for doc in ranked]
+                misses = [[ev for ev in doc.evidence if ev.kind == UNMATCHED] for doc in ranked]
+                assert [len(h) for h in hits] == [doc.coverage for doc in ranked]
+                assert [len(m) for m in misses] == [len(matches) - doc.coverage for doc in ranked]
+                assert all(ev.doc_count > 0 for h in hits for ev in h)
+                assert all(ev.doc_count == 0 for m in misses for ev in m)
 
     def test_external_decomposition_cases(self):
         rng = np.random.default_rng(41)

@@ -15,6 +15,7 @@ Anything honoring the contract plugs into retrieval unchanged.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,8 +50,12 @@ class TrigramEncoder:
     Each trigram of the normalized text is hashed to a bucket in
     ``[0, dim)`` and to a sign, accumulated, then L2-normalized. Same
     text always yields the identical vector (CRC-32 hashing, no process
-    salt). Raises UnencodableText for inputs shorter than 3 characters
-    after normalization, or in the degenerate case where signed buckets
+    salt). The signed counts are summed as Python integers and the norm
+    is ``sqrt`` of their exact dot product, so every bit equals adding
+    each sign into a float bucket and dividing by ``np.linalg.norm``,
+    the formula saved indexes were checksummed with. Raises
+    UnencodableText for inputs shorter than 3 characters after
+    normalization, or in the degenerate case where signed buckets
     cancel to an exact zero vector.
     """
 
@@ -65,13 +70,16 @@ class TrigramEncoder:
         key = normalize_label(text)
         if len(key) < 3:
             raise UnencodableText(text)
-        values = np.zeros(self.dim, dtype=np.float64)
+        dim = self.dim
+        counts: dict[int, int] = {}
         for i in range(len(key) - 2):
             tri = key[i : i + 3].encode("utf-8")
-            bucket = zlib.crc32(tri) % self.dim
-            sign = 1.0 if zlib.crc32(tri, 1) & 1 else -1.0
-            values[bucket] += sign
-        norm = float(np.linalg.norm(values))
+            bucket = zlib.crc32(tri) % dim
+            counts[bucket] = counts.get(bucket, 0) + (1 if zlib.crc32(tri, 1) & 1 else -1)
+        values = np.zeros(dim, dtype=np.float64)
+        for bucket, count in counts.items():
+            values[bucket] = count
+        norm = math.sqrt(values.dot(values))
         if norm == 0.0:
             raise UnencodableText(text, reason="signed trigram buckets cancel to a zero vector")
         return values / norm
@@ -198,9 +206,13 @@ def semantic_neighbors(
 ) -> list[tuple[str, float]]:
     """Labels of one dimension whose similarity to the component reaches tau.
 
-    Exhaustive scan over the dimension's vocabulary; results are
-    ``(key, sim)`` with sim >= tau, sorted by similarity descending then
-    key ascending. tau and the encoder are checked first, by
+    Exhaustive scan over the dimension's vocabulary: one encode and one
+    dense ``matrix @ query_vec`` over every row. Results are ``(key,
+    sim)`` with sim >= tau, a Python float capped at 1.0 (rounding can
+    lift a product of unit vectors just above it), sorted by similarity
+    descending then key ascending. Only the hits are capped: for tau in
+    [0, 1] a sim reaches tau after capping exactly when it does before.
+    tau and the encoder are checked first, by
     :func:`check_encoder_and_tau`; encoding failures for the component
     propagate.
     """
@@ -209,9 +221,11 @@ def semantic_neighbors(
     keys, matrix = _vocab_vectors(ix, dim, encoder)
     if not keys:
         return []
-    sims = np.clip(matrix @ query_vec, -1.0, 1.0)
-    hits = [(keys[row], float(sims[row])) for row in np.flatnonzero(sims >= tau)]
-    hits.sort(key=lambda kv: (-kv[1], kv[0]))
+    sims = matrix @ query_vec
+    rows = (sims >= tau).nonzero()[0]
+    hits = [(keys[row], min(sim, 1.0)) for row, sim in zip(rows.tolist(), sims[rows].tolist())]
+    if len(hits) > 1:
+        hits.sort(key=lambda kv: (-kv[1], kv[0]))
     return hits
 
 
@@ -223,8 +237,10 @@ def load_precomputed_vectors(
     """Load a line-delimited vectors file (keys ``key``, ``dim``, ``values``).
 
     Vectors are L2-normalized on ingest. Every expected key must be
-    present (MissingKey), every vector must have the declared length
-    (DimMismatch) and every value must be a number (MalformedRecord).
+    present (MissingKey). A record that declares another ``dim``, or
+    holds another number of values, raises DimMismatch naming its line,
+    its key and the figure at fault; ``values`` must be an array of
+    numbers (MalformedRecord).
     """
     vectors: dict[str, np.ndarray] = {}
     for line_no, obj in _iter_records(path):
@@ -232,9 +248,11 @@ def load_precomputed_vectors(
         declared = obj.get("dim", dim)
         values = _require(obj, "values", line_no)
         if not isinstance(values, list):
-            raise DimMismatch(dim, 0)
-        if declared != dim or len(values) != dim:
-            raise DimMismatch(dim, len(values))
+            raise MalformedRecord(line_no, f"values of {key!r} must be an array")
+        if declared != dim:
+            raise DimMismatch(dim, declared, f"line {line_no}: {key!r} declares dim {declared!r}")
+        if len(values) != dim:
+            raise DimMismatch(dim, len(values), f"line {line_no}: {key!r} holds {len(values)} values")
         if not all(type(x) in (int, float) for x in values):
             raise MalformedRecord(line_no, f"values of {key!r} must all be numbers")
         try:

@@ -153,20 +153,24 @@ class Gazetteer:
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
     ``tables`` holds one matcher table per non-empty dimension, in sorted
-    dimension order, and ``first_tokens`` is the union of their keys:
-    the tokens at which some phrase of some dimension can start. Both
-    are derived from ``entries`` once, on construction, and shared by
-    every document extracted.
+    dimension order, and ``dims_by_first_token`` maps each token at which
+    some phrase can start to the dimensions, in that order, whose tables
+    hold it. Both are derived from ``entries`` once, on construction, and
+    shared by every document extracted.
     """
 
     entries: dict[Dimension, frozenset[str]]
     tables: dict[Dimension, PhraseTable] = field(init=False, repr=False, compare=False)
-    first_tokens: frozenset[str] = field(init=False, repr=False, compare=False)
+    dims_by_first_token: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tables = {dim: _phrase_table(self.entries[dim]) for dim in sorted(self.entries) if self.entries[dim]}
+        dims_by_first_token: dict[str, tuple[Dimension, ...]] = {}
+        for dim, table in tables.items():
+            for token in table:
+                dims_by_first_token[token] = dims_by_first_token.get(token, ()) + (dim,)
         object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "first_tokens", frozenset().union(*tables.values()))
+        object.__setattr__(self, "dims_by_first_token", dims_by_first_token)
 
     @classmethod
     def from_phrases(
@@ -264,18 +268,26 @@ def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
     number of matches. Phrases from different dimensions may overlap
     freely (each dimension scans independently). The per-dimension
     tables are the gazetteer's own, built once per gazetteer. A document
-    costs one tokenize and one pass for the positions whose token starts
-    some phrase (``first_tokens``); each dimension then visits only
-    those positions, so text in which no phrase can start costs no more
-    than that.
+    costs one tokenize and one pass that hands each position whose token
+    starts some phrase to the dimensions that have a phrase starting
+    with it (``dims_by_first_token``); each dimension then visits only
+    its own positions, so text in which no phrase can start costs no
+    more than that.
     """
     tokens = tokenize(doc.text)
-    labels = DocLabels(doc_id=doc.id)
-    starts = phrase_starts(tokens, gazetteer.first_tokens)
+    dims_by_first_token = gazetteer.dims_by_first_token
+    starts: dict[Dimension, list[int]] = {}
+    for i in phrase_starts(tokens, dims_by_first_token):
+        for dim in dims_by_first_token[tokens[i]]:
+            starts.setdefault(dim, []).append(i)
+    # Each hit is a non-empty gazetteer key counted once, so the counts
+    # are built here rather than checked one by one in DocLabels.add.
+    counts: dict[tuple[Dimension, str], int] = {}
     for dim, table in gazetteer.tables.items():
-        for _pos, phrase_tokens in match_phrases(tokens, starts, table):
-            labels.add(dim, " ".join(phrase_tokens))
-    return labels
+        for _pos, phrase_tokens in match_phrases(tokens, starts.get(dim, ()), table):
+            pair = (dim, " ".join(phrase_tokens))
+            counts[pair] = counts.get(pair, 0) + 1
+    return DocLabels(doc_id=doc.id, counts=counts)
 
 
 def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> dict[str, DocLabels]:

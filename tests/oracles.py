@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import replace
 
-from hyperrag import DocLabels, MalformedRecord, MatchEvidence, ScoredDoc
+import numpy as np
+
+from hyperrag import DocLabels, MalformedRecord, MatchEvidence, ScoredDoc, UnencodableText, normalize_label
 from hyperrag.labeling import tokenize
 
 
@@ -21,6 +24,35 @@ def py_dot(a, b) -> float:
 
 def py_cosine(a, b) -> float:
     return min(1.0, max(-1.0, py_dot(a, b)))
+
+
+def numpy_trigram_encode(text: str, dim: int) -> np.ndarray:
+    """TrigramEncoder's formula term by term: one float add per trigram into
+    its bucket, then division by ``np.linalg.norm``.
+
+    Raises UnencodableText, with the encoder's message, where it does.
+    """
+    key = normalize_label(text)
+    if len(key) < 3:
+        raise UnencodableText(text)
+    values = np.zeros(dim, dtype=np.float64)
+    for i in range(len(key) - 2):
+        tri = key[i : i + 3].encode("utf-8")
+        values[zlib.crc32(tri) % dim] += 1.0 if zlib.crc32(tri, 1) & 1 else -1.0
+    norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        raise UnencodableText(text, reason="signed trigram buckets cancel to a zero vector")
+    return values / norm
+
+
+def dense_neighbors(keys: list[str], matrix: np.ndarray, query_vec: np.ndarray, tau: float) -> list[tuple[str, float]]:
+    """Thresholded scan of one table the dense way: every sim clipped to
+    [-1, 1], the rows at or above tau, sorted by sim descending then key.
+    """
+    sims = np.clip(matrix @ query_vec, -1.0, 1.0)
+    hits = [(keys[row], float(sims[row])) for row in np.flatnonzero(sims >= tau)]
+    hits.sort(key=lambda kv: (-kv[1], kv[0]))
+    return hits
 
 
 def brute_neighbors(component: str, vocab: list[str], encoder, tau: float) -> list[tuple[str, float]]:

@@ -2,9 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import count_derivations, random_labeled_corpus, read_container, write_container, write_jsonl
-from oracles import brute_neighbors, py_cosine
+from helpers import (
+    HURRICANE_MINI,
+    count_derivations,
+    random_labeled_corpus,
+    read_container,
+    write_container,
+    write_jsonl,
+)
+from oracles import brute_neighbors, dense_neighbors, numpy_trigram_encode, py_cosine
 from hyperrag import (
     Corpus,
     DimMismatch,
@@ -17,7 +26,11 @@ from hyperrag import (
     TrigramEncoder,
     UnencodableText,
     build_index,
+    extract_all,
+    load_corpus,
+    load_gazetteer,
     load_index,
+    load_precomputed_labels,
     load_precomputed_vectors,
     retrieve,
     save_index,
@@ -32,6 +45,31 @@ def index_over_vocab(keys, encoder=None, dim="THEME"):
     for key in keys:
         labels.add(dim, key)
     return build_index(Corpus([doc]), {"d0": labels}, encoder=encoder)
+
+
+def bits(hits):
+    """Hits with each sim as its exact bits, so -0.0 and 0.0 differ and a numpy float fails."""
+    return [(key, type(sim), sim.hex()) for key, sim in hits]
+
+
+# Letters, spaces and punctuation that normalization strips, and non-ASCII
+# characters: some fold to two characters ("İ", "ß"), some are several
+# UTF-8 bytes, and "aécé"'s two trigrams share a bucket with opposite signs.
+_ENCODE_ALPHABET = "abcé ß.İ東🌀-"
+
+# Per-dimension label-vector checksums of the index that data/hurricane_mini
+# builds with TrigramEncoder(256) (gazetteer plus labels file, as the CLI
+# builds it). A saved index stores these and every query checks them, so
+# an encoder that drifts by one bit fails every saved index with
+# EncoderMismatch.
+HURRICANE_MINI_CHECKSUMS = {
+    "DATE": 2558189782,
+    "EVENT": 1654101757,
+    "LOCATION": 494368731,
+    "ORGANIZATION": 981395207,
+    "PERSON": 223132457,
+    "THEME": 824054018,
+}
 
 
 class TestTrigramEncoder:
@@ -68,6 +106,35 @@ class TestTrigramEncoder:
     def test_custom_dim(self):
         enc = TrigramEncoder(dim=64)
         assert enc.encode("storm").shape == (64,)
+
+    @given(
+        st.one_of(
+            st.text(_ENCODE_ALPHABET, max_size=24),
+            st.text(_ENCODE_ALPHABET, min_size=3, max_size=3),
+            st.text(max_size=12),
+        ),
+        st.sampled_from([1, 2, 3, 16, 256]),
+    )
+    @example("aaad", 1)
+    @example("aécé", 256)
+    @example("abc", 256)
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_numpy_formula(self, text, dim):
+        try:
+            expected = numpy_trigram_encode(text, dim)
+        except UnencodableText as exc:
+            with pytest.raises(UnencodableText) as excinfo:
+                TrigramEncoder(dim).encode(text)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert TrigramEncoder(dim).encode(text).tobytes() == expected.tobytes()
+
+    def test_hurricane_mini_checksums_pinned(self):
+        corpus = load_corpus(HURRICANE_MINI / "corpus.jsonl")
+        labels = extract_all(corpus, load_gazetteer(HURRICANE_MINI / "gazetteer.jsonl"))
+        load_precomputed_labels(HURRICANE_MINI / "labels.jsonl", corpus, into=labels)
+        ix = build_index(corpus, labels, encoder=TrigramEncoder(256))
+        assert ix.label_vectors.checksums == HURRICANE_MINI_CHECKSUMS
 
 
 class TestSemanticNeighbors:
@@ -133,6 +200,33 @@ class TestSemanticNeighbors:
             assert [k for k, _ in got] == [k for k, _ in expected]
             for (_k1, s1), (_k2, s2) in zip(got, expected):
                 assert s1 == pytest.approx(s2, abs=1e-12)
+            table_keys, matrix = ix._vector_cache[(encoder.name, encoder.dim)].by_dimension[dim]
+            for edge in (tau, 0.0, 1.0):
+                assert bits(semantic_neighbors(component, dim, ix, encoder, edge)) == bits(
+                    dense_neighbors(table_keys, matrix, encoder.encode(component), edge)
+                )
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_edges_equal_dense_reference(self, tau):
+        # The query vector dots to 1.0000000000000002 with "rain" and
+        # "rainy" (equal sims, ordered by key), to exactly 0.0 with
+        # "snow" and to below -1 with "storm".
+        eps = np.nextafter(1.0, 2.0)
+        assert float(np.array([eps, 0.0]) @ np.array([1.0, 0.0])) == 1.0000000000000002
+        vectors = {
+            "rain": np.array([1.0, 0.0]),
+            "rainy": np.array([1.0, 0.0]),
+            "snow": np.array([0.0, 1.0]),
+            "storm": np.array([-eps, 0.0]),
+            "rainfall": np.array([eps, 0.0]),
+        }
+        encoder = PrecomputedVectorEncoder(vectors, dim=2)
+        ix = index_over_vocab(["rain", "rainy", "snow", "storm"], encoder=encoder)
+        keys, matrix = ix.label_vectors.by_dimension["THEME"]
+        got = semantic_neighbors("rainfall", "THEME", ix, encoder, tau)
+        assert bits(got) == bits(dense_neighbors(keys, matrix, vectors["rainfall"], tau))
+        expected = [("rain", 1.0), ("rainy", 1.0)] + ([("snow", 0.0)] if tau == 0.0 else [])
+        assert bits(got) == bits(expected)
 
     def test_tau_monotonicity(self, trigram):
         ix = index_over_vocab(["rain", "rainfall totals", "raining", "drain"])
@@ -170,6 +264,32 @@ class TestPrecomputedVectors:
         path = self.make_file(tmp_path, [("rain", [1, 0])])
         with pytest.raises(DimMismatch):
             load_precomputed_vectors(path, ["rain"], dim=4)
+
+    @pytest.mark.parametrize(
+        "record, got, detail",
+        [
+            ({"key": "Rain", "dim": 64, "values": [1, 0, 0, 0]}, 64, "line 2: 'rain' declares dim 64"),
+            ({"key": "Rain", "dim": 4, "values": [1, 0]}, 2, "line 2: 'rain' holds 2 values"),
+            ({"key": "Rain", "values": [1, 0, 0, 0, 0]}, 5, "line 2: 'rain' holds 5 values"),
+        ],
+        ids=["declared_dim", "length", "length_undeclared"],
+    )
+    def test_dim_mismatch_names_line_key_and_figure(self, tmp_path, record, got, detail):
+        path = write_jsonl(tmp_path / "vectors.jsonl", [{"key": "storm", "dim": 4, "values": [0, 1, 0, 0]}, record])
+        with pytest.raises(DimMismatch) as excinfo:
+            load_precomputed_vectors(path, ["rain"], dim=4)
+        assert (excinfo.value.expected, excinfo.value.got) == (4, got)
+        assert str(excinfo.value) == f"vector length mismatch: expected 4, got {got} ({detail})"
+
+    @pytest.mark.parametrize("values", ["1,0,0,0", {"0": 1}, 4], ids=["string", "object", "number"])
+    def test_non_array_values_is_malformed(self, tmp_path, values):
+        path = write_jsonl(
+            tmp_path / "vectors.jsonl",
+            [{"key": "storm", "dim": 4, "values": [0, 1, 0, 0]}, {"key": "rain", "dim": 4, "values": values}],
+        )
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_precomputed_vectors(path, ["rain"], dim=4)
+        assert excinfo.value.line_no == 2 and "'rain'" in str(excinfo.value)
 
     @pytest.mark.parametrize("bad", ["x", True, None, [1.0], 10**400], ids=["string", "bool", "null", "array", "huge_int"])
     def test_non_numeric_value_is_malformed(self, tmp_path, bad):

@@ -24,7 +24,7 @@ from .embedding import (
     check_encoder_identity,
     load_precomputed_vectors,
 )
-from .errors import HyperRagError, IoFailure, NoQueries
+from .errors import EncoderMismatch, HyperRagError, IoFailure, NoQueries
 from .evaluation import bench_latency, eval_recall, format_bench_csv
 from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
@@ -82,13 +82,15 @@ def _label_keys(labels) -> set[str]:
 
 
 def _index_encoder(args, ix):
-    """The query encoder for ``ix``, at the vector length the index records (the default if none).
+    """The query encoder for ``ix``, at the vector length the index records (EncoderMismatch if none).
 
     A ``file:`` encoder is checked against the index's encoder before its
     vectors file is read, so a file for an index built with another
     encoder fails as that mismatch, not on a key the file lacks.
     """
-    dim = ix.label_vectors.dim if ix.label_vectors is not None else DEFAULT_EMBED_DIM
+    if ix.label_vectors is None:
+        raise EncoderMismatch(f"{args.index} was built without an encoder and holds no label vectors; rebuild it")
+    dim = ix.label_vectors.dim
     if args.encoder.startswith("file:"):
         check_encoder_identity(ix, PrecomputedVectorEncoder.name, dim)
     return _make_encoder(args, dim, lambda: set().union(*ix.vocab.values()))

@@ -108,7 +108,7 @@ class PrecomputedVectorEncoder:
 
 @dataclass
 class LabelVectors:
-    """The encoder an index was built with, and the vector tables derived with it.
+    """The encoder an index was built with, the only one it answers to, and the tables derived with it.
 
     The identity, and all a container stores, is ``(encoder_name, dim,
     checksums)``: one CRC-32 per index dimension over its encodable keys
@@ -158,10 +158,15 @@ def check_encoder_and_tau(ix: "HypercubeIndex", encoder: Encoder | None, tau: fl
 def check_encoder_identity(ix: "HypercubeIndex", name: str, dim: int) -> None:
     """Refuse an encoder of another ``dim`` (DimMismatch) or ``name`` (EncoderMismatch) than the index's.
 
-    An index built without an encoder accepts any.
+    An index built without an encoder refuses every encoder (EncoderMismatch).
     """
     vectors = ix.label_vectors
-    if vectors is None or (vectors.dim, vectors.encoder_name) == (dim, name):
+    if vectors is None:
+        raise EncoderMismatch(
+            f"the index was built without an encoder, so no label vectors answer {name!r} (dim {dim}); "
+            "rebuild it with an encoder, or query with encoder=None for exact matches only"
+        )
+    if (vectors.dim, vectors.encoder_name) == (dim, name):
         return
     detail = (
         f"the index's label vectors come from encoder {vectors.encoder_name!r} (dim {vectors.dim}), "
@@ -174,21 +179,17 @@ def check_encoder_identity(ix: "HypercubeIndex", name: str, dim: int) -> None:
 
 
 def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray]:
-    """Vectors for one dimension's vocabulary, derived on the dimension's first scan.
+    """The index's vectors for one of its dimensions, derived on the dimension's first scan.
 
-    The encoder must pass :func:`check_encoder_and_tau`; a table that
-    misses the dimension's checksum raises EncoderMismatch naming it. An
-    index built without an encoder derives tables for any encoder, once
-    per encoder and dimension.
+    The encoder must pass :func:`check_encoder_and_tau` and ``dim`` be an
+    index dimension; a derived table that misses the dimension's checksum
+    raises EncoderMismatch naming it.
     """
     vectors = ix.label_vectors
-    if vectors is None:
-        vectors = ix._vector_cache.setdefault((encoder.name, encoder.dim), LabelVectors(encoder.name, encoder.dim, {}))
     table = vectors.by_dimension.get(dim)
     if table is None:
-        derived = build_label_vectors({dim: ix.vocab.get(dim, ())}, encoder)
-        checksum = derived.checksums[dim]
-        if vectors.checksums.get(dim, checksum) != checksum:
+        derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
+        if derived.checksums[dim] != vectors.checksums[dim]:
             raise EncoderMismatch(
                 f"the query encoder {encoder.name!r} (dim {encoder.dim}) does not reproduce the index's "
                 f"label vectors of dimension {dim!r}; query with the build encoder or rebuild the index"
@@ -213,14 +214,14 @@ def semantic_neighbors(
     descending then key ascending. Only the hits are capped: for tau in
     [0, 1] a sim reaches tau after capping exactly when it does before.
     tau and the encoder are checked first, by
-    :func:`check_encoder_and_tau`; encoding failures for the component
-    propagate.
+    :func:`check_encoder_and_tau`; a dimension the index lacks yields
+    ``[]`` unencoded, and encoding failures for the component propagate.
     """
     check_encoder_and_tau(ix, encoder, tau)
+    if dim not in ix.vocab:
+        return []
     query_vec = encoder.encode(component)
     keys, matrix = _vocab_vectors(ix, dim, encoder)
-    if not keys:
-        return []
     sims = matrix @ query_vec
     rows = (sims >= tau).nonzero()[0]
     hits = [(keys[row], min(sim, 1.0)) for row, sim in zip(rows.tolist(), sims[rows].tolist())]

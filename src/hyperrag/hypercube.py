@@ -146,18 +146,14 @@ class HypercubeIndex:
     from ``inverted`` once per index, in ``__post_init__``, which both
     :func:`build_index` and :func:`load_index` pass through; none of the
     three is saved.
-    ``label_vectors`` names the build encoder and checksums each
-    dimension's table; tables for an index built without one go to
-    ``_vector_cache``, one :class:`LabelVectors` per query encoder.
+    ``label_vectors`` names the build encoder, the only one the index
+    answers to, and checksums each dimension's table.
     """
 
     dimensions: tuple[Dimension, ...]
     inverted: dict[Dimension, dict[str, Postings]]
     doc_ids: tuple[str, ...]
     label_vectors: LabelVectors | None = field(default=None)
-    _vector_cache: dict[tuple[str, int], LabelVectors] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     vocab: dict[Dimension, KeysView[str]] = field(init=False, repr=False, compare=False)
     phrase_dims: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)

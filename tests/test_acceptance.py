@@ -325,7 +325,7 @@ def test_c8_embedding_contract():
             labels = DocLabels(doc_id="d0")
             for key in keys:
                 labels.add("THEME", key)
-            ix = build_index(Corpus([doc]), {"d0": labels})
+            ix = build_index(Corpus([doc]), {"d0": labels}, encoder=encoder)
 
             base = keys[int(rng.integers(0, len(keys)))]
             component = base + ["s", "er", "ing", ""][int(rng.integers(0, 4))]

@@ -399,6 +399,24 @@ class TestQuery:
         assert "malformed index container" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_index_without_vectors_is_refused(self, fixture_files, capsys, command):
+        index = build_fixture_index(fixture_files)
+        header, sections = read_container(index)
+        header["sections"].remove("vectors")
+        del sections["vectors"]
+        write_container(index, header, sections)
+        capsys.readouterr()
+        source = ["--query", "rain"] if command == "query" else ["--queries", str(fixture_files["queries"])]
+        code = main([command, "--index", str(index), *source])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "holds no label vectors" in captured.err and "internal error" not in captured.err
+        # The index still answers what needs no encoder.
+        assert main(["inspect", "--index", str(index), "--dim", "THEME", "--label", "rain"]) == 0
+        assert capsys.readouterr().out == "565\t5\n"
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
     def test_unnormalized_key_is_data_error(self, fixture_files, capsys, command):
         index = build_fixture_index(fixture_files)
         header, sections = read_container(index)

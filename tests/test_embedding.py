@@ -139,7 +139,7 @@ class TestTrigramEncoder:
 
 class TestSemanticNeighbors:
     def test_rainfall_matches_rain(self, trigram):
-        ix = index_over_vocab(["rain"])
+        ix = index_over_vocab(["rain"], encoder=trigram)
         hits = semantic_neighbors("rainfall", "THEME", ix, trigram, tau=0.4)
         assert len(hits) == 1
         key, sim = hits[0]
@@ -149,15 +149,27 @@ class TestSemanticNeighbors:
         )
 
     def test_tau_one_without_exact_twin_is_empty(self, trigram):
-        ix = index_over_vocab(["rain"])
+        ix = index_over_vocab(["rain"], encoder=trigram)
         assert semantic_neighbors("rainfall", "THEME", ix, trigram, tau=1.0) == []
 
     def test_empty_vocab(self, trigram):
-        ix = index_over_vocab(["rain"], dim="THEME")
+        ix = index_over_vocab(["rain"], encoder=trigram, dim="THEME")
         assert semantic_neighbors("rainfall", "LOCATION", ix, trigram, tau=0.1) == []
 
+    @pytest.mark.parametrize("component", ["rainfall", "ab"])
+    def test_dimension_the_index_lacks_is_empty_and_unencoded(self, trigram, tmp_path, component):
+        # Neither encoded (so "ab" does not raise UnencodableText) nor given a table.
+        built = index_over_vocab(["rain"], encoder=trigram)
+        for ix in (built, _saved_and_loaded(built, tmp_path / "ix.hcix")):
+            tables = list(ix.label_vectors.by_dimension)
+            for n in range(5):
+                assert semantic_neighbors(component, f"BOGUS{n}", ix, trigram, tau=0.1) == []
+            result = retrieve("q", ix, trigram, tau=0.1, external=[("BOGUS0", component)])
+            assert [m.kind for m in result.matches] == ["unmatched"]
+            assert list(ix.label_vectors.by_dimension) == tables
+
     def test_unencodable_component_propagates(self, trigram):
-        ix = index_over_vocab(["rain"])
+        ix = index_over_vocab(["rain"], encoder=trigram)
         with pytest.raises(UnencodableText):
             semantic_neighbors("ab", "THEME", ix, trigram, tau=0.5)
 
@@ -167,18 +179,20 @@ class TestSemanticNeighbors:
             semantic_neighbors("rainfall", "THEME", ix, trigram, tau=1.5)
 
     def test_unencodable_vocab_keys_skipped(self, trigram):
-        ix = index_over_vocab(["rain", "ab"])
+        ix = index_over_vocab(["rain", "ab"], encoder=trigram)
         hits = semantic_neighbors("rainfall", "THEME", ix, trigram, tau=0.0)
         assert [key for key, _ in hits] == ["rain"]
 
-    def test_precomputed_and_on_the_fly_agree(self, trigram):
+    def test_precomputed_and_on_the_fly_agree(self, trigram, tmp_path):
+        # A built index holds its tables; a loaded one derives them on first scan.
         keys = ["rain", "rainfall totals", "storm surge", "flooding"]
-        with_vectors = index_over_vocab(keys, encoder=trigram)
-        without_vectors = index_over_vocab(keys)
+        built = index_over_vocab(keys, encoder=trigram)
+        loaded = _saved_and_loaded(built, tmp_path / "ix.hcix")
+        assert loaded.label_vectors.by_dimension == {}
         for component in ["rains", "storm surging", "flood"]:
-            assert semantic_neighbors(
-                component, "THEME", with_vectors, trigram, tau=0.2
-            ) == semantic_neighbors(component, "THEME", without_vectors, trigram, tau=0.2)
+            assert bits(semantic_neighbors(component, "THEME", built, trigram, tau=0.2)) == bits(
+                semantic_neighbors(component, "THEME", loaded, trigram, tau=0.2)
+            )
 
     def test_matches_brute_force_random_vocab(self):
         rng = np.random.default_rng(23)
@@ -192,7 +206,7 @@ class TestSemanticNeighbors:
                 continue
             dim = dims[int(rng.integers(0, len(dims)))]
             keys = vocab[dim]
-            ix = index_over_vocab(keys, dim=dim)
+            ix = index_over_vocab(keys, encoder=encoder, dim=dim)
             component = keys[int(rng.integers(0, len(keys)))] + "er"
             tau = float(rng.uniform(0.1, 0.9))
             got = semantic_neighbors(component, dim, ix, encoder, tau)
@@ -200,7 +214,7 @@ class TestSemanticNeighbors:
             assert [k for k, _ in got] == [k for k, _ in expected]
             for (_k1, s1), (_k2, s2) in zip(got, expected):
                 assert s1 == pytest.approx(s2, abs=1e-12)
-            table_keys, matrix = ix._vector_cache[(encoder.name, encoder.dim)].by_dimension[dim]
+            table_keys, matrix = ix.label_vectors.by_dimension[dim]
             for edge in (tau, 0.0, 1.0):
                 assert bits(semantic_neighbors(component, dim, ix, encoder, edge)) == bits(
                     dense_neighbors(table_keys, matrix, encoder.encode(component), edge)
@@ -229,7 +243,7 @@ class TestSemanticNeighbors:
         assert bits(got) == bits(expected)
 
     def test_tau_monotonicity(self, trigram):
-        ix = index_over_vocab(["rain", "rainfall totals", "raining", "drain"])
+        ix = index_over_vocab(["rain", "rainfall totals", "raining", "drain"], encoder=trigram)
         taus = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         previous = None
         for tau in taus:
@@ -312,10 +326,11 @@ class TestPrecomputedVectors:
         )
         vectors = load_precomputed_vectors(path, keys, dim=trigram.dim)
         file_encoder = PrecomputedVectorEncoder(vectors, dim=trigram.dim)
-        ix = index_over_vocab(keys)
+        ix = index_over_vocab(keys, encoder=file_encoder)
+        trigram_ix = index_over_vocab(keys, encoder=trigram)
         assert semantic_neighbors(component, "THEME", ix, file_encoder, tau=0.3) == [
             (k, pytest.approx(s, abs=1e-9))
-            for k, s in semantic_neighbors(component, "THEME", ix, trigram, tau=0.3)
+            for k, s in semantic_neighbors(component, "THEME", trigram_ix, trigram, tau=0.3)
         ]
 
     def test_missing_component_raises_missing_key(self, trigram):
@@ -348,7 +363,7 @@ class TestEncoderMismatch:
         assert "'trigram' (dim 256)" in message and "'trigram' (dim 64)" in message
         # A mismatch encodes nothing: no table is derived or kept.
         assert derivations == []
-        assert ix.label_vectors.by_dimension == {} and ix._vector_cache == {}
+        assert ix.label_vectors.by_dimension == {}
 
     def test_other_name_raises_encoder_mismatch(self, trigram):
         ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
@@ -373,19 +388,21 @@ class TestEncoderMismatch:
         with pytest.raises(EncoderMismatch, match="'precomputed' \\(dim 256\\)"):
             retrieve(query, ix, renamed, tau=0.3)
 
-    def test_index_without_vectors_encodes_for_any_encoder(self, monkeypatch):
+    @pytest.mark.parametrize("query", ["rain", "rainfall totals"])
+    def test_index_without_vectors_refuses_every_encoder(self, trigram, monkeypatch, query):
+        # "rain" matches exactly, so only a check made before matching can refuse it.
         ix = index_over_vocab(["rain", "storm surge"])
         derivations = count_derivations(monkeypatch)
-        for _round in range(3):
-            for encoder in (TrigramEncoder(dim=64), TrigramEncoder(dim=32)):
-                assert semantic_neighbors("rainfall", "THEME", ix, encoder, tau=0.3)
-        # One derivation per encoder x dimension, each kept for its encoder.
-        assert derivations == [("trigram", 64, ("THEME",)), ("trigram", 32, ("THEME",))]
-        assert {key: list(vectors.by_dimension) for key, vectors in ix._vector_cache.items()} == {
-            ("trigram", 64): ["THEME"],
-            ("trigram", 32): ["THEME"],
-        }
-        assert ix.label_vectors is None
+        for encoder in (trigram, TrigramEncoder(dim=64)):
+            with pytest.raises(EncoderMismatch, match="built without an encoder.*encoder=None"):
+                retrieve(query, ix, encoder, tau=0.3)
+            with pytest.raises(EncoderMismatch, match="built without an encoder"):
+                semantic_neighbors("rainfall", "THEME", ix, encoder, tau=0.3)
+        assert derivations == [] and ix.label_vectors is None
+        # Exact-only retrieval still answers.
+        result = retrieve("rain", ix, None)
+        assert [(m.matched_label, m.kind) for m in result.matches] == [("rain", "exact")]
+        assert [doc.doc_id for doc in result.ranked] == ["d0"]
 
     @pytest.mark.parametrize("source", ["vectors_file", "trigram_subclass"])
     def test_loaded_index_rejects_same_name_and_dim_with_other_output(self, trigram, tmp_path, source):

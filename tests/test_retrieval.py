@@ -202,7 +202,7 @@ class TestMatchComponent:
     def test_tie_breaks_to_smallest_label(self, trigram):
         # "xyxy" and "yxyx" have identical trigram multisets, hence
         # identical vectors and identical similarity to the component.
-        ix = simple_index({"d1": {("THEME", "xyxy"): 1}, "d2": {("THEME", "yxyx"): 1}})
+        ix = simple_index({"d1": {("THEME", "xyxy"): 1}, "d2": {("THEME", "yxyx"): 1}}, encoder=trigram)
         assert np.array_equal(trigram.encode("xyxy"), trigram.encode("yxyx"))
         match = match_component(
             QueryComponent("THEME", "xyxyx", "xyxyx"), ix, trigram, tau=0.1
@@ -571,7 +571,7 @@ class TestRetrieve:
         encoder = TrigramEncoder(dim=64)
         for _case in range(60):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, labels, encoder=encoder)
             components = _random_components(rng, vocab)
             result = retrieve(
                 "q", ix, encoder, tau=float(rng.uniform(0.2, 0.9)), k=8, external=components
@@ -588,7 +588,7 @@ class TestRetrieve:
         rng = np.random.default_rng(37)
         for _case in range(40):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=25)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, labels, encoder=trigram)
             components = _random_components(rng, vocab)
             tau_low, tau_high = sorted([float(rng.uniform(0.1, 0.95)) for _ in range(2)])
             low = retrieve("q", ix, trigram, tau=tau_low, k=50, external=components)

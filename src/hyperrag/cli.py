@@ -2,17 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Diagnostics go to stderr; data output goes to stdout or ``--out``.
-The environment variable ``HYPERRAG_SEED`` fixes every stochastic
-choice (currently only noise-document generation).
+``--encoder trigram`` builds at ``DEFAULT_EMBED_DIM``; a ``file:``
+encoder takes its vector length from its file and must cover every
+label key. ``query`` and ``eval`` take the vector length from the index.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .corpus import load_corpus, load_queries
@@ -51,10 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_encoder_flags(parser: argparse.ArgumentParser, *, dim: bool, tau: bool) -> None:
+def _add_encoder_flags(parser: argparse.ArgumentParser, *, tau: bool) -> None:
     parser.add_argument("--encoder", default="trigram", help="'trigram' or 'file:<vectors.jsonl>' (default: trigram)")
-    if dim:
-        parser.add_argument("--embed-dim", type=int, default=DEFAULT_EMBED_DIM)
     if tau:
         parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
@@ -64,36 +63,31 @@ def _check_tau(tau: float) -> None:
         raise _usage(f"--tau must lie in [0, 1], got {tau}")
 
 
-def _make_encoder(args, dim: int, keys):
-    """The ``--encoder`` encoder at ``dim``; only a ``file:`` one calls ``keys()``, and must cover each key."""
-    if dim < 1:
-        raise _usage(f"--embed-dim must be >= 1, got {dim}")
+def _make_encoder(args, trigram_dim: int = DEFAULT_EMBED_DIM, keys: Iterable[str] = ()):
+    """The ``--encoder`` encoder: trigram at ``trigram_dim``, or ``file:`` at its file's length, covering ``keys``."""
     if args.encoder == "trigram":
-        return TrigramEncoder(dim=dim)
+        return TrigramEncoder(dim=trigram_dim)
     if args.encoder.startswith("file:"):
-        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys(), dim=dim)
-        return PrecomputedVectorEncoder(vectors, dim=dim)
+        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys)
+        return PrecomputedVectorEncoder(vectors, dim=len(next(iter(vectors.values()))))
     raise _usage(f"unknown encoder {args.encoder!r}")
 
 
-def _label_keys(labels) -> set[str]:
-    """Every label key of the extracted or loaded labels: the keys a ``file:`` encoder must cover."""
-    return {key for doc in labels.values() for _dim, key in doc.counts}
-
-
 def _index_encoder(args, ix):
-    """The query encoder for ``ix``, at the vector length the index records (EncoderMismatch if none).
+    """The query encoder for ``ix``, which must match the index's name and vector length (EncoderMismatch if none).
 
-    A ``file:`` encoder is checked against the index's encoder before its
-    vectors file is read, so a file for an index built with another
-    encoder fails as that mismatch, not on a key the file lacks.
+    A ``file:`` encoder's name is checked before its vectors file is
+    read, so a file for an index built with another encoder fails as that
+    mismatch, not on a key the file lacks; its length is checked after.
     """
     if ix.label_vectors is None:
         raise EncoderMismatch(f"{args.index} was built without an encoder and holds no label vectors; rebuild it")
     dim = ix.label_vectors.dim
     if args.encoder.startswith("file:"):
         check_encoder_identity(ix, PrecomputedVectorEncoder.name, dim)
-    return _make_encoder(args, dim, lambda: set().union(*ix.vocab.values()))
+    encoder = _make_encoder(args, dim, set().union(*ix.vocab.values()))
+    check_encoder_identity(ix, encoder.name, encoder.dim)
+    return encoder
 
 
 def _load_queries(path: str):
@@ -139,8 +133,7 @@ def _cmd_build(args) -> int:
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
-    encoder = _make_encoder(args, args.embed_dim, lambda: _label_keys(labels))
-    ix = build_index(corpus, labels, dimensions=dimensions, encoder=encoder)
+    ix = build_index(corpus, labels, dimensions=dimensions, encoder=_make_encoder(args))
     save_index(ix, args.out)
     print(
         f"indexed {ix.doc_count} documents, {ix.label_key_count()} label keys "
@@ -188,10 +181,6 @@ def _cmd_bench(args) -> int:
     if args.noise < 0:
         raise _usage(f"--noise must be >= 0, got {args.noise}")
     try:
-        seed = int(os.environ.get("HYPERRAG_SEED", 0))
-    except ValueError:
-        raise _usage(f"HYPERRAG_SEED must be an integer, got {os.environ['HYPERRAG_SEED']!r}")
-    try:
         fractions = [float(f) for f in args.fractions.split(",") if f]
     except ValueError:
         raise _usage(f"bad --fractions value {args.fractions!r}")
@@ -200,7 +189,6 @@ def _cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus)
     gazetteer = load_gazetteer(args.gazetteer)
     queries = _load_queries(args.queries)
-    encoder = _make_encoder(args, args.embed_dim, lambda: _label_keys(extract_all(corpus, gazetteer)))
     rows = bench_latency(
         corpus,
         gazetteer,
@@ -210,8 +198,7 @@ def _cmd_bench(args) -> int:
         repetitions=args.reps,
         tau=args.tau,
         k=args.k,
-        encoder=encoder,
-        seed=seed,
+        encoder=_make_encoder(args),
     )
     _emit(format_bench_csv(rows), args.out)
     if args.out:
@@ -260,7 +247,7 @@ def _cmd_inspect(args) -> int:
     # Default: per-dimension vocabulary summary.
     lines = [f"documents: {ix.doc_count}"]
     for dim in ix.dimensions:
-        keys = sorted(ix.vocab.get(dim, ()))
+        keys = sorted(ix.vocab[dim])
         lines.append(f"{dim}: {len(keys)} labels")
         if args.dim == dim or args.verbose:
             for key in keys:
@@ -281,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--gazetteer")
     p_build.add_argument("--dimensions", nargs="*", help="extension dimension names (upper-case)")
     p_build.add_argument("--out", required=True)
-    _add_encoder_flags(p_build, dim=True, tau=False)
+    _add_encoder_flags(p_build, tau=False)
     p_build.set_defaults(func=_cmd_build)
 
     p_query = sub.add_parser("query", help="run one query against an index")
@@ -292,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--explain", action="store_true")
     p_query.add_argument("--json", action="store_true")
     p_query.add_argument("--out")
-    _add_encoder_flags(p_query, dim=False, tau=True)
+    _add_encoder_flags(p_query, tau=True)
     p_query.set_defaults(func=_cmd_query)
 
     p_eval = sub.add_parser("eval", help="recall/MRR against gold doc ids")
@@ -300,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--queries", required=True)
     p_eval.add_argument("--k", type=int, default=DEFAULT_K)
     p_eval.add_argument("--out")
-    _add_encoder_flags(p_eval, dim=False, tau=True)
+    _add_encoder_flags(p_eval, tau=True)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_bench = sub.add_parser("bench", help="latency vs corpus size")
@@ -312,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--k", type=int, default=DEFAULT_K)
     p_bench.add_argument("--out")
-    _add_encoder_flags(p_bench, dim=True, tau=True)
+    _add_encoder_flags(p_bench, tau=True)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_inspect = sub.add_parser("inspect", help="peek inside an index")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from .corpus import _iter_records, _require, _str_field
-from .errors import DimMismatch, EncoderMismatch, MalformedRecord, MissingKey, UnencodableText
+from .errors import DimMismatch, EncoderMismatch, IoFailure, MalformedRecord, MissingKey, UnencodableText
 from .labeling import Dimension, normalize_label
 
 if TYPE_CHECKING:
@@ -88,8 +88,10 @@ class TrigramEncoder:
 class PrecomputedVectorEncoder:
     """Encoder backed by a key -> vector table loaded from a file.
 
-    ``encode`` looks up the normalized text; keys absent from the table
-    raise MissingKey (retrieval treats such components as unmatched).
+    ``dim`` is the table's vector length, which the file sets. ``encode``
+    looks up the normalized text; keys absent from the table raise
+    MissingKey: :func:`build_index` refuses a label key without a vector,
+    and retrieval treats such a component as unmatched.
     """
 
     name = "precomputed"
@@ -114,8 +116,9 @@ class LabelVectors:
     checksums)``: one CRC-32 per index dimension over its encodable keys
     and float64 rows. ``by_dimension`` holds the ``(keys, matrix)`` tables
     derived so far: all of them after :func:`build_index`, none after
-    :func:`load_index`. Keys the encoder cannot embed are left out; they
-    can still match exactly but never semantically.
+    :func:`load_index`. Keys the encoder cannot encode (UnencodableText)
+    are left out; they can still match exactly but never semantically. A
+    key a precomputed encoder lacks fails the build (MissingKey).
     """
 
     encoder_name: str
@@ -125,7 +128,7 @@ class LabelVectors:
 
 
 def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encoder) -> LabelVectors:
-    """Encode every encodable label key of every dimension, and checksum each dimension's table."""
+    """Encode every label key of every dimension but UnencodableText ones, and checksum each dimension's table."""
     by_dimension: dict[Dimension, tuple[list[str], np.ndarray]] = {}
     checksums: dict[Dimension, int] = {}
     for dim in sorted(vocab):
@@ -133,7 +136,7 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
         for key in sorted(vocab[dim]):
             try:
                 rows.append(encoder.encode(key))
-            except (UnencodableText, MissingKey):
+            except UnencodableText:
                 continue
             keys.append(key)
         matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
@@ -182,14 +185,19 @@ def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tu
     """The index's vectors for one of its dimensions, derived on the dimension's first scan.
 
     The encoder must pass :func:`check_encoder_and_tau` and ``dim`` be an
-    index dimension; a derived table that misses the dimension's checksum
-    raises EncoderMismatch naming it.
+    index dimension; an encoder that lacks one of the dimension's keys
+    (MissingKey), or whose table misses the dimension's checksum, raises
+    EncoderMismatch naming it.
     """
     vectors = ix.label_vectors
     table = vectors.by_dimension.get(dim)
     if table is None:
-        derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
-        if derived.checksums[dim] != vectors.checksums[dim]:
+        try:
+            derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
+            mismatch = derived.checksums[dim] != vectors.checksums[dim]
+        except MissingKey:
+            mismatch = True
+        if mismatch:
             raise EncoderMismatch(
                 f"the query encoder {encoder.name!r} (dim {encoder.dim}) does not reproduce the index's "
                 f"label vectors of dimension {dim!r}; query with the build encoder or rebuild the index"
@@ -230,30 +238,31 @@ def semantic_neighbors(
     return hits
 
 
-def load_precomputed_vectors(
-    path: str | Path,
-    expected_keys: Iterable[str],
-    dim: int = DEFAULT_EMBED_DIM,
-) -> dict[str, np.ndarray]:
-    """Load a line-delimited vectors file (keys ``key``, ``dim``, ``values``).
+def load_precomputed_vectors(path: str | Path, expected_keys: Iterable[str]) -> dict[str, np.ndarray]:
+    """Load a line-delimited vectors file (keys ``key``, optional ``dim``, ``values``).
 
-    Vectors are L2-normalized on ingest. Every expected key must be
-    present (MissingKey). A record that declares another ``dim``, or
-    holds another number of values, raises DimMismatch naming its line,
-    its key and the figure at fault; ``values`` must be an array of
-    numbers (MalformedRecord).
+    The first record fixes the vector length. A later record that holds
+    another number of values, or any record whose ``dim`` differs from
+    its number of values, raises DimMismatch naming its line, its key and
+    the figure at fault; ``values`` must be an array of numbers
+    (MalformedRecord). A file that holds no vector raises IoFailure
+    naming it. Vectors are L2-normalized on ingest. Every expected key
+    must be present (MissingKey).
     """
     vectors: dict[str, np.ndarray] = {}
+    dim = None
     for line_no, obj in _iter_records(path):
         key = normalize_label(_str_field(obj, "key", line_no))
-        declared = obj.get("dim", dim)
         values = _require(obj, "values", line_no)
         if not isinstance(values, list):
             raise MalformedRecord(line_no, f"values of {key!r} must be an array")
-        if declared != dim:
-            raise DimMismatch(dim, declared, f"line {line_no}: {key!r} declares dim {declared!r}")
+        if dim is None:
+            dim = len(values)
         if len(values) != dim:
             raise DimMismatch(dim, len(values), f"line {line_no}: {key!r} holds {len(values)} values")
+        declared = obj.get("dim", dim)
+        if declared != dim:
+            raise DimMismatch(dim, declared, f"line {line_no}: {key!r} declares dim {declared!r}")
         if not all(type(x) in (int, float) for x in values):
             raise MalformedRecord(line_no, f"values of {key!r} must all be numbers")
         try:
@@ -264,6 +273,8 @@ def load_precomputed_vectors(
         if norm == 0.0 or not np.all(np.isfinite(arr)):
             raise UnencodableText(key, reason="zero or non-finite vector in file")
         vectors[key] = arr / norm
+    if not vectors:
+        raise IoFailure(f"{path}: the vectors file holds no vector, so it sets no vector length")
     for key in expected_keys:
         norm_key = normalize_label(key)
         if norm_key not in vectors:

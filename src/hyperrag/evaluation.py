@@ -114,26 +114,22 @@ class EvalReport:
 
     @classmethod
     def from_rows(cls, rows: list[QueryEval], config: dict) -> "EvalReport":
-        if rows:
-            recall_at = {
-                k: sum(1 for r in rows if r.hit_at.get(k, False)) / len(rows)
-                for k in cls.REPORTED_KS
-            }
-            mrr = sum(r.reciprocal_rank for r in rows) / len(rows)
-            totals = np.array([r.timing.total_us for r in rows])
-            mean_us = float(totals.mean())
-            median_us = float(np.median(totals))
-            p95_us = float(np.percentile(totals, 95))
-        else:
-            recall_at = {k: 0.0 for k in cls.REPORTED_KS}
-            mrr = mean_us = median_us = p95_us = 0.0
+        """The report over ``rows``; zero rows raise ValueError, as there is no recall over zero queries."""
+        if not rows:
+            raise ValueError("cannot report recall over zero queries")
+        recall_at = {
+            k: sum(1 for r in rows if r.hit_at.get(k, False)) / len(rows)
+            for k in cls.REPORTED_KS
+        }
+        mrr = sum(r.reciprocal_rank for r in rows) / len(rows)
+        totals = np.array([r.timing.total_us for r in rows])
         return cls(
             rows=rows,
             recall_at=recall_at,
             mrr=mrr,
-            mean_us=mean_us,
-            median_us=median_us,
-            p95_us=p95_us,
+            mean_us=float(totals.mean()),
+            median_us=float(np.median(totals)),
+            p95_us=float(np.percentile(totals, 95)),
             config=config,
         )
 
@@ -258,9 +254,9 @@ def bench_latency(
     label cube and for BM25, giving a ``hypercube`` row and then a
     ``bm25`` row. When ``noise`` > 0 an extra pair of rows at fraction
     1.0 measures the corpus with that many noise documents appended; a
-    negative ``noise`` raises ValueError, as do a fraction outside
-    (0, 1] and ``repetitions`` < 1. Every configuration is built and
-    warmed with one untimed pass first; then each repetition times one
+    negative ``noise`` raises ValueError, as do no queries, a fraction
+    outside (0, 1] and ``repetitions`` < 1. Every configuration is built
+    and warmed with one untimed pass first; then each repetition times one
     pass of every configuration in turn (one sample = mean per-query
     time of a pass), so a change in host speed during the run falls on
     all rows alike rather than on one block of them. Build time is never
@@ -275,7 +271,7 @@ def bench_latency(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     questions = [q.question if isinstance(q, QueryRecord) else q for q in queries]
     if not questions:
-        return []
+        raise ValueError("cannot time zero queries")
 
     runs: list[tuple[float, int]] = [(fraction, 0) for fraction in fractions]
     if noise > 0:

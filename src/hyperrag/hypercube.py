@@ -138,7 +138,8 @@ class HypercubeIndex:
     unlabeled ones included; a document's position in it is its ordinal,
     so ordinal order is doc-id order. ``inverted[dim][key]`` is a
     :class:`Postings` of ordinals and counts, the only place a count is
-    held. Labels are held by their normalized keys only.
+    held. Labels are held by their normalized keys only. ``dimensions``
+    names the tables of ``inverted``, in order (ValueError otherwise).
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
     copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
@@ -159,10 +160,12 @@ class HypercubeIndex:
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.dimensions != tuple(self.inverted):
+            raise ValueError(f"dimensions {self.dimensions} must be the inverted tables' {tuple(self.inverted)}")
         self.vocab = {dim: postings_by_key.keys() for dim, postings_by_key in self.inverted.items()}
         dims_by_key: dict[str, list[Dimension]] = {}
         for dim in self.dimensions:
-            for key in self.vocab.get(dim, ()):
+            for key in self.vocab[dim]:
                 dims_by_key.setdefault(key, []).append(dim)
         self.phrase_dims = {key: tuple(sorted(dims)) for key, dims in dims_by_key.items()}
         self.phrase_table = _phrase_table(self.phrase_dims)
@@ -344,7 +347,7 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
     ``path`` once complete, so a failed write leaves the previous file
     intact.
     """
-    sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted.get(dim, {}))) for dim in ix.dimensions]
+    sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
     sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
     vectors = ix.label_vectors
     if vectors is not None:

@@ -17,7 +17,7 @@ from helpers import (
     write_container,
     write_jsonl,
 )
-from hyperrag import TrigramEncoder
+from hyperrag import TrigramEncoder, build_index, extract_all, load_corpus, load_gazetteer, load_index, save_index
 from hyperrag import cli as cli_mod, evaluation as evaluation_mod
 from hyperrag.cli import build_parser, main
 
@@ -78,7 +78,6 @@ def build_args(files, encoder):
         "--corpus", str(files["corpus"]),
         "--gazetteer", str(files["gazetteer"]),
         "--encoder", encoder,
-        "--embed-dim", "16",
         "--out", str(files["index"]),
     ]
 
@@ -94,7 +93,7 @@ def bench_args(files, vectors=None, out_path=None):
         "--reps", "1",
     ]
     if vectors is not None:
-        args += ["--encoder", f"file:{vectors}", "--embed-dim", "16"]
+        args += ["--encoder", f"file:{vectors}"]
     if out_path is not None:
         args += ["--out", str(out_path)]
     return args
@@ -197,7 +196,6 @@ class TestBuild:
                 "--corpus", str(fixture_files["corpus"]),
                 "--gazetteer", str(fixture_files["gazetteer"]),
                 "--encoder", f"file:{vectors}",
-                "--embed-dim", "4",
                 "--out", str(fixture_files["index"]),
             ]
         )
@@ -210,6 +208,20 @@ class TestBuild:
         code = main(build_args(fixture_files, f"file:{vectors}"))
         assert code == 2
         assert "no vector for key 'florida'" in capsys.readouterr().err
+        assert not fixture_files["index"].exists()
+
+    def test_vectors_file_sets_the_vector_length(self, fixture_files, tmp_path):
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
+        assert main(build_args(fixture_files, f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}")) == 0
+        vectors = load_index(fixture_files["index"]).label_vectors
+        assert (vectors.encoder_name, vectors.dim) == ("precomputed", 16)
+
+    def test_vectors_file_without_a_vector_is_data_error(self, fixture_files, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        code = main(build_args(fixture_files, f"file:{empty}"))
+        assert code == 2
+        assert f"{empty}: the vectors file holds no vector" in capsys.readouterr().err
         assert not fixture_files["index"].exists()
 
     def test_vectors_file_with_every_label_key_builds_queries_and_evals(self, fixture_files, tmp_path, capsys):
@@ -366,18 +378,36 @@ class TestQuery:
         assert code == 2
         assert "'precomputed' (dim 16)" in capsys.readouterr().err
 
-    def test_embed_dim_comes_from_the_index(self, fixture_files, capsys):
-        code = main(
-            [
-                "build",
-                "--corpus", str(fixture_files["corpus"]),
-                "--gazetteer", str(fixture_files["gazetteer"]),
-                "--embed-dim", "64",
-                "--out", str(fixture_files["index"]),
-            ]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    @pytest.mark.parametrize(
+        "key_count, dim, message",
+        [(3, 16, "no vector for key 'tropical storm fay'"), (4, 8, "expected 16, got 8")],
+        ids=["missing_key", "other_length"],
+    )
+    def test_vectors_file_unfit_for_the_index_is_refused_before_any_query(
+        self, fixture_files, tmp_path, monkeypatch, capsys, command, key_count, dim, message
+    ):
+        keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
+        assert main(build_args(fixture_files, f"file:{write_vectors(tmp_path / 'vec.jsonl', keys)}")) == 0
+        unfit = write_vectors(tmp_path / "unfit.jsonl", keys[:key_count], dim)
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("a query ran")
+
+        monkeypatch.setattr(cli_mod, "retrieve", no_query)
+        monkeypatch.setattr(cli_mod, "eval_recall", no_query)
         capsys.readouterr()
+        # "florida" matches exactly, so only an up-front check can refuse it.
+        source = ["--query", "florida"] if command == "query" else ["--queries", str(fixture_files["queries"])]
+        code = main([command, "--index", str(fixture_files["index"]), *source, "--encoder", f"file:{unfit}"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_embed_dim_comes_from_the_index(self, fixture_files, capsys):
+        # The CLI builds trigram indexes at 256 only; this one is built at 64 through the library.
+        corpus = load_corpus(fixture_files["corpus"])
+        labels = extract_all(corpus, load_gazetteer(fixture_files["gazetteer"]))
+        save_index(build_index(corpus, labels, encoder=TrigramEncoder(dim=64)), fixture_files["index"])
         index = ["--index", str(fixture_files["index"]), "--tau", str(FIXTURE_TAU)]
         assert main(["query", *index, "--query", MELBOURNE_QUERY, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"][0]["doc_id"] == "565"
@@ -646,8 +676,8 @@ class TestBench:
             ["engine", "fraction", "noise"], ["hypercube", "1.0", "0"], ["bm25", "1.0", "0"]
         ]
 
-    @pytest.mark.parametrize("encoder, calls", [("trigram", 1), ("file", 2)])
-    def test_label_keys_extracted_only_for_a_vectors_file(self, fixture_files, tmp_path, monkeypatch, encoder, calls):
+    @pytest.mark.parametrize("encoder", ["trigram", "file"])
+    def test_corpus_extracted_once(self, fixture_files, tmp_path, monkeypatch, encoder):
         counted = []
         extract_all = evaluation_mod.extract_all
 
@@ -660,8 +690,8 @@ class TestBench:
         keys = ["rain", "melbourne beach", "florida", "tropical storm fay"]
         vectors = write_vectors(tmp_path / "vec.jsonl", keys) if encoder == "file" else None
         assert main(bench_args(fixture_files, vectors, tmp_path / "bench.csv")) == 0
-        # bench_latency extracts once per fraction; a vectors file adds one pass for its keys.
-        assert len(counted) == calls
+        # bench_latency extracts once per fraction; a vectors file adds no pass for its keys.
+        assert len(counted) == 1
 
     def test_vectors_file_missing_a_label_key_is_data_error(self, fixture_files, tmp_path, capsys):
         vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"])
@@ -677,38 +707,6 @@ class TestBench:
         code = main(bench_args(fixture_files, write_vectors(tmp_path / "vec.jsonl", keys), out_path))
         assert code == 0
         assert out_path.read_text().startswith("engine,fraction,noise,mean_us,median_us,p95_us")
-
-    def test_seed_env_honored(self, fixture_files, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERRAG_SEED", "123")
-        out_path = tmp_path / "bench.csv"
-        code = main(
-            [
-                "bench",
-                "--corpus", str(fixture_files["corpus"]),
-                "--gazetteer", str(fixture_files["gazetteer"]),
-                "--queries", str(fixture_files["queries"]),
-                "--fractions", "1",
-                "--reps", "1",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-
-    def test_non_integer_seed_env_is_usage_error(self, fixture_files, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HYPERRAG_SEED", "abc")
-        code = main(
-            [
-                "bench",
-                "--corpus", str(fixture_files["corpus"]),
-                "--gazetteer", str(fixture_files["gazetteer"]),
-                "--queries", str(fixture_files["queries"]),
-                "--fractions", "1",
-                "--reps", "1",
-                "--out", str(tmp_path / "bench.csv"),
-            ]
-        )
-        assert code == 1
-        assert "HYPERRAG_SEED" in capsys.readouterr().err
 
 
 class TestUnwritableOut:
@@ -759,3 +757,9 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", ["build", "bench"])
+    def test_embed_dim_flag_is_gone(self, fixture_files, capsys, command):
+        args = build_args(fixture_files, "trigram") if command == "build" else bench_args(fixture_files)
+        assert main([*args, "--embed-dim", "256"]) == 1
+        assert "unrecognized arguments: --embed-dim 256" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from hyperrag import (
     DocLabels,
     Document,
     EncoderMismatch,
+    IoFailure,
     MalformedRecord,
     MissingKey,
     PrecomputedVectorEncoder,
@@ -264,20 +265,20 @@ class TestPrecomputedVectors:
         path = self.make_file(
             tmp_path, [("rain", [1, 0, 0, 0]), ("storm", [0, 2, 0, 0])]
         )
-        vectors = load_precomputed_vectors(path, ["rain", "storm"], dim=4)
+        vectors = load_precomputed_vectors(path, ["rain", "storm"])
         assert set(vectors) == {"rain", "storm"}
         assert np.linalg.norm(vectors["storm"]) == pytest.approx(1.0)
 
     def test_missing_key(self, tmp_path):
         path = self.make_file(tmp_path, [("storm", [0, 1, 0, 0])])
         with pytest.raises(MissingKey) as excinfo:
-            load_precomputed_vectors(path, ["rain"], dim=4)
+            load_precomputed_vectors(path, ["rain"])
         assert excinfo.value.key == "rain"
 
     def test_wrong_length(self, tmp_path):
         path = self.make_file(tmp_path, [("rain", [1, 0])])
         with pytest.raises(DimMismatch):
-            load_precomputed_vectors(path, ["rain"], dim=4)
+            load_precomputed_vectors(path, ["rain"])
 
     @pytest.mark.parametrize(
         "record, got, detail",
@@ -291,9 +292,33 @@ class TestPrecomputedVectors:
     def test_dim_mismatch_names_line_key_and_figure(self, tmp_path, record, got, detail):
         path = write_jsonl(tmp_path / "vectors.jsonl", [{"key": "storm", "dim": 4, "values": [0, 1, 0, 0]}, record])
         with pytest.raises(DimMismatch) as excinfo:
-            load_precomputed_vectors(path, ["rain"], dim=4)
+            load_precomputed_vectors(path, ["rain"])
         assert (excinfo.value.expected, excinfo.value.got) == (4, got)
         assert str(excinfo.value) == f"vector length mismatch: expected 4, got {got} ({detail})"
+
+    def test_the_file_sets_the_length(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "vectors.jsonl", [{"key": "rain", "values": [3, 4, 0]}, {"key": "storm", "values": [0, 0, 1]}]
+        )
+        vectors = load_precomputed_vectors(path, ["rain", "storm"])
+        assert vectors["rain"].tolist() == [0.6, 0.8, 0.0]
+        assert {len(vector) for vector in vectors.values()} == {3}
+
+    def test_first_record_fixes_the_length(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "vectors.jsonl", [{"key": "storm", "values": [0, 1, 0]}, {"key": "Rain", "values": [1, 0, 0, 0, 0]}]
+        )
+        with pytest.raises(DimMismatch) as excinfo:
+            load_precomputed_vectors(path, [])
+        assert str(excinfo.value) == "vector length mismatch: expected 3, got 5 (line 2: 'rain' holds 5 values)"
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank_lines"])
+    def test_file_without_a_vector_is_refused(self, tmp_path, text):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IoFailure, match="the vectors file holds no vector") as excinfo:
+            load_precomputed_vectors(path, [])
+        assert str(path) in str(excinfo.value)
 
     @pytest.mark.parametrize("values", ["1,0,0,0", {"0": 1}, 4], ids=["string", "object", "number"])
     def test_non_array_values_is_malformed(self, tmp_path, values):
@@ -302,14 +327,14 @@ class TestPrecomputedVectors:
             [{"key": "storm", "dim": 4, "values": [0, 1, 0, 0]}, {"key": "rain", "dim": 4, "values": values}],
         )
         with pytest.raises(MalformedRecord) as excinfo:
-            load_precomputed_vectors(path, ["rain"], dim=4)
+            load_precomputed_vectors(path, ["rain"])
         assert excinfo.value.line_no == 2 and "'rain'" in str(excinfo.value)
 
     @pytest.mark.parametrize("bad", ["x", True, None, [1.0], 10**400], ids=["string", "bool", "null", "array", "huge_int"])
     def test_non_numeric_value_is_malformed(self, tmp_path, bad):
         path = self.make_file(tmp_path, [("storm", [0, 1, 0, 0]), ("rain", [bad, 1, 2, 3])])
         with pytest.raises(MalformedRecord) as excinfo:
-            load_precomputed_vectors(path, ["rain"], dim=4)
+            load_precomputed_vectors(path, ["rain"])
         assert excinfo.value.line_no == 2
 
     def test_encoder_contract_interchangeable(self, trigram, tmp_path):
@@ -324,7 +349,7 @@ class TestPrecomputedVectors:
                 for text in keys + [component]
             ],
         )
-        vectors = load_precomputed_vectors(path, keys, dim=trigram.dim)
+        vectors = load_precomputed_vectors(path, keys)
         file_encoder = PrecomputedVectorEncoder(vectors, dim=trigram.dim)
         ix = index_over_vocab(keys, encoder=file_encoder)
         trigram_ix = index_over_vocab(keys, encoder=trigram)
@@ -349,6 +374,29 @@ class _RolledTrigram(TrigramEncoder):
 def _saved_and_loaded(ix, path):
     save_index(ix, path)
     return load_index(path)
+
+
+class TestEncoderCoverage:
+    """A precomputed encoder must hold a vector for every label key it is asked for."""
+
+    def test_build_refuses_a_label_key_without_a_vector(self, trigram):
+        partial = PrecomputedVectorEncoder({"rain": trigram.encode("rain")}, dim=trigram.dim)
+        with pytest.raises(MissingKey) as excinfo:
+            index_over_vocab(["rain", "storm surge"], encoder=partial)
+        assert excinfo.value.key == "storm surge"
+
+    def test_loaded_index_refuses_a_partial_encoder_of_its_name_and_dim(self, trigram, tmp_path):
+        keys = ["rain", "storm surge"]
+        full = PrecomputedVectorEncoder({key: trigram.encode(key) for key in keys + ["rainfall"]}, dim=trigram.dim)
+        partial = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "rainfall"]}, dim=trigram.dim)
+        ix = _saved_and_loaded(index_over_vocab(keys, encoder=full), tmp_path / "ix.hcix")
+        # "rainfall" encodes, so the scan derives THEME's table and finds "storm surge" missing:
+        # a refusal, not an unmatched component.
+        with pytest.raises(EncoderMismatch, match="dimension 'THEME'"):
+            retrieve("rainfall totals", ix, partial, tau=0.3)
+        assert ix.label_vectors.by_dimension == {}
+        result = retrieve("rainfall totals", ix, full, tau=0.3)
+        assert [(m.component, m.matched_label, m.kind) for m in result.matches][0] == ("rainfall", "rain", "semantic")
 
 
 class TestEncoderMismatch:
@@ -413,7 +461,7 @@ class TestEncoderMismatch:
                 path = write_jsonl(
                     tmp_path / name, [{"key": key, "dim": 16, "values": list(vectors_of(key))} for key in keys]
                 )
-                return PrecomputedVectorEncoder(load_precomputed_vectors(path, keys, dim=16), dim=16)
+                return PrecomputedVectorEncoder(load_precomputed_vectors(path, keys), dim=16)
 
             build_encoder = file_encoder("a.jsonl", TrigramEncoder(dim=16).encode)
             query_encoder = file_encoder("b.jsonl", _RolledTrigram(dim=16).encode)

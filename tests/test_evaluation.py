@@ -40,6 +40,10 @@ class TestEvalRecall:
         with pytest.raises(ValueError, match="zero queries"):
             eval_recall(hurricane_index, trigram, [])
 
+    def test_report_over_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="zero queries"):
+            EvalReport.from_rows([], {})
+
     def test_gold_absent_from_corpus_rejected(self, hurricane_index, trigram):
         queries = [QueryRecord(id="q", question="rain", gold_doc_ids=("999",))]
         with pytest.raises(MissingGold):
@@ -139,7 +143,8 @@ class TestNoiseInvariance:
 
 class TestBenchLatency:
     def test_empty_queries(self, hurricane_corpus, hurricane_gazetteer):
-        assert bench_latency(hurricane_corpus, hurricane_gazetteer, []) == []
+        with pytest.raises(ValueError, match="zero queries"):
+            bench_latency(hurricane_corpus, hurricane_gazetteer, [])
 
     def test_sample_counts_and_rows(self, hurricane_corpus, hurricane_gazetteer, trigram):
         queries = [QueryRecord(id="q", question=MELBOURNE_QUERY)]

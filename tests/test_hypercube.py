@@ -41,7 +41,7 @@ from hyperrag import (
     save_index,
 )
 from hyperrag import hypercube as hypercube_mod
-from hyperrag.hypercube import MAX_COUNT
+from hyperrag.hypercube import MAX_COUNT, HypercubeIndex
 from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence, rank, score_documents
 
 
@@ -51,6 +51,12 @@ class TestBuildIndex:
             Posting("246", 1),
             Posting("565", 1),
         ]
+
+    def test_dimensions_must_name_the_inverted_tables(self, hurricane_index):
+        ix = hurricane_index
+        for dimensions in (ix.dimensions[:-1], ix.dimensions[::-1], ix.dimensions + ("HAZARD",)):
+            with pytest.raises(ValueError, match="must be the inverted tables"):
+                HypercubeIndex(dimensions=dimensions, inverted=ix.inverted, doc_ids=ix.doc_ids)
 
     def test_empty_label_map(self, hurricane_corpus):
         ix = build_index(hurricane_corpus, {})

@@ -55,7 +55,7 @@ LOADERS = {
     "labels": lambda path: load_precomputed_labels(path, _CORPUS),
     "gazetteer": load_gazetteer,
     "decompositions": ExternalDecompositions.load,
-    "vectors": lambda path: load_precomputed_vectors(path, ["rain"], dim=4),
+    "vectors": lambda path: load_precomputed_vectors(path, ["rain"]),
 }
 
 DELETE = object()

@@ -34,11 +34,24 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import UnknownDocId
-from .hypercube import Postings, _freeze_runs, _frozen
+from .hypercube import Postings, _frozen, _slice_postings
 from .labeling import tokenize
 
 K1 = 1.5
 B = 0.75
+
+
+def _freeze_runs(
+    doc_ids: tuple[str, ...], runs: dict[str, tuple[list[int], list[int]]], keys: list[str]
+) -> dict[str, Postings]:
+    """Per-key ``(ordinals, counts)`` lists, concatenated in ``keys`` order into one array pair and sliced."""
+    return _slice_postings(
+        doc_ids,
+        keys,
+        [len(runs[key][0]) for key in keys],
+        _frozen([o for key in keys for o in runs[key][0]]),
+        _frozen([c for key in keys for c in runs[key][1]]),
+    )
 
 
 @dataclass(eq=False)

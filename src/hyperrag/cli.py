@@ -30,6 +30,7 @@ from .evaluation import bench_latency, eval_recall, format_bench_csv
 from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
     CANONICAL_DIMENSIONS,
+    LabelAssignment,
     extract_all,
     load_gazetteer,
     load_precomputed_labels,
@@ -124,7 +125,7 @@ def _cmd_build(args) -> int:
         if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
             raise _usage(f"--dimensions repeats dimension {dim!r}")
     corpus = load_corpus(args.corpus)
-    labels = {}
+    labels = LabelAssignment()
     if args.gazetteer:
         gazetteer = load_gazetteer(args.gazetteer, extensions)
         labels = extract_all(corpus, gazetteer)

@@ -92,33 +92,46 @@ def _iter_records(path: str | Path):
     appear inside a JSON string, and ``"\r\n"`` works because ``"\r"`` is
     JSON whitespace. Each line is accepted or refused exactly as
     ``json.loads`` would, with its message. Invalid UTF-8 is a
-    MalformedRecord naming the line that holds it.
+    MalformedRecord naming the line that holds it and the offending
+    byte's offset in the file.
+
+    The file is read one line at a time, in binary, so memory does not
+    grow with its size; a read that fails is an IoFailure.
     """
     try:
-        raw = Path(path).read_bytes()
+        handle = open(path, "rb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise MalformedRecord(line_no, f"invalid UTF-8 at byte {exc.start}") from None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            if line[0] == "\ufeff":
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-            obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-            if end != len(line):
-                end = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+    offset = line_no = 0
+    with handle:
+        while True:
+            try:
+                raw = handle.readline()
+            except OSError as exc:
+                raise IoFailure(str(exc)) from exc
+            if not raw:
+                return
+            line_no += 1
+            try:
+                line = raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid UTF-8 at byte {offset + exc.start}") from None
+            offset += len(raw)
+            if not line or line.isspace():
+                continue
+            try:
+                if line[0] == "\ufeff":
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
                 if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, str(exc)) from exc
-        if not isinstance(obj, dict):
-            raise MalformedRecord(line_no, "record must be an object")
-        yield line_no, obj
+                    end = len(line) - len(line[end:].lstrip(_JSON_SPACE))
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, str(exc)) from exc
+            if not isinstance(obj, dict):
+                raise MalformedRecord(line_no, "record must be an object")
+            yield line_no, obj
 
 
 def _require(obj: dict, key: str, line_no: int) -> object:

@@ -88,7 +88,8 @@ class TrigramEncoder:
 class PrecomputedVectorEncoder:
     """Encoder backed by a key -> vector table loaded from a file.
 
-    ``dim`` is the table's vector length, which the file sets. ``encode``
+    ``dim`` is the table's vector length, which the file sets; a vector
+    of another length raises DimMismatch naming its key. ``encode``
     looks up the normalized text; keys absent from the table raise
     MissingKey: :func:`build_index` refuses a label key without a vector,
     and retrieval treats such a component as unmatched.
@@ -97,6 +98,9 @@ class PrecomputedVectorEncoder:
     name = "precomputed"
 
     def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):
+        for key, vector in vectors.items():
+            if len(vector) != dim:
+                raise DimMismatch(dim, len(vector), f"the vector of {key!r}")
         self.dim = dim
         self._vectors = dict(vectors)
 
@@ -245,14 +249,18 @@ def load_precomputed_vectors(path: str | Path, expected_keys: Iterable[str]) -> 
     another number of values, or any record whose ``dim`` differs from
     its number of values, raises DimMismatch naming its line, its key and
     the figure at fault; ``values`` must be an array of numbers
-    (MalformedRecord). A file that holds no vector raises IoFailure
-    naming it. Vectors are L2-normalized on ingest. Every expected key
-    must be present (MissingKey).
+    (MalformedRecord). Keys are normalized, and a key given twice (in
+    any spelling) is a MalformedRecord naming its second line. A file
+    that holds no vector raises IoFailure naming it. Vectors are
+    L2-normalized on ingest. Every expected key must be present
+    (MissingKey).
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
     for line_no, obj in _iter_records(path):
         key = normalize_label(_str_field(obj, "key", line_no))
+        if key in vectors:
+            raise MalformedRecord(line_no, f"key {key!r} appears twice (keys are compared normalized)")
         values = _require(obj, "values", line_no)
         if not isinstance(values, list):
             raise MalformedRecord(line_no, f"values of {key!r} must be an array")

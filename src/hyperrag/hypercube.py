@@ -25,19 +25,15 @@ import numpy as np
 
 from .corpus import Corpus
 from .embedding import Encoder, LabelVectors
-from .errors import (
-    ChecksumMismatch,
-    FormatVersionMismatch,
-    IoFailure,
-    NonPositiveCount,
-    UnknownDocId,
-)
+from .errors import ChecksumMismatch, FormatVersionMismatch, IoFailure, UnknownDocId
 from .labeling import (
     CANONICAL_DIMENSIONS,
     DocLabels,
     Dimension,
+    LabelAssignment,
     PhraseTable,
     _all_normalized,
+    _count_fault,
     _phrase_table,
     normalize_label,
 )
@@ -64,7 +60,8 @@ class Postings:
     ``ordinals[i]`` is a position in the index's sorted ``doc_ids`` and
     rises strictly, so the list runs in doc-id order; ``counts[i]`` is
     the label's occurrence count in that document. The arrays are views
-    into one array per dimension, the only copy of the postings.
+    into arrays shared by many lists (one pair per dimension when loaded,
+    one pair per index when built), the only copy of the postings.
     ``len`` is the posting count, iteration yields ``Posting(doc_id,
     count)`` with Python values, and two lists are equal when their
     arrays are.
@@ -117,22 +114,13 @@ def _slice_postings(
     return postings_by_key
 
 
-def _freeze_runs(
-    doc_ids: tuple[str, ...], runs: Mapping[str, tuple[list[int], list[int]]], keys: list[str]
-) -> dict[str, Postings]:
-    """Per-key ``(ordinals, counts)`` lists, concatenated in ``keys`` order into one array pair and sliced."""
-    return _slice_postings(
-        doc_ids,
-        keys,
-        [len(runs[key][0]) for key in keys],
-        _frozen([o for key in keys for o in runs[key][0]]),
-        _frozen([c for key in keys for c in runs[key][1]]),
-    )
-
-
 @dataclass
 class HypercubeIndex:
     """The document-to-label assignment, each fact held once.
+
+    It is the inverted form of a :class:`~hyperrag.labeling.LabelAssignment`:
+    :func:`build_index` sorts the assignment's records into posting
+    lists, after which the assignment is not needed.
 
     ``doc_ids`` is the sorted tuple of every indexed document id,
     unlabeled ones included; a document's position in it is its ordinal,
@@ -186,58 +174,87 @@ def build_index(
 ) -> HypercubeIndex:
     """Index a corpus under a label assignment.
 
-    Every labeled doc id must exist in the corpus, no dimension may be
-    given twice, and every label key must be non-empty and its own
-    :func:`normalize_label`, as :func:`load_index` demands of a saved
-    key. Documents without labels are listed in ``doc_ids``
-    and appear in no posting list. Each label's count, from 1 to
-    ``MAX_COUNT``, goes into its posting. Documents are visited in
-    doc-id order, so every posting list comes out sorted. When an
-    encoder is given, label vectors for the whole vocabulary are
-    computed now, and the index answers only to that encoder.
-    """
-    for doc_id in labels:
-        if doc_id not in corpus:
-            raise UnknownDocId(doc_id)
+    ``labels`` is a :class:`~hyperrag.labeling.LabelAssignment`, as the
+    loaders return, or any ``Mapping[str, DocLabels]``, which is
+    converted to one first, so both take one path. Every doc id the
+    assignment has seen must exist in the corpus (UnknownDocId), every
+    label dimension must be among ``dimensions`` (ValueError), no
+    dimension may be given twice, and every label key must be non-empty
+    and its own :func:`normalize_label`, as :func:`load_index` demands of
+    a saved key (ValueError). Documents without labels are listed in
+    ``doc_ids`` and appear in no posting list.
 
+    The records are inverted with whole-array passes, no loop per
+    posting: doc numbers become ordinals with one ``take``, pairs are
+    ranked by (dimension order, key), one ``np.lexsort`` orders the
+    records by (pair, ordinal), one ``np.add.reduceat`` merges repeated
+    ``(doc, dimension, key)`` records, summing in int64, and
+    ``np.bincount`` gives each key's posting count. A merged count
+    outside 1 to ``MAX_COUNT`` raises NonPositiveCount naming the
+    dimension, key and doc. When an encoder is given, label vectors for
+    the whole vocabulary are computed now, and the index answers only
+    to that encoder.
+    """
+    if not isinstance(labels, LabelAssignment):
+        labels = LabelAssignment._from_mapping(labels)
+    doc_ids = tuple(sorted(doc.id for doc in corpus))
+    ordinal_of = dict(zip(doc_ids, range(len(doc_ids))))
+    try:
+        doc_ordinals = np.array([ordinal_of[doc_id] for doc_id in labels._docs], dtype=np.int32)
+    except KeyError as exc:
+        raise UnknownDocId(exc.args[0]) from None
+
+    pairs = labels._pairs
     if dimensions is None:
-        extras = sorted(
-            {dim for doc_labels in labels.values() for (dim, _key) in doc_labels.counts}
-            - set(CANONICAL_DIMENSIONS)
-        )
+        extras = sorted({dim for dim, _key in pairs} - set(CANONICAL_DIMENSIONS))
         dims = CANONICAL_DIMENSIONS + tuple(extras)
     else:
         dims = tuple(dimensions)
         for pos, dim in enumerate(dims):
             if dim in dims[:pos]:
                 raise ValueError(f"dimension {dim!r} appears twice in {dims}")
+    dim_pos = {dim: pos for pos, dim in enumerate(dims)}
+    for dim, _key in pairs:
+        if dim not in dim_pos:
+            raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
 
-    doc_ids = tuple(sorted(doc.id for doc in corpus))
-    # Per dimension: key -> (ordinals, counts), appended in ordinal order.
-    runs: dict[Dimension, dict[str, tuple[list[int], list[int]]]] = {dim: {} for dim in dims}
-    for ordinal, doc_id in enumerate(doc_ids):
-        doc_labels = labels.get(doc_id)
-        if doc_labels is None:
-            continue
-        for (dim, key), count in doc_labels.counts.items():
-            runs_by_key = runs.get(dim)
-            if runs_by_key is None:
-                raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
-            if not 1 <= count <= MAX_COUNT:
-                raise NonPositiveCount(f"({dim}, {key!r}) in doc {doc_id!r} -> {count}")
-            run = runs_by_key.get(key)
-            if run is None:
-                run = runs_by_key[key] = ([], [])
-            run[0].append(ordinal)
-            run[1].append(count)
+    # Pair ids in (dimension order, key) order; rank[pair id] is a pair's place in it.
+    by_rank = sorted(range(len(pairs)), key=lambda pair_id: (dim_pos[pairs[pair_id][0]], pairs[pair_id][1]))
+    rank = np.empty(len(pairs), dtype=np.int32)
+    rank[by_rank] = np.arange(len(pairs), dtype=np.int32)
+    doc_col, pair_col, count_col = labels._columns()
+    ordinals = doc_ordinals.take(doc_col)
+    ranks = rank.take(pair_col)
+    order = np.lexsort((ordinals, ranks))
+    ordinals, ranks = ordinals[order], ranks[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordinals[1:] != ordinals[:-1]) | (ranks[1:] != ranks[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.add.reduceat(count_col.take(order).astype(np.int64), starts)
+    ordinals, ranks = ordinals[starts], ranks[starts]
+    faulty = (counts < 1) | (counts > MAX_COUNT)
+    if faulty.any():
+        at = int(np.argmax(faulty))
+        dim, key = pairs[by_rank[ranks[at]]]
+        raise _count_fault(dim, key, doc_ids[ordinals[at]], int(counts[at]))
+    lengths = np.bincount(ranks, minlength=len(pairs)).tolist()
+    ordinals, counts = _frozen(ordinals), _frozen(counts)
 
+    keys_by_dim: dict[Dimension, list[str]] = {dim: [] for dim in dims}
+    for pair_id in by_rank:
+        dim, key = pairs[pair_id]
+        keys_by_dim[dim].append(key)
     inverted = {}
-    for dim, runs_by_key in runs.items():
-        keys = sorted(runs_by_key)
+    first_rank = start = 0
+    for dim, keys in keys_by_dim.items():
         if not _all_normalized(keys):
             key = next(key for key in keys if not key or normalize_label(key) != key)
             raise ValueError(f"label key {key!r} in dimension {dim!r} is empty or not normalized")
-        inverted[dim] = _freeze_runs(doc_ids, runs_by_key, keys)
+        dim_lengths = lengths[first_rank : first_rank + len(keys)]
+        end = start + sum(dim_lengths)
+        inverted[dim] = _slice_postings(doc_ids, keys, dim_lengths, ordinals[start:end], counts[start:end])
+        first_rank += len(keys)
+        start = end
 
     ix = HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids)
     if encoder is not None:

@@ -9,7 +9,10 @@ Labels reach the index by one of two routes with the same output shape:
   offline by whatever NER / keyphrase tooling the deployment uses.
 
 Both routes normalize label keys with :func:`normalize_label`, so a key
-always means the same thing no matter where it came from.
+always means the same thing no matter where it came from, and both
+append into a :class:`LabelAssignment`: one record per label, held in
+integer columns, which :func:`~hyperrag.hypercube.build_index` inverts
+with whole-array passes.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Mapping
+from types import MappingProxyType
+from typing import Container, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .corpus import Corpus, Document, _iter_records, _str_field
 from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
@@ -120,7 +127,11 @@ class DocLabels:
 
     ``counts[(dim, key)]`` is how often the label occurs in the document
     (always >= 1). Keys are normalized; the strings a label was spelled
-    with are not kept.
+    with are not kept. A DocLabels built by hand is mutable through
+    :meth:`add`. One read from a :class:`LabelAssignment` is a view whose
+    ``counts`` is a read-only ``MappingProxyType``, so :meth:`add` on it
+    raises TypeError rather than change nothing; ``copy.deepcopy`` of
+    either gives a mutable DocLabels of its own.
     """
 
     doc_id: str
@@ -133,6 +144,112 @@ class DocLabels:
             raise ValueError("empty label key")
         pair = (dimension, key)
         self.counts[pair] = self.counts.get(pair, 0) + count
+
+    def __deepcopy__(self, memo: dict) -> "DocLabels":
+        # Keys are tuples of strings and counts ints, so a new dict copies them deeply.
+        return DocLabels(doc_id=self.doc_id, counts=dict(self.counts))
+
+
+def _count_fault(dim: Dimension, key: str, doc_id: str, count: int) -> NonPositiveCount:
+    """The error for a document's count of a label that an index cannot hold."""
+    return NonPositiveCount(f"({dim}, {key!r}) in doc {doc_id!r} -> {count}")
+
+
+class LabelAssignment(Mapping[str, DocLabels]):
+    """Every document's labels, held as records in integer columns.
+
+    :func:`extract_all` and :func:`load_precomputed_labels` append one
+    record per label they read, and :func:`~hyperrag.hypercube.build_index`
+    inverts the records with whole-array passes. An assignment holds a
+    table of the distinct ``(dimension, key)`` pairs, the doc ids it has
+    seen (labeled or not, each once, in the order first seen) and, per
+    record, three ``array('i')`` columns: the document's number in that
+    order, the pair's id and the count. Repeated ``(doc, dimension,
+    key)`` records are kept as they came and merged where they are read,
+    so a count may exceed what one record holds.
+
+    It is a read-only ``Mapping[str, DocLabels]``: ``len``, ``in``,
+    iteration (docs in the order first seen) and ``items()`` behave as a
+    dict's. ``assignment[doc_id]`` builds the document's
+    :class:`DocLabels` on access, its merged counts in the order their
+    pairs first appear, as a read-only view. Only the loaders append.
+    """
+
+    def __init__(self) -> None:
+        self._pairs: list[tuple[Dimension, str]] = []
+        self._pair_ids: dict[tuple[Dimension, str], int] = {}
+        self._docs: dict[str, int] = {}
+        self._doc_col = array("i")
+        self._pair_col = array("i")
+        self._count_col = array("i")
+        # ((record count, doc count), record numbers grouped by doc, each doc's bounds in them)
+        self._by_doc: tuple[tuple[int, int], list[int], list[int]] | None = None
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._docs)
+
+    def __contains__(self, doc_id: object) -> bool:
+        return doc_id in self._docs
+
+    def __getitem__(self, doc_id: str) -> DocLabels:
+        number = self._docs[doc_id]
+        rows, bounds = self._rows_by_doc()
+        pairs, pair_col, count_col = self._pairs, self._pair_col, self._count_col
+        counts: dict[tuple[Dimension, str], int] = {}
+        for row in rows[bounds[number] : bounds[number + 1]]:
+            pair = pairs[pair_col[row]]
+            counts[pair] = counts.get(pair, 0) + count_col[row]
+        return DocLabels(doc_id=doc_id, counts=MappingProxyType(counts))
+
+    def _doc_number(self, doc_id: str) -> int:
+        """The number of ``doc_id``, which is added to the docs seen if new."""
+        number = self._docs.get(doc_id)
+        if number is None:
+            number = self._docs[doc_id] = len(self._docs)
+        return number
+
+    def _append(self, number: int, pair: tuple[Dimension, str], count: int) -> None:
+        """Append one record; a count outside int32 raises OverflowError and appends nothing."""
+        self._count_col.append(count)
+        pair_id = self._pair_ids.get(pair)
+        if pair_id is None:
+            pair_id = self._pair_ids[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        self._pair_col.append(pair_id)
+        self._doc_col.append(number)
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the doc number, pair id and count columns, as int32 arrays."""
+        return tuple(np.array(col, dtype=np.int32) for col in (self._doc_col, self._pair_col, self._count_col))
+
+    def _rows_by_doc(self) -> tuple[list[int], list[int]]:
+        """Record numbers grouped by doc, in append order within one, and doc ``n``'s bounds in them.
+
+        Sorted once and kept until a record or a doc is appended.
+        """
+        shape = (len(self._doc_col), len(self._docs))
+        if self._by_doc is None or self._by_doc[0] != shape:
+            docs = np.array(self._doc_col, dtype=np.int32)
+            bounds = np.zeros(len(self._docs) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(docs, minlength=len(self._docs)), out=bounds[1:])
+            self._by_doc = (shape, np.argsort(docs, kind="stable").tolist(), bounds.tolist())
+        return self._by_doc[1:]
+
+    @classmethod
+    def _from_mapping(cls, labels: Mapping[str, DocLabels]) -> "LabelAssignment":
+        """One record per ``(doc, pair)`` of a plain mapping; a count outside int32 raises NonPositiveCount."""
+        assignment = cls()
+        for doc_id, doc_labels in labels.items():
+            number = assignment._doc_number(doc_id)
+            for pair, count in doc_labels.counts.items():
+                try:
+                    assignment._append(number, pair, count)
+                except OverflowError:
+                    raise _count_fault(*pair, doc_id, count) from None
+        return assignment
 
 
 def _gazetteer_key(phrase: str) -> str:
@@ -259,20 +376,11 @@ def match_phrases(
     return hits
 
 
-def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
-    """Match every gazetteer phrase against the document text.
+def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimension, str], int]:
+    """Each ``(dimension, key)`` the gazetteer matches in a document, with its match count.
 
-    Matching runs per dimension over the normalized token sequence,
-    longest match wins at each position, and matches within one
-    dimension never overlap. The occurrence count of a label is its
-    number of matches. Phrases from different dimensions may overlap
-    freely (each dimension scans independently). The per-dimension
-    tables are the gazetteer's own, built once per gazetteer. A document
-    costs one tokenize and one pass that hands each position whose token
-    starts some phrase to the dimensions that have a phrase starting
-    with it (``dims_by_first_token``); each dimension then visits only
-    its own positions, so text in which no phrase can start costs no
-    more than that.
+    Pairs appear in scan order: dimensions in the gazetteer's sorted
+    order, each left to right. See :func:`gazetteer_extract`.
     """
     tokens = tokenize(doc.text)
     dims_by_first_token = gazetteer.dims_by_first_token
@@ -287,32 +395,70 @@ def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
         for _pos, phrase_tokens in match_phrases(tokens, starts.get(dim, ()), table):
             pair = (dim, " ".join(phrase_tokens))
             counts[pair] = counts.get(pair, 0) + 1
-    return DocLabels(doc_id=doc.id, counts=counts)
+    return counts
 
 
-def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> dict[str, DocLabels]:
-    """Run gazetteer extraction over a whole corpus."""
-    return {doc.id: gazetteer_extract(doc, gazetteer) for doc in corpus}
+def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
+    """Match every gazetteer phrase against the document text.
+
+    Matching runs per dimension over the normalized token sequence,
+    longest match wins at each position, and matches within one
+    dimension never overlap. The occurrence count of a label is its
+    number of matches. Phrases from different dimensions may overlap
+    freely (each dimension scans independently). The per-dimension
+    tables are the gazetteer's own, built once per gazetteer. A document
+    costs one tokenize and one pass that hands each position whose token
+    starts some phrase to the dimensions that have a phrase starting
+    with it (``dims_by_first_token``); each dimension then visits only
+    its own positions, so text in which no phrase can start costs no
+    more than that. :func:`extract_all` runs the same matcher.
+    """
+    return DocLabels(doc_id=doc.id, counts=_gazetteer_counts(doc, gazetteer))
+
+
+def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
+    """Run gazetteer extraction over a whole corpus, into a new :class:`LabelAssignment`.
+
+    Every document is seen, in corpus order, and each label matched in
+    it appends one record of its match count, so ``result[doc_id]``
+    equals ``gazetteer_extract(doc, gazetteer)``.
+    """
+    labels = LabelAssignment()
+    for doc in corpus:
+        number = labels._doc_number(doc.id)
+        for pair, count in _gazetteer_counts(doc, gazetteer).items():
+            labels._append(number, pair, count)
+    return labels
 
 
 def load_precomputed_labels(
     path: str | Path,
     corpus: Corpus,
     extensions: Iterable[str] = (),
-    into: dict[str, DocLabels] | None = None,
-) -> dict[str, DocLabels]:
+    into: LabelAssignment | None = None,
+) -> LabelAssignment:
     """Ingest a label file produced by an external extractor.
 
-    Records carry ``doc_id``, ``dim``, ``label`` and ``count``. Label
-    strings are normalized on ingest, each distinct spelling once per
-    file, so records spelling a label alike share one key string;
-    repeated (doc, dim, label) records merge additively, and passing
-    ``into`` merges across files.
+    Records carry ``doc_id``, ``dim``, ``label`` and ``count``; each one
+    that passes its checks is appended to a new :class:`LabelAssignment`,
+    or to ``into`` (which must be one, from :func:`extract_all` or an
+    earlier call) and returned. Label strings are normalized on ingest,
+    each distinct spelling once per file, so records spelling a label
+    alike share one key. Repeated (doc, dim, label) records, in one file
+    or across files, merge additively where the assignment is read. A
+    count must be an integer >= 1 (NonPositiveCount naming the line); one
+    too large for an index to hold (2**31 - 1) raises NonPositiveCount
+    naming the doc and label, as :func:`~hyperrag.hypercube.build_index`
+    does for a merged count. A record that fails a check appends nothing,
+    and the records before it stay appended.
     """
-    result: dict[str, DocLabels] = into if into is not None else {}
+    if into is not None and not isinstance(into, LabelAssignment):
+        raise TypeError(f"into must be a LabelAssignment, not {type(into).__name__}")
+    result = LabelAssignment() if into is None else into
     keys: dict[str, str] = {}
     ids = corpus.id_index
     extensions = set(extensions)
+    docs = result._docs
     for line_no, obj in _iter_records(path):
         doc_id = _str_field(obj, "doc_id", line_no)
         if doc_id not in ids:
@@ -329,9 +475,12 @@ def load_precomputed_labels(
             key = keys[surface] = normalize_label(surface)
             if not key:
                 raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
-        labels = result.get(doc_id)
-        if labels is None:
-            labels = result[doc_id] = DocLabels(doc_id=doc_id)
-        labels.add(dim, key, count)
+        # A new doc is numbered once its record is appended, which may fail.
+        number = docs.get(doc_id)
+        try:
+            result._append(len(docs) if number is None else number, (dim, key), count)
+        except OverflowError:
+            raise _count_fault(dim, key, doc_id, count) from None
+        if number is None:
+            docs[doc_id] = len(docs)
     return result
-

@@ -190,6 +190,30 @@ def brute_cell(labels_by_doc: dict[str, DocLabels], coords: dict[str, str]) -> l
     return sorted(out)
 
 
+def brute_postings(labels_by_doc: dict[str, DocLabels]) -> dict[str, dict[str, list[tuple[str, int]]]]:
+    """Every label's postings, ``dim -> key -> [(doc_id, count)]``, by one scan of a plain assignment.
+
+    Documents are visited in doc-id order and appended to each of their
+    labels' lists, so every list comes out in doc-id order; dimensions
+    and keys without a posting are absent.
+    """
+    out: dict[str, dict[str, list[tuple[str, int]]]] = {}
+    for doc_id in sorted(labels_by_doc):
+        for (dim, key), count in labels_by_doc[doc_id].counts.items():
+            out.setdefault(dim, {}).setdefault(key, []).append((doc_id, count))
+    return out
+
+
+def brute_merge(records: list[dict]) -> dict[str, dict[tuple[str, str], int]]:
+    """Label file records merged by hand: doc id (in the order first seen) -> (dim, normalized key) -> summed count."""
+    out: dict[str, dict[tuple[str, str], int]] = {}
+    for record in records:
+        counts = out.setdefault(record["doc_id"], {})
+        pair = (record["dim"], normalize_label(record["label"]))
+        counts[pair] = counts.get(pair, 0) + record.get("count", 1)
+    return out
+
+
 def substring_occurrences(phrase_tokens: list[str], text_tokens: list[str]) -> int:
     """Occurrences of a token sequence inside a token list (overlaps allowed)."""
     n, m = len(text_tokens), len(phrase_tokens)

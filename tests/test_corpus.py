@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,7 @@ from hyperrag import (
     load_corpus,
     load_queries,
 )
+from hyperrag import corpus as corpus_module
 from hyperrag.corpus import _iter_records
 
 
@@ -92,6 +95,15 @@ class TestLoadCorpus:
             load_corpus(path)
         assert excinfo.value.line_no == 2
 
+    def test_invalid_utf8_offset_counts_from_the_file_start(self, tmp_path):
+        blob = b'{"id": "a", "text": "fine"}\n\n{"id": "b", "text": "caf\xe9"}\n'
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(blob)
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_no == 3
+        assert f"invalid UTF-8 at byte {blob.index(bytes([0xE9]))}" in str(excinfo.value)
+
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
     def test_line_breaking_characters_inside_strings(self, tmp_path, char):
         # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a record.
@@ -121,6 +133,18 @@ class TestLoadCorpus:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             load_corpus(tmp_path / "nope.jsonl")
+
+    def test_failed_read_is_io_failure(self, monkeypatch, tmp_path):
+        # A file that opens but cannot be read (a disk error) is a data error too.
+        path = corpus_file(tmp_path, [{"id": "a", "text": "x"}])
+
+        class Unreadable(io.BufferedReader):
+            def readline(self, *args):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(corpus_module, "open", lambda *args: Unreadable(io.FileIO(path, "rb")), raising=False)
+        with pytest.raises(IoFailure, match="Input/output error"):
+            load_corpus(path)
 
     def test_deterministic(self, tmp_path):
         path = corpus_file(
@@ -195,6 +219,23 @@ class TestRecordDecoder:
         path = tmp_path / "records.jsonl"
         path.write_bytes(text.encode("utf-8"))
         assert _drain(_iter_records(path)) == _drain(json_lines_records(text))
+
+
+class TestRecordStreaming:
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # About 2 MB of records; reading the whole file at once would hold it several times over.
+        line = json.dumps({"id": "x", "text": "rain " * 16}) + "\n"
+        path = tmp_path / "records.jsonl"
+        path.write_text(line * (2_000_000 // len(line)), encoding="utf-8")
+        assert path.stat().st_size > 1_900_000
+        tracemalloc.start()
+        try:
+            n_records = sum(1 for _ in _iter_records(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_records == 2_000_000 // len(line)
+        assert peak < 2**20, f"iterating peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestCorpusType:

@@ -358,6 +358,24 @@ class TestPrecomputedVectors:
             for k, s in semantic_neighbors(component, "THEME", trigram_ix, trigram, tau=0.3)
         ]
 
+    def test_duplicate_key_is_malformed(self, tmp_path):
+        # "Rain" and "rain" normalize alike; the later record used to overwrite the earlier.
+        path = write_jsonl(
+            tmp_path / "vectors.jsonl",
+            [{"key": "storm", "values": [0, 0, 1]}, {"key": "Rain", "values": [1, 0, 0]}, {"key": "rain", "values": [0, 1, 0]}],
+        )
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_precomputed_vectors(path, ["rain"])
+        assert excinfo.value.line_no == 3 and "'rain'" in str(excinfo.value)
+
+    def test_encoder_refuses_vectors_of_another_length(self):
+        vectors = {"rain": np.ones(4) / 2.0, "storm": np.array([1.0, 0.0, 0.0, 0.0])}
+        with pytest.raises(DimMismatch) as excinfo:
+            PrecomputedVectorEncoder(vectors, dim=8)
+        assert (excinfo.value.expected, excinfo.value.got) == (8, 4)
+        assert "'rain'" in str(excinfo.value)
+        assert PrecomputedVectorEncoder(vectors, dim=4).dim == 4
+
     def test_missing_component_raises_missing_key(self, trigram):
         file_encoder = PrecomputedVectorEncoder({"rain": np.ones(4) / 2.0}, dim=4)
         with pytest.raises(MissingKey):

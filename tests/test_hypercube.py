@@ -90,6 +90,13 @@ class TestBuildIndex:
         with pytest.raises(NonPositiveCount):
             build_index(corpus, labels)
 
+    def test_label_dimension_outside_dimensions_rejected(self, hurricane_corpus, hurricane_labels):
+        stray = DocLabels(doc_id="565")
+        stray.add("HAZARD", "breach")
+        for labels in ({"565": stray}, hurricane_labels):
+            with pytest.raises(ValueError, match="not among index dimensions"):
+                build_index(hurricane_corpus, labels, dimensions=["LOCATION", "THEME"])
+
     @pytest.mark.parametrize("dimensions", [("THEME", "THEME"), ("LOCATION", "HAZARD", "HAZARD")])
     def test_repeated_dimension_rejected(self, hurricane_corpus, dimensions):
         # A repeated dimension would write two sections of one name,

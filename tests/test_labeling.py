@@ -1,27 +1,34 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import HURRICANE_MINI, count_table_builds, write_jsonl
-from oracles import brute_longest_match, substring_occurrences
+from oracles import brute_longest_match, brute_merge, brute_postings, substring_occurrences
 from hyperrag import (
+    Corpus,
     DocLabels,
     Document,
     Gazetteer,
+    LabelAssignment,
     MalformedRecord,
     NonPositiveCount,
     UnknownDimension,
     UnknownDocId,
+    build_index,
     extract_all,
     gazetteer_extract,
     load_corpus,
     load_precomputed_labels,
     normalize_label,
+    save_index,
 )
 from hyperrag import labeling
+from hyperrag.hypercube import MAX_COUNT
 from hyperrag.labeling import load_gazetteer, tokenize
 
 
@@ -329,3 +336,131 @@ class TestDocLabels:
         labels = DocLabels(doc_id="d")
         with pytest.raises(NonPositiveCount):
             labels.add("THEME", "rain", 0)
+
+
+# Four documents that label records may name, and one that none does.
+_LABELED = ["d0", "d1", "d2", "d3"]
+_CORPUS = Corpus([Document(id=doc_id, text="placeholder") for doc_id in _LABELED + ["d4"]])
+_RECORDS = st.fixed_dictionaries(
+    {
+        "doc_id": st.sampled_from(_LABELED),
+        "dim": st.sampled_from(["THEME", "LOCATION", "HAZARD"]),
+        # Several spellings of one key, so records repeat a (doc, dim, key).
+        "label": st.sampled_from(["Rain", "rain", "rain.", "storm surge", "Storm  Surge", "fay"]),
+        "count": st.integers(1, 5),
+    }
+)
+
+
+class TestLabelAssignment:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=st.lists(st.lists(_RECORDS, max_size=12), min_size=1, max_size=3))
+    def test_files_merged_with_into_equal_brute_force(self, tmp_path, files):
+        labels = None
+        for i, records in enumerate(files):
+            path = write_jsonl(tmp_path / f"labels{i}.jsonl", records)
+            labels = load_precomputed_labels(path, _CORPUS, extensions=["HAZARD"], into=labels)
+        merged = brute_merge([record for records in files for record in records])
+        assert list(labels) == list(merged)
+        assert {doc_id: doc.counts for doc_id, doc in labels.items()} == merged
+        assert "d4" not in labels and len(labels) == len(merged)
+
+        plain = {doc_id: DocLabels(doc_id=doc_id, counts=dict(counts)) for doc_id, counts in merged.items()}
+        ix = build_index(_CORPUS, labels)
+        assert ix.doc_ids == ("d0", "d1", "d2", "d3", "d4")
+        built = {dim: {key: list(map(tuple, p)) for key, p in by_key.items()} for dim, by_key in ix.inverted.items()}
+        assert {dim: by_key for dim, by_key in built.items() if by_key} == brute_postings(plain)
+        save_index(ix, tmp_path / "assignment.hcix")
+        save_index(build_index(_CORPUS, plain), tmp_path / "plain.hcix")
+        assert (tmp_path / "assignment.hcix").read_bytes() == (tmp_path / "plain.hcix").read_bytes()
+
+    def test_extract_all_equals_gazetteer_extract_per_document(self, hurricane_corpus, hurricane_gazetteer):
+        labels = extract_all(hurricane_corpus, hurricane_gazetteer)
+        assert isinstance(labels, LabelAssignment)
+        assert list(labels) == [doc.id for doc in hurricane_corpus]
+        for doc in hurricane_corpus:
+            assert labels[doc.id] == gazetteer_extract(doc, hurricane_gazetteer)
+
+    def test_gazetteer_labels_and_files_merge(self, hurricane_corpus, hurricane_gazetteer, tmp_path):
+        labels = extract_all(hurricane_corpus, hurricane_gazetteer)
+        path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "THEME", "label": "Rain", "count": 2}])
+        assert load_precomputed_labels(path, hurricane_corpus, into=labels) is labels
+        assert labels["565"].counts[("THEME", "rain")] == 5 + 2
+
+    def test_a_view_refuses_mutation(self, hurricane_corpus, tmp_path):
+        path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "THEME", "label": "rain", "count": 2}])
+        labels = load_precomputed_labels(path, hurricane_corpus)
+        view = labels["565"]
+        with pytest.raises(TypeError):
+            view.add("THEME", "rain")
+        with pytest.raises(TypeError):
+            view.counts[("THEME", "storm")] = 1
+        assert labels["565"].counts == {("THEME", "rain"): 2}
+        # A deep copy is the caller's own, and mutable.
+        mine = copy.deepcopy(view)
+        mine.add("THEME", "rain")
+        assert mine.counts == {("THEME", "rain"): 3} and labels["565"].counts == {("THEME", "rain"): 2}
+
+    def test_mapping_behaves_as_a_dict(self, hurricane_corpus, tmp_path):
+        path = write_jsonl(
+            tmp_path / "labels.jsonl",
+            [
+                {"doc_id": "565", "dim": "THEME", "label": "rain", "count": 2},
+                {"doc_id": "246", "dim": "LOCATION", "label": "Florida", "count": 1},
+                {"doc_id": "565", "dim": "EVENT", "label": "Fay", "count": 1},
+            ],
+        )
+        labels = load_precomputed_labels(path, hurricane_corpus)
+        assert len(labels) == 2 and "565" in labels and "535" not in labels
+        assert list(labels) == ["565", "246"]
+        assert list(labels["565"].counts) == [("THEME", "rain"), ("EVENT", "fay")]
+        with pytest.raises(KeyError):
+            labels["535"]
+        assert LabelAssignment() == {} and len(LabelAssignment()) == 0
+
+    def test_into_must_be_an_assignment(self, hurricane_corpus, tmp_path):
+        path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "THEME", "label": "rain"}])
+        with pytest.raises(TypeError, match="LabelAssignment"):
+            load_precomputed_labels(path, hurricane_corpus, into={})
+
+    def test_into_from_another_corpus_checks_every_doc_against_this_one(
+        self, hurricane_corpus, hurricane_gazetteer, tmp_path
+    ):
+        labels = extract_all(_CORPUS, hurricane_gazetteer)
+        assert "d0" in labels and "d0" not in hurricane_corpus
+        path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "d0", "dim": "THEME", "label": "rain"}])
+        with pytest.raises(UnknownDocId, match="d0"):
+            load_precomputed_labels(path, hurricane_corpus, into=labels)
+        assert labels["d0"].counts == {}
+
+    @pytest.mark.parametrize("files", [[[MAX_COUNT, 1]], [[MAX_COUNT], [1]]], ids=["one_file", "two_files"])
+    def test_records_summing_past_max_count_refused_at_build(self, hurricane_corpus, tmp_path, files):
+        labels = None
+        for i, counts in enumerate(files):
+            records = [{"doc_id": "565", "dim": "THEME", "label": "rain", "count": count} for count in counts]
+            labels = load_precomputed_labels(write_jsonl(tmp_path / f"l{i}.jsonl", records), hurricane_corpus, into=labels)
+        assert labels["565"].counts == {("THEME", "rain"): MAX_COUNT + 1}
+        with pytest.raises(NonPositiveCount) as excinfo:
+            build_index(hurricane_corpus, labels)
+        assert str(excinfo.value) == (
+            f"count must be an integer from 1 to {MAX_COUNT}: (THEME, 'rain') in doc '565' -> {MAX_COUNT + 1}"
+        )
+
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1, 2**70])
+    def test_a_count_no_index_holds_is_refused_with_the_build_message(self, hurricane_corpus, tmp_path, count):
+        records = [
+            {"doc_id": "246", "dim": "THEME", "label": "rain", "count": 1},
+            {"doc_id": "565", "dim": "THEME", "label": "Rain", "count": count},
+        ]
+        labels = LabelAssignment()
+        with pytest.raises(NonPositiveCount) as excinfo:
+            load_precomputed_labels(write_jsonl(tmp_path / "labels.jsonl", records), hurricane_corpus, into=labels)
+        message = f"count must be an integer from 1 to {MAX_COUNT}: (THEME, 'rain') in doc '565' -> {count}"
+        assert str(excinfo.value) == message
+        # The refused record appended nothing; the one before it stays.
+        assert list(labels) == ["246"]
+        # A plain mapping holding the same count is refused with the same message.
+        plain = {"565": DocLabels(doc_id="565", counts={("THEME", "rain"): count})}
+        with pytest.raises(NonPositiveCount) as excinfo:
+            build_index(hurricane_corpus, plain)
+        assert str(excinfo.value) == message

@@ -6,9 +6,9 @@ variant so scores are never negative.
 
 The index uses the label cube's postings layout. ``doc_ids`` is the
 sorted tuple of document ids and a document's position in it is its
-ordinal, so ordinal order is doc-id order. Each term's postings are a
-:class:`~hyperrag.hypercube.Postings` of int32 ordinals and term
-frequencies, sliced from one array pair for the whole vocabulary. The
+ordinal, so ordinal order is doc-id order. The term postings are one
+:class:`~hyperrag.hypercube.PostingTable`: per-term lengths, int32
+ordinals and term frequencies, three arrays for the whole vocabulary. The
 parameters are fixed at ``K1`` = 1.5 and ``B`` = 0.75. Each document's
 length norm ``K1 * (1 - B + B * len / avglen)`` is computed once, at
 build.
@@ -34,37 +34,25 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import UnknownDocId
-from .hypercube import Postings, _frozen, _slice_postings
+from .hypercube import PostingTable, _frozen
 from .labeling import tokenize
 
 K1 = 1.5
 B = 0.75
 
 
-def _freeze_runs(
-    doc_ids: tuple[str, ...], runs: dict[str, tuple[list[int], list[int]]], keys: list[str]
-) -> dict[str, Postings]:
-    """Per-key ``(ordinals, counts)`` lists, concatenated in ``keys`` order into one array pair and sliced."""
-    return _slice_postings(
-        doc_ids,
-        keys,
-        [len(runs[key][0]) for key in keys],
-        _frozen([o for key in keys for o in runs[key][0]]),
-        _frozen([c for key in keys for c in runs[key][1]]),
-    )
-
-
 @dataclass(eq=False)
 class Bm25Index:
     """Term postings over doc ordinals, plus one length norm per document.
 
+    ``postings`` is one :class:`~hyperrag.hypercube.PostingTable`, terms in first-seen order.
     ``doc_len[o]`` is the token count of document ``doc_ids[o]``.
     ``avg_doc_len`` and ``norm`` (``K1 * (1 - B + B * doc_len / avg_doc_len)``
     per ordinal) are derived from it once, in ``__post_init__``.
     """
 
     doc_ids: tuple[str, ...]
-    postings: dict[str, Postings]
+    postings: PostingTable
     doc_len: np.ndarray
     avg_doc_len: float = field(init=False)
     norm: np.ndarray = field(init=False, repr=False)
@@ -111,7 +99,13 @@ def bm25_build(corpus: Corpus) -> Bm25Index:
                 run = runs[term] = ([], [])
             run[0].append(ordinal)
             run[1].append(tf)
-    postings = _freeze_runs(doc_ids, runs, list(runs))
+    postings = PostingTable(
+        doc_ids,
+        list(runs),
+        _frozen([len(ordinals) for ordinals, _tfs in runs.values()]),
+        _frozen([o for ordinals, _tfs in runs.values() for o in ordinals]),
+        _frozen([tf for _ordinals, tfs in runs.values() for tf in tfs]),
+    )
     return Bm25Index(doc_ids=doc_ids, postings=postings, doc_len=_frozen(doc_len))
 
 

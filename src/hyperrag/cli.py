@@ -124,6 +124,8 @@ def _cmd_build(args) -> int:
     for pos, dim in enumerate(extensions):
         if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
             raise _usage(f"--dimensions repeats dimension {dim!r}")
+    if not args.gazetteer and not args.labels:
+        raise _usage("build needs --gazetteer and/or --labels")
     corpus = load_corpus(args.corpus)
     labels = LabelAssignment()
     if args.gazetteer:
@@ -131,8 +133,6 @@ def _cmd_build(args) -> int:
         labels = extract_all(corpus, gazetteer)
     for labels_path in args.labels or ():
         load_precomputed_labels(labels_path, corpus, extensions, into=labels)
-    if not args.gazetteer and not args.labels:
-        raise _usage("build needs --gazetteer and/or --labels")
     dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
     ix = build_index(corpus, labels, dimensions=dimensions, encoder=_make_encoder(args))
     save_index(ix, args.out)
@@ -248,11 +248,9 @@ def _cmd_inspect(args) -> int:
     # Default: per-dimension vocabulary summary.
     lines = [f"documents: {ix.doc_count}"]
     for dim in ix.dimensions:
-        keys = sorted(ix.vocab[dim])
-        lines.append(f"{dim}: {len(keys)} labels")
+        lines.append(f"{dim}: {len(ix.vocab[dim])} labels")
         if args.dim == dim or args.verbose:
-            for key in keys:
-                postings = ix.inverted[dim][key]
+            for key, postings in sorted(ix.inverted[dim].items()):
                 lines.append(f"  {key}: {', '.join(f'{p.doc_id}:{p.count}' for p in postings)}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
@@ -306,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect = sub.add_parser("inspect", help="peek inside an index")
     p_inspect.add_argument("--index", required=True)
     p_inspect.add_argument("--dim")
-    p_inspect.add_argument("--label")
-    p_inspect.add_argument("--cell", help="comma-separated DIM=label coordinates")
+    label_or_cell = p_inspect.add_mutually_exclusive_group()
+    label_or_cell.add_argument("--label")
+    label_or_cell.add_argument("--cell", help="comma-separated DIM=label coordinates")
     p_inspect.add_argument("--verbose", action="store_true")
     p_inspect.add_argument("--json", action="store_true")
     p_inspect.add_argument("--out")

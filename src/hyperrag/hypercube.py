@@ -18,6 +18,7 @@ import operator
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
@@ -60,11 +61,10 @@ class Postings:
     ``ordinals[i]`` is a position in the index's sorted ``doc_ids`` and
     rises strictly, so the list runs in doc-id order; ``counts[i]`` is
     the label's occurrence count in that document. The arrays are views
-    into arrays shared by many lists (one pair per dimension when loaded,
-    one pair per index when built), the only copy of the postings.
-    ``len`` is the posting count, iteration yields ``Posting(doc_id,
-    count)`` with Python values, and two lists are equal when their
-    arrays are.
+    of a :class:`PostingTable`'s arrays, the only copy of the postings,
+    made when the key is read. ``len`` is the posting count, iteration
+    yields ``Posting(doc_id, count)`` with Python values, and two lists
+    are equal when their arrays are.
     """
 
     __slots__ = ("doc_ids", "ordinals", "counts")
@@ -101,17 +101,34 @@ def _frozen(values: object) -> np.ndarray:
 _NO_POSTINGS = Postings((), _frozen([]), _frozen([]))
 
 
-def _slice_postings(
-    doc_ids: tuple[str, ...], keys: list[str], lengths: list[int], ordinals: np.ndarray, counts: np.ndarray
-) -> dict[str, Postings]:
-    """One dimension's postings: consecutive runs of ``lengths`` entries, one run per key."""
-    postings_by_key = {}
-    start = 0
-    for key, length in zip(keys, lengths):
-        end = start + length
-        postings_by_key[key] = Postings(doc_ids, ordinals[start:end], counts[start:end])
-        start = end
-    return postings_by_key
+class PostingTable(Mapping[str, Postings]):
+    """One dimension's postings, held as its ``inverted`` section stores them.
+
+    Key ``i``, in key order (sorted from :func:`build_index`), owns the
+    next ``lengths[i]`` entries of ``ordinals`` and ``counts``, all three
+    read-only int32 arrays; reading a key slices a :class:`Postings` view.
+    """
+
+    __slots__ = ("doc_ids", "lengths", "ordinals", "counts", "_spans")
+
+    def __init__(
+        self, doc_ids: tuple[str, ...], keys: list[str], lengths: np.ndarray, ordinals: np.ndarray, counts: np.ndarray
+    ):
+        self.doc_ids, self.lengths, self.ordinals, self.counts = doc_ids, lengths, ordinals, counts
+        self._spans = dict(zip(keys, pairwise(accumulate(lengths.tolist(), initial=0))))  # key -> (start, end)
+
+    def __getitem__(self, key: str) -> Postings:
+        start, end = self._spans[key]
+        return Postings(self.doc_ids, self.ordinals[start:end], self.counts[start:end])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def keys(self) -> KeysView[str]:
+        return self._spans.keys()
 
 
 @dataclass
@@ -124,10 +141,10 @@ class HypercubeIndex:
 
     ``doc_ids`` is the sorted tuple of every indexed document id,
     unlabeled ones included; a document's position in it is its ordinal,
-    so ordinal order is doc-id order. ``inverted[dim][key]`` is a
-    :class:`Postings` of ordinals and counts, the only place a count is
-    held. Labels are held by their normalized keys only. ``dimensions``
-    names the tables of ``inverted``, in order (ValueError otherwise).
+    so ordinal order is doc-id order. ``inverted[dim]`` is a read-only
+    :class:`PostingTable`, the only place a count is held; labels are
+    held by their normalized keys only. ``dimensions`` names the tables
+    of ``inverted``, in order (ValueError otherwise).
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
     copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
@@ -140,7 +157,7 @@ class HypercubeIndex:
     """
 
     dimensions: tuple[Dimension, ...]
-    inverted: dict[Dimension, dict[str, Postings]]
+    inverted: dict[Dimension, PostingTable]
     doc_ids: tuple[str, ...]
     label_vectors: LabelVectors | None = field(default=None)
     vocab: dict[Dimension, KeysView[str]] = field(init=False, repr=False, compare=False)
@@ -150,7 +167,7 @@ class HypercubeIndex:
     def __post_init__(self):
         if self.dimensions != tuple(self.inverted):
             raise ValueError(f"dimensions {self.dimensions} must be the inverted tables' {tuple(self.inverted)}")
-        self.vocab = {dim: postings_by_key.keys() for dim, postings_by_key in self.inverted.items()}
+        self.vocab = {dim: table.keys() for dim, table in self.inverted.items()}
         dims_by_key: dict[str, list[Dimension]] = {}
         for dim in self.dimensions:
             for key in self.vocab[dim]:
@@ -188,12 +205,12 @@ def build_index(
     posting: doc numbers become ordinals with one ``take``, pairs are
     ranked by (dimension order, key), one ``np.lexsort`` orders the
     records by (pair, ordinal), one ``np.add.reduceat`` merges repeated
-    ``(doc, dimension, key)`` records, summing in int64, and
-    ``np.bincount`` gives each key's posting count. A merged count
+    ``(doc, dimension, key)`` records, summing in int64, ``np.bincount``
+    gives each key's posting count, and each dimension's
+    :class:`PostingTable` holds slices of these arrays. A merged count
     outside 1 to ``MAX_COUNT`` raises NonPositiveCount naming the
-    dimension, key and doc. When an encoder is given, label vectors for
-    the whole vocabulary are computed now, and the index answers only
-    to that encoder.
+    dimension, key and doc. With an encoder, label vectors for the whole
+    vocabulary are computed now, and the index answers only to it.
     """
     if not isinstance(labels, LabelAssignment):
         labels = LabelAssignment._from_mapping(labels)
@@ -237,7 +254,7 @@ def build_index(
         at = int(np.argmax(faulty))
         dim, key = pairs[by_rank[ranks[at]]]
         raise _count_fault(dim, key, doc_ids[ordinals[at]], int(counts[at]))
-    lengths = np.bincount(ranks, minlength=len(pairs)).tolist()
+    lengths = _frozen(np.bincount(ranks, minlength=len(pairs)))
     ordinals, counts = _frozen(ordinals), _frozen(counts)
 
     keys_by_dim: dict[Dimension, list[str]] = {dim: [] for dim in dims}
@@ -251,8 +268,8 @@ def build_index(
             key = next(key for key in keys if not key or normalize_label(key) != key)
             raise ValueError(f"label key {key!r} in dimension {dim!r} is empty or not normalized")
         dim_lengths = lengths[first_rank : first_rank + len(keys)]
-        end = start + sum(dim_lengths)
-        inverted[dim] = _slice_postings(doc_ids, keys, dim_lengths, ordinals[start:end], counts[start:end])
+        end = start + int(dim_lengths.sum())
+        inverted[dim] = PostingTable(doc_ids, keys, dim_lengths, ordinals[start:end], counts[start:end])
         first_rank += len(keys)
         start = end
 
@@ -267,10 +284,10 @@ def build_index(
 def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> Postings:
     """Posting list of one label, in doc-id order; empty if the key (or dimension) is unseen.
 
-    Two hash lookups returning the stored :class:`Postings` — cost
-    independent of corpus size.
+    Two hash lookups and a slice of the stored arrays — cost independent
+    of corpus size.
     """
-    return ix.inverted.get(dim, {}).get(key, _NO_POSTINGS)
+    return ix.inverted[dim].get(key, _NO_POSTINGS) if dim in ix.inverted else _NO_POSTINGS
 
 
 def cell_documents(ix: HypercubeIndex, coords: Mapping[Dimension, str]) -> list[str]:
@@ -318,17 +335,11 @@ def _narrowest_type(array: np.ndarray) -> str:
     return next(kind for kind, limit in _ARRAY_TYPES.items() if top <= limit)
 
 
-def _postings_section(postings_by_key: Mapping[str, Postings]) -> bytes:
-    """One ``inverted`` section: a length-prefixed JSON part, then the raw arrays."""
-    keys = sorted(postings_by_key)
-    postings = [postings_by_key[key] for key in keys]
-    arrays = {
-        "lengths": np.array([len(p) for p in postings], dtype=np.int32),
-        "docs": np.concatenate([p.ordinals for p in postings]) if postings else _NO_POSTINGS.ordinals,
-        "counts": np.concatenate([p.counts for p in postings]) if postings else _NO_POSTINGS.counts,
-    }
+def _postings_section(table: PostingTable) -> bytes:
+    """One ``inverted`` section, the table's keys and arrays as held: a length-prefixed JSON part, then the arrays."""
+    arrays = {"lengths": table.lengths, "docs": table.ordinals, "counts": table.counts}
     types = {name: _narrowest_type(array) for name, array in arrays.items()}
-    head = _canonical_json({"keys": keys, **types})
+    head = _canonical_json({"keys": list(table), **types})
     return b"".join(
         [len(head).to_bytes(4, "big"), head, *(arrays[name].astype(types[name]).tobytes() for name in _ARRAYS)]
     )
@@ -344,25 +355,26 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
 
     * ``inverted:<DIM>``, one per dimension in index order: a
       length-prefixed JSON part ``{keys, lengths, docs, counts}``, whose
-      ``keys`` are the dimension's keys, sorted, and whose other three
-      entries name the type of the raw array of that name; then the
-      three arrays, back to back, in that order. Key ``i`` owns the next
-      ``lengths[i]`` entries of ``docs`` (doc ordinals, rising within a
-      key) and ``counts``. Each array is little-endian, in the narrowest
-      of ``<u1``, ``<u2`` and ``<i4`` that holds its largest value. The
-      only place a count is written; the index's dimensions are read
-      back from these section names.
+      ``keys`` are the :class:`PostingTable`'s keys in its order, and
+      whose other three entries name the type of the raw array of that
+      name; then the three arrays, back to back, in that order. Key ``i``
+      owns the next ``lengths[i]`` entries of ``docs`` (doc ordinals,
+      rising within a key) and ``counts``. Each array is little-endian,
+      in the narrowest of ``<u1``, ``<u2`` and ``<i4`` that holds its
+      largest value. The only place a count is written; the index's
+      dimensions are read back from these section names.
     * ``forward``: JSON ``{doc_ids}``, every document id sorted
       (unlabeled ones included), and nothing else. An ordinal is a
       position in it.
     * ``vectors``, when the index has label vectors: JSON ``{encoder,
       dim, checksums}``, one CRC-32 per dimension; no vector is written.
 
-    Keys are written sorted, postings in ordinal order and each array's
-    type from its values alone, so identical indexes produce identical
-    bytes. The bytes go to a temporary sibling that is renamed over
-    ``path`` once complete, so a failed write leaves the previous file
-    intact.
+    Each table is written as held. :func:`build_index` holds keys sorted
+    and each array's type comes from its values alone, so identical
+    builds produce identical bytes, and a loaded index saves back to the
+    bytes it was read from. The bytes go to a temporary sibling that is
+    renamed over ``path`` once complete, so a failed write leaves the
+    previous file intact.
     """
     sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
     sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
@@ -415,7 +427,7 @@ def _check_range(array: np.ndarray, low: int, high: int, path: str | Path, what:
 
 def _load_postings(
     raw: memoryview, dim: Dimension, doc_ids: tuple[str, ...], path: str | Path
-) -> dict[str, Postings]:
+) -> PostingTable:
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
     Each array type must be one of ``_ARRAY_TYPES`` and the arrays must
@@ -423,8 +435,8 @@ def _load_postings(
     non-empty ``normalize_label`` (so a query can reach it), every
     ordinal must index ``doc_ids`` and rise strictly within its key,
     every count lie in ``[1, MAX_COUNT]``, and the lengths (each >= 1,
-    one per key) partition the postings. The arrays are widened to
-    int32 once, and each key's postings are slices of them.
+    one per key) partition the postings; keys may come in any order. The
+    arrays are widened to int32 once and held as a :class:`PostingTable`.
     """
     where = f"section {_INVERTED}{dim}"
     head_end = 4 + int.from_bytes(raw[:4], "big")
@@ -466,7 +478,7 @@ def _load_postings(
         at = int(np.argmin(rising)) + 1
         key = keys[int(np.searchsorted(bounds, at, side="right"))]
         raise _malformed(path, f"{where}, key {key!r}: doc ordinals not strictly increasing")
-    return _slice_postings(doc_ids, keys, lengths.tolist(), ordinals, _frozen(counts))
+    return PostingTable(doc_ids, keys, _frozen(lengths), ordinals, _frozen(counts))
 
 
 def _load_vectors(raw: memoryview, dimensions: tuple[Dimension, ...], path: str | Path) -> LabelVectors:
@@ -487,11 +499,11 @@ def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere raises ChecksumMismatch. No per-posting object
-    is built: each ``inverted`` section's raw arrays are read with
-    ``np.frombuffer``, checked in whole-array passes and widened to one
-    int32 ordinals array and one int32 counts array, and ``doc_ids``
-    comes from ``forward``; label vectors are left for scans to derive.
+    corruption anywhere raises ChecksumMismatch. No per-key object is
+    built: each ``inverted`` section's raw arrays are read with
+    ``np.frombuffer``, checked in whole-array passes and widened to the
+    int32 arrays of a :class:`PostingTable`, and ``doc_ids`` comes from
+    ``forward``; label vectors are left for scans to derive.
     An unknown magic or version raises FormatVersionMismatch; files of
     versions 1 to 5 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:

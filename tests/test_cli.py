@@ -114,6 +114,13 @@ class TestBuild:
         )
         assert code == 1
 
+    def test_missing_label_source_reported_before_reading_the_corpus(self, tmp_path, capsys):
+        # The corpus need not exist: the usage error comes before any file is read.
+        code = main(["build", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "x.hcix")])
+        assert code == 1
+        assert "build needs --gazetteer and/or --labels" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("dimensions", [["THEME"], ["HAZARD", "HAZARD"]])
     def test_repeated_dimension_is_usage_error(self, tmp_path, capsys, dimensions):
         # Checked before any file is read: the inputs need not exist.
@@ -602,6 +609,23 @@ class TestInspect:
         code = main(["inspect", "--index", str(fixture_files["index"]), "--label", "rain"])
         assert code == 1
         assert "--label needs --dim" in capsys.readouterr().err
+
+    def test_label_and_cell_together_is_usage_error(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "inspect",
+                "--index", str(fixture_files["index"]),
+                "--dim", "LOCATION",
+                "--label", "florida",
+                "--cell", "LOCATION=melbourne beach",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
 
 class TestEval:

@@ -209,6 +209,10 @@ class TestPersistence:
         save_index(hurricane_index, path)
         loaded = load_index(path)
         assert loaded == hurricane_index
+        # A loaded index is saved as it is held, so it gives back the same bytes.
+        again = tmp_path / "again.hcix"
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_byte_deterministic(self, hurricane_index, tmp_path):
         first, second = tmp_path / "a.hcix", tmp_path / "b.hcix"
@@ -257,6 +261,9 @@ class TestPersistence:
             path = tmp_path / f"case{case}.hcix"
             save_index(ix, path)
             assert load_index(path) == ix
+            again = tmp_path / f"case{case}.again.hcix"
+            save_index(load_index(path), again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 # Ids whose code-point order differs from numeric order ("10" < "9") and

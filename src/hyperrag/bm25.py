@@ -73,10 +73,10 @@ class Bm25Index:
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
-    def idf(self, term: str) -> float:
-        n = self.doc_count
-        df = len(self.postings.get(term, ()))
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+
+def _idf(n: int, df: int) -> float:
+    """The +1-inside-log IDF of a term held by ``df`` of ``n`` documents."""
+    return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def bm25_build(corpus: Corpus) -> Bm25Index:
@@ -113,8 +113,9 @@ def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
     """Okapi score of one document for the given tokens.
 
     sum over terms of idf * tf*(K1+1) / (tf + K1*(1 - B + B*len/avglen));
-    terms absent from the document contribute zero. Each tf is found by
-    binary search for the document's ordinal in the term's ordinals.
+    terms absent from the document contribute zero. Each term's postings
+    are read once, giving its df, and its tf is found by binary search
+    for the document's ordinal in the term's ordinals.
     """
     ordinal = bisect_left(ix.doc_ids, doc_id)
     if ordinal == len(ix.doc_ids) or ix.doc_ids[ordinal] != doc_id:
@@ -128,7 +129,7 @@ def bm25_score(ix: Bm25Index, query_tokens: list[str], doc_id: str) -> float:
         at = int(np.searchsorted(postings.ordinals, ordinal))
         if at < len(postings) and postings.ordinals[at] == ordinal:
             tf = int(postings.counts[at])
-            score += ix.idf(term) * (tf * (K1 + 1.0)) / (tf + norm)
+            score += _idf(ix.doc_count, len(postings)) * (tf * (K1 + 1.0)) / (tf + norm)
     return score
 
 
@@ -138,17 +139,19 @@ def bm25_retrieve(ix: Bm25Index, query: str, k: int = 3) -> list[tuple[str, floa
     Only documents containing at least one query term are scored or
     returned. Scoring runs term at a time into one accumulator, query
     tokens in order with repeats, so each document receives the same
-    float additions in the same order as :func:`bm25_score` makes.
+    float additions in the same order as :func:`bm25_score` makes. Each
+    query token reads its term's postings once, which give its df too.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    acc = np.zeros(ix.doc_count)
+    n = ix.doc_count
+    acc = np.zeros(n)
     for term in tokenize(query):
         postings = ix.postings.get(term)
         if postings is None:
             continue
         ordinals, tf = postings.ordinals, postings.counts
-        acc[ordinals] += ix.idf(term) * (tf * (K1 + 1.0)) / (tf + ix.norm[ordinals])
+        acc[ordinals] += _idf(n, len(ordinals)) * (tf * (K1 + 1.0)) / (tf + ix.norm[ordinals])
     candidates = np.flatnonzero(acc)
     scores = acc[candidates]
     top = candidates[np.lexsort((candidates, -scores))[:k]]

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .corpus import load_corpus, load_queries
+from .corpus import _is_text, load_corpus, load_queries
 from .embedding import (
     DEFAULT_EMBED_DIM,
     DEFAULT_TAU,
@@ -25,7 +25,7 @@ from .embedding import (
     check_encoder_identity,
     load_precomputed_vectors,
 )
-from .errors import EncoderMismatch, HyperRagError, IoFailure, NoQueries
+from .errors import EncoderMismatch, HyperRagError, IoFailure, NoQueries, UnencodableText
 from .evaluation import bench_latency, eval_recall, format_bench_csv
 from .hypercube import build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
@@ -124,6 +124,8 @@ def _cmd_build(args) -> int:
     for pos, dim in enumerate(extensions):
         if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
             raise _usage(f"--dimensions repeats dimension {dim!r}")
+        if not _is_text(dim):
+            raise _usage(f"--dimensions {dim!r} holds bytes that are not UTF-8")
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     corpus = load_corpus(args.corpus)
@@ -147,6 +149,9 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     _check_k(args.k)
     _check_tau(args.tau)
+    # The query is echoed in every output, which only valid Unicode text can be written as.
+    if not _is_text(args.query):
+        raise UnencodableText(args.query, reason="it holds bytes that are not UTF-8")
     ix = load_index(args.index)
     encoder = _index_encoder(args, ix)
     external = None

@@ -21,8 +21,9 @@ from .errors import DuplicateId, EmptyText, IoFailure, MalformedRecord, MissingF
 class Document:
     """One corpus text; the unit of retrieval.
 
-    The id must be non-empty and the text must hold a non-whitespace
-    character.
+    The id must be non-empty valid Unicode text (no lone surrogate) and
+    hold no newline, since an index stores its ids one per line
+    (MalformedRecord); the text must hold a non-whitespace character.
     """
 
     id: str
@@ -30,10 +31,36 @@ class Document:
     title: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise MalformedRecord(0, "document id must be non-empty")
+        doc_id = self.id
+        # Neither "\n" nor a lone surrogate is printable, so one call clears a usual id.
+        if not doc_id or not doc_id.isprintable() and ("\n" in doc_id or not _is_text(doc_id)):
+            raise MalformedRecord(0, _id_fault(doc_id))
         if not self.text or self.text.isspace():
             raise EmptyText(self.id)
+
+
+def _is_text(value: str) -> bool:
+    """Whether ``value`` holds no lone surrogate, so that UTF-8 can encode it."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _id_fault(doc_id: str) -> str:
+    if not doc_id:
+        return "document id must be non-empty"
+    if "\n" in doc_id:
+        return f"document id {doc_id!r} holds a newline"
+    return f"document id {doc_id!r} holds a lone surrogate, which is not valid Unicode text"
+
+
+def _text_field(value: str, line_no: int, key: str) -> str:
+    """``value``, unless it holds a lone surrogate, which no UTF-8 file or terminal can take (MalformedRecord)."""
+    if not _is_text(value):
+        raise MalformedRecord(line_no, f"{key} {value!r} holds a lone surrogate, which is not valid Unicode text")
+    return value
 
 
 @dataclass
@@ -163,7 +190,9 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Raises MissingField / MalformedRecord / EmptyText / DuplicateId on
     the first bad record; the order of documents matches the file. A
-    blank text is rejected by :class:`Document` itself.
+    blank text, and an id holding a newline or a lone surrogate (an
+    escape such as ``"\\ud800"``), are rejected by :class:`Document`
+    itself, as a MalformedRecord naming the line.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -173,7 +202,10 @@ def load_corpus(path: str | Path) -> Corpus:
             raise MissingField(line_no, "id")
         text = _str_field(obj, "text", line_no)
         title = _as_str(obj.get("title", ""), line_no, "title")
-        doc = Document(id=doc_id, text=text, title=title)
+        try:
+            doc = Document(id=doc_id, text=text, title=title)
+        except MalformedRecord as exc:
+            raise MalformedRecord(line_no, exc.detail) from None
         if doc_id in seen:
             raise DuplicateId(doc_id)
         seen.add(doc_id)
@@ -182,12 +214,17 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def load_queries(path: str | Path) -> list[QueryRecord]:
-    """Load a line-delimited query file; ids must be unique."""
+    """Load a line-delimited query file; ids must be unique.
+
+    A string holding a lone surrogate (an escape such as ``"\\udcff"``)
+    is a MalformedRecord naming its line: a query's strings are encoded
+    and written out, which no such string survives.
+    """
     records: list[QueryRecord] = []
     seen: set[str] = set()
     for line_no, obj in _iter_records(path):
-        qid = _str_field(obj, "id", line_no)
-        question = _str_field(obj, "question", line_no)
+        qid = _text_field(_str_field(obj, "id", line_no), line_no, "id")
+        question = _text_field(_str_field(obj, "question", line_no), line_no, "question")
         if not question.strip():
             raise MissingField(line_no, "question")
         if qid in seen:
@@ -195,12 +232,14 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
         seen.add(qid)
         gold_answer = obj.get("gold_answer")
         if gold_answer is not None:
-            gold_answer = _as_str(gold_answer, line_no, "gold_answer")
+            gold_answer = _text_field(_as_str(gold_answer, line_no, "gold_answer"), line_no, "gold_answer")
         gold_ids = obj.get("gold_doc_ids")
         if gold_ids is not None:
             if not isinstance(gold_ids, list):
                 raise MalformedRecord(line_no, "gold_doc_ids must be an array")
-            gold_ids = tuple(_as_str(g, line_no, "gold_doc_ids") for g in gold_ids)
+            gold_ids = tuple(
+                _text_field(_as_str(g, line_no, "gold_doc_ids"), line_no, "gold_doc_ids") for g in gold_ids
+            )
         records.append(
             QueryRecord(id=qid, question=question, gold_answer=gold_answer, gold_doc_ids=gold_ids)
         )

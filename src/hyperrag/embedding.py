@@ -55,7 +55,8 @@ class TrigramEncoder:
     each sign into a float bucket and dividing by ``np.linalg.norm``,
     the formula saved indexes were checksummed with. Raises
     UnencodableText for inputs shorter than 3 characters after
-    normalization, or in the degenerate case where signed buckets
+    normalization, for text holding a lone surrogate (which has no
+    UTF-8 bytes to hash), or in the degenerate case where signed buckets
     cancel to an exact zero vector.
     """
 
@@ -72,10 +73,13 @@ class TrigramEncoder:
             raise UnencodableText(text)
         dim = self.dim
         counts: dict[int, int] = {}
-        for i in range(len(key) - 2):
-            tri = key[i : i + 3].encode("utf-8")
-            bucket = zlib.crc32(tri) % dim
-            counts[bucket] = counts.get(bucket, 0) + (1 if zlib.crc32(tri, 1) & 1 else -1)
+        try:
+            for i in range(len(key) - 2):
+                tri = key[i : i + 3].encode("utf-8")
+                bucket = zlib.crc32(tri) % dim
+                counts[bucket] = counts.get(bucket, 0) + (1 if zlib.crc32(tri, 1) & 1 else -1)
+        except UnicodeEncodeError:
+            raise UnencodableText(text, reason="it holds a lone surrogate, which UTF-8 cannot encode") from None
         values = np.zeros(dim, dtype=np.float64)
         for bucket, count in counts.items():
             values[bucket] = count

@@ -20,6 +20,7 @@ class MalformedRecord(HyperRagError):
 
     def __init__(self, line_no: int, detail: str = ""):
         self.line_no = line_no
+        self.detail = detail
         super().__init__(f"line {line_no}: malformed record" + (f" ({detail})" if detail else ""))
 
 

@@ -40,7 +40,7 @@ from .labeling import (
 )
 
 _MAGIC = b"HRIX"
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 _INVERTED = "inverted:"
 # Ordinals and counts are held as int32; a label count must fit.
 MAX_COUNT = 2**31 - 1
@@ -104,9 +104,11 @@ _NO_POSTINGS = Postings((), _frozen([]), _frozen([]))
 class PostingTable(Mapping[str, Postings]):
     """One dimension's postings, held as its ``inverted`` section stores them.
 
-    Key ``i``, in key order (sorted from :func:`build_index`), owns the
-    next ``lengths[i]`` entries of ``ordinals`` and ``counts``, all three
-    read-only int32 arrays; reading a key slices a :class:`Postings` view.
+    Key ``i``, in key order (sorted, from :func:`build_index` and
+    :func:`load_index` alike), owns the next ``lengths[i]`` entries of
+    ``ordinals`` and ``counts``, all three read-only int32 arrays; reading
+    a key slices a :class:`Postings` view. ``get`` reads the key -> span
+    dict directly, so an absent key costs one dict probe.
     """
 
     __slots__ = ("doc_ids", "lengths", "ordinals", "counts", "_spans")
@@ -119,6 +121,13 @@ class PostingTable(Mapping[str, Postings]):
 
     def __getitem__(self, key: str) -> Postings:
         start, end = self._spans[key]
+        return Postings(self.doc_ids, self.ordinals[start:end], self.counts[start:end])
+
+    def get(self, key: str, default=None):
+        span = self._spans.get(key)
+        if span is None:
+            return default
+        start, end = span
         return Postings(self.doc_ids, self.ordinals[start:end], self.counts[start:end])
 
     def __iter__(self) -> Iterator[str]:
@@ -151,7 +160,9 @@ class HypercubeIndex:
     ``phrase_table`` (the first-token table over every key) are derived
     from ``inverted`` once per index, in ``__post_init__``, which both
     :func:`build_index` and :func:`load_index` pass through; none of the
-    three is saved.
+    three is saved. Both are derived in whole-dict passes: one
+    ``dict.fromkeys`` per dimension, in sorted dimension order, then a
+    fix-up of only the keys several dimensions share.
     ``label_vectors`` names the build encoder, the only one the index
     answers to, and checksums each dimension's table.
     """
@@ -168,12 +179,15 @@ class HypercubeIndex:
         if self.dimensions != tuple(self.inverted):
             raise ValueError(f"dimensions {self.dimensions} must be the inverted tables' {tuple(self.inverted)}")
         self.vocab = {dim: table.keys() for dim, table in self.inverted.items()}
-        dims_by_key: dict[str, list[Dimension]] = {}
-        for dim in self.dimensions:
-            for key in self.vocab[dim]:
-                dims_by_key.setdefault(key, []).append(dim)
-        self.phrase_dims = {key: tuple(sorted(dims)) for key, dims in dims_by_key.items()}
-        self.phrase_table = _phrase_table(self.phrase_dims)
+        phrase_dims: dict[str, tuple[Dimension, ...]] = {}
+        for dim in sorted(self.dimensions):
+            keys = self.vocab[dim]
+            # Keys an earlier (smaller) dimension also carries gain this one after it.
+            shared = {key: phrase_dims[key] + (dim,) for key in keys & phrase_dims.keys()}
+            phrase_dims.update(dict.fromkeys(keys, (dim,)))
+            phrase_dims.update(shared)
+        self.phrase_dims = phrase_dims
+        self.phrase_table = _phrase_table(phrase_dims)
 
     @property
     def doc_count(self) -> int:
@@ -312,8 +326,8 @@ def _canonical_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write ``data`` to a fresh sibling of ``path``, then rename it over ``path``.
+def _replace_file(path: Path, chunks: list[bytes]) -> None:
+    """Write ``chunks``, in order, to a fresh sibling of ``path``, then rename it over ``path``.
 
     Readers see the old file or the new one, never a partial write; the
     sibling is removed when anything fails before the rename.
@@ -321,7 +335,8 @@ def _replace_file(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with tmp.open("xb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -345,12 +360,28 @@ def _postings_section(table: PostingTable) -> bytes:
     )
 
 
+def _forward_section(doc_ids: tuple[str, ...]) -> bytes:
+    """``forward``: the doc ids joined by newlines, in UTF-8; ValueError for an empty id or one holding a newline."""
+    data = "\n".join(doc_ids).encode("utf-8")
+    # Checked on the bytes in NumPy: no multi-byte UTF-8 character holds the newline byte.
+    newline = np.frombuffer(data, np.uint8) == ord("\n")
+    if doc_ids and (
+        np.count_nonzero(newline) != len(doc_ids) - 1
+        or not doc_ids[0]
+        or not doc_ids[-1]
+        or (newline[1:] & newline[:-1]).any()
+    ):
+        bad = next(doc_id for doc_id in doc_ids if not doc_id or "\n" in doc_id)
+        raise ValueError(f"doc id {bad!r} cannot be saved: an id must be non-empty and hold no newline")
+    return data
+
+
 def save_index(ix: HypercubeIndex, path: str | Path) -> None:
     """Write the index as a single-file container, replacing ``path`` atomically.
 
     Layout: magic ``HRIX``, a length-prefixed JSON header, length-prefixed
     sections, then a CRC-32 over everything before it; lengths are 4-byte
-    big-endian. The header holds only ``version`` (6) and the ordered
+    big-endian. The header holds only ``version`` (7) and the ordered
     ``sections`` names. Each fact is stored once:
 
     * ``inverted:<DIM>``, one per dimension in index order: a
@@ -363,38 +394,43 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
       in the narrowest of ``<u1``, ``<u2`` and ``<i4`` that holds its
       largest value. The only place a count is written; the index's
       dimensions are read back from these section names.
-    * ``forward``: JSON ``{doc_ids}``, every document id sorted
-      (unlabeled ones included), and nothing else. An ordinal is a
-      position in it.
+    * ``forward``: every document id, sorted (unlabeled ones included),
+      joined by ``"\\n"`` and encoded as UTF-8, and nothing else; no
+      documents give an empty section. An ordinal is a position in it,
+      so an id must be non-empty and hold no newline (ValueError).
     * ``vectors``, when the index has label vectors: JSON ``{encoder,
       dim, checksums}``, one CRC-32 per dimension; no vector is written.
 
     Each table is written as held. :func:`build_index` holds keys sorted
     and each array's type comes from its values alone, so identical
     builds produce identical bytes, and a loaded index saves back to the
-    bytes it was read from. The bytes go to a temporary sibling that is
-    renamed over ``path`` once complete, so a failed write leaves the
-    previous file intact.
+    bytes it was read from. A string holding a lone surrogate, which
+    UTF-8 cannot encode, raises ValueError. The bytes go to a temporary
+    sibling that is renamed over ``path`` once complete, so a failed
+    write leaves the previous file intact.
     """
-    sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
-    sections.append(("forward", _canonical_json({"doc_ids": list(ix.doc_ids)})))
     vectors = ix.label_vectors
-    if vectors is not None:
-        payload = {"encoder": vectors.encoder_name, "dim": vectors.dim, "checksums": vectors.checksums}
-        sections.append(("vectors", _canonical_json(payload)))
-
-    header = {"version": _FORMAT_VERSION, "sections": [name for name, _payload in sections]}
-    body = bytearray()
-    body += _MAGIC
-    header_bytes = _canonical_json(header)
-    body += len(header_bytes).to_bytes(4, "big")
-    body += header_bytes
-    for _name, payload in sections:
-        body += len(payload).to_bytes(4, "big")
-        body += payload
-    body += zlib.crc32(bytes(body)).to_bytes(4, "big")
     try:
-        _replace_file(Path(path), bytes(body))
+        sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
+        sections.append(("forward", _forward_section(ix.doc_ids)))
+        if vectors is not None:
+            payload = {"encoder": vectors.encoder_name, "dim": vectors.dim, "checksums": vectors.checksums}
+            sections.append(("vectors", _canonical_json(payload)))
+        header_bytes = _canonical_json({"version": _FORMAT_VERSION, "sections": [name for name, _ in sections]})
+    except UnicodeEncodeError as exc:
+        around = exc.object[max(exc.start - 20, 0) : exc.end + 20]
+        raise ValueError(f"cannot save {around!r}: it holds a lone surrogate, which UTF-8 cannot encode") from None
+
+    # The file is written chunk by chunk, the CRC taken over them in turn: the parts are never joined.
+    chunks = [_MAGIC]
+    for payload in [header_bytes, *(payload for _name, payload in sections)]:
+        chunks += [len(payload).to_bytes(4, "big"), payload]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.append(crc.to_bytes(4, "big"))
+    try:
+        _replace_file(Path(path), chunks)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -431,11 +467,12 @@ def _load_postings(
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
     Each array type must be one of ``_ARRAY_TYPES`` and the arrays must
-    fill the section exactly. Every key must be unique and its own
-    non-empty ``normalize_label`` (so a query can reach it), every
-    ordinal must index ``doc_ids`` and rise strictly within its key,
-    every count lie in ``[1, MAX_COUNT]``, and the lengths (each >= 1,
-    one per key) partition the postings; keys may come in any order. The
+    fill the section exactly. The keys must rise strictly, as
+    :func:`build_index` writes them, so equal indexes save to equal
+    bytes; each must be its own non-empty ``normalize_label`` (so a
+    query can reach it). Every ordinal must index ``doc_ids`` and rise
+    strictly within its key, every count lie in ``[1, MAX_COUNT]``, and
+    the lengths (each >= 1, one per key) partition the postings. The
     arrays are widened to int32 once and held as a :class:`PostingTable`.
     """
     where = f"section {_INVERTED}{dim}"
@@ -446,8 +483,8 @@ def _load_postings(
     if set(payload) != {"keys", *_ARRAYS}:
         raise _malformed(path, f"{where} must hold exactly keys, lengths, docs and counts")
     keys = _str_list(payload["keys"], path, f"{where} keys")
-    if len(set(keys)) != len(keys):
-        raise _malformed(path, f"{where} keys hold duplicates")
+    if not all(map(operator.lt, keys, keys[1:])):
+        raise _malformed(path, f"{where} keys are not strictly increasing")
     if not _all_normalized(keys):
         raise _malformed(path, f"{where} holds a key that is empty or not normalized")
     types = {}
@@ -481,6 +518,23 @@ def _load_postings(
     return PostingTable(doc_ids, keys, _frozen(lengths), ordinals, _frozen(counts))
 
 
+def _load_forward(raw: memoryview, path: str | Path) -> tuple[str, ...]:
+    """The doc ids of a ``forward`` section: UTF-8 text, split on newlines, the first non-empty, rising strictly."""
+    try:
+        text = str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise _malformed(path, f"section forward is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    if not text:
+        return ()
+    doc_ids = tuple(text.split("\n"))
+    # The empty string sorts first, so rising ids after a non-empty first one are all non-empty.
+    if not doc_ids[0]:
+        raise _malformed(path, "forward's first doc id is empty")
+    if not all(map(operator.lt, doc_ids, doc_ids[1:])):
+        raise _malformed(path, "forward doc ids are not strictly increasing")
+    return doc_ids
+
+
 def _load_vectors(raw: memoryview, dimensions: tuple[Dimension, ...], path: str | Path) -> LabelVectors:
     payload = _parse(raw, path, "section vectors", dict)
     if set(payload) != {"encoder", "dim", "checksums"}:
@@ -503,17 +557,19 @@ def load_index(path: str | Path) -> HypercubeIndex:
     built: each ``inverted`` section's raw arrays are read with
     ``np.frombuffer``, checked in whole-array passes and widened to the
     int32 arrays of a :class:`PostingTable`, and ``doc_ids`` comes from
-    ``forward``; label vectors are left for scans to derive.
+    ``forward`` with one decode and one split; label vectors are left
+    for scans to derive.
     An unknown magic or version raises FormatVersionMismatch; files of
-    versions 1 to 5 must be rebuilt.
+    versions 1 to 6 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
     a header or section of the wrong shape, an array type other than
     ``<u1``, ``<u2`` and ``<i4``, arrays that do not fill their section
-    exactly, a ``forward`` holding anything but ``doc_ids`` in strictly
-    increasing order, an ordinal outside ``doc_ids`` or not rising
-    within its key, a count outside ``[1, MAX_COUNT]``, lengths that do
-    not partition the postings, or ``vectors`` other than a name, a dim
-    and a checksum per dimension.
+    exactly, keys not strictly increasing, a ``forward`` that is not
+    UTF-8 or whose ids are not non-empty and strictly increasing, an
+    ordinal outside ``doc_ids`` or not rising within its key, a count
+    outside ``[1, MAX_COUNT]``, lengths that do not partition the
+    postings, or ``vectors`` other than a name, a dim and a checksum per
+    dimension.
     """
     try:
         blob = Path(path).read_bytes()
@@ -560,13 +616,7 @@ def load_index(path: str | Path) -> HypercubeIndex:
     if "forward" not in raw_sections:
         raise _malformed(path, "no forward section")
 
-    forward_payload = _parse(raw_sections["forward"], path, "section forward", dict)
-    if set(forward_payload) != {"doc_ids"}:
-        raise _malformed(path, "section forward must hold exactly doc_ids")
-    doc_ids = tuple(_str_list(forward_payload["doc_ids"], path, "forward doc_ids"))
-    if not all(map(operator.lt, doc_ids, doc_ids[1:])):
-        raise _malformed(path, "forward doc_ids are not strictly increasing")
-
+    doc_ids = _load_forward(raw_sections["forward"], path)
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
     return HypercubeIndex(
         dimensions=dimensions,

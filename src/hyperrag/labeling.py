@@ -21,14 +21,16 @@ import re
 import string
 import unicodedata
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .corpus import Corpus, Document, _iter_records, _str_field
+from .corpus import Corpus, Document, _is_text, _iter_records, _str_field, _text_field
 from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
 
 Dimension = str
@@ -253,10 +255,12 @@ class LabelAssignment(Mapping[str, DocLabels]):
 
 
 def _gazetteer_key(phrase: str) -> str:
-    """Normalized key of a gazetteer phrase; ValueError unless it has 1-8 tokens."""
+    """Normalized key of a gazetteer phrase; ValueError unless it has 1-8 tokens and no lone surrogate."""
     key = normalize_label(phrase)
     if not key:
         raise ValueError(f"gazetteer phrase {phrase!r} normalizes to empty")
+    if not _is_text(key):
+        raise ValueError(f"gazetteer phrase {phrase!r} holds a lone surrogate, which is not valid Unicode text")
     n_tokens = len(key.split())
     if n_tokens > 8:
         raise ValueError(f"gazetteer phrase {phrase!r} has {n_tokens} tokens (allowed 1..8)")
@@ -333,16 +337,27 @@ def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazettee
 
 
 def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
-    """Index phrases by first token, longest first, for the matcher.
+    """Index distinct phrases by first token, longest first, then in token order, for the matcher.
 
-    Costs one pass over every phrase, so callers build it once per phrase
-    set (per index, per gazetteer) and never once per text scanned.
+    Built in whole-collection passes: every phrase is split by one
+    ``map`` and a dict of one-phrase groups is made in one call; only the
+    phrases whose first token others share are then sorted, all at once,
+    and regrouped. Callers build it once per phrase set (per index, per
+    gazetteer) and never once per text scanned.
     """
-    table: dict[str, list[tuple[str, ...]]] = {}
-    for phrase in phrases:
-        toks = tuple(phrase.split())
-        table.setdefault(toks[0], []).append(toks)
-    return {first: tuple(sorted(cands, key=lambda t: (-len(t), t))) for first, cands in table.items()}
+    tokens = list(map(tuple, map(str.split, phrases)))
+    firsts = list(map(itemgetter(0), tokens))
+    table = dict(zip(firsts, zip(tokens)))
+    if len(table) < len(tokens):
+        shared = {first for first, n in Counter(firsts).items() if n > 1}
+        # Token order, then (a stable sort) longest first.
+        multi = sorted(toks for toks in tokens if toks[0] in shared)
+        multi.sort(key=len, reverse=True)
+        groups: dict[str, list[tuple[str, ...]]] = {first: [] for first in shared}
+        for toks in multi:
+            groups[toks[0]].append(toks)
+        table.update(zip(groups, map(tuple, groups.values())))
+    return table
 
 
 def phrase_starts(tokens: list[str], first_tokens: Container[str]) -> list[int]:
@@ -444,13 +459,15 @@ def load_precomputed_labels(
     or to ``into`` (which must be one, from :func:`extract_all` or an
     earlier call) and returned. Label strings are normalized on ingest,
     each distinct spelling once per file, so records spelling a label
-    alike share one key. Repeated (doc, dim, label) records, in one file
-    or across files, merge additively where the assignment is read. A
-    count must be an integer >= 1 (NonPositiveCount naming the line); one
-    too large for an index to hold (2**31 - 1) raises NonPositiveCount
-    naming the doc and label, as :func:`~hyperrag.hypercube.build_index`
-    does for a merged count. A record that fails a check appends nothing,
-    and the records before it stay appended.
+    alike share one key; a spelling holding a lone surrogate is a
+    MalformedRecord naming its line. Repeated (doc, dim, label) records,
+    in one file or across files, merge additively where the assignment
+    is read. A count must be an integer >= 1 (NonPositiveCount naming the
+    line); one too large for an index to hold (2**31 - 1) raises
+    NonPositiveCount naming the doc and label, as
+    :func:`~hyperrag.hypercube.build_index` does for a merged count. A
+    record that fails a check appends nothing, and the records before it
+    stay appended.
     """
     if into is not None and not isinstance(into, LabelAssignment):
         raise TypeError(f"into must be a LabelAssignment, not {type(into).__name__}")
@@ -472,7 +489,7 @@ def load_precomputed_labels(
             raise NonPositiveCount(f"line {line_no}: ({dim}, {surface!r}) -> {count}")
         key = keys.get(surface)
         if key is None:
-            key = keys[surface] = normalize_label(surface)
+            key = keys[surface] = normalize_label(_text_field(surface, line_no, "label"))
             if not key:
                 raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
         # A new doc is numbered once its record is appended, which may fail.

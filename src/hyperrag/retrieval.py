@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import _as_str, _iter_records, _require, _str_field
+from .corpus import _as_str, _iter_records, _require, _str_field, _text_field
 from .embedding import DEFAULT_TAU, Encoder, check_encoder_and_tau, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
@@ -130,7 +130,8 @@ class ExternalDecompositions:
 
     File format: one JSON object per line with ``components`` (a list of
     ``{dim, text}``) plus ``id`` and/or ``query`` to address it. Lookup
-    tries the query id first, then the normalized query text.
+    tries the query id first, then the normalized query text. A string
+    holding a lone surrogate is a MalformedRecord naming its line.
     """
 
     def __init__(self):
@@ -146,15 +147,16 @@ class ExternalDecompositions:
                 raise MalformedRecord(line_no, "components must be an array of objects")
             comps = [
                 (
-                    _str_field(entry, "dim", line_no),
-                    _str_field(entry, "text", line_no),
+                    _text_field(_str_field(entry, "dim", line_no), line_no, "dim"),
+                    _text_field(_str_field(entry, "text", line_no), line_no, "text"),
                 )
                 for entry in raw
             ]
             if "id" in obj:
-                out._by_id[_as_str(obj["id"], line_no, "id")] = comps
+                out._by_id[_text_field(_as_str(obj["id"], line_no, "id"), line_no, "id")] = comps
             if "query" in obj:
-                out._by_text[normalize_label(_as_str(obj["query"], line_no, "query"))] = comps
+                query = _text_field(_as_str(obj["query"], line_no, "query"), line_no, "query")
+                out._by_text[normalize_label(query)] = comps
         return out
 
     def for_query(self, query_id: str, query_text: str) -> list[tuple[str, str]] | None:

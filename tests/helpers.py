@@ -88,7 +88,13 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
     return path
 
 
-# The array types a version 6 ``inverted`` section may use, narrowest
+def write_escaped_jsonl(path: Path, records: list[dict]) -> Path:
+    """Like :func:`write_jsonl`, with every non-ASCII character escaped, so a lone surrogate can be written."""
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+    return path
+
+
+# The array types a version 6 or 7 ``inverted`` section may use, narrowest
 # first, then one wider type, so a test can write an array the reader
 # must refuse.
 _ARRAY_TYPES = ("<u1", "<u2", "<i4", "<i8")
@@ -96,7 +102,7 @@ _ARRAYS = ("lengths", "docs", "counts")
 
 
 def decode_inverted(raw: bytes) -> dict[str, list]:
-    """A version 6 ``inverted`` section as ``{keys, lengths, docs, counts}``, arrays as lists of ints."""
+    """A version 6 or 7 ``inverted`` section as ``{keys, lengths, docs, counts}``, arrays as lists of ints."""
     head_end = 4 + int.from_bytes(raw[:4], "big")
     head = json.loads(raw[4:head_end])
     types = [np.dtype(head[name]) for name in _ARRAYS]
@@ -129,7 +135,7 @@ def _encode_array(value: object) -> tuple[object, bytes]:
 
 
 def encode_inverted(section: object) -> bytes:
-    """Encode a (possibly malformed) ``inverted`` section by the version 6 layout.
+    """Encode a (possibly malformed) ``inverted`` section by the version 6 and 7 layout.
 
     A dict gives the JSON part: its ``lengths``, ``docs`` and ``counts``
     entries are replaced by their types (see ``_encode_array``) and their
@@ -162,13 +168,32 @@ def raw_sections(path: Path) -> tuple[dict, dict[str, bytes]]:
     return header, {name: take() for name in header["sections"]}
 
 
+def decode_section(name: str, raw: bytes) -> object:
+    """One section by the version 7 layout: ``inverted`` ones by :func:`decode_inverted`,
+    ``forward`` as its list of doc ids (split on newlines), the others as JSON."""
+    if name.startswith("inverted:"):
+        return decode_inverted(raw)
+    if name == "forward":
+        return raw.decode("utf-8").split("\n") if raw else []
+    return json.loads(raw)
+
+
+def encode_section(name: str, part: object) -> bytes:
+    """Encode one (possibly malformed) section; see :func:`write_container`."""
+    if isinstance(part, bytes):
+        return part
+    if name.startswith("inverted:"):
+        return encode_inverted(part)
+    if name == "forward" and isinstance(part, list) and all(type(doc_id) is str for doc_id in part):
+        # A lone surrogate is written as UTF-8 would spell it, which a strict decoder refuses.
+        return "\n".join(part).encode("utf-8", "surrogatepass")
+    return json.dumps(part).encode("utf-8")
+
+
 def read_container(path: Path) -> tuple[dict, dict[str, object]]:
-    """Header and decoded sections: ``inverted`` ones by :func:`decode_inverted`, the others as JSON."""
+    """Header and decoded sections, each by :func:`decode_section`."""
     header, sections = raw_sections(path)
-    return header, {
-        name: decode_inverted(raw) if name.startswith("inverted:") else json.loads(raw)
-        for name, raw in sections.items()
-    }
+    return header, {name: decode_section(name, raw) for name, raw in sections.items()}
 
 
 def write_container(path: Path, header: object, sections: dict[str, object]) -> None:
@@ -176,14 +201,10 @@ def write_container(path: Path, header: object, sections: dict[str, object]) -> 
 
     Every value of ``sections`` is written in order whatever the header
     lists: bytes verbatim, an ``inverted`` section with
-    :func:`encode_inverted`, and anything else as JSON.
+    :func:`encode_inverted`, a ``forward`` list of strings joined by
+    newlines, and anything else as JSON.
     """
-    parts = [json.dumps(header).encode("utf-8")] + [
-        part if isinstance(part, bytes)
-        else encode_inverted(part) if name.startswith("inverted:")
-        else json.dumps(part).encode("utf-8")
-        for name, part in sections.items()
-    ]
+    parts = [json.dumps(header).encode("utf-8")] + [encode_section(name, part) for name, part in sections.items()]
     body = b"HRIX" + b"".join(len(part).to_bytes(4, "big") + part for part in parts)
     Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
 

@@ -139,6 +139,28 @@ class TestRetrieve:
         top = [doc_id for doc_id, _score in bm25_retrieve(ix, MELBOURNE_QUERY, k=3)]
         assert "565" in top
 
+    def test_each_query_term_read_once(self, monkeypatch):
+        ix = bm25_build(Corpus([Document(id="a", text="rain rain storm"), Document(id="b", text="storm surge")]))
+        query = "rain storm tornado rain"
+        expected = bm25_retrieve(ix, query, k=2)
+        expected_score = bm25_score(ix, tokenize(query), "a")
+        table = type(ix.postings)
+        reads, get = [], table.get
+
+        def counted_get(self, key, default=None):
+            reads.append(key)
+            return get(self, key, default)
+
+        monkeypatch.setattr(table, "get", counted_get)
+        # A term's df comes from the postings already read, and an absent
+        # term costs one probe of the span dict, not a caught KeyError.
+        monkeypatch.setattr(table, "__getitem__", lambda self, key: pytest.fail(f"{key!r} read through []"))
+        assert bm25_retrieve(ix, query, k=2) == expected
+        assert reads == ["rain", "storm", "tornado", "rain"]
+        reads.clear()
+        assert bm25_score(ix, tokenize(query), "a") == expected_score
+        assert reads == ["rain", "storm", "tornado", "rain"]
+
     def test_tie_breaks_by_doc_id(self):
         corpus = Corpus(
             [Document(id="z", text="rain rain"), Document(id="a", text="rain rain")]

@@ -15,6 +15,7 @@ from helpers import (
     MELBOURNE_QUERY,
     read_container,
     write_container,
+    write_escaped_jsonl,
     write_jsonl,
 )
 from hyperrag import TrigramEncoder, build_index, extract_all, load_corpus, load_gazetteer, load_index, save_index
@@ -488,6 +489,88 @@ class TestQuery:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+class TestTextAnIndexCannotHold:
+    """Doc ids with a newline and strings with a lone surrogate are data errors (exit 2), never internal ones."""
+
+    def _build(self, files, **paths):
+        flags = [f"--{name}" for name in ("corpus", "gazetteer", "labels")]
+        args = ["build", "--out", str(files["index"])]
+        for flag, name in zip(flags, ("corpus", "gazetteer", "labels")):
+            if paths.get(name, files.get(name)):
+                args += [flag, str(paths.get(name, files.get(name)))]
+        return main(args)
+
+    def test_doc_id_with_newline(self, fixture_files, tmp_path, capsys):
+        corpus = write_escaped_jsonl(
+            tmp_path / "corpus.jsonl", [{"id": "565", "text": DOC_565}, {"id": "2\n46", "text": DOC_246}]
+        )
+        assert self._build(fixture_files, corpus=corpus) == 2
+        assert "line 2: malformed record (document id '2\\n46' holds a newline)" in capsys.readouterr().err
+        assert not fixture_files["index"].exists()
+
+    @pytest.mark.parametrize("route", ["corpus", "gazetteer", "labels"])
+    def test_lone_surrogate_names_its_line(self, fixture_files, tmp_path, capsys, route):
+        records = {
+            "corpus": [{"id": "565", "text": DOC_565}, {"id": "a\ud800", "text": "rain in florida"}],
+            "gazetteer": [{"dim": "THEME", "phrase": "rain"}, {"dim": "THEME", "phrase": "rain\ud800"}],
+            "labels": [
+                {"doc_id": "565", "dim": "THEME", "label": "rain", "count": 1},
+                {"doc_id": "565", "dim": "THEME", "label": "rain\ud800", "count": 1},
+            ],
+        }[route]
+        path = write_escaped_jsonl(tmp_path / f"{route}.jsonl", records)
+        assert self._build(fixture_files, **{route: path}) == 2
+        err = capsys.readouterr().err
+        assert "line 2: malformed record" in err and "lone surrogate" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--explain"], ["--json"]], ids=["plain", "explain", "json"])
+    def test_query_not_utf8(self, fixture_files, capsys, flags):
+        # Command-line bytes that are not UTF-8 reach Python as lone surrogates.
+        index = build_fixture_index(fixture_files)
+        capsys.readouterr()
+        query = "rainfall \udcff\udcfeabc totals"
+        code = main(["query", "--index", str(index), "--tau", "0.5", *flags, "--query", query])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "holds bytes that are not UTF-8" in captured.err and "internal error" not in captured.err
+        assert captured.out == ""
+
+    def test_queries_file_with_lone_surrogate(self, fixture_files, tmp_path, capsys):
+        index = build_fixture_index(fixture_files)
+        queries = write_escaped_jsonl(
+            tmp_path / "queries.jsonl",
+            [{"id": "q1", "question": MELBOURNE_QUERY}, {"id": "q2", "question": "rain \udcff totals"}],
+        )
+        capsys.readouterr()
+        assert main(["eval", "--index", str(index), "--queries", str(queries)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: malformed record (question" in err and "internal error" not in err
+
+    def test_decomposition_with_lone_surrogate(self, fixture_files, tmp_path, capsys):
+        index = build_fixture_index(fixture_files)
+        decomp = write_escaped_jsonl(
+            tmp_path / "decomp.jsonl", [{"query": "rain", "components": [{"dim": "THEME", "text": "rain\udcff"}]}]
+        )
+        capsys.readouterr()
+        code = main(["query", "--index", str(index), "--query", "rain", "--explain", "--decomposition", str(decomp)])
+        assert code == 2
+        assert "line 1: malformed record (text" in capsys.readouterr().err
+
+    def test_dimension_not_utf8_is_usage_error(self, fixture_files, capsys):
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(fixture_files["gazetteer"]),
+                "--dimensions", "HAZARD\udcff",
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 1
+        assert "--dimensions 'HAZARD\\udcff' holds bytes that are not UTF-8" in capsys.readouterr().err
 
 
 class TestInspect:

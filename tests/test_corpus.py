@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import DOC_246, DOC_535, DOC_565, write_jsonl
+from helpers import DOC_246, DOC_535, DOC_565, write_escaped_jsonl, write_jsonl
 from oracles import json_lines_records
 from hyperrag import (
     Corpus,
@@ -116,6 +116,21 @@ class TestLoadCorpus:
             ("a", "", f"rain{char}fall in miami"),
             ("b", f"t{char}", f"{char}surge{char}"),
         ]
+
+    def test_doc_id_with_newline_is_malformed(self, tmp_path):
+        # An index stores its doc ids one per line.
+        path = corpus_file(tmp_path, [{"id": "a", "text": "x"}, {"id": "b\nc", "text": "y"}])
+        with pytest.raises(MalformedRecord, match="holds a newline") as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize("doc_id", ["a\ud800", "\udcff", "\udfff\ud800b"])
+    def test_doc_id_with_lone_surrogate_is_malformed(self, tmp_path, doc_id):
+        # JSON can spell a lone surrogate as an escape; no UTF-8 file can hold it.
+        path = write_escaped_jsonl(tmp_path / "corpus.jsonl", [{"id": "a", "text": "x"}, {"id": doc_id, "text": "y"}])
+        with pytest.raises(MalformedRecord, match="lone surrogate") as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_no == 2
 
     def test_crlf_file_with_blank_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -248,6 +263,17 @@ class TestCorpusType:
         with pytest.raises(DuplicateId):
             Corpus([Document(id="a", text="x"), Document(id="a", text="y")])
 
+    @pytest.mark.parametrize(
+        "doc_id, message", [("a\nb", "holds a newline"), ("\n", "holds a newline"), ("a\ud800", "lone surrogate")]
+    )
+    def test_document_refuses_an_id_an_index_cannot_store(self, doc_id, message):
+        with pytest.raises(MalformedRecord, match=message):
+            Document(id=doc_id, text="x")
+
+    @pytest.mark.parametrize("doc_id", ["a\rb", "a\u2028b", "a\u0085b", "a b", "\U0001d11e"])
+    def test_document_keeps_other_line_breaking_characters(self, doc_id):
+        assert Document(id=doc_id, text="x").id == doc_id
+
 
 class TestLoadQueries:
     def test_empty_file(self, tmp_path):
@@ -277,6 +303,20 @@ class TestLoadQueries:
         with pytest.raises(MissingField) as excinfo:
             load_queries(path)
         assert excinfo.value.field == "question"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", "q\ud800"), ("question", "rain \udcff totals"), ("gold_answer", "\udfff"),
+            ("gold_doc_ids", ["\ud800"]),
+        ],
+    )
+    def test_lone_surrogate_is_malformed(self, tmp_path, field, value):
+        record = {"id": "q2", "question": "Where did it rain?", field: value}
+        path = write_escaped_jsonl(tmp_path / "q.jsonl", [{"id": "q1", "question": "a?"}, record])
+        with pytest.raises(MalformedRecord, match=f"{field} .* holds a lone surrogate") as excinfo:
+            load_queries(path)
+        assert excinfo.value.line_no == 2
 
     def test_duplicate_query_id(self, tmp_path):
         path = write_jsonl(

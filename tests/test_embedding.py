@@ -101,6 +101,23 @@ class TestTrigramEncoder:
         with pytest.raises(UnencodableText):
             trigram.encode("  !  ")
 
+    @pytest.mark.parametrize("text", ["rain\udcff", "\ud800abc", "ab\udfffcd"])
+    def test_lone_surrogate_is_unencodable(self, trigram, text):
+        # A lone surrogate has no UTF-8 bytes to hash; command-line bytes that are not UTF-8 decode to one.
+        with pytest.raises(UnencodableText, match="lone surrogate"):
+            trigram.encode(text)
+
+    def test_component_with_lone_surrogate_is_unmatched(self, trigram):
+        ix = build_index(
+            Corpus([Document(id="d1", text="rain totals")]),
+            {"d1": DocLabels(doc_id="d1", counts={("THEME", "rain"): 1, ("THEME", "rainfall totals"): 1})},
+            encoder=trigram,
+        )
+        result = retrieve("rainfall \udcff\udcfeabc totals", ix, trigram, tau=0.3)
+        # The component matches no label, so it is dropped; the rest of the query still answers.
+        assert [comp.key for comp in result.decomposition.components] == ["rainfall", "totals"]
+        assert [doc.doc_id for doc in result.ranked] == ["d1"]
+
     def test_normalization_applied_before_hashing(self, trigram):
         assert np.array_equal(trigram.encode("  RAIN. "), trigram.encode("rain"))
 

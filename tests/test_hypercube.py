@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import io
 import json
 import re
@@ -9,7 +10,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -358,7 +359,7 @@ class TestContainerV3:
         save_index(ix, path)
         header, sections = read_container(path)
         inverted = [f"inverted:{dim}" for dim in ix.dimensions]
-        assert header == {"version": 6, "sections": inverted + ["forward", "vectors"]}
+        assert header == {"version": 7, "sections": inverted + ["forward", "vectors"]}
         # Counts live only in the postings, next to doc ordinals ...
         assert sections["inverted:THEME"] == {
             "keys": ["storm surge"], "lengths": [2], "docs": [0, 1], "counts": [3, 4]
@@ -372,8 +373,10 @@ class TestContainerV3:
         # array types, then the raw lengths, docs and counts.
         head = b'{"counts":"<u1","docs":"<u1","keys":["storm surge"],"lengths":"<u1"}'
         assert raw_sections(path)[1]["inverted:THEME"] == len(head).to_bytes(4, "big") + head + bytes([2, 0, 1, 3, 4])
-        # ... and forward holds the doc ids, whose positions the ordinals are, and nothing else.
-        assert sections["forward"] == {"doc_ids": ["d1", "d2", "d3"]}
+        # ... and forward holds the doc ids, whose positions the ordinals are, and nothing else:
+        # one per line, in UTF-8, with no newline after the last.
+        assert sections["forward"] == ["d1", "d2", "d3"]
+        assert raw_sections(path)[1]["forward"] == b"d1\nd2\nd3"
         # vectors holds the encoder's identity and, per dimension, a CRC-32 of
         # its keys (a compact JSON array) then its little-endian float64 rows.
         encoder = TrigramEncoder(dim=16)
@@ -428,7 +431,7 @@ class TestContainerV3:
         save_index(hurricane_index, path)
         header, sections = read_container(path)
         header["version"] = 2
-        sections["forward"]["surfaces"] = {}
+        sections["forward"] = {"doc_ids": sections["forward"], "surfaces": {}}
         write_container(path, header, sections)
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
             load_index(path)
@@ -472,6 +475,17 @@ class TestContainerV3:
                 sections[name] = json.dumps(section).encode("utf-8")
         write_container(path, header, sections)
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
+            load_index(path)
+
+    def test_version_6_file_rejected(self, hurricane_index, tmp_path):
+        # Version 6 wrote forward as a JSON object {"doc_ids": [...]}.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        header["version"] = 6
+        sections["forward"] = {"doc_ids": sections["forward"]}
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="container version 6, reader supports 7; rebuild"):
             load_index(path)
 
     def test_narrowest_type_at_each_boundary(self, tmp_path):
@@ -523,8 +537,93 @@ class TestContainerV3:
         assert load_index(path) == ix
 
 
+# Ids that hold what other tools take for a line break or a space; only "\n" separates ids.
+_ID_CHARS = st.sampled_from(["a", "B", "7", " ", "\r", "\u2028", "\u0085", "\t", "é", "日", "\U0001d11e"])
+_DOC_ID = st.one_of(
+    st.text(_ID_CHARS, min_size=1, max_size=6),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n"), min_size=1, max_size=6),
+)
+
+
+class TestForwardSection:
+    """Version 7's ``forward``: the sorted doc ids joined by newlines, in UTF-8, and nothing else."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(_DOC_ID, min_size=1, max_size=8, unique=True))
+    @example(ids=["only"])
+    @example(ids=["a b", "a\rb", "a\u2028b", "a\u0085b", "\U0001d11e", " "])
+    def test_doc_ids_round_trip(self, tmp_path, ids):
+        corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ids])
+        labels = {ids[0]: DocLabels(doc_id=ids[0])}
+        labels[ids[0]].add("THEME", "storm")
+        ix = build_index(corpus, labels)
+        path = tmp_path / "ids.hcix"
+        save_index(ix, path)
+        assert raw_sections(path)[1]["forward"] == "\n".join(sorted(ids)).encode("utf-8")
+        loaded = load_index(path)
+        assert loaded.doc_ids == tuple(sorted(ids))
+        assert loaded == ix
+        again = tmp_path / "ids.again.hcix"
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_index_without_documents_round_trips(self, tmp_path):
+        ix = build_index(Corpus([]), {})
+        path = tmp_path / "empty.hcix"
+        save_index(ix, path)
+        assert raw_sections(path)[1]["forward"] == b""
+        loaded = load_index(path)
+        assert loaded.doc_ids == ()
+        assert loaded == ix
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\n246\n535\n565", b"246\n535\n565\n", b"\n\n", b"246\n535\n565\n565", b"246\n565\n535",
+            b"246\n535\n5\xff65",
+        ],
+        ids=["leading_empty_id", "trailing_newline", "newlines_alone", "duplicate_id", "unsorted_ids", "invalid_utf8"],
+    )
+    def test_malformed_forward_rejected(self, hurricane_index, tmp_path, payload):
+        # The fixture's doc ids are 246, 535 and 565; its postings stay valid over three ids.
+        path = tmp_path / "ix.hcix"
+        save_index(hurricane_index, path)
+        header, sections = read_container(path)
+        sections["forward"] = payload
+        write_container(path, header, sections)
+        with pytest.raises(FormatVersionMismatch, match="forward"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "doc_ids", [("",), ("", "a"), ("a", ""), ("a", "b\nc"), ("a\n",)],
+        ids=["empty_alone", "empty_first", "empty_last", "newline_inside", "newline_last"],
+    )
+    def test_save_refuses_ids_forward_cannot_hold(self, tmp_path, doc_ids):
+        path = tmp_path / "ix.hcix"
+        with pytest.raises(ValueError, match="must be non-empty and hold no newline"):
+            save_index(HypercubeIndex(dimensions=(), inverted={}, doc_ids=doc_ids), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["doc_id", "key", "dimension"])
+    def test_save_refuses_a_lone_surrogate(self, tmp_path, where):
+        corpus = Corpus([Document(id="d1", text="storm text")])
+        dim = "THEME\ud800" if where == "dimension" else "THEME"
+        key = "storm\ud800" if where == "key" else "storm"
+        labels = {"d1": DocLabels(doc_id="d1")}
+        labels["d1"].add(dim, key)
+        ix = build_index(corpus, labels, dimensions=[dim])
+        if where == "doc_id":
+            ix = dataclasses.replace(ix, doc_ids=("d\udcff",))
+        path = tmp_path / "ix.hcix"
+        with pytest.raises(ValueError, match="lone surrogate") as excinfo:
+            save_index(ix, path)
+        # UnicodeEncodeError is a ValueError too; the error must name the fault, not the codec.
+        assert type(excinfo.value) is ValueError
+        assert not path.exists()
+
+
 def _drop_doc(sections, doc_id):
-    sections["forward"]["doc_ids"].remove(doc_id)
+    sections["forward"].remove(doc_id)
 
 
 def _duplicate_section(header, sections):
@@ -541,7 +640,7 @@ MALFORMED = {
     "duplicate_section": _duplicate_section,
     "section_not_listed": lambda h, s: h["sections"].remove("vectors"),
     "no_forward_section": lambda h, s: h["sections"].remove("forward") or s.pop("forward"),
-    "section_not_json": lambda h, s: s.update(forward=b"{not json"),
+    "section_not_json": lambda h, s: s.update(vectors=b"{not json"),
     # The fixture's doc ids are ("246", "535", "565"). THEME holds key
     # "rain" with ordinal 2, count 5; LOCATION holds "florida" (ordinals
     # 0, 1) and "melbourne beach" (ordinal 2), every count 1.
@@ -550,6 +649,7 @@ MALFORMED = {
     "inverted_without_counts": lambda h, s: s["inverted:THEME"].pop("counts"),
     "keys_not_strings": lambda h, s: s["inverted:THEME"].update(keys=[1]),
     "keys_repeat": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "florida"]),
+    "keys_unsorted": lambda h, s: s["inverted:LOCATION"].update(keys=["melbourne beach", "florida"]),
     "key_empty": lambda h, s: s["inverted:LOCATION"].update(keys=["", "melbourne beach"]),
     "key_blank": lambda h, s: s["inverted:THEME"].update(keys=[" "]),
     # Keys no query can reach, since queries are normalized: each used to
@@ -605,19 +705,20 @@ MALFORMED = {
     "inverted_as_version_5_json": lambda h, s: s.update(
         {"inverted:THEME": json.dumps({"keys": ["rain"], "lengths": [1], "docs": [2], "counts": [5]}).encode()}
     ),
-    "forward_not_object": lambda h, s: s.update(forward=["565", "246", "535"]),
-    "forward_extra_key": lambda h, s: s["forward"].update(labels={}),
-    "duplicate_doc_ids": lambda h, s: s["forward"]["doc_ids"].append("565"),
-    "doc_ids_unsorted": lambda h, s: s["forward"]["doc_ids"].reverse(),
-    "doc_ids_not_strings": lambda h, s: s["forward"].update(doc_ids=[565, 246, 535]),
-    "surfaces_not_object": lambda h, s: s["forward"].update(surfaces=[]),
-    "surfaces_of_unknown_doc": lambda h, s: s["forward"].update(surfaces={"999": {}}),
-    "surfaces_without_posting": lambda h, s: s["forward"].update(
-        surfaces={"535": {"THEME": {"rain": ["Rain"]}}}
-    ),
-    "surfaces_not_strings": lambda h, s: s["forward"].update(
-        surfaces={"565": {"THEME": {"rain": [["Rain"]]}}}
-    ),
+    # Version 7 writes forward as the doc ids joined by newlines, in UTF-8
+    # (see helpers.encode_section), so the ids that used to break forward's
+    # JSON now break that text. Version 6's JSON object reads as a single
+    # doc id, which leaves the postings' ordinals 1 and 2 outside doc_ids.
+    "forward_not_object": lambda h, s: s.update(forward={"doc_ids": ["246", "535", "565"]}),
+    "forward_extra_key": lambda h, s: s["forward"].append(""),
+    "duplicate_doc_ids": lambda h, s: s["forward"].append("565"),
+    "doc_ids_unsorted": lambda h, s: s["forward"].reverse(),
+    "doc_ids_not_strings": lambda h, s: s.update(forward=b"246\n535\n\xff565"),
+    # Version 2 kept label surfaces in forward; these now break the id list.
+    "surfaces_not_object": lambda h, s: s["forward"].insert(0, ""),
+    "surfaces_of_unknown_doc": lambda h, s: s["forward"].insert(0, "999"),
+    "surfaces_without_posting": lambda h, s: s["forward"].insert(1, ""),
+    "surfaces_not_strings": lambda h, s: s["forward"].__setitem__(2, "565\ud800"),
     # The vectors section is {encoder, dim, checksums}, one checksum per
     # index dimension. The three ids naming a matrix or its keys date from
     # the stored-matrix layout; each now breaks the checksums' shape, their
@@ -761,10 +862,11 @@ class TestMalformedContainer:
     )
     def test_keys_load_only_when_normalized(self, hurricane_index, tmp_path, keys):
         # LOCATION holds two keys; their postings stay valid whatever they are called.
+        # They are written in increasing order, as a container must hold them.
         path = tmp_path / "keys.hcix"
         save_index(hurricane_index, path)
         header, sections = read_container(path)
-        sections["inverted:LOCATION"]["keys"] = keys
+        sections["inverted:LOCATION"]["keys"] = sorted(keys)
         write_container(path, header, sections)
         if all(key and normalize_label(key) == key for key in keys):
             assert set(load_index(path).vocab["LOCATION"]) == set(keys)

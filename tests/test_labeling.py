@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import HURRICANE_MINI, count_table_builds, write_jsonl
+from helpers import HURRICANE_MINI, count_table_builds, write_escaped_jsonl, write_jsonl
 from oracles import brute_longest_match, brute_merge, brute_postings, substring_occurrences
 from hyperrag import (
     Corpus,
@@ -204,6 +204,18 @@ class TestGazetteerType:
         with pytest.raises(UnknownDimension):
             Gazetteer.from_phrases({"FLAVOR": ["salty"]})
 
+    def test_phrase_with_lone_surrogate_rejected(self):
+        with pytest.raises(ValueError, match="lone surrogate"):
+            Gazetteer.from_phrases({"THEME": ["rain\ud800"]})
+
+    def test_load_gazetteer_names_the_line_of_a_lone_surrogate(self, tmp_path):
+        path = write_escaped_jsonl(
+            tmp_path / "gaz.jsonl", [{"dim": "THEME", "phrase": "rain"}, {"dim": "THEME", "phrase": "storm \udcff"}]
+        )
+        with pytest.raises(MalformedRecord, match="lone surrogate") as excinfo:
+            load_gazetteer(path)
+        assert excinfo.value.line_no == 2
+
     def test_extension_dimension_allowed(self):
         gaz = Gazetteer.from_phrases({"HAZARD": ["levee breach"]}, extensions=["HAZARD"])
         assert gaz.entries["HAZARD"] == frozenset({"levee breach"})
@@ -243,6 +255,18 @@ class TestPrecomputedLabels:
         )
         labels = load_precomputed_labels(path, hurricane_corpus)
         assert labels["246"].counts == {("EVENT", "tropical storm fay"): 1}
+
+    def test_label_with_lone_surrogate_names_its_line(self, hurricane_corpus, tmp_path):
+        path = write_escaped_jsonl(
+            tmp_path / "labels.jsonl",
+            [
+                {"doc_id": "246", "dim": "THEME", "label": "rain", "count": 1},
+                {"doc_id": "565", "dim": "THEME", "label": "Rain\ud800", "count": 1},
+            ],
+        )
+        with pytest.raises(MalformedRecord, match="label 'Rain\\\\ud800' holds a lone surrogate") as excinfo:
+            load_precomputed_labels(path, hurricane_corpus)
+        assert excinfo.value.line_no == 2
 
     def test_unknown_doc_id(self, hurricane_corpus, tmp_path):
         path = write_jsonl(

@@ -41,7 +41,6 @@ rows = hr.bench_latency(
     repetitions=10,
     tau=0.5,
     encoder=encoder,
-    seed=0,
 )
 mean = {(row.engine, row.noise): row.mean_us for row in rows}
 for engine in ("hypercube", "bm25"):

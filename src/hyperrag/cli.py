@@ -70,7 +70,7 @@ def _make_encoder(args, trigram_dim: int = DEFAULT_EMBED_DIM, keys: Iterable[str
         return TrigramEncoder(dim=trigram_dim)
     if args.encoder.startswith("file:"):
         vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys)
-        return PrecomputedVectorEncoder(vectors, dim=len(next(iter(vectors.values()))))
+        return PrecomputedVectorEncoder(vectors)
     raise _usage(f"unknown encoder {args.encoder!r}")
 
 
@@ -122,6 +122,8 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_build(args) -> int:
     extensions = tuple(args.dimensions or ())
     for pos, dim in enumerate(extensions):
+        if not dim.strip():
+            raise _usage(f"--dimensions {dim!r} is a blank name")
         if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
             raise _usage(f"--dimensions repeats dimension {dim!r}")
         if not _is_text(dim):
@@ -131,12 +133,10 @@ def _cmd_build(args) -> int:
     corpus = load_corpus(args.corpus)
     labels = LabelAssignment()
     if args.gazetteer:
-        gazetteer = load_gazetteer(args.gazetteer, extensions)
-        labels = extract_all(corpus, gazetteer)
+        labels = extract_all(corpus, load_gazetteer(args.gazetteer))
     for labels_path in args.labels or ():
-        load_precomputed_labels(labels_path, corpus, extensions, into=labels)
-    dimensions = CANONICAL_DIMENSIONS + extensions if extensions else None
-    ix = build_index(corpus, labels, dimensions=dimensions, encoder=_make_encoder(args))
+        load_precomputed_labels(labels_path, corpus, into=labels)
+    ix = build_index(corpus, labels, dimensions=CANONICAL_DIMENSIONS + extensions, encoder=_make_encoder(args))
     save_index(ix, args.out)
     print(
         f"indexed {ix.doc_count} documents, {ix.label_key_count()} label keys "
@@ -156,8 +156,9 @@ def _cmd_query(args) -> int:
     encoder = _index_encoder(args, ix)
     external = None
     if args.decomposition:
-        table = ExternalDecompositions.load(args.decomposition)
-        external = table.for_query("", args.query)
+        external = ExternalDecompositions.load(args.decomposition).for_query("", args.query)
+        if external is None:
+            raise IoFailure(f"{args.decomposition}: the decomposition file holds no entry for the query {args.query!r}")
     result = retrieve(args.query, ix, encoder, tau=args.tau, k=args.k, external=external)
     if args.json:
         _emit(json.dumps(result_to_dict(result), sort_keys=True, ensure_ascii=False), args.out)
@@ -193,6 +194,8 @@ def _cmd_bench(args) -> int:
     if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
         raise _usage(f"fractions must lie in (0, 1]: {args.fractions!r}")
     corpus = load_corpus(args.corpus)
+    if not corpus:
+        raise IoFailure(f"{args.corpus}: the corpus file holds no document, so there is nothing to time")
     gazetteer = load_gazetteer(args.gazetteer)
     queries = _load_queries(args.queries)
     rows = bench_latency(

@@ -92,21 +92,25 @@ class TrigramEncoder:
 class PrecomputedVectorEncoder:
     """Encoder backed by a key -> vector table loaded from a file.
 
-    ``dim`` is the table's vector length, which the file sets; a vector
-    of another length raises DimMismatch naming its key. ``encode``
-    looks up the normalized text; keys absent from the table raise
-    MissingKey: :func:`build_index` refuses a label key without a vector,
-    and retrieval treats such a component as unmatched.
+    ``dim`` is the length of the table's vectors, which must all be
+    equal: the first vector sets it, and one of another length raises
+    DimMismatch naming its key. An empty table sets no length
+    (ValueError). ``encode`` looks up the normalized text; keys absent
+    from the table raise MissingKey: :func:`build_index` refuses a label
+    key without a vector, and retrieval treats such a component as
+    unmatched.
     """
 
     name = "precomputed"
 
-    def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):
-        for key, vector in vectors.items():
-            if len(vector) != dim:
-                raise DimMismatch(dim, len(vector), f"the vector of {key!r}")
-        self.dim = dim
+    def __init__(self, vectors: Mapping[str, np.ndarray]):
+        if not vectors:
+            raise ValueError("no vectors, so no vector length")
         self._vectors = dict(vectors)
+        self.dim = len(next(iter(self._vectors.values())))
+        for key, vector in self._vectors.items():
+            if len(vector) != self.dim:
+                raise DimMismatch(self.dim, len(vector), f"the vector of {key!r}")
 
     def encode(self, text: str) -> np.ndarray:
         key = normalize_label(text)

@@ -12,7 +12,7 @@ class HyperRagError(Exception):
 
 
 class IoFailure(HyperRagError):
-    """A file could not be read or written."""
+    """A file could not be read or written, or holds nothing of what it was read for."""
 
 
 class MalformedRecord(HyperRagError):
@@ -52,9 +52,11 @@ class UnknownDocId(HyperRagError):
 
 
 class UnknownDimension(HyperRagError):
+    """A label's dimension is not among those its index is built with."""
+
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"unknown dimension {name!r}")
+        super().__init__(f"unknown dimension {name!r}: not among the index's dimensions")
 
 
 class NonPositiveCount(HyperRagError):

@@ -246,21 +246,23 @@ def bench_latency(
     tau: float = DEFAULT_TAU,
     k: int = DEFAULT_K,
     encoder: Encoder | None = None,
-    seed: int = 0,
 ) -> list[BenchRow]:
     """Latency table of both engines across corpus fractions, optionally plus a noise row.
 
     For each fraction a prefix sub-corpus is indexed twice, for the
     label cube and for BM25, giving a ``hypercube`` row and then a
     ``bm25`` row. When ``noise`` > 0 an extra pair of rows at fraction
-    1.0 measures the corpus with that many noise documents appended; a
-    negative ``noise`` raises ValueError, as do no queries, a fraction
-    outside (0, 1] and ``repetitions`` < 1. Every configuration is built
-    and warmed with one untimed pass first; then each repetition times one
-    pass of every configuration in turn (one sample = mean per-query
-    time of a pass), so a change in host speed during the run falls on
-    all rows alike rather than on one block of them. Build time is never
-    included.
+    1.0 measures the corpus with that many noise documents appended,
+    drawn by :func:`inject_noise` with seed 0, so a table is repeatable;
+    a negative ``noise`` raises ValueError, as do no queries, a fraction
+    outside (0, 1] and ``repetitions`` < 1. Each index takes the
+    canonical dimensions, so a gazetteer label of another dimension
+    raises UnknownDimension while the configurations are built. Every
+    configuration is built and warmed with one untimed pass first; then
+    each repetition times one pass of every configuration in turn (one
+    sample = mean per-query time of a pass), so a change in host speed
+    during the run falls on all rows alike rather than on one block of
+    them. Build time is never included.
     """
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
@@ -283,7 +285,7 @@ def bench_latency(
         n = max(1, round(fraction * len(corpus)))
         sub = Corpus(list(corpus.documents[:n]))
         if noise_docs:
-            sub = inject_noise(sub, noise_docs, seed, avoid_phrases=gazetteer.all_phrases())
+            sub = inject_noise(sub, noise_docs, seed=0, avoid_phrases=gazetteer.all_phrases())
         ix = build_index(sub, extract_all(sub, gazetteer), encoder=encoder)
         bix = bm25_build(sub)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .embedding import Encoder, LabelVectors
-from .errors import ChecksumMismatch, FormatVersionMismatch, IoFailure, UnknownDocId
+from .errors import ChecksumMismatch, FormatVersionMismatch, IoFailure, UnknownDimension, UnknownDocId
 from .labeling import (
     CANONICAL_DIMENSIONS,
     DocLabels,
@@ -208,12 +208,17 @@ def build_index(
     ``labels`` is a :class:`~hyperrag.labeling.LabelAssignment`, as the
     loaders return, or any ``Mapping[str, DocLabels]``, which is
     converted to one first, so both take one path. Every doc id the
-    assignment has seen must exist in the corpus (UnknownDocId), every
-    label dimension must be among ``dimensions`` (ValueError), no
-    dimension may be given twice, and every label key must be non-empty
-    and its own :func:`normalize_label`, as :func:`load_index` demands of
-    a saved key (ValueError). Documents without labels are listed in
-    ``doc_ids`` and appear in no posting list.
+    assignment has seen must exist in the corpus (UnknownDocId).
+
+    ``dimensions`` are the index's dimensions, in order; ``None`` means
+    ``CANONICAL_DIMENSIONS``, so an extension dimension is named here or
+    nowhere. This is the one place a label's dimension is checked: one
+    outside ``dimensions`` raises UnknownDimension, whichever loader read
+    it. A blank dimension name, or one given twice, raises ValueError, as
+    does a label key that is empty or not its own
+    :func:`normalize_label`, which :func:`load_index` demands of a saved
+    key. Documents without labels are listed in ``doc_ids`` and appear in
+    no posting list.
 
     The records are inverted with whole-array passes, no loop per
     posting: doc numbers become ordinals with one ``take``, pairs are
@@ -235,19 +240,17 @@ def build_index(
     except KeyError as exc:
         raise UnknownDocId(exc.args[0]) from None
 
-    pairs = labels._pairs
-    if dimensions is None:
-        extras = sorted({dim for dim, _key in pairs} - set(CANONICAL_DIMENSIONS))
-        dims = CANONICAL_DIMENSIONS + tuple(extras)
-    else:
-        dims = tuple(dimensions)
-        for pos, dim in enumerate(dims):
-            if dim in dims[:pos]:
-                raise ValueError(f"dimension {dim!r} appears twice in {dims}")
+    dims = CANONICAL_DIMENSIONS if dimensions is None else tuple(dimensions)
+    for pos, dim in enumerate(dims):
+        if not dim.strip():
+            raise ValueError(f"dimension name {dim!r} is blank")
+        if dim in dims[:pos]:
+            raise ValueError(f"dimension {dim!r} appears twice in {dims}")
     dim_pos = {dim: pos for pos, dim in enumerate(dims)}
+    pairs = labels._pairs
     for dim, _key in pairs:
         if dim not in dim_pos:
-            raise ValueError(f"label dimension {dim!r} not among index dimensions {dims}")
+            raise UnknownDimension(dim)
 
     # Pair ids in (dimension order, key) order; rank[pair id] is a pair's place in it.
     by_rank = sorted(range(len(pairs)), key=lambda pair_id: (dim_pos[pairs[pair_id][0]], pairs[pair_id][1]))

@@ -31,7 +31,7 @@ from typing import Container, Iterable, Iterator, Mapping
 import numpy as np
 
 from .corpus import Corpus, Document, _is_text, _iter_records, _str_field, _text_field
-from .errors import MalformedRecord, NonPositiveCount, UnknownDimension, UnknownDocId
+from .errors import MalformedRecord, NonPositiveCount, UnknownDocId
 
 Dimension = str
 
@@ -53,17 +53,6 @@ PhraseTable = dict[str, tuple[tuple[str, ...], ...]]
 # Characters stripped from both ends of a text token (but kept inside it,
 # so "4-8" and "fay's" survive intact).
 _TOKEN_STRIP = string.punctuation + "“”‘’‚„«»‹›…–—"
-
-
-def ensure_dimension(name: str, extensions: Container[str] = ()) -> Dimension:
-    """Validate a dimension name against the canonical set plus declared extensions.
-
-    ``extensions`` is tested with ``in`` on every call, so a caller that
-    checks many names passes a set, built once.
-    """
-    if name in CANONICAL_DIMENSIONS or name in extensions:
-        return name
-    raise UnknownDimension(name)
 
 
 def normalize_label(surface: str) -> str:
@@ -273,6 +262,8 @@ class Gazetteer:
 
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
+    Any dimension name is held; :func:`~hyperrag.hypercube.build_index`
+    refuses a label of a dimension its index does not take.
     ``tables`` holds one matcher table per non-empty dimension, in sorted
     dimension order, and ``dims_by_first_token`` maps each token at which
     some phrase can start to the dimensions, in that order, whose tables
@@ -294,17 +285,8 @@ class Gazetteer:
         object.__setattr__(self, "dims_by_first_token", dims_by_first_token)
 
     @classmethod
-    def from_phrases(
-        cls,
-        entries: Mapping[Dimension, Iterable[str]],
-        extensions: Iterable[str] = (),
-    ) -> "Gazetteer":
-        extensions = set(extensions)
-        normalized: dict[Dimension, frozenset[str]] = {}
-        for dim, phrases in entries.items():
-            ensure_dimension(dim, extensions)
-            normalized[dim] = frozenset(_gazetteer_key(phrase) for phrase in phrases)
-        return cls(entries=normalized)
+    def from_phrases(cls, entries: Mapping[Dimension, Iterable[str]]) -> "Gazetteer":
+        return cls(entries={dim: frozenset(map(_gazetteer_key, phrases)) for dim, phrases in entries.items()})
 
     def all_phrases(self) -> set[str]:
         out: set[str] = set()
@@ -316,11 +298,12 @@ class Gazetteer:
         return sum(len(p) for p in self.entries.values())
 
 
-def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazetteer:
+def load_gazetteer(path: str | Path) -> Gazetteer:
     """Read a line-delimited gazetteer file with keys ``dim`` and ``phrase``.
 
-    Each phrase is normalized once, where a failure can name its line;
-    the dimensions are checked after the whole file has parsed.
+    Each phrase is normalized once, where a failure can name its line.
+    Any dimension name is read; :func:`~hyperrag.hypercube.build_index`
+    decides which ones an index takes.
     """
     keys: dict[Dimension, set[str]] = {}
     for line_no, obj in _iter_records(path):
@@ -330,9 +313,6 @@ def load_gazetteer(path: str | Path, extensions: Iterable[str] = ()) -> Gazettee
             keys.setdefault(dim, set()).add(_gazetteer_key(phrase))
         except ValueError as exc:
             raise MalformedRecord(line_no, str(exc)) from None
-    extensions = set(extensions)
-    for dim in keys:
-        ensure_dimension(dim, extensions)
     return Gazetteer(entries={dim: frozenset(dim_keys) for dim, dim_keys in keys.items()})
 
 
@@ -449,7 +429,6 @@ def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
 def load_precomputed_labels(
     path: str | Path,
     corpus: Corpus,
-    extensions: Iterable[str] = (),
     into: LabelAssignment | None = None,
 ) -> LabelAssignment:
     """Ingest a label file produced by an external extractor.
@@ -457,7 +436,9 @@ def load_precomputed_labels(
     Records carry ``doc_id``, ``dim``, ``label`` and ``count``; each one
     that passes its checks is appended to a new :class:`LabelAssignment`,
     or to ``into`` (which must be one, from :func:`extract_all` or an
-    earlier call) and returned. Label strings are normalized on ingest,
+    earlier call) and returned. Any ``dim`` is read;
+    :func:`~hyperrag.hypercube.build_index` decides which dimensions an
+    index takes. Label strings are normalized on ingest,
     each distinct spelling once per file, so records spelling a label
     alike share one key; a spelling holding a lone surrogate is a
     MalformedRecord naming its line. Repeated (doc, dim, label) records,
@@ -474,13 +455,12 @@ def load_precomputed_labels(
     result = LabelAssignment() if into is None else into
     keys: dict[str, str] = {}
     ids = corpus.id_index
-    extensions = set(extensions)
     docs = result._docs
     for line_no, obj in _iter_records(path):
         doc_id = _str_field(obj, "doc_id", line_no)
         if doc_id not in ids:
             raise UnknownDocId(doc_id)
-        dim = ensure_dimension(_str_field(obj, "dim", line_no), extensions)
+        dim = _str_field(obj, "dim", line_no)
         surface = _str_field(obj, "label", line_no)
         count = obj.get("count", 1)
         if not isinstance(count, int) or isinstance(count, bool):

@@ -231,7 +231,6 @@ def test_c5_noise_invariance_and_scaling(trigram):
             repetitions=20,
             tau=FIXTURE_TAU,
             encoder=trigram,
-            seed=78,
         )
         mean = {(r.engine, r.noise): r.mean_us for r in rows}
         hypercube_ratio = mean[("hypercube", noise_docs)] / mean[("hypercube", 0)]

@@ -139,6 +139,22 @@ class TestBuild:
         assert "--dimensions repeats" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_dimension_is_usage_error(self, tmp_path, capsys, blank):
+        # As with a repeated name, the inputs need not exist.
+        code = main(
+            [
+                "build",
+                "--corpus", str(tmp_path / "absent.jsonl"),
+                "--gazetteer", str(tmp_path / "absent.jsonl"),
+                "--dimensions", "HAZARD", blank,
+                "--out", str(tmp_path / "x.hcix"),
+            ]
+        )
+        assert code == 1
+        assert f"--dimensions {blank!r} is a blank name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_build_data_error_exit_2(self, fixture_files, tmp_path):
         bad = write_jsonl(tmp_path / "bad.jsonl", [{"id": "x"}])
         code = main(
@@ -329,6 +345,27 @@ class TestQuery:
         assert code == 0
         assert out.strip().splitlines()[0].startswith("1. 565")
         assert "coverage=3/3" in out
+
+    def test_decomposition_without_an_entry_for_the_query_is_data_error(self, fixture_files, tmp_path, capsys):
+        # The file is never passed over for the lexical decomposer.
+        build_fixture_index(fixture_files)
+        decomp = write_jsonl(
+            tmp_path / "decomp.jsonl",
+            [{"query": MELBOURNE_QUERY, "components": [{"dim": "LOCATION", "text": "Melbourne Beach"}]}],
+        )
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(fixture_files["index"]),
+                "--query", "florida storm",
+                "--decomposition", str(decomp),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{decomp}: the decomposition file holds no entry for the query 'florida storm'" in captured.err
 
     def test_bad_tau_is_usage_error(self, fixture_files):
         build_fixture_index(fixture_files)
@@ -800,6 +837,19 @@ class TestBench:
         # bench_latency extracts once per fraction; a vectors file adds no pass for its keys.
         assert len(counted) == 1
 
+    def test_empty_corpus_is_data_error(self, fixture_files, tmp_path, capsys, monkeypatch):
+        def no_timing(*args, **kwargs):
+            raise AssertionError("bench_latency ran over an empty corpus")
+
+        monkeypatch.setattr(cli_mod, "bench_latency", no_timing)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        out_path = tmp_path / "bench.csv"
+        code = main([*bench_args(fixture_files, out_path=out_path), "--corpus", str(empty)])  # the last --corpus wins
+        assert code == 2
+        assert f"{empty}: the corpus file holds no document" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_vectors_file_missing_a_label_key_is_data_error(self, fixture_files, tmp_path, capsys):
         vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"])
         out_path = tmp_path / "bench.csv"
@@ -814,6 +864,49 @@ class TestBench:
         code = main(bench_args(fixture_files, write_vectors(tmp_path / "vec.jsonl", keys), out_path))
         assert code == 0
         assert out_path.read_text().startswith("engine,fraction,noise,mean_us,median_us,p95_us")
+
+
+class TestExtensionDimensions:
+    """The build alone decides an index's dimensions: the canonical six, plus those ``--dimensions`` names."""
+
+    @staticmethod
+    def label_sources(files, tmp_path, source):
+        """Label-source arguments whose labels include one of dimension HAZARD, from ``source``."""
+        if source == "labels":
+            labels = write_jsonl(
+                tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "HAZARD", "label": "breach", "count": 1}]
+            )
+            return ["--gazetteer", str(files["gazetteer"]), "--labels", str(labels)]
+        gazetteer = tmp_path / "hazard_gazetteer.jsonl"
+        hazard = json.dumps({"dim": "HAZARD", "phrase": "inland flooding"})
+        gazetteer.write_text(files["gazetteer"].read_text(encoding="utf-8") + hazard + "\n", encoding="utf-8")
+        return ["--gazetteer", str(gazetteer)]
+
+    @pytest.mark.parametrize("command, source", [("build", "labels"), ("build", "gazetteer"), ("bench", "gazetteer")])
+    def test_undeclared_dimension_is_data_error(self, fixture_files, tmp_path, capsys, command, source):
+        out_path = tmp_path / "out"
+        sources = self.label_sources(fixture_files, tmp_path, source)
+        if command == "build":
+            args = ["build", "--corpus", str(fixture_files["corpus"]), *sources, "--out", str(out_path)]
+        else:
+            args = [*bench_args(fixture_files, out_path=out_path), *sources]  # the last --gazetteer wins
+        code = main(args)
+        assert code == 2
+        assert "unknown dimension 'HAZARD'" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "source, label, posting", [("labels", "breach", "565\t1"), ("gazetteer", "inland flooding", "246\t1")]
+    )
+    def test_declared_dimension_is_indexed(self, fixture_files, tmp_path, capsys, source, label, posting):
+        index = fixture_files["index"]
+        sources = self.label_sources(fixture_files, tmp_path, source)
+        args = ["build", "--corpus", str(fixture_files["corpus"]), *sources, "--dimensions", "HAZARD"]
+        assert main([*args, "--out", str(index)]) == 0
+        assert load_index(index).dimensions[-1] == "HAZARD"
+        capsys.readouterr()
+        assert main(["inspect", "--index", str(index), "--dim", "HAZARD", "--label", label]) == 0
+        assert capsys.readouterr().out == posting + "\n"
 
 
 class TestUnwritableOut:

@@ -252,7 +252,7 @@ class TestSemanticNeighbors:
             "storm": np.array([-eps, 0.0]),
             "rainfall": np.array([eps, 0.0]),
         }
-        encoder = PrecomputedVectorEncoder(vectors, dim=2)
+        encoder = PrecomputedVectorEncoder(vectors)
         ix = index_over_vocab(["rain", "rainy", "snow", "storm"], encoder=encoder)
         keys, matrix = ix.label_vectors.by_dimension["THEME"]
         got = semantic_neighbors("rainfall", "THEME", ix, encoder, tau)
@@ -367,7 +367,7 @@ class TestPrecomputedVectors:
             ],
         )
         vectors = load_precomputed_vectors(path, keys)
-        file_encoder = PrecomputedVectorEncoder(vectors, dim=trigram.dim)
+        file_encoder = PrecomputedVectorEncoder(vectors)
         ix = index_over_vocab(keys, encoder=file_encoder)
         trigram_ix = index_over_vocab(keys, encoder=trigram)
         assert semantic_neighbors(component, "THEME", ix, file_encoder, tau=0.3) == [
@@ -387,14 +387,17 @@ class TestPrecomputedVectors:
 
     def test_encoder_refuses_vectors_of_another_length(self):
         vectors = {"rain": np.ones(4) / 2.0, "storm": np.array([1.0, 0.0, 0.0, 0.0])}
+        assert PrecomputedVectorEncoder(vectors).dim == 4
+        vectors["surge"] = np.full(8, 8**-0.5)
         with pytest.raises(DimMismatch) as excinfo:
-            PrecomputedVectorEncoder(vectors, dim=8)
-        assert (excinfo.value.expected, excinfo.value.got) == (8, 4)
-        assert "'rain'" in str(excinfo.value)
-        assert PrecomputedVectorEncoder(vectors, dim=4).dim == 4
+            PrecomputedVectorEncoder(vectors)
+        assert (excinfo.value.expected, excinfo.value.got) == (4, 8)
+        assert "'surge'" in str(excinfo.value)
+        with pytest.raises(ValueError, match="no vectors"):
+            PrecomputedVectorEncoder({})
 
     def test_missing_component_raises_missing_key(self, trigram):
-        file_encoder = PrecomputedVectorEncoder({"rain": np.ones(4) / 2.0}, dim=4)
+        file_encoder = PrecomputedVectorEncoder({"rain": np.ones(4) / 2.0})
         with pytest.raises(MissingKey):
             file_encoder.encode("unseen phrase")
 
@@ -415,15 +418,15 @@ class TestEncoderCoverage:
     """A precomputed encoder must hold a vector for every label key it is asked for."""
 
     def test_build_refuses_a_label_key_without_a_vector(self, trigram):
-        partial = PrecomputedVectorEncoder({"rain": trigram.encode("rain")}, dim=trigram.dim)
+        partial = PrecomputedVectorEncoder({"rain": trigram.encode("rain")})
         with pytest.raises(MissingKey) as excinfo:
             index_over_vocab(["rain", "storm surge"], encoder=partial)
         assert excinfo.value.key == "storm surge"
 
     def test_loaded_index_refuses_a_partial_encoder_of_its_name_and_dim(self, trigram, tmp_path):
         keys = ["rain", "storm surge"]
-        full = PrecomputedVectorEncoder({key: trigram.encode(key) for key in keys + ["rainfall"]}, dim=trigram.dim)
-        partial = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "rainfall"]}, dim=trigram.dim)
+        full = PrecomputedVectorEncoder({key: trigram.encode(key) for key in keys + ["rainfall"]})
+        partial = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "rainfall"]})
         ix = _saved_and_loaded(index_over_vocab(keys, encoder=full), tmp_path / "ix.hcix")
         # "rainfall" encodes, so the scan derives THEME's table and finds "storm surge" missing:
         # a refusal, not an unmatched component.
@@ -450,7 +453,7 @@ class TestEncoderMismatch:
 
     def test_other_name_raises_encoder_mismatch(self, trigram):
         ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
-        file_encoder = PrecomputedVectorEncoder({"rainfall": trigram.encode("rainfall")}, dim=trigram.dim)
+        file_encoder = PrecomputedVectorEncoder({"rainfall": trigram.encode("rainfall")})
         with pytest.raises(EncoderMismatch) as excinfo:
             semantic_neighbors("rainfall", "THEME", ix, file_encoder, tau=0.3)
         assert "'trigram'" in str(excinfo.value) and "'precomputed'" in str(excinfo.value)
@@ -467,7 +470,7 @@ class TestEncoderMismatch:
         with pytest.raises(DimMismatch, match="'trigram' \\(dim 64\\)"):
             retrieve(query, ix, TrigramEncoder(dim=64), tau=0.3)
         # The index's own vectors, under another encoder name.
-        renamed = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "storm surge"]}, dim=trigram.dim)
+        renamed = PrecomputedVectorEncoder({key: trigram.encode(key) for key in ["rain", "storm surge"]})
         with pytest.raises(EncoderMismatch, match="'precomputed' \\(dim 256\\)"):
             retrieve(query, ix, renamed, tau=0.3)
 
@@ -496,7 +499,7 @@ class TestEncoderMismatch:
                 path = write_jsonl(
                     tmp_path / name, [{"key": key, "dim": 16, "values": list(vectors_of(key))} for key in keys]
                 )
-                return PrecomputedVectorEncoder(load_precomputed_vectors(path, keys), dim=16)
+                return PrecomputedVectorEncoder(load_precomputed_vectors(path, keys))
 
             build_encoder = file_encoder("a.jsonl", TrigramEncoder(dim=16).encode)
             query_encoder = file_encoder("b.jsonl", _RolledTrigram(dim=16).encode)

@@ -23,6 +23,7 @@ from helpers import (
 )
 from oracles import brute_cell, brute_score
 from hyperrag import (
+    CANONICAL_DIMENSIONS,
     ChecksumMismatch,
     Corpus,
     DocLabels,
@@ -33,6 +34,7 @@ from hyperrag import (
     NonPositiveCount,
     Posting,
     TrigramEncoder,
+    UnknownDimension,
     UnknownDocId,
     build_index,
     cell_documents,
@@ -94,9 +96,14 @@ class TestBuildIndex:
     def test_label_dimension_outside_dimensions_rejected(self, hurricane_corpus, hurricane_labels):
         stray = DocLabels(doc_id="565")
         stray.add("HAZARD", "breach")
-        for labels in ({"565": stray}, hurricane_labels):
-            with pytest.raises(ValueError, match="not among index dimensions"):
-                build_index(hurricane_corpus, labels, dimensions=["LOCATION", "THEME"])
+        # No dimensions means the canonical ones, so an extension is named or refused.
+        for labels, dimensions in (({"565": stray}, None), (hurricane_labels, ["LOCATION", "THEME"])):
+            with pytest.raises(UnknownDimension) as excinfo:
+                build_index(hurricane_corpus, labels, dimensions=dimensions)
+            assert excinfo.value.name not in (dimensions or CANONICAL_DIMENSIONS)
+        ix = build_index(hurricane_corpus, {"565": stray}, dimensions=CANONICAL_DIMENSIONS + ("HAZARD",))
+        assert ix.dimensions == CANONICAL_DIMENSIONS + ("HAZARD",)
+        assert list(lookup(ix, "HAZARD", "breach")) == [Posting("565", 1)]
 
     @pytest.mark.parametrize("dimensions", [("THEME", "THEME"), ("LOCATION", "HAZARD", "HAZARD")])
     def test_repeated_dimension_rejected(self, hurricane_corpus, dimensions):
@@ -104,6 +111,11 @@ class TestBuildIndex:
         # which the loader rejects.
         with pytest.raises(ValueError, match="twice"):
             build_index(hurricane_corpus, {}, dimensions=dimensions)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+    def test_blank_dimension_rejected(self, hurricane_corpus, blank):
+        with pytest.raises(ValueError, match="is blank"):
+            build_index(hurricane_corpus, {}, dimensions=("THEME", blank))
 
     @pytest.mark.parametrize("key", ["Rain.", "RAIN", " rain", "heavy  rain"])
     def test_unnormalized_key_rejected(self, key):

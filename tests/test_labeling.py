@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import HURRICANE_MINI, count_table_builds, write_escaped_jsonl, write_jsonl
 from oracles import brute_longest_match, brute_merge, brute_postings, substring_occurrences
 from hyperrag import (
+    CANONICAL_DIMENSIONS,
     Corpus,
     DocLabels,
     Document,
@@ -17,6 +18,7 @@ from hyperrag import (
     LabelAssignment,
     MalformedRecord,
     NonPositiveCount,
+    Posting,
     UnknownDimension,
     UnknownDocId,
     build_index,
@@ -24,6 +26,7 @@ from hyperrag import (
     gazetteer_extract,
     load_corpus,
     load_precomputed_labels,
+    lookup,
     normalize_label,
     save_index,
 )
@@ -201,8 +204,12 @@ class TestGazetteerType:
             Gazetteer.from_phrases({"THEME": ["a b c d e f g h i"]})
 
     def test_unknown_dimension_rejected(self):
-        with pytest.raises(UnknownDimension):
-            Gazetteer.from_phrases({"FLAVOR": ["salty"]})
+        # The gazetteer holds any dimension; the build refuses one its index does not take.
+        gaz = Gazetteer.from_phrases({"FLAVOR": ["salty"]})
+        corpus = Corpus([Document(id="d", text="salty air")])
+        with pytest.raises(UnknownDimension) as excinfo:
+            build_index(corpus, extract_all(corpus, gaz))
+        assert excinfo.value.name == "FLAVOR"
 
     def test_phrase_with_lone_surrogate_rejected(self):
         with pytest.raises(ValueError, match="lone surrogate"):
@@ -217,8 +224,11 @@ class TestGazetteerType:
         assert excinfo.value.line_no == 2
 
     def test_extension_dimension_allowed(self):
-        gaz = Gazetteer.from_phrases({"HAZARD": ["levee breach"]}, extensions=["HAZARD"])
+        gaz = Gazetteer.from_phrases({"HAZARD": ["levee breach"]})
         assert gaz.entries["HAZARD"] == frozenset({"levee breach"})
+        corpus = Corpus([Document(id="d", text="a levee breach")])
+        ix = build_index(corpus, extract_all(corpus, gaz), dimensions=CANONICAL_DIMENSIONS + ("HAZARD",))
+        assert list(lookup(ix, "HAZARD", "levee breach")) == [Posting("d", 1)]
 
     def test_load_gazetteer_file(self, tmp_path):
         path = write_jsonl(
@@ -231,20 +241,6 @@ class TestGazetteerType:
         gaz = load_gazetteer(path)
         assert gaz.entries["THEME"] == frozenset({"rain"})
         assert gaz.entries["LOCATION"] == frozenset({"melbourne beach"})
-
-    def test_extensions_from_a_generator(self):
-        gaz = Gazetteer.from_phrases(
-            {"HAZARD": ["x y"], "SECTOR": ["y z"]}, extensions=(d for d in ["HAZARD", "SECTOR"])
-        )
-        assert gaz.entries == {"HAZARD": frozenset({"x y"}), "SECTOR": frozenset({"y z"})}
-
-    def test_load_gazetteer_extensions_from_a_generator(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "gaz.jsonl",
-            [{"dim": "HAZARD", "phrase": "x y"}, {"dim": "SECTOR", "phrase": "y z"}],
-        )
-        gaz = load_gazetteer(path, extensions=(d for d in ["HAZARD", "SECTOR"]))
-        assert gaz.entries == {"HAZARD": frozenset({"x y"}), "SECTOR": frozenset({"y z"})}
 
 
 class TestPrecomputedLabels:
@@ -314,23 +310,14 @@ class TestPrecomputedLabels:
             tmp_path / "labels.jsonl",
             [{"doc_id": "565", "dim": "HAZARD", "label": "breach", "count": 1}],
         )
-        with pytest.raises(UnknownDimension):
-            load_precomputed_labels(path, hurricane_corpus)
-        labels = load_precomputed_labels(path, hurricane_corpus, extensions=["HAZARD"])
+        # The file is read whole; the build refuses the dimension unless it is named.
+        labels = load_precomputed_labels(path, hurricane_corpus)
         assert labels["565"].counts == {("HAZARD", "breach"): 1}
-
-    def test_extensions_from_a_generator(self, hurricane_corpus, tmp_path):
-        path = write_jsonl(
-            tmp_path / "labels.jsonl",
-            [
-                {"doc_id": "565", "dim": "HAZARD", "label": "breach", "count": 1},
-                {"doc_id": "565", "dim": "SECTOR", "label": "ports", "count": 2},
-            ],
-        )
-        labels = load_precomputed_labels(
-            path, hurricane_corpus, extensions=(d for d in ["HAZARD", "SECTOR"])
-        )
-        assert labels["565"].counts == {("HAZARD", "breach"): 1, ("SECTOR", "ports"): 2}
+        with pytest.raises(UnknownDimension) as excinfo:
+            build_index(hurricane_corpus, labels)
+        assert excinfo.value.name == "HAZARD"
+        ix = build_index(hurricane_corpus, labels, dimensions=CANONICAL_DIMENSIONS + ("HAZARD",))
+        assert list(lookup(ix, "HAZARD", "breach")) == [Posting("565", 1)]
 
     def test_each_spelling_normalized_once(self, hurricane_corpus, tmp_path, monkeypatch):
         calls = []
@@ -383,19 +370,20 @@ class TestLabelAssignment:
         labels = None
         for i, records in enumerate(files):
             path = write_jsonl(tmp_path / f"labels{i}.jsonl", records)
-            labels = load_precomputed_labels(path, _CORPUS, extensions=["HAZARD"], into=labels)
+            labels = load_precomputed_labels(path, _CORPUS, into=labels)
         merged = brute_merge([record for records in files for record in records])
         assert list(labels) == list(merged)
         assert {doc_id: doc.counts for doc_id, doc in labels.items()} == merged
         assert "d4" not in labels and len(labels) == len(merged)
 
         plain = {doc_id: DocLabels(doc_id=doc_id, counts=dict(counts)) for doc_id, counts in merged.items()}
-        ix = build_index(_CORPUS, labels)
+        dimensions = CANONICAL_DIMENSIONS + ("HAZARD",)
+        ix = build_index(_CORPUS, labels, dimensions=dimensions)
         assert ix.doc_ids == ("d0", "d1", "d2", "d3", "d4")
         built = {dim: {key: list(map(tuple, p)) for key, p in by_key.items()} for dim, by_key in ix.inverted.items()}
         assert {dim: by_key for dim, by_key in built.items() if by_key} == brute_postings(plain)
         save_index(ix, tmp_path / "assignment.hcix")
-        save_index(build_index(_CORPUS, plain), tmp_path / "plain.hcix")
+        save_index(build_index(_CORPUS, plain, dimensions=dimensions), tmp_path / "plain.hcix")
         assert (tmp_path / "assignment.hcix").read_bytes() == (tmp_path / "plain.hcix").read_bytes()
 
     def test_extract_all_equals_gazetteer_extract_per_document(self, hurricane_corpus, hurricane_gazetteer):

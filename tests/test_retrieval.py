@@ -17,6 +17,7 @@ from helpers import (
 )
 from oracles import brute_retrieve, brute_score, py_cosine
 from hyperrag import (
+    CANONICAL_DIMENSIONS,
     Corpus,
     DocLabels,
     Document,
@@ -60,9 +61,9 @@ def doc_labels_of(label_map: dict[str, dict[tuple[str, str], int]]) -> dict[str,
     return labels
 
 
-def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None):
+def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None, dimensions=None):
     docs = [Document(id=doc_id, text="placeholder body text") for doc_id in label_map]
-    return build_index(Corpus(docs), doc_labels_of(label_map), encoder=encoder)
+    return build_index(Corpus(docs), doc_labels_of(label_map), dimensions=dimensions, encoder=encoder)
 
 
 def _kept_components(result):
@@ -408,6 +409,7 @@ _CUT_MATCHES = [
     MatchEvidence("HAZARD", "c", "c", EXACT, 1.0),
 ]
 _CUT_PAIRS = [("THEME", "a"), ("THEME", "b"), ("HAZARD", "c")]
+_CUT_DIMENSIONS = CANONICAL_DIMENSIONS + ("HAZARD",)
 
 
 def _tiers(full, tied, single):
@@ -436,7 +438,7 @@ class TestTopKCut:
     """
 
     def check(self, label_map, matches, ks):
-        ix = simple_index(label_map)
+        ix = simple_index(label_map, dimensions=_CUT_DIMENSIONS)
         expected = _fully_sorted(label_map, matches)
         scores = score_documents(matches, ix)
         assert len(scores) == len(expected)
@@ -466,7 +468,7 @@ class TestTopKCut:
             MatchEvidence("THEME", "q", None, UNMATCHED, 0.0),
         ]
         for matches in ([], absent):
-            assert len(score_documents(matches, simple_index(label_map))) == 0
+            assert len(score_documents(matches, simple_index(label_map, dimensions=_CUT_DIMENSIONS))) == 0
             self.check(label_map, matches, (1, 3))
 
     def test_single_component_every_candidate_ties_on_coverage(self):
@@ -750,7 +752,7 @@ def _mini_vectors_encoder() -> PrecomputedVectorEncoder:
             vectors[word] = encoder.encode(word)
         except UnencodableText:
             pass
-    return PrecomputedVectorEncoder(vectors, dim=64)
+    return PrecomputedVectorEncoder(vectors)
 
 
 def _fixture_queries() -> list[str]:

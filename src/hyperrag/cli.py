@@ -223,6 +223,13 @@ def _check_dimension(ix, dim: str) -> None:
 def _cmd_inspect(args) -> int:
     if args.label is not None and not args.dim:
         raise _usage("--label needs --dim")
+    summary = args.label is None and args.cell is None
+    if args.cell is not None and args.dim is not None:
+        raise _usage("--cell names its own dimensions; drop --dim")
+    if args.verbose and not summary:
+        raise _usage("--verbose applies only to the summary, not to --label or --cell")
+    if args.json and summary:
+        raise _usage("--json needs --label or --cell; the summary is plain text only")
     ix = load_index(args.index)
     if args.dim is not None:
         _check_dimension(ix, args.dim)
@@ -238,7 +245,7 @@ def _cmd_inspect(args) -> int:
         else:
             _emit("\n".join(f"{p.doc_id}\t{p.count}" for p in postings) if postings else "(empty)", args.out)
         return EXIT_OK
-    if args.cell:
+    if args.cell is not None:
         coords = {}
         for part in args.cell.split(","):
             if "=" not in part:

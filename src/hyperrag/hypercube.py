@@ -6,8 +6,12 @@ infeasible (the cell count is the product of the vocabulary sizes), so
 cells are computed lazily by intersecting per-dimension posting lists.
 Lookup cost depends on the label vocabulary, not the corpus size.
 
-The index is immutable after :func:`build_index`; concurrent reads need
-no locking. There is no incremental update — rebuild to change it.
+The postings are immutable after :func:`build_index`; there is no
+incremental update — rebuild to change them. A loaded index writes one
+thing: a dimension's first semantic scan derives its label vector table
+and stores it in ``label_vectors`` (``embedding._vocab_vectors``). Reads
+need no locking even so, since two concurrent first scans of a
+dimension derive the same table.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .embedding import Encoder, LabelVectors
 from .errors import ChecksumMismatch, FormatVersionMismatch, IoFailure, UnknownDimension, UnknownDocId
 from .labeling import (
     CANONICAL_DIMENSIONS,
-    DocLabels,
     Dimension,
     LabelAssignment,
     PhraseTable,
@@ -199,16 +202,18 @@ class HypercubeIndex:
 
 def build_index(
     corpus: Corpus,
-    labels: Mapping[str, DocLabels],
+    labels: LabelAssignment,
     dimensions: Iterable[Dimension] | None = None,
     encoder: Encoder | None = None,
 ) -> HypercubeIndex:
     """Index a corpus under a label assignment.
 
-    ``labels`` is a :class:`~hyperrag.labeling.LabelAssignment`, as the
-    loaders return, or any ``Mapping[str, DocLabels]``, which is
-    converted to one first, so both take one path. Every doc id the
-    assignment has seen must exist in the corpus (UnknownDocId).
+    ``labels`` must be a :class:`~hyperrag.labeling.LabelAssignment`, as
+    :func:`~hyperrag.labeling.extract_all` and
+    :func:`~hyperrag.labeling.load_precomputed_labels` return and
+    :meth:`~hyperrag.labeling.LabelAssignment.add` fills; any other value
+    raises TypeError naming its type. Every doc id the assignment has
+    seen must exist in the corpus (UnknownDocId).
 
     ``dimensions`` are the index's dimensions, in order; ``None`` means
     ``CANONICAL_DIMENSIONS``, so an extension dimension is named here or
@@ -232,7 +237,7 @@ def build_index(
     vocabulary are computed now, and the index answers only to it.
     """
     if not isinstance(labels, LabelAssignment):
-        labels = LabelAssignment._from_mapping(labels)
+        raise TypeError(f"labels must be a LabelAssignment, not {type(labels).__name__}")
     doc_ids = tuple(sorted(doc.id for doc in corpus))
     ordinal_of = dict(zip(doc_ids, range(len(doc_ids))))
     try:

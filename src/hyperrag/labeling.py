@@ -1,18 +1,19 @@
 """Label extraction: dimensions, normalization, gazetteer matching.
 
-Labels reach the index by one of two routes with the same output shape:
+Labels reach the index by one route, a :class:`LabelAssignment`, which
+three writers fill:
 
-* :func:`gazetteer_extract` — a deterministic phrase matcher driven by a
+* :func:`extract_all` — a deterministic phrase matcher driven by a
   hand-editable word list per dimension. Good for tests and desk-scale
   corpora; needs no models.
 * :func:`load_precomputed_labels` — ingest of label files produced
   offline by whatever NER / keyphrase tooling the deployment uses.
+* :meth:`LabelAssignment.add` — one record at a time, from code.
 
-Both routes normalize label keys with :func:`normalize_label`, so a key
-always means the same thing no matter where it came from, and both
-append into a :class:`LabelAssignment`: one record per label, held in
-integer columns, which :func:`~hyperrag.hypercube.build_index` inverts
-with whole-array passes.
+The two loaders normalize label keys with :func:`normalize_label`, so a
+key always means the same thing no matter where it came from. Every
+writer appends one record per label, held in integer columns, which
+:func:`~hyperrag.hypercube.build_index` inverts with whole-array passes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -112,33 +112,20 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass
+@dataclass(frozen=True)
 class DocLabels:
-    """A document's labels, grouped by (dimension, key) with counts.
+    """A snapshot of one document's labels, grouped by (dimension, key) with counts.
 
     ``counts[(dim, key)]`` is how often the label occurs in the document
     (always >= 1). Keys are normalized; the strings a label was spelled
-    with are not kept. A DocLabels built by hand is mutable through
-    :meth:`add`. One read from a :class:`LabelAssignment` is a view whose
-    ``counts`` is a read-only ``MappingProxyType``, so :meth:`add` on it
-    raises TypeError rather than change nothing; ``copy.deepcopy`` of
-    either gives a mutable DocLabels of its own.
+    with are not kept. Each read of ``assignment[doc_id]`` builds a new
+    snapshot with a dict of its own, so changing it changes neither the
+    :class:`LabelAssignment` nor a later read; labels are added with
+    :meth:`LabelAssignment.add`.
     """
 
     doc_id: str
-    counts: dict[tuple[Dimension, str], int] = field(default_factory=dict)
-
-    def add(self, dimension: Dimension, key: str, count: int = 1) -> None:
-        if count < 1:
-            raise NonPositiveCount(f"({dimension}, {key!r}) -> {count}")
-        if not key:
-            raise ValueError("empty label key")
-        pair = (dimension, key)
-        self.counts[pair] = self.counts.get(pair, 0) + count
-
-    def __deepcopy__(self, memo: dict) -> "DocLabels":
-        # Keys are tuples of strings and counts ints, so a new dict copies them deeply.
-        return DocLabels(doc_id=self.doc_id, counts=dict(self.counts))
+    counts: dict[tuple[Dimension, str], int]
 
 
 def _count_fault(dim: Dimension, key: str, doc_id: str, count: int) -> NonPositiveCount:
@@ -147,10 +134,10 @@ def _count_fault(dim: Dimension, key: str, doc_id: str, count: int) -> NonPositi
 
 
 class LabelAssignment(Mapping[str, DocLabels]):
-    """Every document's labels, held as records in integer columns.
+    """Every document's labels, held as records in integer columns: the one input of an index.
 
-    :func:`extract_all` and :func:`load_precomputed_labels` append one
-    record per label they read, and :func:`~hyperrag.hypercube.build_index`
+    :func:`extract_all`, :func:`load_precomputed_labels` and :meth:`add`
+    append one record per label, and :func:`~hyperrag.hypercube.build_index`
     inverts the records with whole-array passes. An assignment holds a
     table of the distinct ``(dimension, key)`` pairs, the doc ids it has
     seen (labeled or not, each once, in the order first seen) and, per
@@ -161,9 +148,9 @@ class LabelAssignment(Mapping[str, DocLabels]):
 
     It is a read-only ``Mapping[str, DocLabels]``: ``len``, ``in``,
     iteration (docs in the order first seen) and ``items()`` behave as a
-    dict's. ``assignment[doc_id]`` builds the document's
-    :class:`DocLabels` on access, its merged counts in the order their
-    pairs first appear, as a read-only view. Only the loaders append.
+    dict's. ``assignment[doc_id]`` builds a new :class:`DocLabels`
+    snapshot on each read, its merged counts in the order their pairs
+    first appear.
     """
 
     def __init__(self) -> None:
@@ -193,7 +180,36 @@ class LabelAssignment(Mapping[str, DocLabels]):
         for row in rows[bounds[number] : bounds[number + 1]]:
             pair = pairs[pair_col[row]]
             counts[pair] = counts.get(pair, 0) + count_col[row]
-        return DocLabels(doc_id=doc_id, counts=MappingProxyType(counts))
+        return DocLabels(doc_id=doc_id, counts=counts)
+
+    def add(self, doc_id: str, dim: Dimension, key: str, count: int = 1) -> None:
+        """Append one record: ``(dim, key)`` occurs ``count`` times in ``doc_id``.
+
+        A count that is not an ``int`` from 1 to 2**31 - 1 (a ``bool`` is
+        not one) raises NonPositiveCount naming the doc and label, as
+        :func:`~hyperrag.hypercube.build_index` does for a merged count; a
+        refused record appends nothing and registers no doc. The key is
+        taken as given: ``build_index`` refuses one that is not its own
+        :func:`normalize_label`, and the dimension one its index lacks.
+        """
+        if type(count) is not int or count < 1:
+            raise _count_fault(dim, key, doc_id, count)
+        # The count goes first: only its append can fail, so a refused record leaves no trace.
+        try:
+            self._count_col.append(count)
+        except OverflowError:
+            raise _count_fault(dim, key, doc_id, count) from None
+        pair = (dim, key)
+        pair_id = self._pair_ids.get(pair)
+        if pair_id is None:
+            pair_id = self._pair_ids[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        self._pair_col.append(pair_id)
+        # _doc_number, inlined: this runs once per record a loader reads.
+        number = self._docs.get(doc_id)
+        if number is None:
+            number = self._docs[doc_id] = len(self._docs)
+        self._doc_col.append(number)
 
     def _doc_number(self, doc_id: str) -> int:
         """The number of ``doc_id``, which is added to the docs seen if new."""
@@ -201,16 +217,6 @@ class LabelAssignment(Mapping[str, DocLabels]):
         if number is None:
             number = self._docs[doc_id] = len(self._docs)
         return number
-
-    def _append(self, number: int, pair: tuple[Dimension, str], count: int) -> None:
-        """Append one record; a count outside int32 raises OverflowError and appends nothing."""
-        self._count_col.append(count)
-        pair_id = self._pair_ids.get(pair)
-        if pair_id is None:
-            pair_id = self._pair_ids[pair] = len(self._pairs)
-            self._pairs.append(pair)
-        self._pair_col.append(pair_id)
-        self._doc_col.append(number)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the doc number, pair id and count columns, as int32 arrays."""
@@ -228,19 +234,6 @@ class LabelAssignment(Mapping[str, DocLabels]):
             np.cumsum(np.bincount(docs, minlength=len(self._docs)), out=bounds[1:])
             self._by_doc = (shape, np.argsort(docs, kind="stable").tolist(), bounds.tolist())
         return self._by_doc[1:]
-
-    @classmethod
-    def _from_mapping(cls, labels: Mapping[str, DocLabels]) -> "LabelAssignment":
-        """One record per ``(doc, pair)`` of a plain mapping; a count outside int32 raises NonPositiveCount."""
-        assignment = cls()
-        for doc_id, doc_labels in labels.items():
-            number = assignment._doc_number(doc_id)
-            for pair, count in doc_labels.counts.items():
-                try:
-                    assignment._append(number, pair, count)
-                except OverflowError:
-                    raise _count_fault(*pair, doc_id, count) from None
-        return assignment
 
 
 def _gazetteer_key(phrase: str) -> str:
@@ -375,7 +368,7 @@ def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimensi
     """Each ``(dimension, key)`` the gazetteer matches in a document, with its match count.
 
     Pairs appear in scan order: dimensions in the gazetteer's sorted
-    order, each left to right. See :func:`gazetteer_extract`.
+    order, each left to right. See :func:`extract_all`.
     """
     tokens = tokenize(doc.text)
     dims_by_first_token = gazetteer.dims_by_first_token
@@ -383,8 +376,8 @@ def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimensi
     for i in phrase_starts(tokens, dims_by_first_token):
         for dim in dims_by_first_token[tokens[i]]:
             starts.setdefault(dim, []).append(i)
-    # Each hit is a non-empty gazetteer key counted once, so the counts
-    # are built here rather than checked one by one in DocLabels.add.
+    # Each hit is a non-empty gazetteer key counted once, so a label's
+    # count is summed here and added as one record.
     counts: dict[tuple[Dimension, str], int] = {}
     for dim, table in gazetteer.tables.items():
         for _pos, phrase_tokens in match_phrases(tokens, starts.get(dim, ()), table):
@@ -393,12 +386,15 @@ def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimensi
     return counts
 
 
-def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
-    """Match every gazetteer phrase against the document text.
+def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
+    """Match every gazetteer phrase against every document, into a new :class:`LabelAssignment`.
 
-    Matching runs per dimension over the normalized token sequence,
-    longest match wins at each position, and matches within one
-    dimension never overlap. The occurrence count of a label is its
+    Every document is registered, in corpus order, labeled or not, and
+    each label matched in it appends one record of its match count, so
+    ``extract_all(Corpus([doc]), gazetteer)[doc.id]`` is one document's
+    labels. Matching runs per dimension over the normalized token
+    sequence, longest match wins at each position, and matches within
+    one dimension never overlap. The occurrence count of a label is its
     number of matches. Phrases from different dimensions may overlap
     freely (each dimension scans independently). The per-dimension
     tables are the gazetteer's own, built once per gazetteer. A document
@@ -406,23 +402,13 @@ def gazetteer_extract(doc: Document, gazetteer: Gazetteer) -> DocLabels:
     starts some phrase to the dimensions that have a phrase starting
     with it (``dims_by_first_token``); each dimension then visits only
     its own positions, so text in which no phrase can start costs no
-    more than that. :func:`extract_all` runs the same matcher.
-    """
-    return DocLabels(doc_id=doc.id, counts=_gazetteer_counts(doc, gazetteer))
-
-
-def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
-    """Run gazetteer extraction over a whole corpus, into a new :class:`LabelAssignment`.
-
-    Every document is seen, in corpus order, and each label matched in
-    it appends one record of its match count, so ``result[doc_id]``
-    equals ``gazetteer_extract(doc, gazetteer)``.
+    more than that.
     """
     labels = LabelAssignment()
     for doc in corpus:
-        number = labels._doc_number(doc.id)
-        for pair, count in _gazetteer_counts(doc, gazetteer).items():
-            labels._append(number, pair, count)
+        labels._doc_number(doc.id)
+        for (dim, key), count in _gazetteer_counts(doc, gazetteer).items():
+            labels.add(doc.id, dim, key, count)
     return labels
 
 
@@ -434,28 +420,27 @@ def load_precomputed_labels(
     """Ingest a label file produced by an external extractor.
 
     Records carry ``doc_id``, ``dim``, ``label`` and ``count``; each one
-    that passes its checks is appended to a new :class:`LabelAssignment`,
-    or to ``into`` (which must be one, from :func:`extract_all` or an
-    earlier call) and returned. Any ``dim`` is read;
-    :func:`~hyperrag.hypercube.build_index` decides which dimensions an
-    index takes. Label strings are normalized on ingest,
+    that passes its checks is appended, through
+    :meth:`LabelAssignment.add`, to a new :class:`LabelAssignment`, or
+    to ``into`` (which must be one, from :func:`extract_all`, an earlier
+    call or ``add``; TypeError otherwise) and returned. Any ``dim`` is
+    read; :func:`~hyperrag.hypercube.build_index` decides which
+    dimensions an index takes. Label strings are normalized on ingest,
     each distinct spelling once per file, so records spelling a label
     alike share one key; a spelling holding a lone surrogate is a
     MalformedRecord naming its line. Repeated (doc, dim, label) records,
     in one file or across files, merge additively where the assignment
     is read. A count must be an integer >= 1 (NonPositiveCount naming the
     line); one too large for an index to hold (2**31 - 1) raises
-    NonPositiveCount naming the doc and label, as
-    :func:`~hyperrag.hypercube.build_index` does for a merged count. A
-    record that fails a check appends nothing, and the records before it
-    stay appended.
+    NonPositiveCount naming the doc and label, from ``add``. A record
+    that fails a check appends nothing, and the records before it stay
+    appended.
     """
     if into is not None and not isinstance(into, LabelAssignment):
         raise TypeError(f"into must be a LabelAssignment, not {type(into).__name__}")
     result = LabelAssignment() if into is None else into
     keys: dict[str, str] = {}
     ids = corpus.id_index
-    docs = result._docs
     for line_no, obj in _iter_records(path):
         doc_id = _str_field(obj, "doc_id", line_no)
         if doc_id not in ids:
@@ -472,12 +457,5 @@ def load_precomputed_labels(
             key = keys[surface] = normalize_label(_text_field(surface, line_no, "label"))
             if not key:
                 raise MalformedRecord(line_no, f"label {surface!r} normalizes to empty")
-        # A new doc is numbered once its record is appended, which may fail.
-        number = docs.get(doc_id)
-        try:
-            result._append(len(docs) if number is None else number, (dim, key), count)
-        except OverflowError:
-            raise _count_fault(dim, key, doc_id, count) from None
-        if number is None:
-            docs[doc_id] = len(docs)
+        result.add(doc_id, dim, key, count)
     return result

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperrag import Corpus, Document, Gazetteer, QueryRecord, embedding, labeling
+from hyperrag import Corpus, DocLabels, Document, Gazetteer, LabelAssignment, QueryRecord, embedding, labeling
 
 # --------------------------------------------------------------------------
 # Three-document hurricane fixture. Label counts under the fixture gazetteer:
@@ -266,6 +266,19 @@ def _random_word(rng: np.random.Generator, min_len: int = 3, max_len: int = 8) -
     return "".join(_LETTERS[int(rng.integers(0, 26))] for _ in range(length))
 
 
+def assignment_of(labels_by_doc: dict[str, DocLabels]) -> LabelAssignment:
+    """The engine's input for a plain assignment: one ``add`` per (doc, label), in the mapping's order.
+
+    A document without labels is not registered; no index built from the
+    result can tell, since an index lists every corpus document.
+    """
+    labels = LabelAssignment()
+    for doc_id, doc_labels in labels_by_doc.items():
+        for (dim, key), count in doc_labels.counts.items():
+            labels.add(doc_id, dim, key, count)
+    return labels
+
+
 def random_labeled_corpus(
     rng: np.random.Generator,
     max_docs: int = 50,
@@ -275,11 +288,11 @@ def random_labeled_corpus(
 ):
     """A random corpus plus per-document label assignment.
 
-    Returns (corpus, labels, vocab_by_dim) where vocab_by_dim is derived
-    from the assignment itself, independent of any index built later.
+    Returns (corpus, labels, vocab_by_dim): ``labels`` maps a doc id to a
+    hand-made ``DocLabels`` snapshot, the plain data the oracles read
+    (pass it through :func:`assignment_of` to build an index), and
+    vocab_by_dim is derived from it, independent of any index built later.
     """
-    from hyperrag import DocLabels
-
     n_dims = int(rng.integers(1, max_dims + 1))
     dims = list(rng.choice(_DIM_POOL, size=n_dims, replace=False))
     vocab_by_dim: dict[str, list[str]] = {}
@@ -301,13 +314,13 @@ def random_labeled_corpus(
         doc_id = f"d{i:03d}-{_random_word(rng, 3, 5)}"
         text = " ".join(_random_word(rng) for _ in range(int(rng.integers(3, 30))))
         documents.append(Document(id=doc_id, text=text))
-        doc_labels = DocLabels(doc_id=doc_id)
+        counts = {}
         for dim in dims:
             for key in vocab_by_dim[dim]:
                 if rng.random() < 0.3:
-                    doc_labels.add(dim, key, int(rng.integers(1, 6)))
-        if doc_labels.counts or rng.random() < 0.8:
-            labels_by_doc[doc_id] = doc_labels
+                    counts[(dim, key)] = int(rng.integers(1, 6))
+        if counts or rng.random() < 0.8:
+            labels_by_doc[doc_id] = DocLabels(doc_id=doc_id, counts=counts)
     # Drop vocab entries no document ended up carrying; the index vocab
     # only ever holds assigned labels.
     assigned = {

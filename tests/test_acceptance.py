@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     FIXTURE_TAU,
     MELBOURNE_QUERY,
+    assignment_of,
     criterion,
     random_labeled_corpus,
     synth_in_domain_corpus,
@@ -19,8 +20,8 @@ from helpers import (
 from oracles import brute_bm25_all, brute_neighbors, brute_retrieve
 from hyperrag import (
     Corpus,
-    DocLabels,
     Document,
+    LabelAssignment,
     QueryRecord,
     TrigramEncoder,
     bench_latency,
@@ -39,13 +40,11 @@ from hyperrag.labeling import tokenize
 
 
 def labeled_index(label_map, encoder=None):
-    docs, labels = [], {}
+    docs, labels = [], LabelAssignment()
     for doc_id, pairs in label_map.items():
         docs.append(Document(id=doc_id, text="body text placeholder"))
-        doc_labels = DocLabels(doc_id=doc_id)
         for (dim, key), count in pairs.items():
-            doc_labels.add(dim, key, count)
-        labels[doc_id] = doc_labels
+            labels.add(doc_id, dim, key, count)
     return build_index(Corpus(docs), labels, encoder=encoder)
 
 
@@ -123,7 +122,7 @@ def test_c3_oracle_equivalence():
 
         for case in range(600):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
-            ix = build_index(corpus, labels, encoder=encoder)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder)
             components = []
             dims = sorted(vocab)
             for _ in range(int(rng.integers(1, 6))):
@@ -151,7 +150,7 @@ def test_c3_oracle_equivalence():
             # Built-in decomposition path: single-token labels make the
             # oracle's view of the decomposition trivial (token-in-vocab).
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, assignment_of(labels))
             all_keys = sorted({key for keys in vocab.values() for key in keys})
             words = []
             for _ in range(int(rng.integers(1, 10))):
@@ -183,7 +182,7 @@ def test_c4_index_symmetry_and_persistence(tmp_path):
         encoder = TrigramEncoder(dim=32)
         for case in range(100):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=30, multiword_labels=True)
-            ix = build_index(corpus, labels, encoder=encoder if case % 2 == 0 else None)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder if case % 2 == 0 else None)
 
             # Independent cross-walk: rebuild the postings from the label
             # assignment the index was built from and demand exact agreement.
@@ -321,10 +320,10 @@ def test_c8_embedding_contract():
         for _case in range(200):
             keys = sorted({random_key() for _ in range(int(rng.integers(1, 40)))})
             doc = Document(id="d0", text="placeholder")
-            labels = DocLabels(doc_id="d0")
+            labels = LabelAssignment()
             for key in keys:
-                labels.add("THEME", key)
-            ix = build_index(Corpus([doc]), {"d0": labels}, encoder=encoder)
+                labels.add("d0", "THEME", key)
+            ix = build_index(Corpus([doc]), labels, encoder=encoder)
 
             base = keys[int(rng.integers(0, len(keys)))]
             component = base + ["s", "er", "ing", ""][int(rng.integers(0, 4))]

@@ -747,6 +747,34 @@ class TestInspect:
         assert captured.out == ""
         assert "not allowed with argument" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--json"], "--json needs --label or --cell"),
+            (["--dim", "THEME", "--json"], "--json needs --label or --cell"),
+            (["--dim", "THEME", "--cell", "LOCATION=florida"], "--cell names its own dimensions"),
+            (["--dim", "THEME", "--label", "rain", "--verbose"], "--verbose applies only to the summary"),
+            (["--cell", "LOCATION=florida", "--verbose", "--json"], "--verbose applies only to the summary"),
+        ],
+        ids=["json_summary", "json_dim_summary", "dim_with_cell", "verbose_with_label", "verbose_with_cell"],
+    )
+    def test_flag_the_request_cannot_apply_is_usage_error(self, tmp_path, capsys, flags, message):
+        # Found before the index is read: the index file does not exist.
+        code = main(["inspect", "--index", str(tmp_path / "absent.hcix"), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_empty_cell_is_usage_error(self, fixture_files, capsys):
+        build_fixture_index(fixture_files)
+        capsys.readouterr()
+        code = main(["inspect", "--index", str(fixture_files["index"]), "--cell", ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "bad --cell coordinate ''" in captured.err
+
 
 class TestEval:
     def test_eval_report(self, fixture_files, tmp_path, capsys):

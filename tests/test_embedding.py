@@ -17,10 +17,10 @@ from oracles import brute_neighbors, dense_neighbors, numpy_trigram_encode, py_c
 from hyperrag import (
     Corpus,
     DimMismatch,
-    DocLabels,
     Document,
     EncoderMismatch,
     IoFailure,
+    LabelAssignment,
     MalformedRecord,
     MissingKey,
     PrecomputedVectorEncoder,
@@ -42,10 +42,10 @@ from hyperrag import (
 def index_over_vocab(keys, encoder=None, dim="THEME"):
     """Minimal one-document index whose vocabulary is exactly `keys`."""
     doc = Document(id="d0", text="placeholder body")
-    labels = DocLabels(doc_id="d0")
+    labels = LabelAssignment()
     for key in keys:
-        labels.add(dim, key)
-    return build_index(Corpus([doc]), {"d0": labels}, encoder=encoder)
+        labels.add("d0", dim, key)
+    return build_index(Corpus([doc]), labels, encoder=encoder)
 
 
 def bits(hits):
@@ -108,11 +108,10 @@ class TestTrigramEncoder:
             trigram.encode(text)
 
     def test_component_with_lone_surrogate_is_unmatched(self, trigram):
-        ix = build_index(
-            Corpus([Document(id="d1", text="rain totals")]),
-            {"d1": DocLabels(doc_id="d1", counts={("THEME", "rain"): 1, ("THEME", "rainfall totals"): 1})},
-            encoder=trigram,
-        )
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "rain")
+        labels.add("d1", "THEME", "rainfall totals")
+        ix = build_index(Corpus([Document(id="d1", text="rain totals")]), labels, encoder=trigram)
         result = retrieve("rainfall \udcff\udcfeabc totals", ix, trigram, tau=0.3)
         # The component matches no label, so it is dropped; the rest of the query still answers.
         assert [comp.key for comp in result.decomposition.components] == ["rainfall", "totals"]

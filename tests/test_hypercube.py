@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assignment_of,
     decode_inverted,
     encode_inverted,
     random_labeled_corpus,
@@ -31,6 +32,7 @@ from hyperrag import (
     FormatVersionMismatch,
     HyperRagError,
     IoFailure,
+    LabelAssignment,
     NonPositiveCount,
     Posting,
     TrigramEncoder,
@@ -62,46 +64,51 @@ class TestBuildIndex:
                 HypercubeIndex(dimensions=dimensions, inverted=ix.inverted, doc_ids=ix.doc_ids)
 
     def test_empty_label_map(self, hurricane_corpus):
-        ix = build_index(hurricane_corpus, {})
+        ix = build_index(hurricane_corpus, LabelAssignment())
         assert all(not keys for keys in ix.vocab.values())
         assert ix.doc_ids == ("246", "535", "565")
 
+    def test_labels_must_be_an_assignment(self, hurricane_corpus, hurricane_labels):
+        for labels in ({}, dict(hurricane_labels)):
+            with pytest.raises(TypeError, match="labels must be a LabelAssignment, not dict"):
+                build_index(hurricane_corpus, labels)
+
     def test_single_doc_single_label(self):
         corpus = Corpus([Document(id="d1", text="storm ahead")])
-        labels = {"d1": DocLabels(doc_id="d1")}
-        labels["d1"].add("THEME", "storm")
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "storm")
         ix = build_index(corpus, labels)
         assert list(ix.inverted["THEME"]["storm"]) == [Posting("d1", 1)]
         assert ix.vocab["THEME"] == {"storm"}
 
     def test_unknown_doc_id(self, hurricane_corpus):
-        stray = DocLabels(doc_id="999")
-        stray.add("THEME", "rain")
+        stray = LabelAssignment()
+        stray.add("999", "THEME", "rain")
         with pytest.raises(UnknownDocId):
-            build_index(hurricane_corpus, {"999": stray})
+            build_index(hurricane_corpus, stray)
 
     def test_count_range(self, tmp_path):
         # Counts are held as int32: the largest one round-trips, one more is a data error.
         corpus = Corpus([Document(id="d1", text="storm ahead")])
-        labels = {"d1": DocLabels(doc_id="d1")}
-        labels["d1"].add("THEME", "storm", 2**31 - 1)
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "storm", 2**31 - 1)
         ix = build_index(corpus, labels)
         path = tmp_path / "ix.hcix"
         save_index(ix, path)
         assert list(lookup(load_index(path), "THEME", "storm")) == [Posting("d1", 2**31 - 1)]
-        labels["d1"].add("THEME", "storm", 1)
+        labels.add("d1", "THEME", "storm", 1)
         with pytest.raises(NonPositiveCount):
             build_index(corpus, labels)
 
     def test_label_dimension_outside_dimensions_rejected(self, hurricane_corpus, hurricane_labels):
-        stray = DocLabels(doc_id="565")
-        stray.add("HAZARD", "breach")
+        stray = LabelAssignment()
+        stray.add("565", "HAZARD", "breach")
         # No dimensions means the canonical ones, so an extension is named or refused.
-        for labels, dimensions in (({"565": stray}, None), (hurricane_labels, ["LOCATION", "THEME"])):
+        for labels, dimensions in ((stray, None), (hurricane_labels, ["LOCATION", "THEME"])):
             with pytest.raises(UnknownDimension) as excinfo:
                 build_index(hurricane_corpus, labels, dimensions=dimensions)
             assert excinfo.value.name not in (dimensions or CANONICAL_DIMENSIONS)
-        ix = build_index(hurricane_corpus, {"565": stray}, dimensions=CANONICAL_DIMENSIONS + ("HAZARD",))
+        ix = build_index(hurricane_corpus, stray, dimensions=CANONICAL_DIMENSIONS + ("HAZARD",))
         assert ix.dimensions == CANONICAL_DIMENSIONS + ("HAZARD",)
         assert list(lookup(ix, "HAZARD", "breach")) == [Posting("565", 1)]
 
@@ -110,21 +117,21 @@ class TestBuildIndex:
         # A repeated dimension would write two sections of one name,
         # which the loader rejects.
         with pytest.raises(ValueError, match="twice"):
-            build_index(hurricane_corpus, {}, dimensions=dimensions)
+            build_index(hurricane_corpus, LabelAssignment(), dimensions=dimensions)
 
     @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
     def test_blank_dimension_rejected(self, hurricane_corpus, blank):
         with pytest.raises(ValueError, match="is blank"):
-            build_index(hurricane_corpus, {}, dimensions=("THEME", blank))
+            build_index(hurricane_corpus, LabelAssignment(), dimensions=("THEME", blank))
 
     @pytest.mark.parametrize("key", ["Rain.", "RAIN", " rain", "heavy  rain"])
     def test_unnormalized_key_rejected(self, key):
         # load_index refuses a key that is not its own normalize_label, and
         # no query can reach one, so build_index refuses it before any save.
         corpus = Corpus([Document(id="d1", text="rain ahead")])
-        labels = {"d1": DocLabels(doc_id="d1")}
-        labels["d1"].add("THEME", "rain")
-        labels["d1"].add("THEME", key)
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "rain")
+        labels.add("d1", "THEME", key)
         with pytest.raises(ValueError, match=re.escape(f"{key!r} in dimension 'THEME'")):
             build_index(corpus, labels)
 
@@ -157,11 +164,9 @@ class TestLookup:
         # speed during the test reaches both sides alike.
         def build_sized(n_docs):
             docs = [Document(id=f"d{i:05d}", text="storm text") for i in range(n_docs)]
-            labels = {}
+            labels = LabelAssignment()
             for i, doc in enumerate(docs):
-                dl = DocLabels(doc_id=doc.id)
-                dl.add("THEME", f"label{i % 50}")
-                labels[doc.id] = dl
+                labels.add(doc.id, "THEME", f"label{i % 50}")
             return build_index(Corpus(docs), labels)
 
         small, large = build_sized(200), build_sized(2000)
@@ -206,7 +211,7 @@ class TestCellDocuments:
         rng = np.random.default_rng(11)
         for _case in range(60):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=40)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, assignment_of(labels))
             dims = [d for d in vocab if vocab[d]]
             if not dims:
                 continue
@@ -270,7 +275,7 @@ class TestPersistence:
         encoder = TrigramEncoder(dim=32)
         for case in range(20):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=25)
-            ix = build_index(corpus, labels, encoder=encoder if case % 2 else None)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder if case % 2 else None)
             path = tmp_path / f"case{case}.hcix"
             save_index(ix, path)
             assert load_index(path) == ix
@@ -294,12 +299,13 @@ class TestDocIdOrder:
         corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ids])
         labels = {}
         for doc_id in ids:
-            doc_labels = labels[doc_id] = DocLabels(doc_id=doc_id)
+            counts = {}
             for dim, key in (("THEME", "rain"), ("THEME", "surge"), ("LOCATION", "coast"), ("EVENT", "fay")):
                 if rng.random() < 0.6:
                     # Counts of 1 or 2 leave many full ties for the doc id to break.
-                    doc_labels.add(dim, key, int(rng.integers(1, 3)))
-        return ids, labels, build_index(corpus, labels)
+                    counts[(dim, key)] = int(rng.integers(1, 3))
+            labels[doc_id] = DocLabels(doc_id=doc_id, counts=counts)
+        return ids, labels, build_index(corpus, assignment_of(labels))
 
     def test_round_trip_lookup_and_rank_follow_string_order(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -354,14 +360,14 @@ def _merged_counts_index(encoder=None):
     corpus = Corpus(
         [Document(id=doc_id, text="storm text") for doc_id in ("d2", "d1", "d3")]
     )
-    d1, d2 = DocLabels(doc_id="d1"), DocLabels(doc_id="d2")
-    d1.add("THEME", "storm surge", 2)
-    d1.add("THEME", "storm surge", 1)
-    d1.add("LOCATION", "florida")
-    d2.add("THEME", "storm surge", 4)
-    d2.add("EVENT", "fay", 1)
-    d2.add("EVENT", "fay", 1)
-    return build_index(corpus, {"d1": d1, "d2": d2}, encoder=encoder)
+    labels = LabelAssignment()
+    labels.add("d1", "THEME", "storm surge", 2)
+    labels.add("d1", "THEME", "storm surge", 1)
+    labels.add("d1", "LOCATION", "florida")
+    labels.add("d2", "THEME", "storm surge", 4)
+    labels.add("d2", "EVENT", "fay", 1)
+    labels.add("d2", "EVENT", "fay", 1)
+    return build_index(corpus, labels, encoder=encoder)
 
 
 class TestContainerV3:
@@ -418,7 +424,7 @@ class TestContainerV3:
         unlabeled = multiword = 0
         for case in range(40):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
-            ix = build_index(corpus, labels, encoder=encoder if case % 2 else None)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder if case % 2 else None)
             assert ix.doc_ids == tuple(sorted(doc.id for doc in corpus))
             unlabeled += sum(1 for doc in corpus if not (doc.id in labels and labels[doc.id].counts))
             multiword += sum(" " in key for keys in ix.vocab.values() for key in keys)
@@ -506,19 +512,19 @@ class TestContainerV3:
         n_docs = 2**16 + 1
         doc_ids = [f"d{ordinal:05d}" for ordinal in range(n_docs)]
         corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in doc_ids])
-        labels = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
+        labels = LabelAssignment()
         expected = {}
         for top in (2**8 - 1, 2**8, 2**16 - 1, 2**16):
             kind = "<u1" if top < 2**8 else "<u2" if top < 2**16 else "<i4"
             # The largest ordinal and count are ``top``; the one key holds one posting.
-            labels[doc_ids[top]].add(f"AT{top}", "storm", top)
+            labels.add(doc_ids[top], f"AT{top}", "storm", top)
             expected[f"AT{top}"] = {"lengths": "<u1", "docs": kind, "counts": kind}
             # A key holding ``top`` postings, of ordinals below ``top`` and count 1.
             for doc_id in doc_ids[:top]:
-                labels[doc_id].add(f"RUN{top}", "storm")
+                labels.add(doc_id, f"RUN{top}", "storm")
             below = "<u1" if top <= 2**8 else "<u2" if top <= 2**16 else "<i4"
             expected[f"RUN{top}"] = {"lengths": kind, "docs": below, "counts": "<u1"}
-        labels[doc_ids[0]].add("MAX", "storm", MAX_COUNT)
+        labels.add(doc_ids[0], "MAX", "storm", MAX_COUNT)
         expected["MAX"] = {"lengths": "<u1", "docs": "<u1", "counts": "<i4"}
         ix = build_index(corpus, labels, dimensions=list(expected))
         path = tmp_path / "ix.hcix"
@@ -536,9 +542,9 @@ class TestContainerV3:
         # Key "alpha" holds the later document, so its run ends above
         # where "beta"'s starts; each key still rises on its own.
         corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ("a", "b")])
-        labels = {"a": DocLabels(doc_id="a"), "b": DocLabels(doc_id="b")}
-        labels["b"].add("THEME", "alpha", 2)
-        labels["a"].add("THEME", "beta", 3)
+        labels = LabelAssignment()
+        labels.add("b", "THEME", "alpha", 2)
+        labels.add("a", "THEME", "beta", 3)
         ix = build_index(corpus, labels)
         path = tmp_path / "ix.hcix"
         save_index(ix, path)
@@ -566,8 +572,8 @@ class TestForwardSection:
     @example(ids=["a b", "a\rb", "a\u2028b", "a\u0085b", "\U0001d11e", " "])
     def test_doc_ids_round_trip(self, tmp_path, ids):
         corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in ids])
-        labels = {ids[0]: DocLabels(doc_id=ids[0])}
-        labels[ids[0]].add("THEME", "storm")
+        labels = LabelAssignment()
+        labels.add(ids[0], "THEME", "storm")
         ix = build_index(corpus, labels)
         path = tmp_path / "ids.hcix"
         save_index(ix, path)
@@ -580,7 +586,7 @@ class TestForwardSection:
         assert again.read_bytes() == path.read_bytes()
 
     def test_index_without_documents_round_trips(self, tmp_path):
-        ix = build_index(Corpus([]), {})
+        ix = build_index(Corpus([]), LabelAssignment())
         path = tmp_path / "empty.hcix"
         save_index(ix, path)
         assert raw_sections(path)[1]["forward"] == b""
@@ -621,8 +627,8 @@ class TestForwardSection:
         corpus = Corpus([Document(id="d1", text="storm text")])
         dim = "THEME\ud800" if where == "dimension" else "THEME"
         key = "storm\ud800" if where == "key" else "storm"
-        labels = {"d1": DocLabels(doc_id="d1")}
-        labels["d1"].add(dim, key)
+        labels = LabelAssignment()
+        labels.add("d1", dim, key)
         ix = build_index(corpus, labels, dimensions=[dim])
         if where == "doc_id":
             ix = dataclasses.replace(ix, doc_ids=("d\udcff",))
@@ -761,11 +767,11 @@ def wide_index():
     """300 documents; THEME's arrays take about 1.2 kB, and the three types all occur."""
     doc_ids = [f"d{ordinal:03d}" for ordinal in range(300)]
     corpus = Corpus([Document(id=doc_id, text="storm text") for doc_id in doc_ids])
-    labels = {doc_id: DocLabels(doc_id=doc_id) for doc_id in doc_ids}
+    labels = LabelAssignment()
     for ordinal, doc_id in enumerate(doc_ids):
-        labels[doc_id].add("THEME", ("rain", "storm surge", "wind")[ordinal % 3], ordinal + 1)
+        labels.add(doc_id, "THEME", ("rain", "storm surge", "wind")[ordinal % 3], ordinal + 1)
         if ordinal % 7 == 0:
-            labels[doc_id].add("LOCATION", "florida", 2**16 + ordinal)
+            labels.add(doc_id, "LOCATION", "florida", 2**16 + ordinal)
     return build_index(corpus, labels)
 
 
@@ -915,7 +921,7 @@ class TestAtomicSave:
             handle = real_open(file, mode, *args, **kwargs)
             return _HalfWriter(handle) if set(mode) & set("wxa") else handle
 
-        other = build_index(hurricane_corpus, {})
+        other = build_index(hurricane_corpus, LabelAssignment())
         with monkeypatch.context() as patch:
             patch.setattr(io, "open", failing_open)
             patch.setattr(builtins, "open", failing_open)
@@ -927,7 +933,7 @@ class TestAtomicSave:
     def test_save_replaces_existing_file(self, hurricane_index, hurricane_corpus, tmp_path):
         path = tmp_path / "ix.hcix"
         save_index(hurricane_index, path)
-        other = build_index(hurricane_corpus, {})
+        other = build_index(hurricane_corpus, LabelAssignment())
         save_index(other, path)
         assert load_index(path) == other
         assert [p.name for p in tmp_path.iterdir()] == ["ix.hcix"]

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import HURRICANE_MINI, count_table_builds, write_escaped_jsonl, write_jsonl
+from helpers import HURRICANE_MINI, assignment_of, count_table_builds, write_escaped_jsonl, write_jsonl
 from oracles import brute_longest_match, brute_merge, brute_postings, substring_occurrences
 from hyperrag import (
     CANONICAL_DIMENSIONS,
@@ -23,7 +23,6 @@ from hyperrag import (
     UnknownDocId,
     build_index,
     extract_all,
-    gazetteer_extract,
     load_corpus,
     load_precomputed_labels,
     lookup,
@@ -60,9 +59,14 @@ class TestNormalizeLabel:
         assert normalize_label(once) == once
 
 
+def extract_one(doc: Document, gazetteer: Gazetteer) -> DocLabels:
+    """One document's gazetteer labels, extracted from a corpus holding it alone."""
+    return extract_all(Corpus([doc]), gazetteer)[doc.id]
+
+
 class TestGazetteerExtract:
     def test_doc_565_counts(self, hurricane_corpus, hurricane_gazetteer):
-        labels = gazetteer_extract(hurricane_corpus.get("565"), hurricane_gazetteer)
+        labels = extract_one(hurricane_corpus.get("565"), hurricane_gazetteer)
         assert labels.counts == {
             ("LOCATION", "melbourne beach"): 1,
             ("EVENT", "tropical storm fay"): 1,
@@ -71,7 +75,7 @@ class TestGazetteerExtract:
 
     def test_empty_gazetteer(self):
         doc = Document(id="d", text="rain everywhere")
-        labels = gazetteer_extract(doc, Gazetteer.from_phrases({}))
+        labels = extract_one(doc, Gazetteer.from_phrases({}))
         assert labels.counts == {}
 
     def test_longest_match_wins_per_position(self):
@@ -79,13 +83,13 @@ class TestGazetteerExtract:
         # "rain" token still matches the shorter one.
         doc = Document(id="d", text="rain rainfall")
         gaz = Gazetteer.from_phrases({"THEME": ["rain", "rainfall"]})
-        labels = gazetteer_extract(doc, gaz)
+        labels = extract_one(doc, gaz)
         assert labels.counts == {("THEME", "rain"): 1, ("THEME", "rainfall"): 1}
 
     def test_nested_phrase_longest_wins(self):
         doc = Document(id="d", text="tropical storm fay hit while a tropical storm formed")
         gaz = Gazetteer.from_phrases({"EVENT": ["tropical storm", "tropical storm fay"]})
-        labels = gazetteer_extract(doc, gaz)
+        labels = extract_one(doc, gaz)
         assert labels.counts == {
             ("EVENT", "tropical storm fay"): 1,
             ("EVENT", "tropical storm"): 1,
@@ -94,7 +98,7 @@ class TestGazetteerExtract:
     def test_word_boundary_anchoring(self):
         doc = Document(id="d", text="rough terrain everywhere, no moisture")
         gaz = Gazetteer.from_phrases({"THEME": ["rain"]})
-        assert gazetteer_extract(doc, gaz).counts == {}
+        assert extract_one(doc, gaz).counts == {}
 
     def test_dimensions_scan_independently(self):
         # Overlapping phrases in different dimensions both count.
@@ -102,7 +106,7 @@ class TestGazetteerExtract:
         gaz = Gazetteer.from_phrases(
             {"LOCATION": ["atlantic"], "THEME": ["atlantic hurricane season"]}
         )
-        labels = gazetteer_extract(doc, gaz)
+        labels = extract_one(doc, gaz)
         assert labels.counts == {
             ("LOCATION", "atlantic"): 1,
             ("THEME", "atlantic hurricane season"): 1,
@@ -110,8 +114,8 @@ class TestGazetteerExtract:
 
     def test_deterministic(self, hurricane_corpus, hurricane_gazetteer):
         doc = hurricane_corpus.get("565")
-        first = gazetteer_extract(doc, hurricane_gazetteer)
-        second = gazetteer_extract(doc, hurricane_gazetteer)
+        first = extract_one(doc, hurricane_gazetteer)
+        second = extract_one(doc, hurricane_gazetteer)
         assert first == second
 
     def test_one_table_per_dimension_for_whole_corpus(self, monkeypatch):
@@ -139,7 +143,7 @@ class TestGazetteerExtract:
             phrases = ["rain", "storm surge", "rain storm", "beach fay wind"]
             gaz = Gazetteer.from_phrases({"THEME": phrases})
             doc = Document(id="d", text=text)
-            labels = gazetteer_extract(doc, gaz)
+            labels = extract_one(doc, gaz)
             text_tokens = tokenize(doc.text)
             for phrase in phrases:
                 count = labels.counts.get(("THEME", phrase), 0)
@@ -158,7 +162,7 @@ class TestGazetteerExtract:
         doc = Document(id="d", text=" ".join(text_tokens))
         phrases = {" ".join(toks) for toks in phrase_token_lists}
         gaz = Gazetteer.from_phrases({"THEME": phrases})
-        labels = gazetteer_extract(doc, gaz)
+        labels = extract_one(doc, gaz)
         for phrase in phrases:
             count = labels.counts.get(("THEME", phrase), 0)
             assert count <= substring_occurrences(phrase.split(), text_tokens)
@@ -187,7 +191,7 @@ class TestGazetteerExtract:
         for dim in sorted(gaz.entries):
             for _pos, phrase in brute_longest_match(tokens, gaz.entries[dim]):
                 expected[(dim, phrase)] = expected.get((dim, phrase), 0) + 1
-        assert gazetteer_extract(doc, gaz).counts == expected
+        assert extract_one(doc, gaz).counts == expected
 
 
 class TestGazetteerType:
@@ -342,12 +346,6 @@ class TestPrecomputedLabels:
             load_precomputed_labels(write_jsonl(tmp_path / "bad.jsonl", records), hurricane_corpus)
         assert excinfo.value.line_no == len(records)
 
-class TestDocLabels:
-    def test_rejects_nonpositive(self):
-        labels = DocLabels(doc_id="d")
-        with pytest.raises(NonPositiveCount):
-            labels.add("THEME", "rain", 0)
-
 
 # Four documents that label records may name, and one that none does.
 _LABELED = ["d0", "d1", "d2", "d3"]
@@ -376,22 +374,23 @@ class TestLabelAssignment:
         assert {doc_id: doc.counts for doc_id, doc in labels.items()} == merged
         assert "d4" not in labels and len(labels) == len(merged)
 
-        plain = {doc_id: DocLabels(doc_id=doc_id, counts=dict(counts)) for doc_id, counts in merged.items()}
+        snapshots = {doc_id: DocLabels(doc_id=doc_id, counts=counts) for doc_id, counts in merged.items()}
         dimensions = CANONICAL_DIMENSIONS + ("HAZARD",)
         ix = build_index(_CORPUS, labels, dimensions=dimensions)
         assert ix.doc_ids == ("d0", "d1", "d2", "d3", "d4")
         built = {dim: {key: list(map(tuple, p)) for key, p in by_key.items()} for dim, by_key in ix.inverted.items()}
-        assert {dim: by_key for dim, by_key in built.items() if by_key} == brute_postings(plain)
+        assert {dim: by_key for dim, by_key in built.items() if by_key} == brute_postings(snapshots)
         save_index(ix, tmp_path / "assignment.hcix")
-        save_index(build_index(_CORPUS, plain, dimensions=dimensions), tmp_path / "plain.hcix")
+        # The plain side is built record by record with add, from the hand merge.
+        save_index(build_index(_CORPUS, assignment_of(snapshots), dimensions=dimensions), tmp_path / "plain.hcix")
         assert (tmp_path / "assignment.hcix").read_bytes() == (tmp_path / "plain.hcix").read_bytes()
 
-    def test_extract_all_equals_gazetteer_extract_per_document(self, hurricane_corpus, hurricane_gazetteer):
+    def test_extract_all_equals_one_document_extraction(self, hurricane_corpus, hurricane_gazetteer):
         labels = extract_all(hurricane_corpus, hurricane_gazetteer)
         assert isinstance(labels, LabelAssignment)
         assert list(labels) == [doc.id for doc in hurricane_corpus]
         for doc in hurricane_corpus:
-            assert labels[doc.id] == gazetteer_extract(doc, hurricane_gazetteer)
+            assert labels[doc.id] == extract_one(doc, hurricane_gazetteer)
 
     def test_gazetteer_labels_and_files_merge(self, hurricane_corpus, hurricane_gazetteer, tmp_path):
         labels = extract_all(hurricane_corpus, hurricane_gazetteer)
@@ -399,19 +398,17 @@ class TestLabelAssignment:
         assert load_precomputed_labels(path, hurricane_corpus, into=labels) is labels
         assert labels["565"].counts[("THEME", "rain")] == 5 + 2
 
-    def test_a_view_refuses_mutation(self, hurricane_corpus, tmp_path):
+    def test_a_read_is_a_snapshot(self, hurricane_corpus, tmp_path):
         path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "565", "dim": "THEME", "label": "rain", "count": 2}])
         labels = load_precomputed_labels(path, hurricane_corpus)
-        view = labels["565"]
-        with pytest.raises(TypeError):
-            view.add("THEME", "rain")
-        with pytest.raises(TypeError):
-            view.counts[("THEME", "storm")] = 1
+        read = labels["565"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.doc_id = "246"
+        # Each read owns its counts: changing them changes no later read.
+        read.counts[("THEME", "storm")] = 1
+        read.counts[("THEME", "rain")] += 1
+        assert read.counts == {("THEME", "rain"): 3, ("THEME", "storm"): 1}
         assert labels["565"].counts == {("THEME", "rain"): 2}
-        # A deep copy is the caller's own, and mutable.
-        mine = copy.deepcopy(view)
-        mine.add("THEME", "rain")
-        assert mine.counts == {("THEME", "rain"): 3} and labels["565"].counts == {("THEME", "rain"): 2}
 
     def test_mapping_behaves_as_a_dict(self, hurricane_corpus, tmp_path):
         path = write_jsonl(
@@ -471,8 +468,33 @@ class TestLabelAssignment:
         assert str(excinfo.value) == message
         # The refused record appended nothing; the one before it stays.
         assert list(labels) == ["246"]
-        # A plain mapping holding the same count is refused with the same message.
-        plain = {"565": DocLabels(doc_id="565", counts={("THEME", "rain"): count})}
+        # add refuses the same count with the same message.
         with pytest.raises(NonPositiveCount) as excinfo:
-            build_index(hurricane_corpus, plain)
+            LabelAssignment().add("565", "THEME", "rain", count)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "count", [0, -1, True, 2.5, MAX_COUNT + 1], ids=["zero", "negative", "bool", "float", "past_max_count"]
+    )
+    def test_add_refuses_a_bad_count(self, count):
+        labels = LabelAssignment()
+        labels.add("d0", "THEME", "rain", 2)
+        with pytest.raises(NonPositiveCount) as excinfo:
+            labels.add("d1", "THEME", "storm", count)
+        assert str(excinfo.value) == (
+            f"count must be an integer from 1 to {MAX_COUNT}: (THEME, 'storm') in doc 'd1' -> {count}"
+        )
+        # The refused record appended nothing and registered no doc: the
+        # assignment builds the index it built before the call.
+        assert list(labels) == ["d0"]
+        ix = build_index(_CORPUS, labels)
+        assert ix.vocab["THEME"] == {"rain"} and list(lookup(ix, "THEME", "rain")) == [Posting("d0", 2)]
+
+    def test_add_merges_where_read(self):
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "storm surge", 2)
+        labels.add("d0", "LOCATION", "florida")
+        labels.add("d1", "THEME", "storm surge")
+        assert list(labels) == ["d1", "d0"]
+        assert labels["d1"] == DocLabels(doc_id="d1", counts={("THEME", "storm surge"): 3})
+        assert list(lookup(build_index(_CORPUS, labels), "THEME", "storm surge")) == [Posting("d1", 3)]

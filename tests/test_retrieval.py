@@ -10,6 +10,7 @@ from helpers import (
     FIXTURE_TAU,
     HURRICANE_MINI,
     MELBOURNE_QUERY,
+    assignment_of,
     count_derivations,
     count_table_builds,
     random_labeled_corpus,
@@ -53,17 +54,12 @@ from hyperrag.retrieval import (
 
 
 def doc_labels_of(label_map: dict[str, dict[tuple[str, str], int]]) -> dict[str, DocLabels]:
-    labels = {}
-    for doc_id, pairs in label_map.items():
-        doc_labels = labels[doc_id] = DocLabels(doc_id=doc_id)
-        for (dim, key), count in pairs.items():
-            doc_labels.add(dim, key, count)
-    return labels
+    return {doc_id: DocLabels(doc_id=doc_id, counts=dict(pairs)) for doc_id, pairs in label_map.items()}
 
 
 def simple_index(label_map: dict[str, dict[tuple[str, str], int]], encoder=None, dimensions=None):
     docs = [Document(id=doc_id, text="placeholder body text") for doc_id in label_map]
-    return build_index(Corpus(docs), doc_labels_of(label_map), dimensions=dimensions, encoder=encoder)
+    return build_index(Corpus(docs), assignment_of(doc_labels_of(label_map)), dimensions=dimensions, encoder=encoder)
 
 
 def _kept_components(result):
@@ -573,7 +569,7 @@ class TestRetrieve:
         encoder = TrigramEncoder(dim=64)
         for _case in range(60):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
-            ix = build_index(corpus, labels, encoder=encoder)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder)
             components = _random_components(rng, vocab)
             result = retrieve(
                 "q", ix, encoder, tau=float(rng.uniform(0.2, 0.9)), k=8, external=components
@@ -590,7 +586,7 @@ class TestRetrieve:
         rng = np.random.default_rng(37)
         for _case in range(40):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=25)
-            ix = build_index(corpus, labels, encoder=trigram)
+            ix = build_index(corpus, assignment_of(labels), encoder=trigram)
             components = _random_components(rng, vocab)
             tau_low, tau_high = sorted([float(rng.uniform(0.1, 0.95)) for _ in range(2)])
             low = retrieve("q", ix, trigram, tau=tau_low, k=50, external=components)
@@ -661,7 +657,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(43)
         for _case in range(200):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, assignment_of(labels))
             matches = _random_matches(rng, vocab)
             expected = brute_score(labels, matches)
             expected.sort(
@@ -699,7 +695,7 @@ class TestOracleEquivalence:
         monkeypatch.setattr(retrieval_mod, "ScoredDoc", counting("docs", ScoredDoc))
         for _case in range(50):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=50)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, assignment_of(labels))
             matches = _random_matches(rng, vocab)
             candidates = len(brute_score(labels, matches))
             for k in (1, 3, max(candidates, 1)):
@@ -719,7 +715,7 @@ class TestOracleEquivalence:
         encoder = TrigramEncoder(dim=64)
         for _case in range(120):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
-            ix = build_index(corpus, labels, encoder=encoder)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder)
             components = _random_components(rng, vocab)
             tau = float(rng.uniform(0.15, 0.95))
             k = int(rng.integers(1, 9))
@@ -822,7 +818,7 @@ class TestIndexTables:
         encoder = TrigramEncoder(dim=32)
         for _case in range(40):
             corpus, labels, vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
-            ix = build_index(corpus, labels, encoder=encoder)
+            ix = build_index(corpus, assignment_of(labels), encoder=encoder)
             save_index(ix, tmp_path / "ix.hcix")
             loaded = load_index(tmp_path / "ix.hcix")
             for _query in range(4):
@@ -838,7 +834,7 @@ class TestIndexTables:
         rng = np.random.default_rng(43)
         for _case in range(30):
             corpus, labels, _vocab = random_labeled_corpus(rng, max_docs=20, multiword_labels=True)
-            ix = build_index(corpus, labels)
+            ix = build_index(corpus, assignment_of(labels))
             expected = {}
             for dim in ix.dimensions:
                 for key in ix.vocab[dim]:

@@ -220,7 +220,7 @@ def build_index(
     nowhere. This is the one place a label's dimension is checked: one
     outside ``dimensions`` raises UnknownDimension, whichever loader read
     it. A blank dimension name, or one given twice, raises ValueError, as
-    does a label key that is empty or not its own
+    does a label key that is not a ``str``, or is empty or not its own
     :func:`normalize_label`, which :func:`load_index` demands of a saved
     key. Documents without labels are listed in ``doc_ids`` and appear in
     no posting list.
@@ -253,9 +253,11 @@ def build_index(
             raise ValueError(f"dimension {dim!r} appears twice in {dims}")
     dim_pos = {dim: pos for pos, dim in enumerate(dims)}
     pairs = labels._pairs
-    for dim, _key in pairs:
+    for dim, key in pairs:
         if dim not in dim_pos:
             raise UnknownDimension(dim)
+        if not isinstance(key, str):
+            raise ValueError(f"label key {key!r} in dimension {dim!r} is not a str")
 
     # Pair ids in (dimension order, key) order; rank[pair id] is a pair's place in it.
     by_rank = sorted(range(len(pairs)), key=lambda pair_id: (dim_pos[pairs[pair_id][0]], pairs[pair_id][1]))

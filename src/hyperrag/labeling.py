@@ -161,7 +161,7 @@ class LabelAssignment(Mapping[str, DocLabels]):
         self._pair_col = array("i")
         self._count_col = array("i")
         # ((record count, doc count), record numbers grouped by doc, each doc's bounds in them)
-        self._by_doc: tuple[tuple[int, int], list[int], list[int]] | None = None
+        self._by_doc: tuple[tuple[int, int], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -177,7 +177,7 @@ class LabelAssignment(Mapping[str, DocLabels]):
         rows, bounds = self._rows_by_doc()
         pairs, pair_col, count_col = self._pairs, self._pair_col, self._count_col
         counts: dict[tuple[Dimension, str], int] = {}
-        for row in rows[bounds[number] : bounds[number + 1]]:
+        for row in rows[bounds[number] : bounds[number + 1]].tolist():
             pair = pairs[pair_col[row]]
             counts[pair] = counts.get(pair, 0) + count_col[row]
         return DocLabels(doc_id=doc_id, counts=counts)
@@ -189,8 +189,9 @@ class LabelAssignment(Mapping[str, DocLabels]):
         not one) raises NonPositiveCount naming the doc and label, as
         :func:`~hyperrag.hypercube.build_index` does for a merged count; a
         refused record appends nothing and registers no doc. The key is
-        taken as given: ``build_index`` refuses one that is not its own
-        :func:`normalize_label`, and the dimension one its index lacks.
+        taken as given: ``build_index`` refuses one that is not a ``str`` or
+        not its own :func:`normalize_label`, and the dimension one its index
+        lacks.
         """
         if type(count) is not int or count < 1:
             raise _count_fault(dim, key, doc_id, count)
@@ -222,17 +223,17 @@ class LabelAssignment(Mapping[str, DocLabels]):
         """Copies of the doc number, pair id and count columns, as int32 arrays."""
         return tuple(np.array(col, dtype=np.int32) for col in (self._doc_col, self._pair_col, self._count_col))
 
-    def _rows_by_doc(self) -> tuple[list[int], list[int]]:
+    def _rows_by_doc(self) -> tuple[np.ndarray, np.ndarray]:
         """Record numbers grouped by doc, in append order within one, and doc ``n``'s bounds in them.
 
-        Sorted once and kept until a record or a doc is appended.
+        Sorted once and kept, as two int arrays, until a record or a doc is appended.
         """
         shape = (len(self._doc_col), len(self._docs))
         if self._by_doc is None or self._by_doc[0] != shape:
             docs = np.array(self._doc_col, dtype=np.int32)
             bounds = np.zeros(len(self._docs) + 1, dtype=np.int64)
             np.cumsum(np.bincount(docs, minlength=len(self._docs)), out=bounds[1:])
-            self._by_doc = (shape, np.argsort(docs, kind="stable").tolist(), bounds.tolist())
+            self._by_doc = (shape, np.argsort(docs, kind="stable"), bounds)
         return self._by_doc[1:]
 
 

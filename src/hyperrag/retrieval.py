@@ -10,14 +10,15 @@ with full-coverage documents ahead of everything else.
 
 Candidates are scored as arrays of counts over the matched postings;
 only the k documents a query returns get per-component evidence, so
-every returned document can answer "why was this retrieved" — and "why
-not" for misses.
+every returned document can answer "why was this retrieved" and, for
+each component it misses, "why not". A document the query does not
+return gets no evidence.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -80,7 +81,7 @@ class QueryDecomposition:
         return len(self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MatchEvidence:
     """How one query component relates to one matched label.
 
@@ -97,6 +98,25 @@ class MatchEvidence:
     kind: str
     sim: float
     doc_count: int = 0
+
+    def __init__(
+        self, dimension: Dimension, component: str, matched_label: str | None, kind: str, sim: float, doc_count: int = 0
+    ):
+        # Each field is stored through its slot's own setter. A query builds
+        # one instance per component of each document it returns, and the
+        # generated frozen __init__, going through object.__setattr__, takes
+        # about 60% longer.
+        _set_dimension(self, dimension)
+        _set_component(self, component)
+        _set_matched_label(self, matched_label)
+        _set_kind(self, kind)
+        _set_sim(self, sim)
+        _set_doc_count(self, doc_count)
+
+
+_set_dimension, _set_component, _set_matched_label, _set_kind, _set_sim, _set_doc_count = (
+    MatchEvidence.__dict__[f.name].__set__ for f in fields(MatchEvidence)
+)
 
 
 @dataclass
@@ -254,13 +274,7 @@ def match_component(
     encoded or match nothing resolve to ``unmatched``.
     """
     if component.key in ix.vocab.get(component.dimension, ()):
-        return MatchEvidence(
-            dimension=component.dimension,
-            component=component.key,
-            matched_label=component.key,
-            kind=EXACT,
-            sim=1.0,
-        )
+        return MatchEvidence(component.dimension, component.key, component.key, EXACT, 1.0)
     if encoder is not None:
         try:
             neighbors = semantic_neighbors(component.key, component.dimension, ix, encoder, tau)
@@ -268,20 +282,8 @@ def match_component(
             neighbors = []
         if neighbors:
             label, sim = neighbors[0]
-            return MatchEvidence(
-                dimension=component.dimension,
-                component=component.key,
-                matched_label=label,
-                kind=SEMANTIC,
-                sim=sim,
-            )
-    return MatchEvidence(
-        dimension=component.dimension,
-        component=component.key,
-        matched_label=None,
-        kind=UNMATCHED,
-        sim=0.0,
-    )
+            return MatchEvidence(component.dimension, component.key, label, SEMANTIC, sim)
+    return MatchEvidence(component.dimension, component.key, None, UNMATCHED, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,11 +339,12 @@ def score_documents(matches: Sequence[MatchEvidence], ix: HypercubeIndex) -> Sco
     run, in doc-id order and, within the run, in component order. A
     candidate's coverage is the length of its run (one posting per
     covered component); its freq and indicator are sums over the run of
-    the counts and of the exact-match flags. Documents sharing no label
-    with the query are never touched, and no array is sized by the
-    corpus. Each component keeps its own postings, also when another
-    resolves to the same label. No evidence is built here; :func:`rank`
-    builds it for the documents it keeps.
+    the counts and of the exact-match flags; when every matched
+    component is exact, the indicator is the coverage and is not summed
+    again. Documents sharing no label with the query are never touched,
+    and no array is sized by the corpus. Each component keeps its own
+    postings, also when another resolves to the same label. No evidence
+    is built here; :func:`rank` builds it for the documents it keeps.
     """
     columns = [i for i, match in enumerate(matches) if match.matched_label is not None]
     postings = [lookup(ix, matches[i].dimension, matches[i].matched_label) for i in columns]
@@ -354,15 +357,21 @@ def score_documents(matches: Sequence[MatchEvidence], ix: HypercubeIndex) -> Sco
     # the last offset closes the last run.
     bounds = np.ones(len(ordinals) + 1, dtype=bool)
     np.not_equal(ordinals[1:], ordinals[:-1], out=bounds[1:-1])
-    offsets = np.flatnonzero(bounds)
+    offsets = bounds.nonzero()[0]
     starts = offsets[:-1]
-    exact = np.array([match.kind == EXACT for match in matches], dtype=bool)
+    coverage = offsets[1:] - starts
+    if all(matches[i].kind == EXACT for i in columns):
+        # Every posting is an exact match, so each indicator is its coverage.
+        indicator = coverage
+    else:
+        exact = np.array([match.kind == EXACT for match in matches], dtype=bool)
+        indicator = np.add.reduceat(exact[components], starts)
     return Scores(
         doc_ids=ix.doc_ids,
         component_count=len(matches),
         ordinals=ordinals[starts],
-        coverage=np.diff(offsets),
-        indicator=np.add.reduceat(exact[components], starts),
+        coverage=coverage,
+        indicator=indicator,
         freq=np.add.reduceat(counts, starts, dtype=np.int64),
         offsets=offsets,
         components=components,
@@ -379,57 +388,33 @@ def rank(scores: Scores, matches: Sequence[MatchEvidence], k: int = DEFAULT_K) -
     components, both cases are one total order: coverage desc, then
     freq desc, then indicator desc, then doc id asc (ordinal order is
     doc-id order). A candidate below the k-th best coverage cannot be
-    among the top k, so that coverage, read off a count of candidates
-    per coverage, is a cut: one stable ``np.lexsort`` orders only the
-    candidates at or above it, and the result equals sorting every
-    candidate and keeping k, ties included. Only the kept documents get
-    evidence, one entry per component: the match with the document's
-    count when covered, an unmatched miss with a zero count otherwise.
+    among the top k, so that coverage, read off the sorted coverages, is
+    a cut: one stable ``np.lexsort`` orders only the candidates at or
+    above it, and the result equals sorting every candidate and keeping
+    k, ties included. Only the kept documents get evidence, one entry
+    per component: the match with the document's count when covered, an
+    unmatched miss with a zero count otherwise.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    coverage = scores.coverage
-    # Walk the per-coverage tally down from the top until k candidates
-    # (or all of them) are at or above the cut.
-    tally = np.bincount(coverage).tolist()
-    cut, above = len(tally), 0
-    while above < k and cut > 0:
-        cut -= 1
-        above += tally[cut]
-    picked = np.flatnonzero(coverage >= cut)
-    kept = picked[
-        np.lexsort(
-            (scores.ordinals[picked], -scores.indicator[picked], -scores.freq[picked], -coverage[picked])
-        )[:k]
-    ]
-    doc_ids, offsets = scores.doc_ids, scores.offsets
+    ordinals, coverage, indicator, freq = scores.ordinals, scores.coverage, scores.indicator, scores.freq
+    # The cut: the k-th best coverage, the worst one when there are fewer
+    # than k candidates, and no value (so nothing is picked) when there are none.
+    cut = np.sort(coverage)[-k:][:1]
+    picked = (coverage >= cut).nonzero()[0]
+    kept = picked[np.lexsort((ordinals[picked], -indicator[picked], -freq[picked], -coverage[picked]))[:k]].tolist()
+    doc_ids, offsets, components, counts = scores.doc_ids, scores.offsets, scores.components, scores.counts
     ranked = []
-    for j, ordinal, covered, indicator, freq in zip(
-        kept.tolist(),
-        scores.ordinals[kept].tolist(),
-        coverage[kept].tolist(),
-        scores.indicator[kept].tolist(),
-        scores.freq[kept].tolist(),
-    ):
-        run = slice(offsets[j], offsets[j + 1])
-        hits = dict(zip(scores.components[run].tolist(), scores.counts[run].tolist()))
+    for j in kept:
+        start, end = offsets.item(j), offsets.item(j + 1)
+        hits = dict(zip(components[start:end].tolist(), counts[start:end].tolist()))
         evidence = [
-            MatchEvidence(
-                match.dimension, match.component, match.matched_label, match.kind, match.sim, doc_count=hits[i]
-            )
+            MatchEvidence(match.dimension, match.component, match.matched_label, match.kind, match.sim, hits[i])
             if i in hits
             else MatchEvidence(match.dimension, match.component, None, UNMATCHED, 0.0)
             for i, match in enumerate(matches)
         ]
-        ranked.append(
-            ScoredDoc(
-                doc_id=doc_ids[ordinal],
-                coverage=covered,
-                indicator_score=indicator,
-                freq_score=freq,
-                evidence=evidence,
-            )
-        )
+        ranked.append(ScoredDoc(doc_ids[ordinals.item(j)], coverage.item(j), indicator.item(j), freq.item(j), evidence))
     return ranked
 
 

@@ -135,6 +135,17 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match=re.escape(f"{key!r} in dimension 'THEME'")):
             build_index(corpus, labels)
 
+    @pytest.mark.parametrize("key", [5, ("heavy", "rain")])
+    def test_key_that_is_not_a_str_rejected(self, key):
+        # add takes any hashable key; build_index names the one it cannot
+        # index, next to a str key it would have to sort and join it with.
+        corpus = Corpus([Document(id="d1", text="rain ahead")])
+        labels = LabelAssignment()
+        labels.add("d1", "THEME", "rain")
+        labels.add("d1", "THEME", key)
+        with pytest.raises(ValueError, match=re.escape(f"{key!r} in dimension 'THEME' is not a str")):
+            build_index(corpus, labels)
+
     def test_posting_lists_sorted(self, hurricane_index):
         for postings_by_key in hurricane_index.inverted.values():
             for postings in postings_by_key.values():

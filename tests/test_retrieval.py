@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -210,6 +210,25 @@ class TestMatchComponent:
     def test_unencodable_component_unmatched(self, hurricane_index, trigram):
         match = match_component(QueryComponent("THEME", "ab", "ab"), hurricane_index, trigram)
         assert match.kind == UNMATCHED
+
+    def test_evidence_is_a_frozen_value_without_a_dict(self):
+        # MatchEvidence stores its fields through its own __init__; it is
+        # still the frozen dataclass value its fields define, with no
+        # per-instance dict.
+        ev = MatchEvidence("THEME", "rains", "rain", SEMANTIC, 0.8, 2)
+        assert [f.name for f in fields(ev)] == ["dimension", "component", "matched_label", "kind", "sim", "doc_count"]
+        assert ev == MatchEvidence(
+            dimension="THEME", component="rains", matched_label="rain", kind=SEMANTIC, sim=0.8, doc_count=2
+        )
+        assert hash(ev) == hash(replace(ev)) and ev != replace(ev, doc_count=3)
+        assert MatchEvidence("THEME", "rains", None, UNMATCHED, 0.0).doc_count == 0
+        assert repr(ev) == (
+            "MatchEvidence(dimension='THEME', component='rains', matched_label='rain', "
+            "kind='semantic', sim=0.8, doc_count=2)"
+        )
+        with pytest.raises(FrozenInstanceError):
+            ev.doc_count = 3
+        assert not hasattr(ev, "__dict__")
 
 
 def _fixture_matches(ix, encoder):
@@ -675,6 +694,33 @@ class TestOracleEquivalence:
                 ranked = rank(rows, matches, k)
                 assert ranked == expected[:k]
                 assert len({id(doc.evidence) for doc in ranked}) == len(ranked)
+
+    def test_every_scores_row_equals_full_scan(self):
+        # Every candidate row, not only the ranked ones, against brute_score.
+        # A list whose matched components are all exact (unmatched ones may
+        # sit among them) takes each indicator to be its coverage; a list
+        # mixing exact, semantic and unmatched matches sums exact flags.
+        rng = np.random.default_rng(49)
+        seen = {"exact only": 0, "mixed": 0}
+        for _case in range(150):
+            corpus, labels, vocab = random_labeled_corpus(rng, max_docs=30)
+            ix = build_index(corpus, assignment_of(labels))
+            mixed = _random_matches(rng, vocab)
+            exact = [m for m in mixed if m.kind != SEMANTIC] + [
+                MatchEvidence(dim, key, key, EXACT, 1.0)
+                for dim, keys in sorted(vocab.items())
+                for key in keys[: int(rng.integers(0, 3))]
+            ]
+            for matches in (exact, mixed, []):
+                expected = [
+                    (doc.doc_id, doc.coverage, doc.indicator_score, doc.freq_score,
+                     [ev.doc_count for ev in doc.evidence])
+                    for doc in brute_score(labels, matches)
+                ]
+                assert list(score_documents(matches, ix)) == expected
+                if expected:
+                    seen["exact only" if all(m.kind != SEMANTIC for m in matches) else "mixed"] += 1
+        assert min(seen.values()) > 20, seen
 
     def test_evidence_built_only_for_kept_documents(self, monkeypatch):
         # Counts what the score and rank phases create: a ScoredDoc per

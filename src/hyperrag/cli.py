@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -53,8 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _encoder_flag(value: str) -> str:
+    """An ``--encoder`` value, checked for its form before any file is read."""
+    if value == "trigram" or (value.startswith("file:") and len(value) > len("file:")):
+        return value
+    raise argparse.ArgumentTypeError(f"expected 'trigram' or 'file:<vectors.jsonl>', got {value!r}")
+
+
 def _add_encoder_flags(parser: argparse.ArgumentParser, *, tau: bool) -> None:
-    parser.add_argument("--encoder", default="trigram", help="'trigram' or 'file:<vectors.jsonl>' (default: trigram)")
+    parser.add_argument(
+        "--encoder", type=_encoder_flag, default="trigram", help="'trigram' or 'file:<vectors.jsonl>' (default: trigram)"
+    )
     if tau:
         parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
@@ -68,10 +78,7 @@ def _make_encoder(args, trigram_dim: int = DEFAULT_EMBED_DIM, keys: Iterable[str
     """The ``--encoder`` encoder: trigram at ``trigram_dim``, or ``file:`` at its file's length, covering ``keys``."""
     if args.encoder == "trigram":
         return TrigramEncoder(dim=trigram_dim)
-    if args.encoder.startswith("file:"):
-        vectors = load_precomputed_vectors(args.encoder[len("file:") :], keys)
-        return PrecomputedVectorEncoder(vectors)
-    raise _usage(f"unknown encoder {args.encoder!r}")
+    return PrecomputedVectorEncoder(load_precomputed_vectors(args.encoder[len("file:") :], keys))
 
 
 def _index_encoder(args, ix):
@@ -116,7 +123,7 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
     else:
-        print(text)
+        print(text, flush=True)  # so a closed stdout fails here, not at interpreter exit
 
 
 def _cmd_build(args) -> int:
@@ -339,6 +346,15 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except HyperRagError as exc:
         print(f"hyperrag: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenPipeError:
+        # The reader of stdout left (e.g. `| head -1`). Point stdout at devnull, so
+        # the interpreter's own flush at exit does not report the pipe again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # a stream with no file descriptor, as when main runs in-process
+            pass
+        print("hyperrag: stdout was closed before all output was written", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive
         print(f"hyperrag: internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

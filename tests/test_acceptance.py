@@ -231,9 +231,10 @@ def test_c5_noise_invariance_and_scaling(trigram):
             tau=FIXTURE_TAU,
             encoder=trigram,
         )
-        mean = {(r.engine, r.noise): r.mean_us for r in rows}
-        hypercube_ratio = mean[("hypercube", noise_docs)] / mean[("hypercube", 0)]
-        bm25_ratio = mean[("bm25", noise_docs)] / mean[("bm25", 0)]
+        # Each configuration's fastest pass: a slow phase of the host during some passes does not move it.
+        fastest = {(r.engine, r.noise): min(r.samples) for r in rows}
+        hypercube_ratio = fastest[("hypercube", noise_docs)] / fastest[("hypercube", 0)]
+        bm25_ratio = fastest[("bm25", noise_docs)] / fastest[("bm25", 0)]
         print(
             f"  latency ratio at {844 + noise_docs} docs vs 844: "
             f"hypercube {hypercube_ratio:.2f}x, bm25 {bm25_ratio:.2f}x",

@@ -19,6 +19,7 @@ from helpers import (
     write_jsonl,
 )
 from hyperrag import TrigramEncoder, build_index, extract_all, load_corpus, load_gazetteer, load_index, save_index
+from hyperrag import normalize_label
 from hyperrag import cli as cli_mod, evaluation as evaluation_mod
 from hyperrag.cli import build_parser, main
 
@@ -104,6 +105,28 @@ class TestBuild:
     def test_build_writes_index(self, fixture_files):
         index_path = build_fixture_index(fixture_files)
         assert index_path.exists()
+
+    def test_hurricane_mini_builds_are_byte_identical(self, tmp_path):
+        data = README.parent / "data" / "hurricane_mini"
+        records = (data / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "a.jsonl").write_text(records[0], encoding="utf-8")
+        (tmp_path / "b.jsonl").write_text("".join(records[1:]), encoding="utf-8")
+
+        def cli_build(out, *labels):
+            argv = ["build", "--corpus", str(data / "corpus.jsonl"), "--gazetteer", str(data / "gazetteer.jsonl")]
+            assert main([*argv, *(f"--labels={path}" for path in labels), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out).read_bytes()
+
+        built = cli_build("built.hcix", data / "labels.jsonl")
+        assert cli_build("again.hcix", data / "labels.jsonl") == built
+        assert cli_build("split.hcix", tmp_path / "a.jsonl", tmp_path / "b.jsonl") == built
+        save_index(load_index(tmp_path / "built.hcix"), tmp_path / "resaved.hcix")
+        corpus = load_corpus(data / "corpus.jsonl")
+        labels = extract_all(corpus, load_gazetteer(data / "gazetteer.jsonl"))
+        for record in map(json.loads, records):
+            labels.add(record["doc_id"], record["dim"], normalize_label(record["label"]), record.get("count", 1))
+        save_index(build_index(corpus, labels, encoder=TrigramEncoder()), tmp_path / "added.hcix")
+        assert (tmp_path / "resaved.hcix").read_bytes() == (tmp_path / "added.hcix").read_bytes() == built
 
     def test_build_requires_label_source(self, fixture_files, capsys):
         code = main(
@@ -255,8 +278,9 @@ class TestBuild:
         assert main(build_args(fixture_files, encoder[1])) == 0
         index = ["--index", str(fixture_files["index"]), "--tau", str(FIXTURE_TAU), *encoder]
         assert main(["query", *index, "--query", MELBOURNE_QUERY, "--json"]) == 0
-        matches = json.loads(capsys.readouterr().out)["matches"]
-        assert {"dim": "THEME", "component": "rainfall", "matched_label": "rain"}.items() <= matches[0].items()
+        result = json.loads(capsys.readouterr().out)
+        assert result["results"][0]["doc_id"] == "565"
+        assert {"dim": "THEME", "component": "rainfall", "matched_label": "rain"}.items() <= result["matches"][0].items()
         assert main(["eval", *index, "--queries", str(fixture_files["queries"])]) == 0
 
 
@@ -412,6 +436,9 @@ class TestQuery:
         assert code == 2
         assert "no vector for key" not in err
         assert "'trigram' (dim 256)" in err and "'precomputed' (dim 256)" in err
+        absent = f"file:{tmp_path / 'absent.jsonl'}"  # nor is a file that does not exist read
+        assert main([command, "--index", str(fixture_files["index"]), *source, "--encoder", absent]) == 2
+        assert "'trigram' (dim 256)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("query", ["florida", "rainfall in florida"])
     def test_encoder_mismatch_does_not_depend_on_the_query(self, fixture_files, tmp_path, capsys, query):
@@ -877,6 +904,8 @@ class TestBench:
         assert code == 2
         assert f"{empty}: the corpus file holds no document" in capsys.readouterr().err
         assert not out_path.exists()
+        empty.write_bytes(b"")
+        assert main([*bench_args(fixture_files, out_path=out_path), "--corpus", str(empty)]) == 2
 
     def test_vectors_file_missing_a_label_key_is_data_error(self, fixture_files, tmp_path, capsys):
         vectors = write_vectors(tmp_path / "vec.jsonl", ["rain"])
@@ -959,6 +988,17 @@ class TestUnwritableOut:
         assert code == 2
         assert str(out) in capsys.readouterr().err
 
+    def test_closed_stdout_is_data_error(self, fixture_files, monkeypatch, capsys):
+        def closed_pipe(text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        index = str(build_fixture_index(fixture_files))
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdout.write", closed_pipe)
+        assert main(["query", "--index", index, "--query", MELBOURNE_QUERY, "--explain"]) == 2
+        err = capsys.readouterr().err
+        assert "stdout was closed" in err and "internal error" not in err
+
 
 class TestReadmeFlags:
     def test_readme_flag_lists_equal_the_parser(self):
@@ -985,6 +1025,16 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", ["build", "bench", "query", "eval"])
+    def test_unknown_encoder_is_refused_before_any_file_is_read(self, tmp_path, capsys, command):
+        flags = {
+            "build": "corpus gazetteer out", "bench": "corpus gazetteer queries", "query": "index query", "eval": "index queries"
+        }[command]
+        args = [arg for flag in flags.split() for arg in (f"--{flag}", str(tmp_path / "absent"))]
+        for encoder in ("bogus", "file:"):
+            assert main([command, *args, "--encoder", encoder]) == 1
+            assert f"--encoder: expected 'trigram' or 'file:<vectors.jsonl>', got {encoder!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["build", "bench"])
     def test_embed_dim_flag_is_gone(self, fixture_files, capsys, command):

@@ -28,7 +28,7 @@ from .embedding import (
 )
 from .errors import EncoderMismatch, HyperRagError, IoFailure, NoQueries, UnencodableText
 from .evaluation import bench_latency, eval_recall, format_bench_csv
-from .hypercube import build_index, cell_documents, load_index, lookup, save_index
+from .hypercube import _check_dimensions, build_index, cell_documents, load_index, lookup, save_index
 from .labeling import (
     CANONICAL_DIMENSIONS,
     LabelAssignment,
@@ -53,6 +53,10 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse swallows a failed write; flushed here, --help and --version into a closed stdout reach main.
+        print(message, end="", file=file or sys.stderr, flush=True)
+
 
 def _encoder_flag(value: str) -> str:
     """An ``--encoder`` value, checked for its form before any file is read."""
@@ -74,11 +78,11 @@ def _check_tau(tau: float) -> None:
         raise _usage(f"--tau must lie in [0, 1], got {tau}")
 
 
-def _make_encoder(args, trigram_dim: int = DEFAULT_EMBED_DIM, keys: Iterable[str] = ()):
-    """The ``--encoder`` encoder: trigram at ``trigram_dim``, or ``file:`` at its file's length, covering ``keys``."""
+def _make_encoder(args, trigram_dim: int = DEFAULT_EMBED_DIM, vocab: Iterable[Iterable[str]] = ()):
+    """The ``--encoder`` encoder: trigram at ``trigram_dim``, or ``file:`` at its file's length, covering ``vocab``."""
     if args.encoder == "trigram":
         return TrigramEncoder(dim=trigram_dim)
-    return PrecomputedVectorEncoder(load_precomputed_vectors(args.encoder[len("file:") :], keys))
+    return PrecomputedVectorEncoder(load_precomputed_vectors(args.encoder[len("file:") :], set().union(*vocab)))
 
 
 def _index_encoder(args, ix):
@@ -93,7 +97,7 @@ def _index_encoder(args, ix):
     dim = ix.label_vectors.dim
     if args.encoder.startswith("file:"):
         check_encoder_identity(ix, PrecomputedVectorEncoder.name, dim)
-    encoder = _make_encoder(args, dim, set().union(*ix.vocab.values()))
+    encoder = _make_encoder(args, dim, ix.vocab.values())
     check_encoder_identity(ix, encoder.name, encoder.dim)
     return encoder
 
@@ -127,14 +131,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    extensions = tuple(args.dimensions or ())
-    for pos, dim in enumerate(extensions):
-        if not dim.strip():
-            raise _usage(f"--dimensions {dim!r} is a blank name")
-        if dim in CANONICAL_DIMENSIONS + extensions[:pos]:
-            raise _usage(f"--dimensions repeats dimension {dim!r}")
-        if not _is_text(dim):
-            raise _usage(f"--dimensions {dim!r} holds bytes that are not UTF-8")
+    dimensions = CANONICAL_DIMENSIONS + tuple(args.dimensions or ())
+    try:
+        _check_dimensions(dimensions)
+    except ValueError as exc:
+        raise _usage(f"--dimensions: {exc}") from None
     if not args.gazetteer and not args.labels:
         raise _usage("build needs --gazetteer and/or --labels")
     corpus = load_corpus(args.corpus)
@@ -143,7 +144,7 @@ def _cmd_build(args) -> int:
         labels = extract_all(corpus, load_gazetteer(args.gazetteer))
     for labels_path in args.labels or ():
         load_precomputed_labels(labels_path, corpus, into=labels)
-    ix = build_index(corpus, labels, dimensions=CANONICAL_DIMENSIONS + extensions, encoder=_make_encoder(args))
+    ix = build_index(corpus, labels, dimensions=dimensions, encoder=_make_encoder(args))
     save_index(ix, args.out)
     print(
         f"indexed {ix.doc_count} documents, {ix.label_key_count()} label keys "

@@ -126,9 +126,9 @@ class LabelVectors:
 
     The identity, and all a container stores, is ``(encoder_name, dim,
     checksums)``: one CRC-32 per index dimension over its encodable keys
-    and float64 rows. ``by_dimension`` holds the ``(keys, matrix)`` tables
-    derived so far: all of them after :func:`build_index`, none after
-    :func:`load_index`. Keys the encoder cannot encode (UnencodableText)
+    and float64 rows. ``by_dimension`` holds the ``(keys, matrix,
+    encoder)`` tables scans have derived, none after :func:`build_index`
+    or :func:`load_index`. Keys the encoder cannot encode (UnencodableText)
     are left out; they can still match exactly but never semantically. A
     key a precomputed encoder lacks fails the build (MissingKey).
     """
@@ -136,12 +136,12 @@ class LabelVectors:
     encoder_name: str
     dim: int
     checksums: dict[Dimension, int]
-    by_dimension: dict[Dimension, tuple[list[str], np.ndarray]] = field(default_factory=dict, repr=False, compare=False)
+    by_dimension: dict[Dimension, tuple] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encoder) -> LabelVectors:
     """Encode every label key of every dimension but UnencodableText ones, and checksum each dimension's table."""
-    by_dimension: dict[Dimension, tuple[list[str], np.ndarray]] = {}
+    by_dimension: dict[Dimension, tuple] = {}
     checksums: dict[Dimension, int] = {}
     for dim in sorted(vocab):
         keys, rows = [], []
@@ -152,7 +152,7 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
                 continue
             keys.append(key)
         matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
-        by_dimension[dim] = (keys, matrix)
+        by_dimension[dim] = (keys, matrix, encoder)
         crc = zlib.crc32(json.dumps(keys, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
         checksums[dim] = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8").tobytes(), crc)
     return LabelVectors(encoder.name, encoder.dim, checksums, by_dimension)
@@ -193,17 +193,18 @@ def check_encoder_identity(ix: "HypercubeIndex", name: str, dim: int) -> None:
     raise EncoderMismatch(detail)
 
 
-def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray]:
-    """The index's vectors for one of its dimensions, derived on the dimension's first scan.
+def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray, Encoder]:
+    """The index's table for one of its dimensions, derived on the dimension's first scan by ``encoder``.
 
-    The encoder must pass :func:`check_encoder_and_tau` and ``dim`` be an
-    index dimension; an encoder that lacks one of the dimension's keys
-    (MissingKey), or whose table misses the dimension's checksum, raises
-    EncoderMismatch naming it.
+    The only way a table enters any index; it is kept for that encoder
+    object only. The encoder must pass :func:`check_encoder_and_tau` and
+    ``dim`` be an index dimension; an encoder that lacks one of the
+    dimension's keys (MissingKey), or whose table misses the dimension's
+    checksum, raises EncoderMismatch naming it.
     """
     vectors = ix.label_vectors
     table = vectors.by_dimension.get(dim)
-    if table is None:
+    if table is None or table[2] is not encoder:
         try:
             derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
             mismatch = derived.checksums[dim] != vectors.checksums[dim]
@@ -241,7 +242,7 @@ def semantic_neighbors(
     if dim not in ix.vocab:
         return []
     query_vec = encoder.encode(component)
-    keys, matrix = _vocab_vectors(ix, dim, encoder)
+    keys, matrix, _encoder = _vocab_vectors(ix, dim, encoder)
     sims = matrix @ query_vec
     rows = (sims >= tau).nonzero()[0]
     hits = [(keys[row], min(sim, 1.0)) for row, sim in zip(rows.tolist(), sims[rows].tolist())]

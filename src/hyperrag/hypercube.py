@@ -7,11 +7,11 @@ cells are computed lazily by intersecting per-dimension posting lists.
 Lookup cost depends on the label vocabulary, not the corpus size.
 
 The postings are immutable after :func:`build_index`; there is no
-incremental update — rebuild to change them. A loaded index writes one
+incremental update — rebuild to change them. An index writes one
 thing: a dimension's first semantic scan derives its label vector table
 and stores it in ``label_vectors`` (``embedding._vocab_vectors``). Reads
 need no locking even so, since two concurrent first scans of a
-dimension derive the same table.
+dimension by one encoder derive the same table.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import json
 import operator
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _is_text
 from .embedding import Encoder, LabelVectors
 from .errors import ChecksumMismatch, FormatVersionMismatch, IoFailure, UnknownDimension, UnknownDocId
 from .labeling import (
@@ -156,13 +156,16 @@ class HypercubeIndex:
     so ordinal order is doc-id order. ``inverted[dim]`` is a read-only
     :class:`PostingTable`, the only place a count is held; labels are
     held by their normalized keys only. ``dimensions`` names the tables
-    of ``inverted``, in order (ValueError otherwise).
+    of ``inverted``, in order. ``__post_init__``, which every index passes
+    through, is the one statement of what an index may hold (ValueError):
+    dimension names as :func:`_check_dimensions` says, keys strictly rising
+    and :func:`_all_normalized`, and label vectors with a UTF-8-encodable
+    encoder name and a checksum for each dimension.
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
     copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
     ``phrase_table`` (the first-token table over every key) are derived
-    from ``inverted`` once per index, in ``__post_init__``, which both
-    :func:`build_index` and :func:`load_index` pass through; none of the
+    from ``inverted`` once per index, in ``__post_init__``; none of the
     three is saved. Both are derived in whole-dict passes: one
     ``dict.fromkeys`` per dimension, in sorted dimension order, then a
     fix-up of only the keys several dimensions share.
@@ -179,8 +182,23 @@ class HypercubeIndex:
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_dimensions(self.dimensions)
         if self.dimensions != tuple(self.inverted):
             raise ValueError(f"dimensions {self.dimensions} must be the inverted tables' {tuple(self.inverted)}")
+        for dim, table in self.inverted.items():
+            keys = list(table)
+            # The table holds a repeated key once, so it then has more lengths than keys.
+            if len(keys) != len(table.lengths) or not all(map(operator.lt, keys, keys[1:])):
+                raise ValueError(f"the keys of dimension {dim!r} are not strictly increasing")
+            if not _all_normalized(keys):
+                key = next(key for key in keys if not key or normalize_label(key) != key or not _is_text(key))
+                fault = "is empty or not normalized" if _is_text(key) else "holds a lone surrogate"
+                raise ValueError(f"label key {key!r} in dimension {dim!r} {fault}")
+        vectors = self.label_vectors
+        if vectors is not None and not _is_text(vectors.encoder_name):
+            raise ValueError(f"encoder name {vectors.encoder_name!r} holds a lone surrogate")
+        if vectors is not None and set(vectors.checksums) != set(self.dimensions):
+            raise ValueError(f"vectors checksums must name exactly the index dimensions {list(self.dimensions)}")
         self.vocab = {dim: table.keys() for dim, table in self.inverted.items()}
         phrase_dims: dict[str, tuple[Dimension, ...]] = {}
         for dim in sorted(self.dimensions):
@@ -198,6 +216,17 @@ class HypercubeIndex:
 
     def label_key_count(self) -> int:
         return sum(len(keys) for keys in self.vocab.values())
+
+
+def _check_dimensions(dims: tuple[Dimension, ...]) -> None:
+    """Refuse a blank dimension name, one UTF-8 cannot encode, or one given twice (ValueError)."""
+    for pos, dim in enumerate(dims):
+        if not dim.strip():
+            raise ValueError(f"dimension name {dim!r} is blank")
+        if not _is_text(dim):
+            raise ValueError(f"dimension name {dim!r} holds a lone surrogate")
+        if dim in dims[:pos]:
+            raise ValueError(f"dimension {dim!r} appears twice in {dims}")
 
 
 def build_index(
@@ -219,11 +248,10 @@ def build_index(
     ``CANONICAL_DIMENSIONS``, so an extension dimension is named here or
     nowhere. This is the one place a label's dimension is checked: one
     outside ``dimensions`` raises UnknownDimension, whichever loader read
-    it. A blank dimension name, or one given twice, raises ValueError, as
-    does a label key that is not a ``str``, or is empty or not its own
-    :func:`normalize_label`, which :func:`load_index` demands of a saved
-    key. Documents without labels are listed in ``doc_ids`` and appear in
-    no posting list.
+    it. Names and keys pass the :class:`HypercubeIndex` gate, names
+    first; a key that is not a ``str`` raises ValueError before any sort.
+    Documents without labels are listed in ``doc_ids`` and appear in no
+    posting list.
 
     The records are inverted with whole-array passes, no loop per
     posting: doc numbers become ordinals with one ``take``, pairs are
@@ -233,8 +261,8 @@ def build_index(
     gives each key's posting count, and each dimension's
     :class:`PostingTable` holds slices of these arrays. A merged count
     outside 1 to ``MAX_COUNT`` raises NonPositiveCount naming the
-    dimension, key and doc. With an encoder, label vectors for the whole
-    vocabulary are computed now, and the index answers only to it.
+    dimension, key and doc. With an encoder, each label vector table is
+    derived for its checksum and then dropped; the index answers only to it.
     """
     if not isinstance(labels, LabelAssignment):
         raise TypeError(f"labels must be a LabelAssignment, not {type(labels).__name__}")
@@ -246,11 +274,7 @@ def build_index(
         raise UnknownDocId(exc.args[0]) from None
 
     dims = CANONICAL_DIMENSIONS if dimensions is None else tuple(dimensions)
-    for pos, dim in enumerate(dims):
-        if not dim.strip():
-            raise ValueError(f"dimension name {dim!r} is blank")
-        if dim in dims[:pos]:
-            raise ValueError(f"dimension {dim!r} appears twice in {dims}")
+    _check_dimensions(dims)
     dim_pos = {dim: pos for pos, dim in enumerate(dims)}
     pairs = labels._pairs
     for dim, key in pairs:
@@ -288,21 +312,18 @@ def build_index(
     inverted = {}
     first_rank = start = 0
     for dim, keys in keys_by_dim.items():
-        if not _all_normalized(keys):
-            key = next(key for key in keys if not key or normalize_label(key) != key)
-            raise ValueError(f"label key {key!r} in dimension {dim!r} is empty or not normalized")
         dim_lengths = lengths[first_rank : first_rank + len(keys)]
         end = start + int(dim_lengths.sum())
         inverted[dim] = PostingTable(doc_ids, keys, dim_lengths, ordinals[start:end], counts[start:end])
         first_rank += len(keys)
         start = end
 
-    ix = HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids)
+    vectors = None
     if encoder is not None:
         from .embedding import build_label_vectors
 
-        ix.label_vectors = build_label_vectors(ix.vocab, encoder)
-    return ix
+        vectors = replace(build_label_vectors(keys_by_dim, encoder), by_dimension={})
+    return HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
 
 
 def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> Postings:
@@ -476,14 +497,13 @@ def _load_postings(
 ) -> PostingTable:
     """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
 
-    Each array type must be one of ``_ARRAY_TYPES`` and the arrays must
-    fill the section exactly. The keys must rise strictly, as
-    :func:`build_index` writes them, so equal indexes save to equal
-    bytes; each must be its own non-empty ``normalize_label`` (so a
-    query can reach it). Every ordinal must index ``doc_ids`` and rise
-    strictly within its key, every count lie in ``[1, MAX_COUNT]``, and
-    the lengths (each >= 1, one per key) partition the postings. The
-    arrays are widened to int32 once and held as a :class:`PostingTable`.
+    The keys must be a JSON array of strings; what they may be beyond
+    that is the :class:`HypercubeIndex` gate's to say. Each array type
+    must be one of ``_ARRAY_TYPES`` and the arrays must fill the section
+    exactly. Every ordinal must index ``doc_ids`` and rise strictly
+    within its key, every count lie in ``[1, MAX_COUNT]``, and the
+    lengths (each >= 1, one per key) partition the postings. The arrays
+    are widened to int32 once and held as a :class:`PostingTable`.
     """
     where = f"section {_INVERTED}{dim}"
     head_end = 4 + int.from_bytes(raw[:4], "big")
@@ -493,10 +513,6 @@ def _load_postings(
     if set(payload) != {"keys", *_ARRAYS}:
         raise _malformed(path, f"{where} must hold exactly keys, lengths, docs and counts")
     keys = _str_list(payload["keys"], path, f"{where} keys")
-    if not all(map(operator.lt, keys, keys[1:])):
-        raise _malformed(path, f"{where} keys are not strictly increasing")
-    if not _all_normalized(keys):
-        raise _malformed(path, f"{where} holds a key that is empty or not normalized")
     types = {}
     for name in _ARRAYS:
         kind = payload[name]
@@ -545,17 +561,16 @@ def _load_forward(raw: memoryview, path: str | Path) -> tuple[str, ...]:
     return doc_ids
 
 
-def _load_vectors(raw: memoryview, dimensions: tuple[Dimension, ...], path: str | Path) -> LabelVectors:
+def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
+    """The ``vectors`` section: exactly an encoder name, a dim >= 1 and an object of CRC-32s."""
     payload = _parse(raw, path, "section vectors", dict)
     if set(payload) != {"encoder", "dim", "checksums"}:
         raise _malformed(path, "section vectors must hold exactly encoder, dim and checksums")
     encoder_name, dim, checksums = payload["encoder"], payload["dim"], payload["checksums"]
     if not isinstance(encoder_name, str) or type(dim) is not int or dim < 1:
         raise _malformed(path, "section vectors needs an encoder name and a dim >= 1")
-    if not isinstance(checksums, dict) or set(checksums) != set(dimensions):
-        raise _malformed(path, f"vectors checksums must name exactly the index dimensions {list(dimensions)}")
-    if not all(type(crc) is int and 0 <= crc < 2**32 for crc in checksums.values()):
-        raise _malformed(path, "vectors checksums must be integers in [0, 2**32)")
+    if not isinstance(checksums, dict) or not all(type(crc) is int and 0 <= crc < 2**32 for crc in checksums.values()):
+        raise _malformed(path, "vectors checksums must be an object of integers in [0, 2**32)")
     return LabelVectors(encoder_name=encoder_name, dim=dim, checksums=checksums)
 
 
@@ -572,14 +587,9 @@ def load_index(path: str | Path) -> HypercubeIndex:
     An unknown magic or version raises FormatVersionMismatch; files of
     versions 1 to 6 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
-    a header or section of the wrong shape, an array type other than
-    ``<u1``, ``<u2`` and ``<i4``, arrays that do not fill their section
-    exactly, keys not strictly increasing, a ``forward`` that is not
-    UTF-8 or whose ids are not non-empty and strictly increasing, an
-    ordinal outside ``doc_ids`` or not rising within its key, a count
-    outside ``[1, MAX_COUNT]``, lengths that do not partition the
-    postings, or ``vectors`` other than a name, a dim and a checksum per
-    dimension.
+    a header or section of the wrong shape, a section that
+    :func:`_load_postings`, :func:`_load_forward` or :func:`_load_vectors`
+    refuses, or content the :class:`HypercubeIndex` gate refuses.
     """
     try:
         blob = Path(path).read_bytes()
@@ -628,9 +638,9 @@ def load_index(path: str | Path) -> HypercubeIndex:
 
     doc_ids = _load_forward(raw_sections["forward"], path)
     dimensions = tuple(name[len(_INVERTED) :] for name in raw_sections if name.startswith(_INVERTED))
-    return HypercubeIndex(
-        dimensions=dimensions,
-        inverted={dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions},
-        doc_ids=doc_ids,
-        label_vectors=_load_vectors(raw_sections["vectors"], dimensions, path) if "vectors" in raw_sections else None,
-    )
+    inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions}
+    vectors = _load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None
+    try:
+        return HypercubeIndex(dimensions=dimensions, inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
+    except ValueError as exc:
+        raise _malformed(path, str(exc)) from None

@@ -76,7 +76,7 @@ def normalize_label(surface: str) -> str:
 
 
 def _all_normalized(keys: list[str]) -> bool:
-    """Whether every key is non-empty and equal to its own :func:`normalize_label`.
+    """Whether every key is non-empty, equal to its own :func:`normalize_label` and UTF-8-encodable.
 
     Tested on all keys joined by newlines at once rather than key by
     key. A newline is a starter that composes with nothing, so case
@@ -92,6 +92,7 @@ def _all_normalized(keys: list[str]) -> bool:
         and " ".join(joined.split()) == joined.replace("\n", " ")
         and {key[-1] for key in keys}.isdisjoint(".,;:!?")
         and unicodedata.normalize("NFC", joined.casefold()) == joined
+        and _is_text(joined)
     )
 
 
@@ -189,9 +190,9 @@ class LabelAssignment(Mapping[str, DocLabels]):
         not one) raises NonPositiveCount naming the doc and label, as
         :func:`~hyperrag.hypercube.build_index` does for a merged count; a
         refused record appends nothing and registers no doc. The key is
-        taken as given: ``build_index`` refuses one that is not a ``str`` or
-        not its own :func:`normalize_label`, and the dimension one its index
-        lacks.
+        taken as given: ``build_index`` refuses one that the
+        :class:`~hyperrag.hypercube.HypercubeIndex` gate refuses, and the
+        dimension one its index lacks.
         """
         if type(count) is not int or count < 1:
             raise _count_fault(dim, key, doc_id, count)

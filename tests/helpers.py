@@ -134,13 +134,14 @@ def _encode_array(value: object) -> tuple[object, bytes]:
     return value, b""
 
 
-def encode_inverted(section: object) -> bytes:
+def encode_inverted(section: object, escape: bool = False) -> bytes:
     """Encode a (possibly malformed) ``inverted`` section by the version 6 and 7 layout.
 
     A dict gives the JSON part: its ``lengths``, ``docs`` and ``counts``
     entries are replaced by their types (see ``_encode_array``) and their
     bytes follow in that order; other entries stay in the JSON part. Any
-    other value is the JSON part alone.
+    other value is the JSON part alone. ``escape`` escapes every
+    non-ASCII character of the JSON part, so a lone surrogate can be written.
     """
     arrays = b""
     if isinstance(section, dict):
@@ -149,7 +150,7 @@ def encode_inverted(section: object) -> bytes:
             if name in section:
                 section[name], raw = _encode_array(section[name])
                 arrays += raw
-    head = json.dumps(section, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    head = json.dumps(section, sort_keys=True, separators=(",", ":"), ensure_ascii=escape).encode("utf-8")
     return len(head).to_bytes(4, "big") + head + arrays
 
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from helpers import (
     DOC_565,
     FIXTURE_TAU,
     MELBOURNE_QUERY,
+    encode_inverted,
     read_container,
     write_container,
     write_escaped_jsonl,
@@ -159,7 +163,7 @@ class TestBuild:
             ]
         )
         assert code == 1
-        assert "--dimensions repeats" in capsys.readouterr().err
+        assert f"--dimensions: dimension {dimensions[-1]!r} appears twice" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("blank", ["", "  "])
@@ -175,7 +179,7 @@ class TestBuild:
             ]
         )
         assert code == 1
-        assert f"--dimensions {blank!r} is a blank name" in capsys.readouterr().err
+        assert f"--dimensions: dimension name {blank!r} is blank" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_build_data_error_exit_2(self, fixture_files, tmp_path):
@@ -558,6 +562,19 @@ class TestQuery:
 class TestTextAnIndexCannotHold:
     """Doc ids with a newline and strings with a lone surrogate are data errors (exit 2), never internal ones."""
 
+    @pytest.mark.parametrize("command", [["inspect", "--dim", "THEME"], ["query", "--query", "rain"]])
+    def test_index_key_with_lone_surrogate(self, fixture_files, capsys, command):
+        index = build_fixture_index(fixture_files)
+        header, sections = read_container(index)
+        theme = {**sections["inverted:THEME"], "keys": ["r\ud800ain"]}
+        sections["inverted:THEME"] = encode_inverted(theme, escape=True)
+        write_container(index, header, sections)
+        capsys.readouterr()
+        code = main([command[0], "--index", str(index), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{index}: malformed index container" in captured.err and "lone surrogate" in captured.err
+
     def _build(self, files, **paths):
         flags = [f"--{name}" for name in ("corpus", "gazetteer", "labels")]
         args = ["build", "--out", str(files["index"])]
@@ -634,7 +651,7 @@ class TestTextAnIndexCannotHold:
             ]
         )
         assert code == 1
-        assert "--dimensions 'HAZARD\\udcff' holds bytes that are not UTF-8" in capsys.readouterr().err
+        assert "--dimensions: dimension name 'HAZARD\\udcff' holds a lone surrogate" in capsys.readouterr().err
 
 
 class TestInspect:
@@ -998,6 +1015,26 @@ class TestUnwritableOut:
         assert main(["query", "--index", index, "--query", MELBOURNE_QUERY, "--explain"]) == 2
         err = capsys.readouterr().err
         assert "stdout was closed" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_into_a_closed_stdout(self, flag, unbuffered):
+        # The pipe's read end is closed before the child starts, so its first write to stdout fails, every time.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperrag.cli", flag],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                         PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "hyperrag: stdout was closed before all output was written\n")
 
 
 class TestReadmeFlags:

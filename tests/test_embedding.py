@@ -201,11 +201,11 @@ class TestSemanticNeighbors:
         assert [key for key, _ in hits] == ["rain"]
 
     def test_precomputed_and_on_the_fly_agree(self, trigram, tmp_path):
-        # A built index holds its tables; a loaded one derives them on first scan.
+        # Built and loaded indexes alike hold no table until a scan derives it.
         keys = ["rain", "rainfall totals", "storm surge", "flooding"]
         built = index_over_vocab(keys, encoder=trigram)
         loaded = _saved_and_loaded(built, tmp_path / "ix.hcix")
-        assert loaded.label_vectors.by_dimension == {}
+        assert built.label_vectors.by_dimension == loaded.label_vectors.by_dimension == {}
         for component in ["rains", "storm surging", "flood"]:
             assert bits(semantic_neighbors(component, "THEME", built, trigram, tau=0.2)) == bits(
                 semantic_neighbors(component, "THEME", loaded, trigram, tau=0.2)
@@ -231,7 +231,7 @@ class TestSemanticNeighbors:
             assert [k for k, _ in got] == [k for k, _ in expected]
             for (_k1, s1), (_k2, s2) in zip(got, expected):
                 assert s1 == pytest.approx(s2, abs=1e-12)
-            table_keys, matrix = ix.label_vectors.by_dimension[dim]
+            table_keys, matrix, _encoder = ix.label_vectors.by_dimension[dim]
             for edge in (tau, 0.0, 1.0):
                 assert bits(semantic_neighbors(component, dim, ix, encoder, edge)) == bits(
                     dense_neighbors(table_keys, matrix, encoder.encode(component), edge)
@@ -253,8 +253,9 @@ class TestSemanticNeighbors:
         }
         encoder = PrecomputedVectorEncoder(vectors)
         ix = index_over_vocab(["rain", "rainy", "snow", "storm"], encoder=encoder)
-        keys, matrix = ix.label_vectors.by_dimension["THEME"]
         got = semantic_neighbors("rainfall", "THEME", ix, encoder, tau)
+        # The scan derived THEME's table.
+        keys, matrix, _encoder = ix.label_vectors.by_dimension["THEME"]
         assert bits(got) == bits(dense_neighbors(keys, matrix, vectors["rainfall"], tau))
         expected = [("rain", 1.0), ("rainy", 1.0)] + ([("snow", 0.0)] if tau == 0.0 else [])
         assert bits(got) == bits(expected)

@@ -46,6 +46,7 @@ from hyperrag import (
     save_index,
 )
 from hyperrag import hypercube as hypercube_mod
+from hyperrag.embedding import build_label_vectors
 from hyperrag.hypercube import MAX_COUNT, HypercubeIndex
 from hyperrag.retrieval import EXACT, SEMANTIC, MatchEvidence, rank, score_documents
 
@@ -62,6 +63,21 @@ class TestBuildIndex:
         for dimensions in (ix.dimensions[:-1], ix.dimensions[::-1], ix.dimensions + ("HAZARD",)):
             with pytest.raises(ValueError, match="must be the inverted tables"):
                 HypercubeIndex(dimensions=dimensions, inverted=ix.inverted, doc_ids=ix.doc_ids)
+
+    def test_hand_built_index_passes_the_same_gate(self, hurricane_index):
+        ix = hurricane_index
+        renamed = dataclasses.replace(ix.label_vectors, encoder_name="trigram\ud800")
+        with pytest.raises(ValueError, match=re.escape("encoder name 'trigram\\ud800' holds a lone surrogate")):
+            dataclasses.replace(ix, label_vectors=renamed)
+        # Scans look a dimension's checksum up, so an index without one would fail there with a KeyError.
+        unchecked = dataclasses.replace(ix.label_vectors, checksums={})
+        with pytest.raises(ValueError, match="checksums must name exactly the index dimensions"):
+            dataclasses.replace(ix, label_vectors=unchecked)
+        table = ix.inverted["LOCATION"]
+        keys = list(table)[::-1]
+        unsorted = hypercube_mod.PostingTable(ix.doc_ids, keys, table.lengths, table.ordinals, table.counts)
+        with pytest.raises(ValueError, match="keys of dimension 'LOCATION' are not strictly increasing"):
+            HypercubeIndex(dimensions=("LOCATION",), inverted={"LOCATION": unsorted}, doc_ids=ix.doc_ids)
 
     def test_empty_label_map(self, hurricane_corpus):
         ix = build_index(hurricane_corpus, LabelAssignment())
@@ -119,15 +135,21 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="twice"):
             build_index(hurricane_corpus, LabelAssignment(), dimensions=dimensions)
 
-    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
-    def test_blank_dimension_rejected(self, hurricane_corpus, blank):
-        with pytest.raises(ValueError, match="is blank"):
-            build_index(hurricane_corpus, LabelAssignment(), dimensions=("THEME", blank))
+    @pytest.mark.parametrize(
+        "name, fault",
+        [("", "is blank"), (" ", "is blank"), ("\t\n", "is blank"), ("THEME\ud800", "holds a lone surrogate")],
+        ids=["", " ", "\t\n", "surrogate"],
+    )
+    def test_blank_dimension_rejected(self, hurricane_corpus, name, fault):
+        # No container can name a dimension UTF-8 cannot encode, so build_index refuses it as it does a blank one.
+        with pytest.raises(ValueError, match=re.escape(f"dimension name {name!r} {fault}")):
+            build_index(hurricane_corpus, LabelAssignment(), dimensions=("THEME", name))
 
-    @pytest.mark.parametrize("key", ["Rain.", "RAIN", " rain", "heavy  rain"])
+    @pytest.mark.parametrize("key", ["Rain.", "RAIN", " rain", "heavy  rain", "r\ud800ain"])
     def test_unnormalized_key_rejected(self, key):
         # load_index refuses a key that is not its own normalize_label, and
-        # no query can reach one, so build_index refuses it before any save.
+        # no query can reach one, so build_index refuses it before any save;
+        # likewise a key UTF-8 cannot encode, which no container can hold.
         corpus = Corpus([Document(id="d1", text="rain ahead")])
         labels = LabelAssignment()
         labels.add("d1", "THEME", "rain")
@@ -483,7 +505,7 @@ class TestContainerV3:
         save_index(hurricane_index, path)
         header, sections = read_container(path)
         header["version"] = 4
-        keys, matrix = hurricane_index.label_vectors.by_dimension["THEME"]
+        keys, matrix, _encoder = build_label_vectors(hurricane_index.vocab, TrigramEncoder()).by_dimension["THEME"]
         sections["vectors"] = {
             "encoder": "trigram",
             "dim": 256,
@@ -633,16 +655,14 @@ class TestForwardSection:
             save_index(HypercubeIndex(dimensions=(), inverted={}, doc_ids=doc_ids), path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("where", ["doc_id", "key", "dimension"])
-    def test_save_refuses_a_lone_surrogate(self, tmp_path, where):
+    @pytest.mark.parametrize("doc_id", ["d\udcff", "d\ud800"], ids=["doc_id", "doc_id_high_surrogate"])
+    def test_save_refuses_a_lone_surrogate(self, tmp_path, doc_id):
+        # Keys and dimension names are refused when the index is made
+        # (TestBuildIndex); a hand-made doc id reaches the save.
         corpus = Corpus([Document(id="d1", text="storm text")])
-        dim = "THEME\ud800" if where == "dimension" else "THEME"
-        key = "storm\ud800" if where == "key" else "storm"
         labels = LabelAssignment()
-        labels.add("d1", dim, key)
-        ix = build_index(corpus, labels, dimensions=[dim])
-        if where == "doc_id":
-            ix = dataclasses.replace(ix, doc_ids=("d\udcff",))
+        labels.add("d1", "THEME", "storm")
+        ix = dataclasses.replace(build_index(corpus, labels, dimensions=["THEME"]), doc_ids=(doc_id,))
         path = tmp_path / "ix.hcix"
         with pytest.raises(ValueError, match="lone surrogate") as excinfo:
             save_index(ix, path)
@@ -658,6 +678,12 @@ def _drop_doc(sections, doc_id):
 def _duplicate_section(header, sections):
     header["sections"].append("forward")
     sections["forward again"] = sections["forward"]
+
+
+def _rename_theme(header, sections, name):
+    # Sections are written in order whatever the header names them, so only the header and the checksums change.
+    header["sections"][header["sections"].index("inverted:THEME")] = f"inverted:{name}"
+    sections["vectors"]["checksums"][name] = sections["vectors"]["checksums"].pop("THEME")
 
 
 MALFORMED = {
@@ -686,6 +712,14 @@ MALFORMED = {
     "key_trailing_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida ", "melbourne beach"]),
     "key_double_space": lambda h, s: s["inverted:LOCATION"].update(keys=["florida", "melbourne  beach"]),
     "key_upper_case": lambda h, s: s["inverted:LOCATION"].update(keys=["Florida", "melbourne beach"]),
+    # Names no index may hold: each used to load, and the last three then failed to save.
+    "dimension_unnamed": lambda h, s: _rename_theme(h, s, ""),
+    "dimension_blank": lambda h, s: _rename_theme(h, s, " "),
+    "dimension_lone_surrogate": lambda h, s: _rename_theme(h, s, "THEME\ud800"),
+    "key_lone_surrogate": lambda h, s: s.update(
+        {"inverted:THEME": encode_inverted({**s["inverted:THEME"], "keys": ["r\ud800ain"]}, escape=True)}
+    ),
+    "vectors_encoder_lone_surrogate": lambda h, s: s["vectors"].update(encoder="trigram\ud800"),
     # Version 6 names each array's type in the JSON part and writes the
     # values raw, so an entry that used to hold a non-integer value now
     # names a type the reader does not allow (see helpers.encode_inverted).

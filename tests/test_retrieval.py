@@ -876,6 +876,45 @@ class TestIndexTables:
                         retrieve(query, loaded, encoder, tau=tau, external=external)
                     ) == result_to_dict(retrieve(query, ix, encoder, tau=tau, external=external))
 
+    def test_built_and_loaded_copy_answer_every_encoder_alike(self, tmp_path):
+        # The build encoder, one of its name, dim and keys with other vectors, and no encoder:
+        # a built index, its saved-and-loaded copy, and a copy loaded afresh (no scan history)
+        # answer each alike, or raise the same error class.
+        def outcome(query, ix, encoder, tau, external):
+            try:
+                return result_to_dict(retrieve(query, ix, encoder, tau=tau, external=external))
+            except Exception as exc:
+                return type(exc)
+
+        rng = np.random.default_rng(59)
+        trigram = TrigramEncoder(dim=32)
+        path = tmp_path / "ix.hcix"
+        for _case in range(30):
+            corpus, labels, vocab = random_labeled_corpus(rng, max_docs=25, multiword_labels=True)
+            queries = [(_random_components(rng, vocab), float(rng.uniform(0.15, 0.95))) for _query in range(3)]
+            texts = {key for keys in vocab.values() for key in keys}
+            texts |= {normalize_label(text) for components, _tau in queries for _dim, text in components}
+            vectors = {}
+            for text in texts:
+                try:
+                    vectors[text] = trigram.encode(text)
+                except UnencodableText:
+                    pass
+            build = PrecomputedVectorEncoder(vectors)
+            other = PrecomputedVectorEncoder({text: np.roll(vector, 1) for text, vector in vectors.items()})
+            ix = build_index(corpus, assignment_of(labels), encoder=build)
+            save_index(ix, path)
+            loaded = load_index(path)
+            assert loaded == ix
+            for encoder in (other, build, other, None):
+                fresh = load_index(path)
+                for components, tau in queries:
+                    query = " ".join(text for _dim, text in components)
+                    for external in (components, None):
+                        expected = outcome(query, fresh, encoder, tau, external)
+                        assert outcome(query, ix, encoder, tau, external) == expected
+                        assert outcome(query, loaded, encoder, tau, external) == expected
+
     def test_tables_match_the_vocabulary(self):
         rng = np.random.default_rng(43)
         for _case in range(30):

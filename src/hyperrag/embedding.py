@@ -19,7 +19,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 DEFAULT_EMBED_DIM = 256
 DEFAULT_TAU = 0.9
+_EPS = 2.0**-52  # the gap between 1.0 and the next float
+_SUBNORMAL = 2.0**-1074  # the smallest float above zero
 
 
 @runtime_checkable
@@ -50,10 +52,13 @@ class TrigramEncoder:
     Each trigram of the normalized text is hashed to a bucket in
     ``[0, dim)`` and to a sign, accumulated, then L2-normalized. Same
     text always yields the identical vector (CRC-32 hashing, no process
-    salt). The signed counts are summed as Python integers and the norm
-    is ``sqrt`` of their exact dot product, so every bit equals adding
-    each sign into a float bucket and dividing by ``np.linalg.norm``,
-    the formula saved indexes were checksummed with. Raises
+    salt). The signed counts are summed as Python integers, the norm is
+    ``sqrt`` of their exact sum of squares, and only the nonzero buckets
+    are divided by it, each division correctly rounded as NumPy's is.
+    So every bit equals adding each sign into a float bucket and
+    dividing the whole vector by ``np.linalg.norm``, the formula saved
+    indexes were checksummed with: the counts and their squares are
+    small integers, which floats hold exactly. Raises
     UnencodableText for inputs shorter than 3 characters after
     normalization, for text holding a lone surrogate (which has no
     UTF-8 bytes to hash), or in the degenerate case where signed buckets
@@ -80,13 +85,13 @@ class TrigramEncoder:
                 counts[bucket] = counts.get(bucket, 0) + (1 if zlib.crc32(tri, 1) & 1 else -1)
         except UnicodeEncodeError:
             raise UnencodableText(text, reason="it holds a lone surrogate, which UTF-8 cannot encode") from None
-        values = np.zeros(dim, dtype=np.float64)
-        for bucket, count in counts.items():
-            values[bucket] = count
-        norm = math.sqrt(values.dot(values))
+        norm = math.sqrt(sum(count * count for count in counts.values()))
         if norm == 0.0:
             raise UnencodableText(text, reason="signed trigram buckets cancel to a zero vector")
-        return values / norm
+        values = np.zeros(dim, dtype=np.float64)
+        for bucket, count in counts.items():
+            values[bucket] = count / norm
+        return values
 
 
 class PrecomputedVectorEncoder:
@@ -120,14 +125,32 @@ class PrecomputedVectorEncoder:
             raise MissingKey(key) from None
 
 
+class LabelTable(NamedTuple):
+    """One dimension's label vectors as one encoder derives them.
+
+    ``keys`` are the dimension's encodable keys, sorted; row ``i`` of
+    ``matrix`` is the vector of ``keys[i]``. ``by_bucket`` is
+    ``matrix.T`` made contiguous, so the rows of a query's nonzero
+    buckets are gathered in one take, and ``largest`` is the largest
+    absolute entry of ``matrix``, which bounds the rounding of any
+    product with it (:func:`semantic_neighbors`).
+    """
+
+    keys: list[str]
+    matrix: np.ndarray
+    encoder: Encoder
+    by_bucket: np.ndarray
+    largest: float
+
+
 @dataclass
 class LabelVectors:
     """The encoder an index was built with, the only one it answers to, and the tables derived with it.
 
     The identity, and all a container stores, is ``(encoder_name, dim,
     checksums)``: one CRC-32 per index dimension over its encodable keys
-    and float64 rows. ``by_dimension`` holds the ``(keys, matrix,
-    encoder)`` tables scans have derived, none after :func:`build_index`
+    and float64 rows. ``by_dimension`` holds the :class:`LabelTable` of
+    each dimension a scan has derived, none after :func:`build_index`
     or :func:`load_index`. Keys the encoder cannot encode (UnencodableText)
     are left out; they can still match exactly but never semantically. A
     key a precomputed encoder lacks fails the build (MissingKey).
@@ -136,12 +159,12 @@ class LabelVectors:
     encoder_name: str
     dim: int
     checksums: dict[Dimension, int]
-    by_dimension: dict[Dimension, tuple] = field(default_factory=dict, repr=False, compare=False)
+    by_dimension: dict[Dimension, LabelTable] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encoder) -> LabelVectors:
     """Encode every label key of every dimension but UnencodableText ones, and checksum each dimension's table."""
-    by_dimension: dict[Dimension, tuple] = {}
+    by_dimension: dict[Dimension, LabelTable] = {}
     checksums: dict[Dimension, int] = {}
     for dim in sorted(vocab):
         keys, rows = [], []
@@ -152,7 +175,8 @@ def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encod
                 continue
             keys.append(key)
         matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
-        by_dimension[dim] = (keys, matrix, encoder)
+        largest = float(np.abs(matrix).max(initial=0.0))
+        by_dimension[dim] = LabelTable(keys, matrix, encoder, np.ascontiguousarray(matrix.T), largest)
         crc = zlib.crc32(json.dumps(keys, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
         checksums[dim] = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8").tobytes(), crc)
     return LabelVectors(encoder.name, encoder.dim, checksums, by_dimension)
@@ -193,8 +217,8 @@ def check_encoder_identity(ix: "HypercubeIndex", name: str, dim: int) -> None:
     raise EncoderMismatch(detail)
 
 
-def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tuple[list[str], np.ndarray, Encoder]:
-    """The index's table for one of its dimensions, derived on the dimension's first scan by ``encoder``.
+def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> LabelTable:
+    """The index's :class:`LabelTable` for one of its dimensions, derived on the dimension's first scan by ``encoder``.
 
     The only way a table enters any index; it is kept for that encoder
     object only. The encoder must pass :func:`check_encoder_and_tau` and
@@ -204,7 +228,7 @@ def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> tu
     """
     vectors = ix.label_vectors
     table = vectors.by_dimension.get(dim)
-    if table is None or table[2] is not encoder:
+    if table is None or table.encoder is not encoder:
         try:
             derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
             mismatch = derived.checksums[dim] != vectors.checksums[dim]
@@ -228,24 +252,56 @@ def semantic_neighbors(
 ) -> list[tuple[str, float]]:
     """Labels of one dimension whose similarity to the component reaches tau.
 
-    Exhaustive scan over the dimension's vocabulary: one encode and one
-    dense ``matrix @ query_vec`` over every row. Results are ``(key,
-    sim)`` with sim >= tau, a Python float capped at 1.0 (rounding can
-    lift a product of unit vectors just above it), sorted by similarity
+    Exhaustive over the dimension's vocabulary: one encode, then the
+    dense ``matrix @ query_vec`` over every row, unless a cheaper bound
+    shows that no row can reach tau. Results are ``(key, sim)`` with
+    sim >= tau, a Python float capped at 1.0 (rounding can lift a
+    product of unit vectors just above it), sorted by similarity
     descending then key ascending. Only the hits are capped: for tau in
     [0, 1] a sim reaches tau after capping exactly when it does before.
     tau and the encoder are checked first, by
     :func:`check_encoder_and_tau`; a dimension the index lacks yields
     ``[]`` unencoded, and encoding failures for the component propagate.
+
+    The bound is taken when at most a quarter of the query vector's
+    buckets are nonzero, as for a trigram query: every row's product is
+    summed over those buckets alone, from ``by_bucket``. It only ever
+    returns ``[]``, and only when the dense product would too, so every
+    result is the dense product's, bit for bit.
     """
     check_encoder_and_tau(ix, encoder, tau)
     if dim not in ix.vocab:
         return []
     query_vec = encoder.encode(component)
-    keys, matrix, _encoder = _vocab_vectors(ix, dim, encoder)
-    sims = matrix @ query_vec
+    table = _vocab_vectors(ix, dim, encoder)
+    buckets = query_vec.nonzero()[0]
+    n = len(query_vec)
+    if table.keys and 4 * len(buckets) <= n:
+        weights = query_vec[buckets]
+        bound = weights.dot(table.by_bucket.take(buckets, 0))
+        # Row r's exact product s_r is a sum of the terms q_j * m_rj over
+        # the nonzero buckets j; every other term is an exact zero, which
+        # adds no rounding. Summed in any order, with or without fused
+        # multiply-adds, n = len(q) terms land within
+        # gamma_n * sum_j |q_j * m_rj| + n * 2**-1075 of s_r (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+        # section 3.1; the second term is products that underflow), where
+        # gamma_n = n*u / (1 - n*u) <= n * eps for u = eps / 2, and
+        # sum_j |q_j * m_rj| <= ||q||_1 * largest. So row r's dense sim
+        # and its bound differ by at most 2*n*eps*||q||_1*largest +
+        # n * 2**-1074, and the slack is twice that, a margin for the
+        # rounding of the slack itself. No vector need be unit length. If
+        # the bound's largest value plus the slack, rounded, lies below
+        # tau, then so does it exactly (rounding is monotone and tau is a
+        # float), and no dense sim reaches tau. A NaN or infinity anywhere
+        # makes the test false, and the dense product runs.
+        best = bound[bound.argmax()]
+        slack = n * (4 * _EPS * sum(map(abs, weights.tolist())) * table.largest + 2 * _SUBNORMAL)
+        if best + slack < tau:
+            return []
+    sims = table.matrix @ query_vec
     rows = (sims >= tau).nonzero()[0]
-    hits = [(keys[row], min(sim, 1.0)) for row, sim in zip(rows.tolist(), sims[rows].tolist())]
+    hits = [(table.keys[row], min(sim, 1.0)) for row, sim in zip(rows.tolist(), sims[rows].tolist())]
     if len(hits) > 1:
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
     return hits

@@ -392,8 +392,12 @@ def _postings_section(table: PostingTable) -> bytes:
 
 
 def _forward_section(doc_ids: tuple[str, ...]) -> bytes:
-    """``forward``: the doc ids joined by newlines, in UTF-8; ValueError for an empty id or one holding a newline."""
-    data = "\n".join(doc_ids).encode("utf-8")
+    """``forward``: the doc ids joined by newlines, in UTF-8; ValueError naming an id that is empty or holds a newline or lone surrogate."""
+    try:
+        data = "\n".join(doc_ids).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = next(doc_id for doc_id in doc_ids if not _is_text(doc_id))
+        raise ValueError(f"doc id {bad!r} cannot be saved: it holds a lone surrogate, which UTF-8 cannot encode") from None
     # Checked on the bytes in NumPy: no multi-byte UTF-8 character holds the newline byte.
     newline = np.frombuffer(data, np.uint8) == ord("\n")
     if doc_ids and (
@@ -428,29 +432,25 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
     * ``forward``: every document id, sorted (unlabeled ones included),
       joined by ``"\\n"`` and encoded as UTF-8, and nothing else; no
       documents give an empty section. An ordinal is a position in it,
-      so an id must be non-empty and hold no newline (ValueError).
+      so an id must be non-empty and hold no newline or lone surrogate,
+      which UTF-8 cannot encode (ValueError naming it).
     * ``vectors``, when the index has label vectors: JSON ``{encoder,
       dim, checksums}``, one CRC-32 per dimension; no vector is written.
 
     Each table is written as held. :func:`build_index` holds keys sorted
     and each array's type comes from its values alone, so identical
     builds produce identical bytes, and a loaded index saves back to the
-    bytes it was read from. A string holding a lone surrogate, which
-    UTF-8 cannot encode, raises ValueError. The bytes go to a temporary
-    sibling that is renamed over ``path`` once complete, so a failed
-    write leaves the previous file intact.
+    bytes it was read from. The bytes go to a temporary sibling that is
+    renamed over ``path`` once complete, so a failed write leaves the
+    previous file intact.
     """
     vectors = ix.label_vectors
-    try:
-        sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
-        sections.append(("forward", _forward_section(ix.doc_ids)))
-        if vectors is not None:
-            payload = {"encoder": vectors.encoder_name, "dim": vectors.dim, "checksums": vectors.checksums}
-            sections.append(("vectors", _canonical_json(payload)))
-        header_bytes = _canonical_json({"version": _FORMAT_VERSION, "sections": [name for name, _ in sections]})
-    except UnicodeEncodeError as exc:
-        around = exc.object[max(exc.start - 20, 0) : exc.end + 20]
-        raise ValueError(f"cannot save {around!r}: it holds a lone surrogate, which UTF-8 cannot encode") from None
+    sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
+    sections.append(("forward", _forward_section(ix.doc_ids)))
+    if vectors is not None:
+        payload = {"encoder": vectors.encoder_name, "dim": vectors.dim, "checksums": vectors.checksums}
+        sections.append(("vectors", _canonical_json(payload)))
+    header_bytes = _canonical_json({"version": _FORMAT_VERSION, "sections": [name for name, _ in sections]})
 
     # The file is written chunk by chunk, the CRC taken over them in turn: the parts are never joined.
     chunks = [_MAGIC]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -231,10 +231,10 @@ class TestSemanticNeighbors:
             assert [k for k, _ in got] == [k for k, _ in expected]
             for (_k1, s1), (_k2, s2) in zip(got, expected):
                 assert s1 == pytest.approx(s2, abs=1e-12)
-            table_keys, matrix, _encoder = ix.label_vectors.by_dimension[dim]
+            table = ix.label_vectors.by_dimension[dim]
             for edge in (tau, 0.0, 1.0):
                 assert bits(semantic_neighbors(component, dim, ix, encoder, edge)) == bits(
-                    dense_neighbors(table_keys, matrix, encoder.encode(component), edge)
+                    dense_neighbors(table.keys, table.matrix, encoder.encode(component), edge)
                 )
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
@@ -255,8 +255,8 @@ class TestSemanticNeighbors:
         ix = index_over_vocab(["rain", "rainy", "snow", "storm"], encoder=encoder)
         got = semantic_neighbors("rainfall", "THEME", ix, encoder, tau)
         # The scan derived THEME's table.
-        keys, matrix, _encoder = ix.label_vectors.by_dimension["THEME"]
-        assert bits(got) == bits(dense_neighbors(keys, matrix, vectors["rainfall"], tau))
+        table = ix.label_vectors.by_dimension["THEME"]
+        assert bits(got) == bits(dense_neighbors(table.keys, table.matrix, vectors["rainfall"], tau))
         expected = [("rain", 1.0), ("rainy", 1.0)] + ([("snow", 0.0)] if tau == 0.0 else [])
         assert bits(got) == bits(expected)
 
@@ -269,6 +269,146 @@ class TestSemanticNeighbors:
             if previous is not None:
                 assert hits <= previous
             previous = hits
+
+
+def scan_equals_dense(component, ix, encoder, tau):
+    """``semantic_neighbors`` over THEME, asserted bit for bit equal to the dense product over the table it derived."""
+    got = semantic_neighbors(component, "THEME", ix, encoder, tau)
+    table = ix.label_vectors.by_dimension["THEME"]
+    assert bits(got) == bits(dense_neighbors(table.keys, table.matrix, encoder.encode(component), tau))
+    return got
+
+
+def edge_tau(sims, row, step):
+    """The dense sim of ``row``, moved to the next float up (step 1) or down (-1), clipped to [0, 1]."""
+    tau = float(sims[row % len(sims)])
+    if step:
+        tau = float(np.nextafter(tau, step * np.inf))
+    return min(max(tau, 0.0), 1.0)
+
+
+class _Untouchable:
+    """Stands in for a table array that a scan must not read."""
+
+    def __matmul__(self, other):
+        raise AssertionError("the dense product ran")
+
+    def take(self, *args):
+        raise AssertionError("the bound ran")
+
+
+# Few letters, so that keys share trigrams and sims spread over [-1, 1].
+_BOUND_ALPHABET = "abdgiru"
+
+
+def _vector(entries, dim=64):
+    """A vector of length ``dim`` holding ``entries`` (bucket -> value), zero elsewhere."""
+    return np.array([entries.get(i, 0.0) for i in range(dim)])
+
+
+# Vectors of length 64 with at most eight nonzero entries in [-1, 1].
+_SPARSE_VECTOR = st.dictionaries(st.integers(0, 63), st.floats(-1.0, 1.0), max_size=8).map(_vector)
+
+
+class TestScanBound:
+    """A scan may skip the dense product only where the dense product finds nothing."""
+
+    @given(
+        st.lists(st.text(_BOUND_ALPHABET, min_size=3, max_size=8), min_size=1, max_size=12),
+        st.text(_BOUND_ALPHABET, min_size=3, max_size=8),
+        st.sampled_from([16, 64, 256]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 11),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_trigram_tables_equal_dense(self, keys, component, dim, free_tau, row, step):
+        encoder = TrigramEncoder(dim)
+        try:
+            encoder.encode(component)
+        except UnencodableText:
+            assume(False)
+        ix = index_over_vocab(keys, encoder=encoder)
+        scan_equals_dense(component, ix, encoder, 0.0)
+        table = ix.label_vectors.by_dimension["THEME"]
+        taus = [free_tau, 1.0]
+        if table.keys:
+            taus.append(edge_tau(table.matrix @ encoder.encode(component), row, step))
+        for tau in taus:
+            scan_equals_dense(component, ix, encoder, tau)
+
+    @pytest.mark.parametrize("component, label", [("dadi", "giro"), ("duno", "giro"), ("fami", "bura")])
+    def test_on_tau_pairs(self, component, label):
+        # Each pair shares one of its two buckets, so the exact sim is 0.5;
+        # the dense product rounds it to the float below.
+        encoder = TrigramEncoder(256)
+        ix = index_over_vocab([label, "zzzz"], encoder=encoder)
+        below = 0.4999999999999999
+        assert scan_equals_dense(component, ix, encoder, 0.5) == []
+        assert scan_equals_dense(component, ix, encoder, below) == [(label, below)]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6])
+    @given(
+        rows=st.lists(_SPARSE_VECTOR, min_size=1, max_size=8),
+        q=_SPARSE_VECTOR,
+        orthogonal=st.lists(st.booleans(), min_size=8, max_size=8),
+        free_tau=st.floats(0.0, 1.0),
+        row=st.integers(0, 7),
+        step=st.sampled_from([-1, 0, 1]),
+    )
+    # At scale 1e6 the dense product can put the first row's sim at 1.2e-4
+    # and the bound at 4.6e-5 (how the two round depends on the BLAS kernel,
+    # which the row count picks): a fixed slack far above rounding error at
+    # unit scale would then drop the hit at tau = 1.2e-4.
+    @example(
+        rows=[_vector({57: -0.732, 26: -0.194, 2: -0.593, 60: -0.475, 51: 0.501, 8: -0.439}), _vector({})],
+        q=_vector({57: 0.099, 26: -0.945, 2: 0.507, 60: 0.076, 51: -0.341, 8: 0.577, 44: -0.394, 29: -0.093}),
+        orthogonal=[True, False],
+        free_tau=0.0,
+        row=0,
+        step=0,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_precomputed_vectors_equal_dense(self, scale, rows, q, orthogonal, free_tau, row, step):
+        # A hand-built encoder's vectors need not be unit length. Rows made
+        # orthogonal to the query have an exact sim near 0 that rounding, at
+        # scale 1e6, moves by about 1e-4 either way: into [0, 1], where tau is.
+        if q @ q:
+            rows = [r - (r @ q) / (q @ q) * q if flag else r for r, flag in zip(rows, orthogonal)]
+        keys = [f"k{i}" for i in range(len(rows))]
+        vectors = {key: vector * scale for key, vector in zip(keys, rows)}
+        vectors["query"] = q * scale
+        encoder = PrecomputedVectorEncoder(vectors)
+        ix = index_over_vocab(keys, encoder=encoder)
+        scan_equals_dense("query", ix, encoder, 0.0)
+        table = ix.label_vectors.by_dimension["THEME"]
+        for tau in (free_tau, edge_tau(table.matrix @ vectors["query"], row, step)):
+            scan_equals_dense("query", ix, encoder, tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.9])
+    def test_dense_precomputed_table_skips_the_bound(self, tau):
+        rng = np.random.default_rng(7)
+        vectors = {key: rng.uniform(0.5, 1.0, 8) for key in ["rain", "snow", "storm", "query"]}
+        encoder = PrecomputedVectorEncoder(vectors)
+        ix = index_over_vocab(["rain", "snow", "storm"], encoder=encoder)
+        expected = scan_equals_dense("query", ix, encoder, tau)
+        table = ix.label_vectors.by_dimension["THEME"]
+        ix.label_vectors.by_dimension["THEME"] = table._replace(by_bucket=_Untouchable())
+        assert bits(semantic_neighbors("query", "THEME", ix, encoder, tau)) == bits(expected)
+
+    def test_no_shared_trigram_skips_the_dense_product(self, trigram):
+        ix = index_over_vocab(["rain", "storm surge"], encoder=trigram)
+        assert not set(trigram.encode("velvet").nonzero()[0]) & {
+            bucket for key in ["rain", "storm surge"] for bucket in trigram.encode(key).nonzero()[0]
+        }
+        scan_equals_dense("rainfall", ix, trigram, 0.4)
+        table = ix.label_vectors.by_dimension["THEME"]
+        ix.label_vectors.by_dimension["THEME"] = table._replace(matrix=_Untouchable())
+        assert semantic_neighbors("velvet", "THEME", ix, trigram, tau=0.1) == []
+        # Every sim is then exactly 0, which tau 0 takes; and "rainfall" shares trigrams with "rain".
+        for component, tau in [("velvet", 0.0), ("rainfall", 0.4)]:
+            with pytest.raises(AssertionError, match="the dense product ran"):
+                semantic_neighbors(component, "THEME", ix, trigram, tau)
 
 
 class TestPrecomputedVectors:

@@ -505,11 +505,11 @@ class TestContainerV3:
         save_index(hurricane_index, path)
         header, sections = read_container(path)
         header["version"] = 4
-        keys, matrix, _encoder = build_label_vectors(hurricane_index.vocab, TrigramEncoder()).by_dimension["THEME"]
+        table = build_label_vectors(hurricane_index.vocab, TrigramEncoder()).by_dimension["THEME"]
         sections["vectors"] = {
             "encoder": "trigram",
             "dim": 256,
-            "by_dimension": {"THEME": {"keys": keys, "matrix": matrix.tolist()}},
+            "by_dimension": {"THEME": {"keys": table.keys, "matrix": table.matrix.tolist()}},
         }
         write_container(path, header, sections)
         with pytest.raises(FormatVersionMismatch, match="rebuild"):
@@ -666,8 +666,9 @@ class TestForwardSection:
         path = tmp_path / "ix.hcix"
         with pytest.raises(ValueError, match="lone surrogate") as excinfo:
             save_index(ix, path)
-        # UnicodeEncodeError is a ValueError too; the error must name the fault, not the codec.
+        # UnicodeEncodeError is a ValueError too; the error must name the fault and the id, not the codec.
         assert type(excinfo.value) is ValueError
+        assert repr(doc_id) in str(excinfo.value)
         assert not path.exists()
 
 

@@ -859,6 +859,49 @@ class TestIndexTables:
         assert sorted(derivations) == sorted(("trigram", trigram.dim, (dim,)) for dim in set(scanned))
         assert set(ix.label_vectors.by_dimension) == set(scanned)
 
+    def test_each_scan_is_one_call_and_one_encode(self, tmp_path, monkeypatch):
+        # The benchmark's tracer counts scans as semantic_neighbors calls on
+        # hyperrag.retrieval and encodes as calls of the encoder's method;
+        # each scan must encode its component once, a scan that returns
+        # early included.
+        encoder = TrigramEncoder()
+        save_index(_mini_index(encoder), tmp_path / "mini.hcix")
+        ix = load_index(tmp_path / "mini.hcix")
+        for query in _fixture_queries():  # derives the scanned tables, each encoding every key
+            retrieve(query, ix, encoder, tau=FIXTURE_TAU)
+        products = []
+
+        class CountedMatrix:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, vector):
+                products.append(vector)
+                return self.matrix @ vector
+
+        tables = ix.label_vectors.by_dimension
+        for dim, table in tables.items():
+            tables[dim] = table._replace(matrix=CountedMatrix(table.matrix))
+        encodes = []
+        scans = []
+        scan = retrieval_mod.semantic_neighbors
+
+        def recording_scan(*args):
+            before = len(encodes)
+            hits = scan(*args)
+            scans.append((len(encodes) - before, bool(hits)))
+            return hits
+
+        monkeypatch.setattr(retrieval_mod, "semantic_neighbors", recording_scan)
+        monkeypatch.setattr(encoder, "encode", lambda text, encode=encoder.encode: encodes.append(text) or encode(text))
+        for query in _fixture_queries():
+            retrieve(query, ix, encoder, tau=FIXTURE_TAU)
+        # Some scans find labels, some none, and some of those skip the dense product.
+        assert {hit for _encodes, hit in scans} == {True, False}
+        assert sum(hit for _encodes, hit in scans) <= len(products) < len(scans)
+        assert [n for n, _hit in scans] == [1] * len(scans)
+        assert len(encodes) == len(scans)
+
     def test_loaded_random_indexes_answer_like_built(self, tmp_path):
         rng = np.random.default_rng(47)
         encoder = TrigramEncoder(dim=32)

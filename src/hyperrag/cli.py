@@ -273,7 +273,7 @@ def _cmd_inspect(args) -> int:
     for dim in ix.dimensions:
         lines.append(f"{dim}: {len(ix.vocab[dim])} labels")
         if args.dim == dim or args.verbose:
-            for key, postings in sorted(ix.inverted[dim].items()):
+            for key, postings in ix.inverted[dim].items():
                 lines.append(f"  {key}: {', '.join(f'{p.doc_id}:{p.count}' for p in postings)}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK

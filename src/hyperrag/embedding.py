@@ -162,24 +162,23 @@ class LabelVectors:
     by_dimension: dict[Dimension, LabelTable] = field(default_factory=dict, repr=False, compare=False)
 
 
+def _encode_keys(keys: Iterable[str], encoder: Encoder) -> tuple[list[str], np.ndarray, int]:
+    """The keys ``encoder`` encodes (not UnencodableText ones), sorted, their float64 rows, and the CRC-32 over both."""
+    encoded, rows = [], []
+    for key in sorted(keys):
+        try:
+            rows.append(encoder.encode(key))
+        except UnencodableText:
+            continue
+        encoded.append(key)
+    matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
+    crc = zlib.crc32(json.dumps(encoded, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+    return encoded, matrix, zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8").tobytes(), crc)
+
+
 def build_label_vectors(vocab: Mapping[Dimension, Iterable[str]], encoder: Encoder) -> LabelVectors:
-    """Encode every label key of every dimension but UnencodableText ones, and checksum each dimension's table."""
-    by_dimension: dict[Dimension, LabelTable] = {}
-    checksums: dict[Dimension, int] = {}
-    for dim in sorted(vocab):
-        keys, rows = [], []
-        for key in sorted(vocab[dim]):
-            try:
-                rows.append(encoder.encode(key))
-            except UnencodableText:
-                continue
-            keys.append(key)
-        matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim), dtype=np.float64)
-        largest = float(np.abs(matrix).max(initial=0.0))
-        by_dimension[dim] = LabelTable(keys, matrix, encoder, np.ascontiguousarray(matrix.T), largest)
-        crc = zlib.crc32(json.dumps(keys, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
-        checksums[dim] = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8").tobytes(), crc)
-    return LabelVectors(encoder.name, encoder.dim, checksums, by_dimension)
+    """Checksum each dimension's label vector table, as :func:`_encode_keys` derives it; no table is kept."""
+    return LabelVectors(encoder.name, encoder.dim, {dim: _encode_keys(vocab[dim], encoder)[2] for dim in sorted(vocab)})
 
 
 def check_encoder_and_tau(ix: "HypercubeIndex", encoder: Encoder | None, tau: float) -> None:
@@ -230,16 +229,16 @@ def _vocab_vectors(ix: "HypercubeIndex", dim: Dimension, encoder: Encoder) -> La
     table = vectors.by_dimension.get(dim)
     if table is None or table.encoder is not encoder:
         try:
-            derived = build_label_vectors({dim: ix.vocab[dim]}, encoder)
-            mismatch = derived.checksums[dim] != vectors.checksums[dim]
+            keys, matrix, crc = _encode_keys(ix.vocab[dim], encoder)
         except MissingKey:
-            mismatch = True
-        if mismatch:
+            crc = None
+        if crc != vectors.checksums[dim]:
             raise EncoderMismatch(
                 f"the query encoder {encoder.name!r} (dim {encoder.dim}) does not reproduce the index's "
                 f"label vectors of dimension {dim!r}; query with the build encoder or rebuild the index"
             )
-        table = vectors.by_dimension[dim] = derived.by_dimension[dim]
+        largest = float(np.abs(matrix).max(initial=0.0))
+        table = vectors.by_dimension[dim] = LabelTable(keys, matrix, encoder, np.ascontiguousarray(matrix.T), largest)
     return table
 
 

@@ -4,7 +4,9 @@ Conceptually the index is a multidimensional array with one axis per
 dimension and one coordinate per label; materializing that array is
 infeasible (the cell count is the product of the vocabulary sizes), so
 cells are computed lazily by intersecting per-dimension posting lists.
-Lookup cost depends on the label vocabulary, not the corpus size.
+Lookup cost depends on the label vocabulary, not the corpus size. What
+any index may hold is judged by :class:`HypercubeIndex` alone:
+:func:`load_index` only parses and :func:`save_index` only serializes.
 
 The postings are immutable after :func:`build_index`; there is no
 incremental update — rebuild to change them. An index writes one
@@ -21,7 +23,7 @@ import json
 import operator
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
@@ -155,12 +157,16 @@ class HypercubeIndex:
     unlabeled ones included; a document's position in it is its ordinal,
     so ordinal order is doc-id order. ``inverted[dim]`` is a read-only
     :class:`PostingTable`, the only place a count is held; labels are
-    held by their normalized keys only. ``dimensions`` names the tables
-    of ``inverted``, in order. ``__post_init__``, which every index passes
-    through, is the one statement of what an index may hold (ValueError):
-    dimension names as :func:`_check_dimensions` says, keys strictly rising
-    and :func:`_all_normalized`, and label vectors with a UTF-8-encodable
-    encoder name and a checksum for each dimension.
+    held by their normalized keys only; ``dimensions``, derived, names
+    the tables of ``inverted`` in order. ``__post_init__``, which every
+    index passes through, is the one statement of what one may hold
+    (ValueError): names as :func:`_check_dimensions` says; doc ids rising
+    strictly from a non-empty first one; per table, the index's
+    ``doc_ids``, keys rising strictly and :func:`_all_normalized`, lengths
+    (each >= 1, one per key) that partition the postings, ordinals that
+    index ``doc_ids`` and rise within a key, and counts from 1 to
+    ``MAX_COUNT``; and vectors with a UTF-8 encoder name, a dim >= 1 and
+    a checksum in [0, 2**32) per dimension.
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
     copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
@@ -173,7 +179,7 @@ class HypercubeIndex:
     answers to, and checksums each dimension's table.
     """
 
-    dimensions: tuple[Dimension, ...]
+    dimensions: tuple[Dimension, ...] = field(init=False)
     inverted: dict[Dimension, PostingTable]
     doc_ids: tuple[str, ...]
     label_vectors: LabelVectors | None = field(default=None)
@@ -182,23 +188,22 @@ class HypercubeIndex:
     phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.dimensions = tuple(self.inverted)
         _check_dimensions(self.dimensions)
-        if self.dimensions != tuple(self.inverted):
-            raise ValueError(f"dimensions {self.dimensions} must be the inverted tables' {tuple(self.inverted)}")
+        doc_ids = self.doc_ids
+        # The empty string sorts first, so rising ids after a non-empty first one are all non-empty.
+        if (doc_ids and not doc_ids[0]) or not all(map(operator.lt, doc_ids, doc_ids[1:])):
+            raise ValueError("the doc ids must rise strictly from a non-empty first one")
         for dim, table in self.inverted.items():
-            keys = list(table)
-            # The table holds a repeated key once, so it then has more lengths than keys.
-            if len(keys) != len(table.lengths) or not all(map(operator.lt, keys, keys[1:])):
-                raise ValueError(f"the keys of dimension {dim!r} are not strictly increasing")
-            if not _all_normalized(keys):
-                key = next(key for key in keys if not key or normalize_label(key) != key or not _is_text(key))
-                fault = "is empty or not normalized" if _is_text(key) else "holds a lone surrogate"
-                raise ValueError(f"label key {key!r} in dimension {dim!r} {fault}")
+            _check_table(dim, table, doc_ids)
         vectors = self.label_vectors
-        if vectors is not None and not _is_text(vectors.encoder_name):
-            raise ValueError(f"encoder name {vectors.encoder_name!r} holds a lone surrogate")
-        if vectors is not None and set(vectors.checksums) != set(self.dimensions):
-            raise ValueError(f"vectors checksums must name exactly the index dimensions {list(self.dimensions)}")
+        if vectors is not None:
+            if not _is_text(vectors.encoder_name):
+                raise ValueError(f"encoder name {vectors.encoder_name!r} holds a lone surrogate")
+            if set(vectors.checksums) != set(self.dimensions):
+                raise ValueError(f"vectors checksums must name exactly the index dimensions {list(self.dimensions)}")
+            if vectors.dim < 1 or not all(0 <= crc < 2**32 for crc in vectors.checksums.values()):
+                raise ValueError(f"label vectors need a dim >= 1, not {vectors.dim}, and checksums in [0, 2**32)")
         self.vocab = {dim: table.keys() for dim, table in self.inverted.items()}
         phrase_dims: dict[str, tuple[Dimension, ...]] = {}
         for dim in sorted(self.dimensions):
@@ -227,6 +232,39 @@ def _check_dimensions(dims: tuple[Dimension, ...]) -> None:
             raise ValueError(f"dimension name {dim!r} holds a lone surrogate")
         if dim in dims[:pos]:
             raise ValueError(f"dimension {dim!r} appears twice in {dims}")
+
+
+def _check_range(array: np.ndarray, low: int, high: int, what: str) -> None:
+    if len(array) and (array.min() < low or array.max() > high):
+        raise ValueError(f"{what} holds a value outside [{low}, {high}]")
+
+
+def _check_table(dim: Dimension, table: PostingTable, doc_ids: tuple[str, ...]) -> None:
+    """One table's part of the :class:`HypercubeIndex` gate; postings are checked as whole arrays."""
+    # Built and loaded tables hold the index's own tuple, so only a hand-built one is compared id by id.
+    if table.doc_ids is not doc_ids and table.doc_ids != doc_ids:
+        raise ValueError(f"the postings of dimension {dim!r} are over other doc ids than the index's")
+    keys = list(table)
+    # The table holds a repeated key once, so it then has more lengths than keys.
+    if len(keys) != len(table.lengths) or not all(map(operator.lt, keys, keys[1:])):
+        raise ValueError(f"the keys of dimension {dim!r} are not strictly increasing")
+    if not _all_normalized(keys):
+        key = next(key for key in keys if not key or normalize_label(key) != key or not _is_text(key))
+        fault = "is empty or not normalized" if _is_text(key) else "holds a lone surrogate"
+        raise ValueError(f"label key {key!r} in dimension {dim!r} {fault}")
+    lengths, ordinals, counts = table.lengths, table.ordinals, table.counts
+    total = int(lengths.sum(dtype=np.int64))
+    if not total == len(ordinals) == len(counts):
+        raise ValueError(f"dimension {dim!r}: lengths sum to {total}, over {len(ordinals)}/{len(counts)} postings")
+    _check_range(lengths, 1, total, f"dimension {dim!r} lengths")
+    _check_range(ordinals, 0, len(doc_ids) - 1, f"dimension {dim!r} ordinals")
+    _check_range(counts, 1, MAX_COUNT, f"dimension {dim!r} counts")
+    rising = ordinals[1:] > ordinals[:-1]
+    ends = np.cumsum(lengths, dtype=np.int64)
+    rising[ends[:-1] - 1] = True  # a new key may start lower
+    if not rising.all():
+        key = keys[int(np.searchsorted(ends, int(np.argmin(rising)) + 1, side="right"))]
+        raise ValueError(f"dimension {dim!r}, key {key!r}: ordinals not strictly increasing")
 
 
 def build_index(
@@ -261,8 +299,8 @@ def build_index(
     gives each key's posting count, and each dimension's
     :class:`PostingTable` holds slices of these arrays. A merged count
     outside 1 to ``MAX_COUNT`` raises NonPositiveCount naming the
-    dimension, key and doc. With an encoder, each label vector table is
-    derived for its checksum and then dropped; the index answers only to it.
+    dimension, key and doc. With an encoder, each dimension's label
+    vectors are encoded only for their checksum; the index answers to it alone.
     """
     if not isinstance(labels, LabelAssignment):
         raise TypeError(f"labels must be a LabelAssignment, not {type(labels).__name__}")
@@ -322,8 +360,8 @@ def build_index(
     if encoder is not None:
         from .embedding import build_label_vectors
 
-        vectors = replace(build_label_vectors(keys_by_dim, encoder), by_dimension={})
-    return HypercubeIndex(dimensions=dims, inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
+        vectors = build_label_vectors(keys_by_dim, encoder)
+    return HypercubeIndex(inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
 
 
 def lookup(ix: HypercubeIndex, dim: Dimension, key: str) -> Postings:
@@ -392,22 +430,16 @@ def _postings_section(table: PostingTable) -> bytes:
 
 
 def _forward_section(doc_ids: tuple[str, ...]) -> bytes:
-    """``forward``: the doc ids joined by newlines, in UTF-8; ValueError naming an id that is empty or holds a newline or lone surrogate."""
+    """``forward``: the doc ids joined by newlines, in UTF-8; ValueError naming an id that holds a newline or lone surrogate."""
     try:
         data = "\n".join(doc_ids).encode("utf-8")
     except UnicodeEncodeError:
         bad = next(doc_id for doc_id in doc_ids if not _is_text(doc_id))
         raise ValueError(f"doc id {bad!r} cannot be saved: it holds a lone surrogate, which UTF-8 cannot encode") from None
-    # Checked on the bytes in NumPy: no multi-byte UTF-8 character holds the newline byte.
-    newline = np.frombuffer(data, np.uint8) == ord("\n")
-    if doc_ids and (
-        np.count_nonzero(newline) != len(doc_ids) - 1
-        or not doc_ids[0]
-        or not doc_ids[-1]
-        or (newline[1:] & newline[:-1]).any()
-    ):
-        bad = next(doc_id for doc_id in doc_ids if not doc_id or "\n" in doc_id)
-        raise ValueError(f"doc id {bad!r} cannot be saved: an id must be non-empty and hold no newline")
+    # Counted on the bytes in NumPy: no multi-byte UTF-8 character holds the newline byte.
+    if doc_ids and np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")) != len(doc_ids) - 1:
+        bad = next(doc_id for doc_id in doc_ids if "\n" in doc_id)
+        raise ValueError(f"doc id {bad!r} cannot be saved: an id may hold no newline")
     return data
 
 
@@ -431,18 +463,18 @@ def save_index(ix: HypercubeIndex, path: str | Path) -> None:
       dimensions are read back from these section names.
     * ``forward``: every document id, sorted (unlabeled ones included),
       joined by ``"\\n"`` and encoded as UTF-8, and nothing else; no
-      documents give an empty section. An ordinal is a position in it,
-      so an id must be non-empty and hold no newline or lone surrogate,
-      which UTF-8 cannot encode (ValueError naming it).
+      documents give an empty section. An ordinal is a position in it;
+      save refuses only an id holding a newline or a lone surrogate, which
+      UTF-8 cannot encode (ValueError naming it).
     * ``vectors``, when the index has label vectors: JSON ``{encoder,
       dim, checksums}``, one CRC-32 per dimension; no vector is written.
 
-    Each table is written as held. :func:`build_index` holds keys sorted
-    and each array's type comes from its values alone, so identical
-    builds produce identical bytes, and a loaded index saves back to the
-    bytes it was read from. The bytes go to a temporary sibling that is
-    renamed over ``path`` once complete, so a failed write leaves the
-    previous file intact.
+    Each table is written as held, unsorted and unchecked: the gate
+    judged it. Keys are held sorted and each array's type comes from its
+    values alone, so identical builds produce identical bytes, and a
+    loaded index saves back to the bytes it was read from. The bytes go
+    to a temporary sibling that is renamed over ``path`` once complete,
+    so a failed write leaves the previous file intact.
     """
     vectors = ix.label_vectors
     sections = [(f"{_INVERTED}{dim}", _postings_section(ix.inverted[dim])) for dim in ix.dimensions]
@@ -487,23 +519,14 @@ def _str_list(value: object, path: str | Path, what: str) -> list[str]:
     return value
 
 
-def _check_range(array: np.ndarray, low: int, high: int, path: str | Path, what: str) -> None:
-    if len(array) and (array.min() < low or array.max() > high):
-        raise _malformed(path, f"{what} holds a value outside [{low}, {high}]")
+def _load_postings(raw: memoryview, dim: Dimension, doc_ids: tuple[str, ...], path: str | Path) -> PostingTable:
+    """Parse one ``inverted:<DIM>`` section, checking its form and none of its values.
 
-
-def _load_postings(
-    raw: memoryview, dim: Dimension, doc_ids: tuple[str, ...], path: str | Path
-) -> PostingTable:
-    """Parse one ``inverted:<DIM>`` section, checked as whole arrays, never per posting.
-
-    The keys must be a JSON array of strings; what they may be beyond
-    that is the :class:`HypercubeIndex` gate's to say. Each array type
-    must be one of ``_ARRAY_TYPES`` and the arrays must fill the section
-    exactly. Every ordinal must index ``doc_ids`` and rise strictly
-    within its key, every count lie in ``[1, MAX_COUNT]``, and the
-    lengths (each >= 1, one per key) partition the postings. The arrays
-    are widened to int32 once and held as a :class:`PostingTable`.
+    The keys must be a JSON array of strings, each array type one of
+    ``_ARRAY_TYPES``, and the arrays must fill the section exactly: one
+    length per key, then as many ordinals as counts. What the keys and
+    arrays hold is the :class:`HypercubeIndex` gate's to judge. The
+    arrays are widened to int32 once and held as a :class:`PostingTable`.
     """
     where = f"section {_INVERTED}{dim}"
     head_end = 4 + int.from_bytes(raw[:4], "big")
@@ -527,50 +550,28 @@ def _load_postings(
     lengths = np.frombuffer(raw, types["lengths"], len(keys), head_end)
     docs = np.frombuffer(raw, types["docs"], n_postings, lengths_end)
     counts = np.frombuffer(raw, types["counts"], n_postings, counts_start)
-    _check_range(lengths, 1, n_postings, path, f"{where} lengths")
-    total = int(lengths.sum(dtype=np.int64))
-    if total != n_postings:
-        raise _malformed(path, f"{where}: {len(keys)} lengths sum to {total}, not {n_postings}")
-    _check_range(docs, 0, len(doc_ids) - 1, path, f"{where} docs")
-    _check_range(counts, 1, MAX_COUNT, path, f"{where} counts")
-    ordinals = _frozen(docs)
-    rising = np.diff(ordinals) > 0
-    bounds = np.cumsum(lengths, dtype=np.int64)
-    rising[bounds[:-1] - 1] = True  # a new key may start lower
-    if not rising.all():
-        at = int(np.argmin(rising)) + 1
-        key = keys[int(np.searchsorted(bounds, at, side="right"))]
-        raise _malformed(path, f"{where}, key {key!r}: doc ordinals not strictly increasing")
-    return PostingTable(doc_ids, keys, _frozen(lengths), ordinals, _frozen(counts))
+    return PostingTable(doc_ids, keys, _frozen(lengths), _frozen(docs), _frozen(counts))
 
 
 def _load_forward(raw: memoryview, path: str | Path) -> tuple[str, ...]:
-    """The doc ids of a ``forward`` section: UTF-8 text, split on newlines, the first non-empty, rising strictly."""
+    """The doc ids of a ``forward`` section: UTF-8 text, split on newlines; an empty section holds none."""
     try:
         text = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise _malformed(path, f"section forward is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    if not text:
-        return ()
-    doc_ids = tuple(text.split("\n"))
-    # The empty string sorts first, so rising ids after a non-empty first one are all non-empty.
-    if not doc_ids[0]:
-        raise _malformed(path, "forward's first doc id is empty")
-    if not all(map(operator.lt, doc_ids, doc_ids[1:])):
-        raise _malformed(path, "forward doc ids are not strictly increasing")
-    return doc_ids
+    return tuple(text.split("\n")) if text else ()
 
 
 def _load_vectors(raw: memoryview, path: str | Path) -> LabelVectors:
-    """The ``vectors`` section: exactly an encoder name, a dim >= 1 and an object of CRC-32s."""
+    """The ``vectors`` section: exactly an encoder name, an integer dim and an object of integer checksums."""
     payload = _parse(raw, path, "section vectors", dict)
     if set(payload) != {"encoder", "dim", "checksums"}:
         raise _malformed(path, "section vectors must hold exactly encoder, dim and checksums")
     encoder_name, dim, checksums = payload["encoder"], payload["dim"], payload["checksums"]
-    if not isinstance(encoder_name, str) or type(dim) is not int or dim < 1:
-        raise _malformed(path, "section vectors needs an encoder name and a dim >= 1")
-    if not isinstance(checksums, dict) or not all(type(crc) is int and 0 <= crc < 2**32 for crc in checksums.values()):
-        raise _malformed(path, "vectors checksums must be an object of integers in [0, 2**32)")
+    if not isinstance(encoder_name, str) or type(dim) is not int:
+        raise _malformed(path, "section vectors needs an encoder name and an integer dim")
+    if not isinstance(checksums, dict) or not all(type(crc) is int for crc in checksums.values()):
+        raise _malformed(path, "vectors checksums must be an object of integers")
     return LabelVectors(encoder_name=encoder_name, dim=dim, checksums=checksums)
 
 
@@ -578,18 +579,18 @@ def load_index(path: str | Path) -> HypercubeIndex:
     """Read a container written by :func:`save_index`.
 
     The CRC is verified before anything is parsed, so truncation or
-    corruption anywhere raises ChecksumMismatch. No per-key object is
-    built: each ``inverted`` section's raw arrays are read with
-    ``np.frombuffer``, checked in whole-array passes and widened to the
-    int32 arrays of a :class:`PostingTable`, and ``doc_ids`` comes from
-    ``forward`` with one decode and one split; label vectors are left
-    for scans to derive.
+    corruption anywhere raises ChecksumMismatch. The loader only parses,
+    building no per-key object: each ``inverted`` section's raw arrays
+    are read with ``np.frombuffer`` and widened to the int32 arrays of a
+    :class:`PostingTable`, ``doc_ids`` comes from ``forward`` with one
+    decode and one split, and label vectors are left for scans to
+    derive; the :class:`HypercubeIndex` gate judges every value, once.
     An unknown magic or version raises FormatVersionMismatch; files of
     versions 1 to 6 must be rebuilt.
     So does a container whose CRC passes but whose content is malformed:
-    a header or section of the wrong shape, a section that
+    a header or section of the wrong shape, a section whose form
     :func:`_load_postings`, :func:`_load_forward` or :func:`_load_vectors`
-    refuses, or content the :class:`HypercubeIndex` gate refuses.
+    refuses, or content the gate refuses.
     """
     try:
         blob = Path(path).read_bytes()
@@ -641,6 +642,6 @@ def load_index(path: str | Path) -> HypercubeIndex:
     inverted = {dim: _load_postings(raw_sections[_INVERTED + dim], dim, doc_ids, path) for dim in dimensions}
     vectors = _load_vectors(raw_sections["vectors"], path) if "vectors" in raw_sections else None
     try:
-        return HypercubeIndex(dimensions=dimensions, inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
+        return HypercubeIndex(inverted=inverted, doc_ids=doc_ids, label_vectors=vectors)
     except ValueError as exc:
         raise _malformed(path, str(exc)) from None

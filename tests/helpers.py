@@ -242,15 +242,15 @@ def count_table_builds(monkeypatch) -> list[int]:
 
 
 def count_derivations(monkeypatch) -> list[tuple]:
-    """Record (encoder name, encoder dim, dimensions) of every ``build_label_vectors`` call."""
+    """Record (encoder name, encoder dim, keys) of every label vector table encoded (``embedding._encode_keys``)."""
     calls: list[tuple] = []
-    original = embedding.build_label_vectors
+    original = embedding._encode_keys
 
-    def counted(vocab, encoder):
-        calls.append((encoder.name, encoder.dim, tuple(sorted(vocab))))
-        return original(vocab, encoder)
+    def counted(keys, encoder):
+        calls.append((encoder.name, encoder.dim, tuple(keys)))
+        return original(keys, encoder)
 
-    monkeypatch.setattr(embedding, "build_label_vectors", counted)
+    monkeypatch.setattr(embedding, "_encode_keys", counted)
     return calls
 
 

@@ -856,7 +856,7 @@ class TestIndexTables:
             for query in _fixture_queries():
                 retrieve(query, ix, trigram, tau=FIXTURE_TAU)
         assert scanned and set(scanned) < set(ix.dimensions)
-        assert sorted(derivations) == sorted(("trigram", trigram.dim, (dim,)) for dim in set(scanned))
+        assert sorted(derivations) == sorted(("trigram", trigram.dim, tuple(ix.vocab[dim])) for dim in set(scanned))
         assert set(ix.label_vectors.by_dimension) == set(scanned)
 
     def test_each_scan_is_one_call_and_one_encode(self, tmp_path, monkeypatch):

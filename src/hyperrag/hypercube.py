@@ -162,19 +162,18 @@ class HypercubeIndex:
     index passes through, is the one statement of what one may hold
     (ValueError): names as :func:`_check_dimensions` says; doc ids rising
     strictly from a non-empty first one; per table, the index's
-    ``doc_ids``, keys rising strictly and :func:`_all_normalized`, lengths
-    (each >= 1, one per key) that partition the postings, ordinals that
-    index ``doc_ids`` and rise within a key, and counts from 1 to
-    ``MAX_COUNT``; and vectors with a UTF-8 encoder name, a dim >= 1 and
-    a checksum in [0, 2**32) per dimension.
+    ``doc_ids``, keys rising strictly and :func:`_all_normalized`, integer
+    arrays of lengths (each >= 1, one per key) that partition the
+    postings, ordinals that index ``doc_ids`` and rise within a key, and
+    counts from 1 to ``MAX_COUNT``; and vectors with a UTF-8 encoder
+    name, a dim >= 1 and a checksum in [0, 2**32) per dimension.
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
     copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
-    ``phrase_table`` (the first-token table over every key) are derived
+    ``phrase_table`` (first token -> token counts of the keys starting
+    with it, with which the matcher probes ``phrase_dims``) are derived
     from ``inverted`` once per index, in ``__post_init__``; none of the
-    three is saved. Both are derived in whole-dict passes: one
-    ``dict.fromkeys`` per dimension, in sorted dimension order, then a
-    fix-up of only the keys several dimensions share.
+    three is saved.
     ``label_vectors`` names the build encoder, the only one the index
     answers to, and checksums each dimension's table.
     """
@@ -235,6 +234,8 @@ def _check_dimensions(dims: tuple[Dimension, ...]) -> None:
 
 
 def _check_range(array: np.ndarray, low: int, high: int, what: str) -> None:
+    if not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{what} has dtype {array.dtype}, not an integer one")
     if len(array) and (array.min() < low or array.max() > high):
         raise ValueError(f"{what} holds a value outside [{low}, {high}]")
 

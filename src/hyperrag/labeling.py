@@ -22,9 +22,7 @@ import re
 import string
 import unicodedata
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Mapping
 
@@ -47,8 +45,8 @@ CANONICAL_DIMENSIONS: tuple[Dimension, ...] = (
 # Trailing runs of sentence punctuation and whitespace, removed from keys.
 _TRAILING_JUNK = re.compile(r"[\s.,;:!?]+$")
 
-# First token -> the phrases starting with it, longest first (see _phrase_table).
-PhraseTable = dict[str, tuple[tuple[str, ...], ...]]
+# First token -> the distinct token counts of the phrases starting with it, longest first (see _phrase_table).
+PhraseTable = dict[str, tuple[int, ...]]
 
 # Characters stripped from both ends of a text token (but kept inside it,
 # so "4-8" and "fay's" survive intact).
@@ -239,15 +237,14 @@ class LabelAssignment(Mapping[str, DocLabels]):
 
 
 def _gazetteer_key(phrase: str) -> str:
-    """Normalized key of a gazetteer phrase; ValueError unless it has 1-8 tokens and no lone surrogate."""
+    """Normalized key of a gazetteer phrase; ValueError if it holds a lone surrogate, or if it is
+    not 1-8 :func:`tokenize` tokens joined by spaces (no text could match it)."""
     key = normalize_label(phrase)
-    if not key:
-        raise ValueError(f"gazetteer phrase {phrase!r} normalizes to empty")
     if not _is_text(key):
         raise ValueError(f"gazetteer phrase {phrase!r} holds a lone surrogate, which is not valid Unicode text")
-    n_tokens = len(key.split())
-    if n_tokens > 8:
-        raise ValueError(f"gazetteer phrase {phrase!r} has {n_tokens} tokens (allowed 1..8)")
+    tokens = tokenize(key)
+    if " ".join(tokens) != key or not 1 <= len(tokens) <= 8:
+        raise ValueError(f"gazetteer phrase {phrase!r} tokenizes to {tokens}, not 1-8 tokens that join to {key!r}")
     return key
 
 
@@ -258,12 +255,15 @@ class Gazetteer:
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
     Any dimension name is held; :func:`~hyperrag.hypercube.build_index`
-    refuses a label of a dimension its index does not take.
-    ``tables`` holds one matcher table per non-empty dimension, in sorted
-    dimension order, and ``dims_by_first_token`` maps each token at which
-    some phrase can start to the dimensions, in that order, whose tables
-    hold it. Both are derived from ``entries`` once, on construction, and
-    shared by every document extracted.
+    refuses a label of a dimension its index does not take. A phrase
+    :func:`tokenize` changes, such as ``"(rain)"``, matches no text:
+    :meth:`from_phrases` and :func:`load_gazetteer` refuse it.
+    ``tables`` holds one :func:`match_phrases` table per non-empty
+    dimension, in sorted dimension order, probed against ``entries[dim]``,
+    and ``dims_by_first_token`` maps each token at which some phrase can
+    start to the dimensions, in that order, whose tables hold it. Both
+    are derived from ``entries`` once, on construction, and shared by
+    every document extracted.
     """
 
     entries: dict[Dimension, frozenset[str]]
@@ -312,26 +312,19 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
 
 
 def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
-    """Index distinct phrases by first token, longest first, then in token order, for the matcher.
+    """Map the first token of distinct normalized phrases to their token counts, longest first.
 
-    Built in whole-collection passes: every phrase is split by one
-    ``map`` and a dict of one-phrase groups is made in one call; only the
-    phrases whose first token others share are then sorted, all at once,
-    and regrouped. Callers build it once per phrase set (per index, per
-    gazetteer) and never once per text scanned.
+    One pass: a normalized phrase holds single inner spaces, so its
+    first token and token count are read without splitting it. Callers
+    build it once per phrase set (per index, per gazetteer) and never
+    once per text scanned.
     """
-    tokens = list(map(tuple, map(str.split, phrases)))
-    firsts = list(map(itemgetter(0), tokens))
-    table = dict(zip(firsts, zip(tokens)))
-    if len(table) < len(tokens):
-        shared = {first for first, n in Counter(firsts).items() if n > 1}
-        # Token order, then (a stable sort) longest first.
-        multi = sorted(toks for toks in tokens if toks[0] in shared)
-        multi.sort(key=len, reverse=True)
-        groups: dict[str, list[tuple[str, ...]]] = {first: [] for first in shared}
-        for toks in multi:
-            groups[toks[0]].append(toks)
-        table.update(zip(groups, map(tuple, groups.values())))
+    table: PhraseTable = {}
+    for phrase in phrases:
+        first, n = phrase.partition(" ")[0], phrase.count(" ") + 1
+        counts = table.get(first, ())
+        if n not in counts:
+            table[first] = tuple(sorted((*counts, n), reverse=True))
     return table
 
 
@@ -341,27 +334,30 @@ def phrase_starts(tokens: list[str], first_tokens: Container[str]) -> list[int]:
 
 
 def match_phrases(
-    tokens: list[str], starts: Iterable[int], table: PhraseTable
-) -> list[tuple[int, tuple[str, ...]]]:
+    tokens: list[str], starts: Iterable[int], table: PhraseTable, keys: Container[str]
+) -> list[tuple[int, int, str]]:
     """Longest-match-wins, non-overlapping scan of a token sequence.
 
-    Left to right, the longest phrase starting at a position is claimed
-    and the scan resumes past its end. Only the positions in ``starts``
-    are tried: they must ascend and include every position whose token
-    is a key of ``table`` (any superset, such as :func:`phrase_starts`
-    over a union of tables, gives the same hits), since no phrase begins
-    anywhere else. Returns (start position, phrase tokens) pairs in scan
-    order.
+    Left to right, at each position ``i`` of ``starts`` past the last
+    match, the counts ``n`` that ``table`` lists for ``tokens[i]`` are
+    probed longest first and the first with ``i + n <= len(tokens)`` and
+    ``" ".join(tokens[i : i + n])`` in ``keys`` (the phrases ``table``
+    was built from) is claimed; a token holds no whitespace, so only a
+    key's own tokens join to it, and the end guard keeps a slice past the
+    last token from joining to a shorter key. ``starts`` must ascend and
+    include every position whose token is a key of ``table`` (any
+    superset, such as :func:`phrase_starts` over a union of tables, gives
+    the same hits). Returns (start, token count, key) triples in scan order.
     """
-    hits: list[tuple[int, tuple[str, ...]]] = []
+    hits: list[tuple[int, int, str]] = []
     end = 0
     for i in starts:
         if i < end:
             continue
-        for cand in table.get(tokens[i], ()):
-            if tuple(tokens[i : i + len(cand)]) == cand:
-                hits.append((i, cand))
-                end = i + len(cand)
+        for n in table.get(tokens[i], ()):
+            if i + n <= len(tokens) and (key := " ".join(tokens[i : i + n])) in keys:
+                hits.append((i, n, key))
+                end = i + n
                 break
     return hits
 
@@ -382,9 +378,8 @@ def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimensi
     # count is summed here and added as one record.
     counts: dict[tuple[Dimension, str], int] = {}
     for dim, table in gazetteer.tables.items():
-        for _pos, phrase_tokens in match_phrases(tokens, starts.get(dim, ()), table):
-            pair = (dim, " ".join(phrase_tokens))
-            counts[pair] = counts.get(pair, 0) + 1
+        for _pos, _n, key in match_phrases(tokens, starts.get(dim, ()), table, gazetteer.entries[dim]):
+            counts[(dim, key)] = counts.get((dim, key), 0) + 1
     return counts
 
 
@@ -399,7 +394,8 @@ def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
     one dimension never overlap. The occurrence count of a label is its
     number of matches. Phrases from different dimensions may overlap
     freely (each dimension scans independently). The per-dimension
-    tables are the gazetteer's own, built once per gazetteer. A document
+    tables are the gazetteer's own, built once per gazetteer and probed
+    against the dimension's phrases (:func:`match_phrases`). A document
     costs one tokenize and one pass that hands each position whose token
     starts some phrase to the dimensions that have a phrase starting
     with it (``dims_by_first_token``); each dimension then visits only

@@ -229,9 +229,8 @@ def decompose_query(
     ordered: list[tuple[tuple, QueryComponent]] = []
     consumed = [False] * len(tokens)
     starts = phrase_starts(tokens, ix.phrase_table)
-    for pos, phrase_tokens in match_phrases(tokens, starts, ix.phrase_table):
-        key = " ".join(phrase_tokens)
-        for span in range(pos, pos + len(phrase_tokens)):
+    for pos, n, key in match_phrases(tokens, starts, ix.phrase_table, ix.phrase_dims):
+        for span in range(pos, pos + n):
             consumed[span] = True
         for dim in ix.phrase_dims[key]:
             ordered.append(((pos, key, dim), QueryComponent(dimension=dim, text=key, key=key)))

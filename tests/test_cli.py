@@ -225,6 +225,24 @@ class TestBuild:
         assert code == 2
         assert "line 2: malformed record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phrase", ["(rain)", "storm - surge", '"fay"'])
+    def test_gazetteer_phrase_no_text_can_match_is_data_error(self, fixture_files, tmp_path, capsys, phrase):
+        gazetteer = write_jsonl(
+            tmp_path / "gaz.jsonl",
+            [{"dim": "THEME", "phrase": "rain"}, {"dim": "THEME", "phrase": phrase}],
+        )
+        code = main(
+            [
+                "build",
+                "--corpus", str(fixture_files["corpus"]),
+                "--gazetteer", str(gazetteer),
+                "--out", str(fixture_files["index"]),
+            ]
+        )
+        assert code == 2
+        assert "line 2: malformed record" in capsys.readouterr().err
+        assert not fixture_files["index"].exists()
+
     def test_invalid_utf8_corpus_is_data_error(self, fixture_files, tmp_path, capsys):
         corpus = tmp_path / "latin1.jsonl"
         corpus.write_bytes(b'{"id": "565", "text": "Melbourne Beach"}\n{"id": "246", "text": "Florida caf\xe9"}\n')

@@ -586,8 +586,11 @@ def _hand_built(
     doc_ids=("a", "b"), keys=("rain", "wind"), lengths=(1, 2), ordinals=(1, 0, 1), counts=(1, 2, 3),
     table_ids=None, dim=16, checksum=0,
 ) -> dict:
-    """The fields of a hand-built one-dimension index: THEME's "rain" holds doc "b", "wind" holds both."""
-    arrays = (np.array(values, dtype=np.int64) for values in (lengths, ordinals, counts))
+    """The fields of a hand-built one-dimension index: THEME's "rain" holds doc "b", "wind" holds both.
+
+    Arrays are taken as given; other values become int64 arrays.
+    """
+    arrays = (np.asarray(values, dtype=getattr(values, "dtype", np.int64)) for values in (lengths, ordinals, counts))
     table = hypercube_mod.PostingTable(doc_ids if table_ids is None else table_ids, list(keys), *arrays)
     return {
         "inverted": {"THEME": table},
@@ -609,6 +612,8 @@ GATE_REFUSES = {
     "ordinals_falling": ({"ordinals": (1, 1, 0)}, "key 'wind': ordinals not strictly increasing"),
     "ordinals_repeating": ({"ordinals": (1, 0, 0)}, "key 'wind': ordinals not strictly increasing"),
     "count_zero": ({"counts": (1, 0, 3)}, re.escape(f"counts holds a value outside [1, {MAX_COUNT}]")),
+    "ordinals_float": ({"ordinals": np.array([1.0, 0.0, 1.0])}, "ordinals has dtype float64, not an integer one"),
+    "counts_float": ({"counts": np.array([1.0, 2.0, 3.0])}, "counts has dtype float64, not an integer one"),
     "count_2_31": ({"counts": (1, 2**31, 3)}, re.escape(f"counts holds a value outside [1, {MAX_COUNT}]")),
     "length_zero": ({"lengths": (0, 3)}, re.escape("lengths holds a value outside [1, 3]")),
     "lengths_sum_short": ({"lengths": (1, 1)}, "lengths sum to 2, over 3/3 postings"),
@@ -667,7 +672,8 @@ def _hand_built_fields(draw) -> dict:
             lengths = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
         ordinals = [ordinal for run in runs for ordinal in run]
         counts = [draw(st.sampled_from([0, MAX_COUNT, 2**31]) if raw() else st.integers(1, 3)) for _o in ordinals]
-        arrays = (np.array(values, dtype=np.int64) for values in (lengths, ordinals, counts))
+        dtypes = [np.float64 if raw() else np.int64 for _array in range(3)]
+        arrays = (np.array(values, dtype=dtype) for values, dtype in zip((lengths, ordinals, counts), dtypes))
         inverted[" " if raw() else dim] = hypercube_mod.PostingTable(("a", "c") if raw() else doc_ids, keys, *arrays)
     vectors = None
     if draw(st.booleans()):

@@ -215,6 +215,23 @@ class TestGazetteerType:
             build_index(corpus, extract_all(corpus, gaz))
         assert excinfo.value.name == "FLAVOR"
 
+    @pytest.mark.parametrize("phrase", ["(rain)", "storm - surge", '"fay"', "rain (heavy"])
+    def test_phrase_tokenize_would_change_rejected(self, phrase):
+        # tokenize strips the punctuation around a token, so not even this text matches such a key.
+        doc = Document(id="d", text='Heavy (rain) and storm - surge from "Fay"')
+        unchecked = Gazetteer(entries={"THEME": frozenset({normalize_label(phrase)})})
+        assert extract_one(doc, unchecked).counts == {}
+        with pytest.raises(ValueError, match="not 1-8 tokens that join to"):
+            Gazetteer.from_phrases({"THEME": [phrase]})
+
+    def test_load_gazetteer_names_the_line_of_a_phrase_no_text_can_match(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "gaz.jsonl", [{"dim": "THEME", "phrase": "rain"}, {"dim": "THEME", "phrase": "(rain)"}]
+        )
+        with pytest.raises(MalformedRecord, match=r"'\(rain\)' tokenizes to \['rain'\]") as excinfo:
+            load_gazetteer(path)
+        assert excinfo.value.line_no == 2
+
     def test_phrase_with_lone_surrogate_rejected(self):
         with pytest.raises(ValueError, match="lone surrogate"):
             Gazetteer.from_phrases({"THEME": ["rain\ud800"]})

@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FIXTURE_TAU,
@@ -16,13 +18,14 @@ from helpers import (
     random_labeled_corpus,
     write_jsonl,
 )
-from oracles import brute_retrieve, brute_score, py_cosine
+from oracles import brute_longest_match, brute_retrieve, brute_score, py_cosine
 from hyperrag import (
     CANONICAL_DIMENSIONS,
     Corpus,
     DocLabels,
     Document,
     ExternalDecompositions,
+    LabelAssignment,
     PrecomputedVectorEncoder,
     QueryComponent,
     TrigramEncoder,
@@ -39,6 +42,7 @@ from hyperrag import (
     save_index,
 )
 from hyperrag import retrieval as retrieval_mod
+from hyperrag.labeling import match_phrases, tokenize
 from hyperrag.retrieval import (
     EXACT,
     SEMANTIC,
@@ -67,6 +71,18 @@ def _kept_components(result):
     components = result.decomposition.components
     assert [(m.dimension, m.component) for m in result.matches] == [(c.dimension, c.key) for c in components]
     return components
+
+
+@st.composite
+def _prefix_keys_and_query(draw) -> tuple[list[tuple[str, str]], str]:
+    """(dimension, key) labels, some keys prefixes of others, and a query ending on a prefix of one."""
+    keys = draw(st.lists(st.lists(st.sampled_from(["aa", "bb", "cc"]), min_size=1, max_size=4), min_size=1, max_size=5))
+    keys += [key[:n] for key in keys for n in range(1, len(key)) if draw(st.booleans())]
+    dims = st.sampled_from(["LOCATION", "EVENT", "THEME"])
+    labels = [(draw(dims), " ".join(key)) for key in keys for _dim in range(draw(st.integers(1, 2)))]
+    tail = draw(st.sampled_from(keys))
+    head = draw(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "then"]), max_size=6))
+    return labels, " ".join(head + tail[: draw(st.integers(1, len(tail)))])
 
 
 class TestDecomposeQuery:
@@ -136,6 +152,26 @@ class TestDecomposeQuery:
         assert [(c.dimension, c.key) for c in _kept_components(result)] == [
             ("LOCATION", "florida")
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_prefix_keys_and_query())
+    @example(case=([("THEME", "aa bb"), ("THEME", "aa bb cc")], "then aa bb"))
+    def test_phrase_components_equal_brute_longest_match(self, case):
+        # Keys that are prefixes of others, in a query ending on a key's
+        # prefix, make the matcher probe token counts past the last token.
+        labels, query = case
+        assignment = LabelAssignment()
+        for dim, key in labels:
+            assignment.add("d", dim, key)
+        ix = build_index(Corpus([Document(id="d", text="x")]), assignment)
+        tokens = tokenize(query)
+        hits = brute_longest_match(tokens, ix.phrase_dims)
+        triples = match_phrases(tokens, range(len(tokens)), ix.phrase_table, ix.phrase_dims)
+        assert triples == [(pos, len(key.split()), key) for pos, key in hits]
+        # A fallback candidate is never a key: the matcher would have claimed it.
+        expected = dict.fromkeys((dim, key) for _pos, key in hits for dim in ix.phrase_dims[key])
+        components = decompose_query(query, ix).components
+        assert [(c.dimension, c.key) for c in components if c.key in ix.phrase_dims] == list(expected)
 
     def test_external_file_lookup(self, hurricane_index, tmp_path):
         path = write_jsonl(
@@ -969,4 +1005,7 @@ class TestIndexTables:
                     expected.setdefault(key, set()).add(dim)
             assert {key: set(dims) for key, dims in ix.phrase_dims.items()} == expected
             assert all(list(dims) == sorted(dims) for dims in ix.phrase_dims.values())
-            assert {" ".join(toks) for cands in ix.phrase_table.values() for toks in cands} == set(expected)
+            # Each key's token count is listed under its first token, longest first, and nothing else is.
+            listed = {(first, n) for first, counts in ix.phrase_table.items() for n in counts}
+            assert listed == {(key.split()[0], len(key.split())) for key in expected}
+            assert all(all(map(int.__gt__, counts, counts[1:])) for counts in ix.phrase_table.values())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ DEFAULT_EMBED_DIM = 256
 DEFAULT_TAU = 0.9
 _EPS = 2.0**-52  # the gap between 1.0 and the next float
 _SUBNORMAL = 2.0**-1074  # the smallest float above zero
+_TRIGRAM_MEMO_ENTRIES = 2**14  # the most trigrams one TrigramEncoder's memo holds
 
 
 @runtime_checkable
@@ -63,6 +65,18 @@ class TrigramEncoder:
     normalization, for text holding a lone surrogate (which has no
     UTF-8 bytes to hash), or in the degenerate case where signed buckets
     cancel to an exact zero vector.
+
+    Each encoder keeps a memo from trigram to its ``(bucket, sign)``, so
+    a trigram is hashed once however many texts hold it. The memo takes
+    the first ``_TRIGRAM_MEMO_ENTRIES`` (2**14) distinct trigrams it
+    hashes and no more; at about 150 bytes an entry that is about
+    2.5 MiB at worst. A trigram with a lone surrogate raises before it
+    is stored. ``dim`` is read-only, so the memo's buckets are always
+    this encoder's. The memo only saves work: ``encode`` stays a pure
+    function of its text, the same bits with the memo cold or warm.
+    Concurrent encodes need no lock: an entry depends on its trigram
+    alone, so a race stores the same value twice, and can take the memo
+    past its bound by at most one entry per other thread.
     """
 
     name = "trigram"
@@ -70,28 +84,45 @@ class TrigramEncoder:
     def __init__(self, dim: int = DEFAULT_EMBED_DIM):
         if dim < 1:
             raise ValueError("embedding dim must be >= 1")
-        self.dim = dim
+        self._dim = dim
+        self._memo: dict[str, tuple[int, int]] = {}
+
+    @property
+    def dim(self) -> int:
+        return self._dim
 
     def encode(self, text: str) -> np.ndarray:
         key = normalize_label(text)
         if len(key) < 3:
             raise UnencodableText(text)
-        dim = self.dim
+        memo = self._memo
         counts: dict[int, int] = {}
-        try:
-            for i in range(len(key) - 2):
-                tri = key[i : i + 3].encode("utf-8")
-                bucket = zlib.crc32(tri) % dim
-                counts[bucket] = counts.get(bucket, 0) + (1 if zlib.crc32(tri, 1) & 1 else -1)
-        except UnicodeEncodeError:
-            raise UnencodableText(text, reason="it holds a lone surrogate, which UTF-8 cannot encode") from None
-        norm = math.sqrt(sum(count * count for count in counts.values()))
+        for i in range(len(key) - 2):
+            tri = key[i : i + 3]
+            hashed = memo.get(tri)
+            if hashed is None:
+                hashed = self._hash(tri, text)
+            bucket, sign = hashed
+            counts[bucket] = counts.get(bucket, 0) + sign
+        signed = list(counts.values())
+        norm = math.sqrt(sum(map(operator.mul, signed, signed)))
         if norm == 0.0:
             raise UnencodableText(text, reason="signed trigram buckets cancel to a zero vector")
-        values = np.zeros(dim, dtype=np.float64)
+        values = np.zeros(self._dim, dtype=np.float64)
         for bucket, count in counts.items():
             values[bucket] = count / norm
         return values
+
+    def _hash(self, tri: str, text: str) -> tuple[int, int]:
+        """The bucket and sign of one trigram of ``text``, stored in the memo while it has room."""
+        try:
+            raw = tri.encode("utf-8")
+        except UnicodeEncodeError:
+            raise UnencodableText(text, reason="it holds a lone surrogate, which UTF-8 cannot encode") from None
+        hashed = (zlib.crc32(raw) % self._dim, 1 if zlib.crc32(raw, 1) & 1 else -1)
+        if len(self._memo) < _TRIGRAM_MEMO_ENTRIES:
+            self._memo[tri] = hashed
+        return hashed
 
 
 class PrecomputedVectorEncoder:

@@ -18,7 +18,6 @@ writer appends one record per label, held in integer columns, which
 
 from __future__ import annotations
 
-import re
 import string
 import unicodedata
 from array import array
@@ -42,9 +41,6 @@ CANONICAL_DIMENSIONS: tuple[Dimension, ...] = (
     "THEME",
 )
 
-# Trailing runs of sentence punctuation and whitespace, removed from keys.
-_TRAILING_JUNK = re.compile(r"[\s.,;:!?]+$")
-
 # First token -> the distinct token counts of the phrases starting with it, longest first (see _phrase_table).
 PhraseTable = dict[str, tuple[int, ...]]
 
@@ -61,13 +57,17 @@ def normalize_label(surface: str) -> str:
     sentence punctuation. Idempotent by construction (iterated to a
     fixed point). All-punctuation input normalizes to the empty string,
     which callers must reject.
+
+    The terminal strip is ``rstrip(" .,;:!?")``, and it removes exactly
+    what the regex ``[\\s.,;:!?]+$`` would: after the collapse the only
+    whitespace left is a single space between words, so the maximal
+    trailing run of whitespace and punctuation is a run of those seven
+    characters, and no trailing newline is left for ``$`` to stop before.
     """
     s = surface
     for _ in range(4):
         prev = s
-        s = unicodedata.normalize("NFC", s.casefold())
-        s = " ".join(s.split())
-        s = _TRAILING_JUNK.sub("", s)
+        s = " ".join(unicodedata.normalize("NFC", s.casefold()).split()).rstrip(" .,;:!?")
         if s == prev:
             break
     return s
@@ -102,13 +102,7 @@ def tokenize(text: str) -> list[str]:
     shared tokenizer for gazetteer matching, query decomposition and the
     BM25 baseline, so phrase matches are always token-boundary anchored.
     """
-    folded = unicodedata.normalize("NFC", text.casefold())
-    tokens = []
-    for raw in folded.split():
-        tok = raw.strip(_TOKEN_STRIP)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [tok for raw in unicodedata.normalize("NFC", text.casefold()).split() if (tok := raw.strip(_TOKEN_STRIP))]
 
 
 @dataclass(frozen=True)
@@ -248,6 +242,34 @@ def _gazetteer_key(phrase: str) -> str:
     return key
 
 
+def _all_gazetteer_keys(keys: list[str]) -> bool:
+    """Whether every key is its own :func:`_gazetteer_key`, tested on all keys at once.
+
+    Keys that pass :func:`_all_normalized` hold single inner spaces and
+    no other whitespace, so ``key.split(" ")`` is what :func:`tokenize`
+    splits a key into, and it keeps the key exactly when stripping
+    leaves each of those tokens whole. The tokens of every key are
+    checked in one list.
+    """
+    tokens = " ".join(keys).split(" ")
+    return (
+        _all_normalized(keys)
+        and all(key.count(" ") < 8 for key in keys)
+        and [token.strip(_TOKEN_STRIP) for token in tokens] == tokens
+    )
+
+
+def _refuse_entries(dim: Dimension, keys: Iterable[str]) -> None:
+    """Raise ValueError naming ``dim`` and its first key (sorted) that is not its own :func:`_gazetteer_key`."""
+    for key in sorted(keys):
+        try:
+            normalized = _gazetteer_key(key)
+        except ValueError as exc:
+            raise ValueError(f"gazetteer dimension {dim!r}: {exc}") from None
+        if normalized != key:
+            raise ValueError(f"gazetteer dimension {dim!r}: phrase {key!r} is not normalized ({normalized!r})")
+
+
 @dataclass(frozen=True)
 class Gazetteer:
     """Per-dimension phrase lists, stored in normalized form.
@@ -257,7 +279,12 @@ class Gazetteer:
     Any dimension name is held; :func:`~hyperrag.hypercube.build_index`
     refuses a label of a dimension its index does not take. A phrase
     :func:`tokenize` changes, such as ``"(rain)"``, matches no text:
-    :meth:`from_phrases` and :func:`load_gazetteer` refuse it.
+    :meth:`from_phrases` and :func:`load_gazetteer` refuse it, naming
+    the phrase or its line. Construction refuses, with a ValueError
+    naming the dimension and the phrase, any entry that is not already
+    what they would make of it: one that is not normalized, holds a
+    lone surrogate, or is not 1-8 :func:`tokenize` tokens joined by
+    single spaces.
     ``tables`` holds one :func:`match_phrases` table per non-empty
     dimension, in sorted dimension order, probed against ``entries[dim]``,
     and ``dims_by_first_token`` maps each token at which some phrase can
@@ -271,6 +298,9 @@ class Gazetteer:
     dims_by_first_token: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for dim, keys in self.entries.items():
+            if not _all_gazetteer_keys(list(keys)):
+                _refuse_entries(dim, keys)
         tables = {dim: _phrase_table(self.entries[dim]) for dim in sorted(self.entries) if self.entries[dim]}
         dims_by_first_token: dict[str, tuple[Dimension, ...]] = {}
         for dim, table in tables.items():

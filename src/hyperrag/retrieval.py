@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -55,11 +56,31 @@ STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QueryComponent:
+    """One dimension-tagged piece of a query.
+
+    ``text`` is the piece as the query or an external decomposition
+    spelled it, and ``key`` its :func:`~hyperrag.labeling.normalize_label`
+    form, the string matched against the dimension's labels.
+    """
+
     dimension: Dimension
     text: str
     key: str
+
+    def __init__(self, dimension: Dimension, text: str, key: str):
+        # Stored through the slots' own setters, as MatchEvidence does: a
+        # query builds one instance per candidate, and the generated frozen
+        # __init__ goes through object.__setattr__.
+        _set_component_dimension(self, dimension)
+        _set_component_text(self, text)
+        _set_component_key(self, key)
+
+
+_set_component_dimension, _set_component_text, _set_component_key = (
+    QueryComponent.__dict__[f.name].__set__ for f in fields(QueryComponent)
+)
 
 
 @dataclass
@@ -186,14 +207,11 @@ class ExternalDecompositions:
 
 
 def _dedupe(components: Iterable[QueryComponent]) -> list[QueryComponent]:
-    seen: set[tuple[str, str]] = set()
-    out = []
+    """The first component of each (dimension, key), in the order first seen."""
+    first: dict[tuple[str, str], QueryComponent] = {}
     for comp in components:
-        pair = (comp.dimension, comp.key)
-        if pair not in seen:
-            seen.add(pair)
-            out.append(comp)
-    return out
+        first.setdefault((comp.dimension, comp.key), comp)
+    return list(first.values())
 
 
 def decompose_query(
@@ -255,7 +273,7 @@ def decompose_query(
             if key and key not in STOPWORDS:
                 ordered.append(((pos, key, "THEME"), QueryComponent("THEME", text, key)))
 
-    ordered.sort(key=lambda item: item[0])
+    ordered.sort(key=itemgetter(0))
     return QueryDecomposition(query_id=query_id, components=_dedupe(c for _sort_key, c in ordered))
 
 
@@ -445,9 +463,10 @@ def retrieve(
     t1 = time.perf_counter_ns()
     matches = [match_component(comp, ix, encoder, tau) for comp in decomposition.components]
     if external is None:
-        kept = [(comp, m) for comp, m in zip(decomposition.components, matches) if m.kind != UNMATCHED]
-        decomposition.components = [comp for comp, _m in kept]
-        matches = [m for _comp, m in kept]
+        kept = [i for i, m in enumerate(matches) if m.kind != UNMATCHED]
+        components = decomposition.components
+        decomposition.components = [components[i] for i in kept]
+        matches = [matches[i] for i in kept]
     t2 = time.perf_counter_ns()
     ranked = rank(score_documents(matches, ix), matches, k)
     t3 = time.perf_counter_ns()

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import unicodedata
 import zlib
 from dataclasses import replace
 
 import numpy as np
 
-from hyperrag import DocLabels, MalformedRecord, MatchEvidence, ScoredDoc, UnencodableText, normalize_label
+from hyperrag import DocLabels, MalformedRecord, MatchEvidence, ScoredDoc, UnencodableText
 from hyperrag.labeling import tokenize
 
 
@@ -26,18 +28,40 @@ def py_cosine(a, b) -> float:
     return min(1.0, max(-1.0, py_dot(a, b)))
 
 
+_TRAILING_JUNK = re.compile(r"[\s.,;:!?]+$")
+
+
+def brute_normalize_label(surface: str) -> str:
+    """normalize_label as a regex: case fold, NFC, collapse whitespace, then
+    drop the trailing run of whitespace and sentence punctuation, repeated
+    until nothing changes (at most four rounds).
+    """
+    s = surface
+    for _ in range(4):
+        prev = s
+        s = unicodedata.normalize("NFC", s.casefold())
+        s = " ".join(s.split())
+        s = _TRAILING_JUNK.sub("", s)
+        if s == prev:
+            break
+    return s
+
+
 def numpy_trigram_encode(text: str, dim: int) -> np.ndarray:
     """TrigramEncoder's formula term by term: one float add per trigram into
     its bucket, then division by ``np.linalg.norm``.
 
     Raises UnencodableText, with the encoder's message, where it does.
     """
-    key = normalize_label(text)
+    key = brute_normalize_label(text)
     if len(key) < 3:
         raise UnencodableText(text)
     values = np.zeros(dim, dtype=np.float64)
     for i in range(len(key) - 2):
-        tri = key[i : i + 3].encode("utf-8")
+        try:
+            tri = key[i : i + 3].encode("utf-8")
+        except UnicodeEncodeError:
+            raise UnencodableText(text, reason="it holds a lone surrogate, which UTF-8 cannot encode") from None
         values[zlib.crc32(tri) % dim] += 1.0 if zlib.crc32(tri, 1) & 1 else -1.0
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
@@ -114,11 +138,9 @@ def brute_retrieve(
     Components are normalized and deduplicated by (dimension, key), the
     same contract a query decomposition guarantees.
     """
-    from hyperrag import normalize_label
-
     unique: list[tuple[str, str]] = []
     for dim, text in components:
-        pair = (dim, normalize_label(text))
+        pair = (dim, brute_normalize_label(text))
         if pair[1] and pair not in unique:
             unique.append(pair)
     components = unique
@@ -209,7 +231,7 @@ def brute_merge(records: list[dict]) -> dict[str, dict[tuple[str, str], int]]:
     out: dict[str, dict[tuple[str, str], int]] = {}
     for record in records:
         counts = out.setdefault(record["doc_id"], {})
-        pair = (record["dim"], normalize_label(record["label"]))
+        pair = (record["dim"], brute_normalize_label(record["label"]))
         counts[pair] = counts.get(pair, 0) + record.get("count", 1)
     return out
 

@@ -37,6 +37,7 @@ from hyperrag import (
     save_index,
     semantic_neighbors,
 )
+from hyperrag import embedding
 
 
 def index_over_vocab(keys, encoder=None, dim="THEME"):
@@ -145,6 +146,58 @@ class TestTrigramEncoder:
             assert str(excinfo.value) == str(exc)
         else:
             assert TrigramEncoder(dim).encode(text).tobytes() == expected.tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(st.text(_ENCODE_ALPHABET, max_size=24), st.text(_ENCODE_ALPHABET, min_size=3, max_size=3)),
+            max_size=30,
+        ),
+        st.sampled_from([1, 16, 256]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_warm_memo_bits_equal_numpy_formula(self, texts, dim):
+        # One encoder over a stream of texts, so later texts read trigrams the earlier ones stored.
+        encoder = TrigramEncoder(dim)
+        for text in texts + texts:
+            try:
+                expected = numpy_trigram_encode(text, dim)
+            except UnencodableText as exc:
+                with pytest.raises(UnencodableText) as excinfo:
+                    encoder.encode(text)
+                assert str(excinfo.value) == str(exc)
+            else:
+                assert encoder.encode(text).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["rain\udcff", "\ud800abc", "ab\udfffcd", "rainfall totals\udcff"])
+    def test_lone_surrogate_raises_from_warm_memo_and_stores_nothing_of_it(self, text):
+        encoder = TrigramEncoder(256)
+        encoder.encode("rainfall totals")
+        for _ in range(2):
+            with pytest.raises(UnencodableText) as excinfo:
+                encoder.encode(text)
+            with pytest.raises(UnencodableText) as oracle:
+                numpy_trigram_encode(text, 256)
+            assert str(excinfo.value) == str(oracle.value)
+            assert not any("\ud800" <= ch <= "\udfff" for tri in encoder._memo for ch in tri)
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_TRIGRAM_MEMO_ENTRIES", 5)
+        encoder = TrigramEncoder(16)
+        texts = ["abcdefgh", "stuvwxyz", "rainfall", "abcdefgh"]
+        for text in texts:
+            assert encoder.encode(text).tobytes() == numpy_trigram_encode(text, 16).tobytes()
+            assert len(encoder._memo) <= 5
+        assert list(encoder._memo) == ["abc", "bcd", "cde", "def", "efg"]
+
+    def test_memos_of_different_dims_keep_their_own_buckets(self):
+        small, large = TrigramEncoder(3), TrigramEncoder(256)
+        for text in ["rainfall", "rainfall", "storm rain"]:
+            assert small.encode(text).tobytes() == numpy_trigram_encode(text, 3).tobytes()
+            assert large.encode(text).tobytes() == numpy_trigram_encode(text, 256).tobytes()
+        assert {bucket for bucket, _sign in small._memo.values()} <= {0, 1, 2}
+        assert max(bucket for bucket, _sign in large._memo.values()) > 2
+        with pytest.raises(AttributeError):
+            small.dim = 256
 
     def test_hurricane_mini_checksums_pinned(self):
         corpus = load_corpus(HURRICANE_MINI / "corpus.jsonl")

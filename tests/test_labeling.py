@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HURRICANE_MINI, assignment_of, count_table_builds, write_escaped_jsonl, write_jsonl
-from oracles import brute_longest_match, brute_merge, brute_postings, substring_occurrences
+from oracles import brute_longest_match, brute_merge, brute_normalize_label, brute_postings, substring_occurrences
 from hyperrag import (
     CANONICAL_DIMENSIONS,
     Corpus,
@@ -34,6 +34,13 @@ from hyperrag.hypercube import MAX_COUNT
 from hyperrag.labeling import load_gazetteer, tokenize
 
 
+# Unicode whitespace (str.split and the regex \s both take these), the
+# sentence punctuation normalization strips, letters that case folding or
+# NFC changes (to two characters, or composed with a combining mark), and
+# the combining marks themselves.
+_NORMALIZE_ALPHABET = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000" ".,;:!?" "aAẞÅﬁİǺ" "\u0301\u030a"
+
+
 class TestNormalizeLabel:
     @pytest.mark.parametrize(
         "surface,expected",
@@ -57,6 +64,16 @@ class TestNormalizeLabel:
     def test_idempotent(self, surface):
         once = normalize_label(surface)
         assert normalize_label(once) == once
+
+    @given(st.text(_NORMALIZE_ALPHABET, max_size=30))
+    @example("a .")
+    @example("a\u3000!")
+    @example("\x1c.")
+    @example("Ǻ .")
+    @example("a . . . . .")
+    @settings(max_examples=500, deadline=None)
+    def test_equals_regex_formulation(self, surface):
+        assert normalize_label(surface) == brute_normalize_label(surface)
 
 
 def extract_one(doc: Document, gazetteer: Gazetteer) -> DocLabels:
@@ -217,10 +234,10 @@ class TestGazetteerType:
 
     @pytest.mark.parametrize("phrase", ["(rain)", "storm - surge", '"fay"', "rain (heavy"])
     def test_phrase_tokenize_would_change_rejected(self, phrase):
-        # tokenize strips the punctuation around a token, so not even this text matches such a key.
-        doc = Document(id="d", text='Heavy (rain) and storm - surge from "Fay"')
-        unchecked = Gazetteer(entries={"THEME": frozenset({normalize_label(phrase)})})
-        assert extract_one(doc, unchecked).counts == {}
+        # tokenize strips the punctuation around a token, so no text could match such a key:
+        # a gazetteer built directly refuses it too, naming the dimension.
+        with pytest.raises(ValueError, match="'THEME': .*not 1-8 tokens that join to"):
+            Gazetteer(entries={"THEME": frozenset({normalize_label(phrase)})})
         with pytest.raises(ValueError, match="not 1-8 tokens that join to"):
             Gazetteer.from_phrases({"THEME": [phrase]})
 
@@ -235,6 +252,23 @@ class TestGazetteerType:
     def test_phrase_with_lone_surrogate_rejected(self):
         with pytest.raises(ValueError, match="lone surrogate"):
             Gazetteer.from_phrases({"THEME": ["rain\ud800"]})
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("Rain", "'Rain' is not normalized"),
+            ("storm  surge", "'storm  surge' is not normalized"),
+            ("rain.", "'rain.' is not normalized"),
+            ("", "not 1-8 tokens"),
+            ("rain\ud800", "lone surrogate"),
+            ("a b c d e f g h i", "not 1-8 tokens"),
+        ],
+    )
+    def test_built_directly_refuses_what_from_phrases_would_not_make(self, entry, message):
+        # Every other entry is fine; the refusal names the dimension and the one at fault.
+        entries = {"THEME": frozenset({"rain", "storm surge"}), "EVENT": frozenset({"fay", entry})}
+        with pytest.raises(ValueError, match=f"'EVENT': .*{message}"):
+            Gazetteer(entries=entries)
 
     def test_load_gazetteer_names_the_line_of_a_lone_surrogate(self, tmp_path):
         path = write_escaped_jsonl(

@@ -35,6 +35,7 @@ from hyperrag import (
     load_corpus,
     load_gazetteer,
     load_index,
+    load_precomputed_labels,
     load_queries,
     normalize_label,
     result_to_dict,
@@ -131,6 +132,20 @@ class TestDecomposeQuery:
         external = [("THEME", "quantum entanglement"), ("LOCATION", "florida")]
         decomposition = decompose_query("q", hurricane_index, external)
         assert decomposition.component_count == 2
+
+    def test_precomputed_key_tokenize_changes_matches_only_externally(self, tmp_path):
+        # A labels file keeps "(rain)" as its own key, but tokenize strips the
+        # parentheses, so only an external decomposition reaches it exactly.
+        corpus = Corpus([Document(id="d1", text="heavy (rain) today")])
+        labels_path = write_jsonl(tmp_path / "labels.jsonl", [{"doc_id": "d1", "dim": "THEME", "label": "(Rain)"}])
+        ix = build_index(corpus, load_precomputed_labels(labels_path, corpus))
+        assert ix.vocab["THEME"] == {"(rain)"}
+        builtin = decompose_query("heavy (rain) today", ix)
+        assert "(rain)" not in {c.key for c in builtin.components}
+        assert retrieve("heavy (rain) today", ix).ranked == []
+        external = retrieve("heavy (rain) today", ix, external=[("THEME", "(rain)")])
+        assert [(m.matched_label, m.kind) for m in external.matches] == [("(rain)", EXACT)]
+        assert [doc.doc_id for doc in external.ranked] == ["d1"]
 
     def test_order_is_first_match_position(self, hurricane_index, trigram):
         result = retrieve("tropical storm fay drenched melbourne beach", hurricane_index, trigram)

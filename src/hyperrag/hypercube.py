@@ -26,7 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .labeling import (
     PhraseTable,
     _all_normalized,
     _count_fault,
-    _phrase_table,
     normalize_label,
+    phrase_index,
 )
 
 _MAGIC = b"HRIX"
@@ -160,20 +160,19 @@ class HypercubeIndex:
     held by their normalized keys only; ``dimensions``, derived, names
     the tables of ``inverted`` in order. ``__post_init__``, which every
     index passes through, is the one statement of what one may hold
-    (ValueError): names as :func:`_check_dimensions` says; doc ids rising
-    strictly from a non-empty first one; per table, the index's
-    ``doc_ids``, keys rising strictly and :func:`_all_normalized`, integer
-    arrays of lengths (each >= 1, one per key) that partition the
-    postings, ordinals that index ``doc_ids`` and rise within a key, and
-    counts from 1 to ``MAX_COUNT``; and vectors with a UTF-8 encoder
-    name, a dim >= 1 and a checksum in [0, 2**32) per dimension.
+    (ValueError): names as :func:`_check_dimensions` says; ``str`` doc
+    ids rising strictly from a non-empty first one; per table, the
+    index's ``doc_ids``, ``str`` keys rising strictly and
+    :func:`_all_normalized`, integer arrays of lengths (each >= 1, one
+    per key) that partition the postings, ordinals that index
+    ``doc_ids`` and rise within a key, and counts from 1 to
+    ``MAX_COUNT``; and vectors with a UTF-8 encoder name, a dim >= 1 and
+    a checksum in [0, 2**32) per dimension.
 
     ``vocab[dim]`` is a view of the keys of ``inverted[dim]``, not a
-    copy. ``phrase_dims`` (key -> sorted dimensions carrying it) and
-    ``phrase_table`` (first token -> token counts of the keys starting
-    with it, with which the matcher probes ``phrase_dims``) are derived
-    from ``inverted`` once per index, in ``__post_init__``; none of the
-    three is saved.
+    copy. ``phrase_dims`` and ``phrase_table`` are the
+    :func:`~hyperrag.labeling.phrase_index` of ``vocab``, as of a
+    gazetteer's phrases, built in ``__post_init__``; none is saved.
     ``label_vectors`` names the build encoder, the only one the index
     answers to, and checksums each dimension's table.
     """
@@ -191,7 +190,7 @@ class HypercubeIndex:
         _check_dimensions(self.dimensions)
         doc_ids = self.doc_ids
         # The empty string sorts first, so rising ids after a non-empty first one are all non-empty.
-        if (doc_ids and not doc_ids[0]) or not all(map(operator.lt, doc_ids, doc_ids[1:])):
+        if not _rise_strictly(doc_ids, "doc id") or (doc_ids and not doc_ids[0]):
             raise ValueError("the doc ids must rise strictly from a non-empty first one")
         for dim, table in self.inverted.items():
             _check_table(dim, table, doc_ids)
@@ -204,15 +203,7 @@ class HypercubeIndex:
             if vectors.dim < 1 or not all(0 <= crc < 2**32 for crc in vectors.checksums.values()):
                 raise ValueError(f"label vectors need a dim >= 1, not {vectors.dim}, and checksums in [0, 2**32)")
         self.vocab = {dim: table.keys() for dim, table in self.inverted.items()}
-        phrase_dims: dict[str, tuple[Dimension, ...]] = {}
-        for dim in sorted(self.dimensions):
-            keys = self.vocab[dim]
-            # Keys an earlier (smaller) dimension also carries gain this one after it.
-            shared = {key: phrase_dims[key] + (dim,) for key in keys & phrase_dims.keys()}
-            phrase_dims.update(dict.fromkeys(keys, (dim,)))
-            phrase_dims.update(shared)
-        self.phrase_dims = phrase_dims
-        self.phrase_table = _phrase_table(phrase_dims)
+        self.phrase_dims, self.phrase_table = phrase_index(self.vocab)
 
     @property
     def doc_count(self) -> int:
@@ -222,9 +213,20 @@ class HypercubeIndex:
         return sum(len(keys) for keys in self.vocab.values())
 
 
+def _rise_strictly(values: Sequence[str], what: str, where: str = "") -> bool:
+    """Whether ``values`` rise strictly; ValueError naming a non-``str`` one, seen in the first or as a TypeError."""
+    with contextlib.suppress(TypeError):
+        if not values or isinstance(values[0], str):
+            return all(map(operator.lt, values, values[1:]))
+    bad = next(value for value in values if not isinstance(value, str))
+    raise ValueError(f"{what} {bad!r}{where} is not a str")
+
+
 def _check_dimensions(dims: tuple[Dimension, ...]) -> None:
-    """Refuse a blank dimension name, one UTF-8 cannot encode, or one given twice (ValueError)."""
+    """Refuse a dimension name that is not a ``str``, is blank, holds a lone surrogate or is repeated (ValueError)."""
     for pos, dim in enumerate(dims):
+        if not isinstance(dim, str):
+            raise ValueError(f"dimension name {dim!r} is not a str")
         if not dim.strip():
             raise ValueError(f"dimension name {dim!r} is blank")
         if not _is_text(dim):
@@ -247,7 +249,7 @@ def _check_table(dim: Dimension, table: PostingTable, doc_ids: tuple[str, ...]) 
         raise ValueError(f"the postings of dimension {dim!r} are over other doc ids than the index's")
     keys = list(table)
     # The table holds a repeated key once, so it then has more lengths than keys.
-    if len(keys) != len(table.lengths) or not all(map(operator.lt, keys, keys[1:])):
+    if not _rise_strictly(keys, "label key", f" in dimension {dim!r}") or len(keys) != len(table.lengths):
         raise ValueError(f"the keys of dimension {dim!r} are not strictly increasing")
     if not _all_normalized(keys):
         key = next(key for key in keys if not key or normalize_label(key) != key or not _is_text(key))

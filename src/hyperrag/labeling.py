@@ -23,7 +23,7 @@ import unicodedata
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Collection, Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -41,7 +41,7 @@ CANONICAL_DIMENSIONS: tuple[Dimension, ...] = (
     "THEME",
 )
 
-# First token -> the distinct token counts of the phrases starting with it, longest first (see _phrase_table).
+# First token -> the distinct token counts of the phrases starting with it, longest first (see phrase_index).
 PhraseTable = dict[str, tuple[int, ...]]
 
 # Characters stripped from both ends of a text token (but kept inside it,
@@ -251,7 +251,10 @@ def _all_gazetteer_keys(keys: list[str]) -> bool:
     leaves each of those tokens whole. The tokens of every key are
     checked in one list.
     """
-    tokens = " ".join(keys).split(" ")
+    try:
+        tokens = " ".join(keys).split(" ")
+    except TypeError:  # a key that is not a str
+        return False
     return (
         _all_normalized(keys)
         and all(key.count(" ") < 8 for key in keys)
@@ -260,7 +263,10 @@ def _all_gazetteer_keys(keys: list[str]) -> bool:
 
 
 def _refuse_entries(dim: Dimension, keys: Iterable[str]) -> None:
-    """Raise ValueError naming ``dim`` and its first key (sorted) that is not its own :func:`_gazetteer_key`."""
+    """Raise ValueError naming ``dim`` and a non-``str`` key, else its first (sorted) not its own :func:`_gazetteer_key`."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise ValueError(f"gazetteer dimension {dim!r}: phrase {key!r} is not a str")
     for key in sorted(keys):
         try:
             normalized = _gazetteer_key(key)
@@ -276,48 +282,39 @@ class Gazetteer:
 
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
-    Any dimension name is held; :func:`~hyperrag.hypercube.build_index`
+    Any ``str`` dimension name is held; :func:`~hyperrag.hypercube.build_index`
     refuses a label of a dimension its index does not take. A phrase
     :func:`tokenize` changes, such as ``"(rain)"``, matches no text:
     :meth:`from_phrases` and :func:`load_gazetteer` refuse it, naming
     the phrase or its line. Construction refuses, with a ValueError
-    naming the dimension and the phrase, any entry that is not already
-    what they would make of it: one that is not normalized, holds a
-    lone surrogate, or is not 1-8 :func:`tokenize` tokens joined by
-    single spaces.
-    ``tables`` holds one :func:`match_phrases` table per non-empty
-    dimension, in sorted dimension order, probed against ``entries[dim]``,
-    and ``dims_by_first_token`` maps each token at which some phrase can
-    start to the dimensions, in that order, whose tables hold it. Both
-    are derived from ``entries`` once, on construction, and shared by
-    every document extracted.
+    naming the dimension and the value, a dimension name that is not a
+    ``str`` and any entry that is not already what they would make of
+    it: not a normalized ``str``, holding a lone surrogate, or not 1-8
+    :func:`tokenize` tokens joined by single spaces. ``phrase_dims`` and
+    ``phrase_table``, the :func:`phrase_index` of ``entries``, are built
+    once, on construction.
     """
 
     entries: dict[Dimension, frozenset[str]]
-    tables: dict[Dimension, PhraseTable] = field(init=False, repr=False, compare=False)
-    dims_by_first_token: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
+    phrase_dims: dict[str, tuple[Dimension, ...]] = field(init=False, repr=False, compare=False)
+    phrase_table: PhraseTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for dim, keys in self.entries.items():
+            if not isinstance(dim, str):
+                raise ValueError(f"gazetteer dimension name {dim!r} is not a str")
             if not _all_gazetteer_keys(list(keys)):
                 _refuse_entries(dim, keys)
-        tables = {dim: _phrase_table(self.entries[dim]) for dim in sorted(self.entries) if self.entries[dim]}
-        dims_by_first_token: dict[str, tuple[Dimension, ...]] = {}
-        for dim, table in tables.items():
-            for token in table:
-                dims_by_first_token[token] = dims_by_first_token.get(token, ()) + (dim,)
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "dims_by_first_token", dims_by_first_token)
+        phrase_dims, phrase_table = phrase_index(self.entries)
+        object.__setattr__(self, "phrase_dims", phrase_dims)
+        object.__setattr__(self, "phrase_table", phrase_table)
 
     @classmethod
     def from_phrases(cls, entries: Mapping[Dimension, Iterable[str]]) -> "Gazetteer":
         return cls(entries={dim: frozenset(map(_gazetteer_key, phrases)) for dim, phrases in entries.items()})
 
     def all_phrases(self) -> set[str]:
-        out: set[str] = set()
-        for phrases in self.entries.values():
-            out.update(phrases)
-        return out
+        return set(self.phrase_dims)
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.entries.values())
@@ -341,50 +338,52 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     return Gazetteer(entries={dim: frozenset(dim_keys) for dim, dim_keys in keys.items()})
 
 
-def _phrase_table(phrases: Iterable[str]) -> PhraseTable:
-    """Map the first token of distinct normalized phrases to their token counts, longest first.
+def phrase_index(
+    keys_by_dim: Mapping[Dimension, Collection[str]],
+) -> tuple[dict[str, tuple[Dimension, ...]], PhraseTable]:
+    """``(phrase_dims, phrase_table)``, the one phrase structure of indexes and gazetteers alike.
 
-    One pass: a normalized phrase holds single inner spaces, so its
-    first token and token count are read without splitting it. Callers
-    build it once per phrase set (per index, per gazetteer) and never
-    once per text scanned.
+    ``phrase_dims`` maps each key to the dimensions carrying it, sorted;
+    a dimension without keys adds nothing. ``phrase_table`` maps each
+    key's first token to the distinct token counts of the keys starting
+    with it, longest first, read without splitting a key, since a
+    normalized key holds single inner spaces. Built once per index or
+    gazetteer, never once per text scanned.
     """
-    table: PhraseTable = {}
-    for phrase in phrases:
+    phrase_dims: dict[str, tuple[Dimension, ...]] = {}
+    for dim in sorted(keys_by_dim):
+        keys = keys_by_dim[dim]
+        # Keys an earlier (smaller) dimension also carries gain this one after it.
+        shared = {key: phrase_dims[key] + (dim,) for key in phrase_dims.keys() & keys}
+        phrase_dims.update(dict.fromkeys(keys, (dim,)))
+        phrase_dims.update(shared)
+    phrase_table: PhraseTable = {}
+    for phrase in phrase_dims:
         first, n = phrase.partition(" ")[0], phrase.count(" ") + 1
-        counts = table.get(first, ())
+        counts = phrase_table.get(first, ())
         if n not in counts:
-            table[first] = tuple(sorted((*counts, n), reverse=True))
-    return table
+            phrase_table[first] = tuple(sorted((*counts, n), reverse=True))
+    return phrase_dims, phrase_table
 
 
-def phrase_starts(tokens: list[str], first_tokens: Container[str]) -> list[int]:
-    """Ascending positions of the tokens that can start a phrase."""
-    return [i for i, tok in enumerate(tokens) if tok in first_tokens]
-
-
-def match_phrases(
-    tokens: list[str], starts: Iterable[int], table: PhraseTable, keys: Container[str]
-) -> list[tuple[int, int, str]]:
+def match_phrases(tokens: list[str], table: PhraseTable, keys: Container[str]) -> list[tuple[int, int, str]]:
     """Longest-match-wins, non-overlapping scan of a token sequence.
 
-    Left to right, at each position ``i`` of ``starts`` past the last
-    match, the counts ``n`` that ``table`` lists for ``tokens[i]`` are
-    probed longest first and the first with ``i + n <= len(tokens)`` and
+    Left to right, at each position ``i`` past the last match, the counts
+    ``n`` that ``table`` lists for ``tokens[i]`` are probed longest first
+    and the first with ``i + n <= len(tokens)`` and
     ``" ".join(tokens[i : i + n])`` in ``keys`` (the phrases ``table``
     was built from) is claimed; a token holds no whitespace, so only a
     key's own tokens join to it, and the end guard keeps a slice past the
-    last token from joining to a shorter key. ``starts`` must ascend and
-    include every position whose token is a key of ``table`` (any
-    superset, such as :func:`phrase_starts` over a union of tables, gives
-    the same hits). Returns (start, token count, key) triples in scan order.
+    last token from joining to a shorter key. Returns (start, token
+    count, key) triples in scan order.
     """
     hits: list[tuple[int, int, str]] = []
     end = 0
-    for i in starts:
+    for i in [i for i, tok in enumerate(tokens) if tok in table]:
         if i < end:
             continue
-        for n in table.get(tokens[i], ()):
+        for n in table[tokens[i]]:
             if i + n <= len(tokens) and (key := " ".join(tokens[i : i + n])) in keys:
                 hits.append((i, n, key))
                 end = i + n
@@ -395,21 +394,24 @@ def match_phrases(
 def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimension, str], int]:
     """Each ``(dimension, key)`` the gazetteer matches in a document, with its match count.
 
-    Pairs appear in scan order: dimensions in the gazetteer's sorted
-    order, each left to right. See :func:`extract_all`.
+    One pass over the phrase starts: at each, the counts are probed
+    longest first, joined once each, and every dimension carrying the
+    joined key claims it if the position is past its own last match
+    (``ends[dim]``), which is each dimension's own longest-match scan.
+    Pairs appear as first claimed: by position, then longest first, then
+    dimension.
     """
     tokens = tokenize(doc.text)
-    dims_by_first_token = gazetteer.dims_by_first_token
-    starts: dict[Dimension, list[int]] = {}
-    for i in phrase_starts(tokens, dims_by_first_token):
-        for dim in dims_by_first_token[tokens[i]]:
-            starts.setdefault(dim, []).append(i)
-    # Each hit is a non-empty gazetteer key counted once, so a label's
-    # count is summed here and added as one record.
+    table, phrase_dims, size = gazetteer.phrase_table, gazetteer.phrase_dims, len(tokens)
+    ends = dict.fromkeys(gazetteer.entries, 0)
     counts: dict[tuple[Dimension, str], int] = {}
-    for dim, table in gazetteer.tables.items():
-        for _pos, _n, key in match_phrases(tokens, starts.get(dim, ()), table, gazetteer.entries[dim]):
-            counts[(dim, key)] = counts.get((dim, key), 0) + 1
+    for i in [i for i, tok in enumerate(tokens) if tok in table]:
+        for n in table[tokens[i]]:
+            if i + n <= size and (dims := phrase_dims.get(key := " ".join(tokens[i : i + n]))):
+                for dim in dims:
+                    if ends[dim] <= i:
+                        ends[dim] = i + n
+                        counts[(dim, key)] = counts.get((dim, key), 0) + 1
     return counts
 
 
@@ -419,18 +421,13 @@ def extract_all(corpus: Corpus, gazetteer: Gazetteer) -> LabelAssignment:
     Every document is registered, in corpus order, labeled or not, and
     each label matched in it appends one record of its match count, so
     ``extract_all(Corpus([doc]), gazetteer)[doc.id]`` is one document's
-    labels. Matching runs per dimension over the normalized token
-    sequence, longest match wins at each position, and matches within
-    one dimension never overlap. The occurrence count of a label is its
-    number of matches. Phrases from different dimensions may overlap
-    freely (each dimension scans independently). The per-dimension
-    tables are the gazetteer's own, built once per gazetteer and probed
-    against the dimension's phrases (:func:`match_phrases`). A document
-    costs one tokenize and one pass that hands each position whose token
-    starts some phrase to the dimensions that have a phrase starting
-    with it (``dims_by_first_token``); each dimension then visits only
-    its own positions, so text in which no phrase can start costs no
-    more than that.
+    labels. Each dimension claims its own longest matches over the
+    normalized token sequence, never overlapping each other, while those
+    of different dimensions may overlap. A label's count is its number
+    of matches. A document costs one tokenize and one pass
+    (:func:`_gazetteer_counts`) over the positions whose token starts a
+    phrase of the gazetteer's :func:`phrase_index`, so text in which no
+    phrase can start costs no more than that.
     """
     labels = LabelAssignment()
     for doc in corpus:

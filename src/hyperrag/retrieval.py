@@ -29,7 +29,7 @@ from .corpus import _as_str, _iter_records, _require, _str_field, _text_field
 from .embedding import DEFAULT_TAU, Encoder, check_encoder_and_tau, semantic_neighbors
 from .errors import MalformedRecord, MissingKey, UnencodableText
 from .hypercube import HypercubeIndex, lookup
-from .labeling import Dimension, match_phrases, normalize_label, phrase_starts, tokenize
+from .labeling import Dimension, match_phrases, normalize_label, tokenize
 
 DEFAULT_K = 3
 
@@ -246,8 +246,7 @@ def decompose_query(
     tokens = tokenize(query)
     ordered: list[tuple[tuple, QueryComponent]] = []
     consumed = [False] * len(tokens)
-    starts = phrase_starts(tokens, ix.phrase_table)
-    for pos, n, key in match_phrases(tokens, starts, ix.phrase_table, ix.phrase_dims):
+    for pos, n, key in match_phrases(tokens, ix.phrase_table, ix.phrase_dims):
         for span in range(pos, pos + n):
             consumed[span] = True
         for dim in ix.phrase_dims[key]:

@@ -226,18 +226,18 @@ def criterion(name: str, budget_s: float | None = None):
 
 
 def count_table_builds(monkeypatch) -> list[int]:
-    """Record the phrase count of every phrase-table build, in every module that binds the builder."""
+    """Record the phrase count of every phrase structure built (``phrase_index``), in every module that binds it."""
     builds: list[int] = []
-    original = labeling._phrase_table
+    original = labeling.phrase_index
 
-    def counted(phrases):
-        table = original(phrases)
-        builds.append(len(phrases))
-        return table
+    def counted(keys_by_dim):
+        phrase_dims, phrase_table = original(keys_by_dim)
+        builds.append(len(phrase_dims))
+        return phrase_dims, phrase_table
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("hyperrag") and getattr(module, "_phrase_table", None) is original:
-            monkeypatch.setattr(module, "_phrase_table", counted)
+        if name.startswith("hyperrag") and getattr(module, "phrase_index", None) is original:
+            monkeypatch.setattr(module, "phrase_index", counted)
     return builds
 
 

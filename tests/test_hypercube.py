@@ -131,8 +131,14 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize(
         "name, fault",
-        [("", "is blank"), (" ", "is blank"), ("\t\n", "is blank"), ("THEME\ud800", "holds a lone surrogate")],
-        ids=["", " ", "\t\n", "surrogate"],
+        [
+            ("", "is blank"),
+            (" ", "is blank"),
+            ("\t\n", "is blank"),
+            ("THEME\ud800", "holds a lone surrogate"),
+            (7, "is not a str"),
+        ],
+        ids=["", " ", "\t\n", "surrogate", "int"],
     )
     def test_blank_dimension_rejected(self, hurricane_corpus, name, fault):
         # No container can name a dimension UTF-8 cannot encode, so build_index refuses it as it does a blank one.
@@ -584,7 +590,7 @@ class TestContainerV3:
 
 def _hand_built(
     doc_ids=("a", "b"), keys=("rain", "wind"), lengths=(1, 2), ordinals=(1, 0, 1), counts=(1, 2, 3),
-    table_ids=None, dim=16, checksum=0,
+    table_ids=None, dim=16, checksum=0, dimension="THEME",
 ) -> dict:
     """The fields of a hand-built one-dimension index: THEME's "rain" holds doc "b", "wind" holds both.
 
@@ -593,9 +599,9 @@ def _hand_built(
     arrays = (np.asarray(values, dtype=getattr(values, "dtype", np.int64)) for values in (lengths, ordinals, counts))
     table = hypercube_mod.PostingTable(doc_ids if table_ids is None else table_ids, list(keys), *arrays)
     return {
-        "inverted": {"THEME": table},
+        "inverted": {dimension: table},
         "doc_ids": doc_ids,
-        "label_vectors": LabelVectors("trigram", dim, {"THEME": checksum}),
+        "label_vectors": LabelVectors("trigram", dim, {dimension: checksum}),
     }
 
 
@@ -607,6 +613,11 @@ GATE_REFUSES = {
     "empty_alone": ({"doc_ids": ("",), "ordinals": (0, 0, 0)}, _IDS_RULE),
     "empty_first": ({"doc_ids": ("", "a")}, _IDS_RULE),
     "empty_last": ({"doc_ids": ("a", "")}, _IDS_RULE),
+    "first_id_not_str": ({"doc_ids": (1, 2)}, "doc id 1 is not a str"),
+    "later_id_not_str": ({"doc_ids": ("a", 2)}, "doc id 2 is not a str"),
+    "first_key_not_str": ({"keys": (5, 6)}, "label key 5 in dimension 'THEME' is not a str"),
+    "later_key_not_str": ({"keys": ("rain", 5)}, "label key 5 in dimension 'THEME' is not a str"),
+    "dimension_not_str": ({"dimension": 7}, "dimension name 7 is not a str"),
     "ordinal_past_doc_ids": ({"ordinals": (2, 0, 1)}, re.escape("ordinals holds a value outside [0, 1]")),
     "ordinal_negative": ({"ordinals": (-1, 0, 1)}, re.escape("ordinals holds a value outside [0, 1]")),
     "ordinals_falling": ({"ordinals": (1, 1, 0)}, "key 'wind': ordinals not strictly increasing"),

@@ -135,20 +135,44 @@ class TestGazetteerExtract:
         second = extract_one(doc, hurricane_gazetteer)
         assert first == second
 
-    def test_one_table_per_dimension_for_whole_corpus(self, monkeypatch):
+    def test_one_phrase_table_per_gazetteer_for_whole_corpus(self, monkeypatch):
         corpus = load_corpus(HURRICANE_MINI / "corpus.jsonl")
         builds = count_table_builds(monkeypatch)
         gazetteer = load_gazetteer(HURRICANE_MINI / "gazetteer.jsonl")
-        per_dim = [len(gazetteer.entries[dim]) for dim in sorted(gazetteer.entries)]
-        assert builds == per_dim
+        phrases = len(set().union(*gazetteer.entries.values()))
+        assert builds == [phrases] and gazetteer.all_phrases() == set(gazetteer.phrase_dims)
         labels = extract_all(corpus, gazetteer)
         assert len(corpus) > 1 and any(doc.counts for doc in labels.values())
-        assert builds == per_dim
+        assert builds == [phrases]
 
-    def test_tables_skip_empty_dimensions_and_ignored_by_equality(self):
+    def test_derived_fields_ignored_by_equality_and_empty_dimension_adds_nothing(self):
         gaz = Gazetteer.from_phrases({"THEME": ["rain", "storm surge"], "PERSON": []})
-        assert list(gaz.tables) == ["THEME"]
-        assert gaz == Gazetteer.from_phrases({"THEME": ["storm surge", "rain"], "PERSON": []})
+        assert gaz.phrase_dims == {"rain": ("THEME",), "storm surge": ("THEME",)}
+        assert gaz.phrase_table == Gazetteer.from_phrases({"THEME": ["rain", "storm surge"]}).phrase_table
+        other = Gazetteer.from_phrases({"THEME": ["storm surge", "rain"], "PERSON": []})
+        object.__setattr__(other, "phrase_dims", {})
+        object.__setattr__(other, "phrase_table", {})
+        assert gaz == other
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["LOCATION", "EVENT", "THEME"]),
+            st.lists(st.lists(st.sampled_from(["aa", "bb", "cc"]), min_size=1, max_size=3), max_size=6),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_phrase_structure_equals_an_index_of_the_same_phrases(self, phrase_lists):
+        # Three words make phrases shared across dimensions and phrases that are prefixes of others.
+        entries = {dim: {" ".join(toks) for toks in lists} for dim, lists in phrase_lists.items()}
+        gaz = Gazetteer.from_phrases(entries)
+        labels = LabelAssignment()
+        for dim, phrases in entries.items():
+            for phrase in phrases:
+                labels.add("d", dim, phrase)
+        ix = build_index(Corpus([Document(id="d", text="x")]), labels)
+        assert gaz.phrase_dims == ix.phrase_dims
+        assert gaz.phrase_table == ix.phrase_table
 
     def test_count_soundness_random_texts(self):
         # Matched counts can never exceed raw (overlap-permitting)
@@ -262,6 +286,8 @@ class TestGazetteerType:
             ("", "not 1-8 tokens"),
             ("rain\ud800", "lone surrogate"),
             ("a b c d e f g h i", "not 1-8 tokens"),
+            (5, "phrase 5 is not a str"),
+            (None, "phrase None is not a str"),
         ],
     )
     def test_built_directly_refuses_what_from_phrases_would_not_make(self, entry, message):
@@ -269,6 +295,12 @@ class TestGazetteerType:
         entries = {"THEME": frozenset({"rain", "storm surge"}), "EVENT": frozenset({"fay", entry})}
         with pytest.raises(ValueError, match=f"'EVENT': .*{message}"):
             Gazetteer(entries=entries)
+        with pytest.raises(ValueError, match=f"'EVENT': .*{message}"):
+            Gazetteer(entries={"EVENT": frozenset({entry})})
+
+    def test_built_directly_refuses_a_dimension_name_that_is_not_a_str(self):
+        with pytest.raises(ValueError, match="dimension name 7 is not a str"):
+            Gazetteer(entries={"THEME": frozenset({"rain"}), 7: frozenset({"fay"})})
 
     def test_load_gazetteer_names_the_line_of_a_lone_surrogate(self, tmp_path):
         path = write_escaped_jsonl(

@@ -181,7 +181,7 @@ class TestDecomposeQuery:
         ix = build_index(Corpus([Document(id="d", text="x")]), assignment)
         tokens = tokenize(query)
         hits = brute_longest_match(tokens, ix.phrase_dims)
-        triples = match_phrases(tokens, range(len(tokens)), ix.phrase_table, ix.phrase_dims)
+        triples = match_phrases(tokens, ix.phrase_table, ix.phrase_dims)
         assert triples == [(pos, len(key.split()), key) for pos, key in hits]
         # A fallback candidate is never a key: the matcher would have claimed it.
         expected = dict.fromkeys((dim, key) for _pos, key in hits for dim in ix.phrase_dims[key])

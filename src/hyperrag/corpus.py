@@ -188,14 +188,14 @@ def _str_field(obj: dict, key: str, line_no: int) -> str:
 def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file.
 
-    Raises MissingField / MalformedRecord / EmptyText / DuplicateId on
-    the first bad record; the order of documents matches the file. A
+    Raises MissingField / MalformedRecord / EmptyText on the first bad
+    record, and DuplicateId, from :class:`Corpus`, once the whole file is
+    read; the order of documents matches the file. A
     blank text, and an id holding a newline or a lone surrogate (an
     escape such as ``"\\ud800"``), are rejected by :class:`Document`
     itself, as a MalformedRecord naming the line.
     """
     documents: list[Document] = []
-    seen: set[str] = set()
     for line_no, obj in _iter_records(path):
         doc_id = _str_field(obj, "id", line_no)
         if not doc_id:
@@ -206,9 +206,6 @@ def load_corpus(path: str | Path) -> Corpus:
             doc = Document(id=doc_id, text=text, title=title)
         except MalformedRecord as exc:
             raise MalformedRecord(line_no, exc.detail) from None
-        if doc_id in seen:
-            raise DuplicateId(doc_id)
-        seen.add(doc_id)
         documents.append(doc)
     return Corpus(documents)
 

@@ -173,11 +173,9 @@ def eval_recall(
 
     Every query must carry gold ids and every gold id must exist in the
     index; violations raise MissingGold up front, before any retrieval.
-    An empty query list raises ValueError: there is no recall over zero
-    queries.
+    An empty query list raises ValueError, from
+    :meth:`EvalReport.from_rows`: there is no recall over zero queries.
     """
-    if not queries:
-        raise ValueError("cannot evaluate recall over zero queries")
     for record in queries:
         if not record.gold_doc_ids:
             raise MissingGold(record.id)

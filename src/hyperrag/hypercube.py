@@ -40,7 +40,6 @@ from .labeling import (
     PhraseTable,
     _all_normalized,
     _count_fault,
-    normalize_label,
     phrase_index,
 )
 
@@ -243,7 +242,7 @@ def _check_range(array: np.ndarray, low: int, high: int, what: str) -> None:
 
 
 def _check_table(dim: Dimension, table: PostingTable, doc_ids: tuple[str, ...]) -> None:
-    """One table's part of the :class:`HypercubeIndex` gate; postings are checked as whole arrays."""
+    """One table's part of the :class:`HypercubeIndex` gate, on whole arrays; a refused key is named by the same rule."""
     # Built and loaded tables hold the index's own tuple, so only a hand-built one is compared id by id.
     if table.doc_ids is not doc_ids and table.doc_ids != doc_ids:
         raise ValueError(f"the postings of dimension {dim!r} are over other doc ids than the index's")
@@ -252,7 +251,7 @@ def _check_table(dim: Dimension, table: PostingTable, doc_ids: tuple[str, ...]) 
     if not _rise_strictly(keys, "label key", f" in dimension {dim!r}") or len(keys) != len(table.lengths):
         raise ValueError(f"the keys of dimension {dim!r} are not strictly increasing")
     if not _all_normalized(keys):
-        key = next(key for key in keys if not key or normalize_label(key) != key or not _is_text(key))
+        key = next(key for key in keys if not _all_normalized([key]))
         fault = "is empty or not normalized" if _is_text(key) else "holds a lone surrogate"
         raise ValueError(f"label key {key!r} in dimension {dim!r} {fault}")
     lengths, ordinals, counts = table.lengths, table.ordinals, table.counts

@@ -230,20 +230,8 @@ class LabelAssignment(Mapping[str, DocLabels]):
         return self._by_doc[1:]
 
 
-def _gazetteer_key(phrase: str) -> str:
-    """Normalized key of a gazetteer phrase; ValueError if it holds a lone surrogate, or if it is
-    not 1-8 :func:`tokenize` tokens joined by spaces (no text could match it)."""
-    key = normalize_label(phrase)
-    if not _is_text(key):
-        raise ValueError(f"gazetteer phrase {phrase!r} holds a lone surrogate, which is not valid Unicode text")
-    tokens = tokenize(key)
-    if " ".join(tokens) != key or not 1 <= len(tokens) <= 8:
-        raise ValueError(f"gazetteer phrase {phrase!r} tokenizes to {tokens}, not 1-8 tokens that join to {key!r}")
-    return key
-
-
 def _all_gazetteer_keys(keys: list[str]) -> bool:
-    """Whether every key is its own :func:`_gazetteer_key`, tested on all keys at once.
+    """Whether every key is a ``str`` passing :func:`_all_normalized` that is 1-8 :func:`tokenize` tokens.
 
     Keys that pass :func:`_all_normalized` hold single inner spaces and
     no other whitespace, so ``key.split(" ")`` is what :func:`tokenize`
@@ -262,18 +250,17 @@ def _all_gazetteer_keys(keys: list[str]) -> bool:
     )
 
 
-def _refuse_entries(dim: Dimension, keys: Iterable[str]) -> None:
-    """Raise ValueError naming ``dim`` and a non-``str`` key, else its first (sorted) not its own :func:`_gazetteer_key`."""
-    for key in keys:
-        if not isinstance(key, str):
-            raise ValueError(f"gazetteer dimension {dim!r}: phrase {key!r} is not a str")
-    for key in sorted(keys):
-        try:
-            normalized = _gazetteer_key(key)
-        except ValueError as exc:
-            raise ValueError(f"gazetteer dimension {dim!r}: {exc}") from None
-        if normalized != key:
-            raise ValueError(f"gazetteer dimension {dim!r}: phrase {key!r} is not normalized ({normalized!r})")
+def _phrase_fault(key: object) -> str | None:
+    """Why :func:`_all_gazetteer_keys` refuses ``key`` alone, or None if it does not."""
+    if _all_gazetteer_keys([key]):
+        return None
+    if not isinstance(key, str):
+        return "is not a str"
+    if not _is_text(key):
+        return "holds a lone surrogate, which is not valid Unicode text"
+    if (normalized := normalize_label(key)) != key:
+        return f"is not normalized ({normalized!r})"
+    return f"tokenizes to {tokenize(key)}, not 1-8 tokens that join to {key!r}"
 
 
 @dataclass(frozen=True)
@@ -283,16 +270,14 @@ class Gazetteer:
     The THEME list is the hand-curated part of a deployment: it lives in
     a checked-in file and is edited as reviewers find missing topics.
     Any ``str`` dimension name is held; :func:`~hyperrag.hypercube.build_index`
-    refuses a label of a dimension its index does not take. A phrase
-    :func:`tokenize` changes, such as ``"(rain)"``, matches no text:
-    :meth:`from_phrases` and :func:`load_gazetteer` refuse it, naming
-    the phrase or its line. Construction refuses, with a ValueError
-    naming the dimension and the value, a dimension name that is not a
-    ``str`` and any entry that is not already what they would make of
-    it: not a normalized ``str``, holding a lone surrogate, or not 1-8
-    :func:`tokenize` tokens joined by single spaces. ``phrase_dims`` and
-    ``phrase_table``, the :func:`phrase_index` of ``entries``, are built
-    once, on construction.
+    refuses a label of a dimension its index does not take. Construction
+    is the one judge of a phrase (:func:`_all_gazetteer_keys`): it
+    refuses, with a ValueError naming the dimension and the value, a
+    dimension name that is not a ``str`` and any entry that is not a
+    normalized ``str``, holds a lone surrogate, or is not 1-8
+    :func:`tokenize` tokens joined by single spaces, such as ``"(rain)"``,
+    which no text can match. ``phrase_dims`` and ``phrase_table``, the
+    :func:`phrase_index` of ``entries``, are built once, on construction.
     """
 
     entries: dict[Dimension, frozenset[str]]
@@ -304,14 +289,18 @@ class Gazetteer:
             if not isinstance(dim, str):
                 raise ValueError(f"gazetteer dimension name {dim!r} is not a str")
             if not _all_gazetteer_keys(list(keys)):
-                _refuse_entries(dim, keys)
+                key, fault = next((key, fault) for key in sorted(keys, key=str) if (fault := _phrase_fault(key)))
+                raise ValueError(f"gazetteer dimension {dim!r}: phrase {key!r} {fault}")
         phrase_dims, phrase_table = phrase_index(self.entries)
         object.__setattr__(self, "phrase_dims", phrase_dims)
         object.__setattr__(self, "phrase_table", phrase_table)
 
     @classmethod
     def from_phrases(cls, entries: Mapping[Dimension, Iterable[str]]) -> "Gazetteer":
-        return cls(entries={dim: frozenset(map(_gazetteer_key, phrases)) for dim, phrases in entries.items()})
+        """Each ``str`` phrase normalized, and any other value kept, for construction to judge."""
+        return cls(
+            {dim: frozenset(normalize_label(p) if isinstance(p, str) else p for p in ps) for dim, ps in entries.items()}
+        )
 
     def all_phrases(self) -> set[str]:
         return set(self.phrase_dims)
@@ -323,19 +312,26 @@ class Gazetteer:
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Read a line-delimited gazetteer file with keys ``dim`` and ``phrase``.
 
-    Each phrase is normalized once, where a failure can name its line.
-    Any dimension name is read; :func:`~hyperrag.hypercube.build_index`
-    decides which ones an index takes.
+    Phrases are only normalized; the :class:`Gazetteer` of the whole file
+    judges them, and a refusal is a MalformedRecord naming the first line
+    whose phrase it refuses, spelled as there. Any dimension name is
+    read; :func:`~hyperrag.hypercube.build_index` decides which ones an
+    index takes.
     """
-    keys: dict[Dimension, set[str]] = {}
+    # Per dimension, each key with the first line that gave it and the phrase as spelled there.
+    keys: dict[Dimension, dict[str, tuple[int, str]]] = {}
     for line_no, obj in _iter_records(path):
         dim = _str_field(obj, "dim", line_no)
         phrase = _str_field(obj, "phrase", line_no)
-        try:
-            keys.setdefault(dim, set()).add(_gazetteer_key(phrase))
-        except ValueError as exc:
-            raise MalformedRecord(line_no, str(exc)) from None
-    return Gazetteer(entries={dim: frozenset(dim_keys) for dim, dim_keys in keys.items()})
+        keys.setdefault(dim, {}).setdefault(normalize_label(phrase), (line_no, phrase))
+    try:
+        return Gazetteer(entries={dim: frozenset(by_key) for dim, by_key in keys.items()})
+    except ValueError:
+        line_no, phrase, fault = min(
+            (line_no, phrase, fault) for by_key in keys.values() for key, (line_no, phrase) in by_key.items()
+            if (fault := _phrase_fault(key))
+        )
+        raise MalformedRecord(line_no, f"gazetteer phrase {phrase!r} {fault}") from None
 
 
 def phrase_index(
@@ -402,12 +398,13 @@ def _gazetteer_counts(doc: Document, gazetteer: Gazetteer) -> dict[tuple[Dimensi
     dimension.
     """
     tokens = tokenize(doc.text)
-    table, phrase_dims, size = gazetteer.phrase_table, gazetteer.phrase_dims, len(tokens)
+    table, phrase_dims = gazetteer.phrase_table, gazetteer.phrase_dims
     ends = dict.fromkeys(gazetteer.entries, 0)
     counts: dict[tuple[Dimension, str], int] = {}
     for i in [i for i, tok in enumerate(tokens) if tok in table]:
         for n in table[tokens[i]]:
-            if i + n <= size and (dims := phrase_dims.get(key := " ".join(tokens[i : i + n]))):
+            # No end guard: a count past the last token joins the tail, which the fitting count claims here anyway.
+            if dims := phrase_dims.get(key := " ".join(tokens[i : i + n])):
                 for dim in dims:
                     if ends[dim] <= i:
                         ends[dim] = i + n

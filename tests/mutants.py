@@ -89,8 +89,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "gazetteer_phrase_untyped",
         "src/hyperrag/labeling.py",
-        "    for key in keys:\n        if not isinstance(key, str):\n"
-        "            raise ValueError(f\"gazetteer dimension {dim!r}: phrase {key!r} is not a str\")\n",
+        '    if not isinstance(key, str):\n        return "is not a str"\n',
         "",
         (f"{_GAZETTEER_REFUSAL}[5-phrase 5 is not a str]", f"{_GAZETTEER_REFUSAL}[None-phrase None is not a str]"),
     ),
@@ -99,7 +98,69 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/hyperrag/labeling.py",
         "    except TypeError:  # a key that is not a str\n",
         "    except LookupError:\n",
-        (f"{_GAZETTEER_REFUSAL}[5-phrase 5 is not a str]",),
+        (f"{_GAZETTEER_REFUSAL}[5-phrase 5 is not a str]", f"{_GAZETTEER_REFUSAL}[None-phrase None is not a str]"),
+    ),
+    Mutant(
+        "from_phrases_normalizes_untyped",
+        "src/hyperrag/labeling.py",
+        "normalize_label(p) if isinstance(p, str) else p",
+        "normalize_label(p)",
+        (f"{_GAZETTEER_REFUSAL}[5-phrase 5 is not a str]", f"{_GAZETTEER_REFUSAL}[None-phrase None is not a str]"),
+    ),
+    Mutant(
+        "load_gazetteer_names_the_last_faulty_line",
+        "src/hyperrag/labeling.py",
+        "line_no, phrase, fault = min(",
+        "line_no, phrase, fault = max(",
+        ("tests/test_labeling.py::TestGazetteerType::test_load_gazetteer_names_the_first_faulty_line_as_spelled",),
+    ),
+    Mutant(
+        "gazetteer_takes_nine_tokens",
+        "src/hyperrag/labeling.py",
+        'key.count(" ") < 8',
+        'key.count(" ") <= 8',
+        (
+            "tests/test_labeling.py::TestGazetteerType::test_too_long_phrase_rejected",
+            "tests/test_labeling.py::TestGazetteerType::test_from_phrases_and_the_gate_equal_brute_gazetteer_key",
+        ),
+    ),
+    Mutant(
+        "index_key_named_by_a_weaker_rule",
+        "src/hyperrag/hypercube.py",
+        "key = next(key for key in keys if not _all_normalized([key]))",
+        "key = next(key for key in keys if not key or not _is_text(key))",
+        (
+            "tests/test_hypercube.py::TestBuildIndex::test_unnormalized_key_rejected[Rain.]",
+            "tests/test_hypercube.py::TestBuildIndex::test_unnormalized_key_rejected[RAIN]",
+        ),
+    ),
+    Mutant(
+        "normalize_strips_trailing_punctuation_only",
+        "src/hyperrag/labeling.py",
+        '.split()).rstrip(" .,;:!?")',
+        '.split()).rstrip(".,;:!?")',
+        ("tests/test_labeling.py::TestNormalizeLabel::test_equals_regex_formulation",),
+    ),
+    Mutant(
+        "trigram_memo_shared_across_dims",
+        "src/hyperrag/embedding.py",
+        "self._memo: dict[str, tuple[int, int]] = {}",
+        'self._memo: dict[str, tuple[int, int]] = globals().setdefault("_SHARED_MEMO", {})',
+        ("tests/test_embedding.py::TestTrigramEncoder::test_memos_of_different_dims_keep_their_own_buckets",),
+    ),
+    Mutant(
+        "trigram_memo_unbounded",
+        "src/hyperrag/embedding.py",
+        "if len(self._memo) < _TRIGRAM_MEMO_ENTRIES:",
+        "if True:",
+        ("tests/test_embedding.py::TestTrigramEncoder::test_memo_never_exceeds_its_bound",),
+    ),
+    Mutant(
+        "trigram_memo_stores_a_surrogate",
+        "src/hyperrag/embedding.py",
+        '        try:\n            raw = tri.encode("utf-8")\n',
+        '        self._memo[tri] = (0, 1)\n        try:\n            raw = tri.encode("utf-8")\n',
+        ("tests/test_embedding.py::TestTrigramEncoder::test_lone_surrogate_raises_from_warm_memo_and_stores_nothing_of_it",),
     ),
     Mutant(
         "gazetteer_dimension_untyped",

@@ -47,6 +47,20 @@ def brute_normalize_label(surface: str) -> str:
     return s
 
 
+def brute_gazetteer_key(phrase: str) -> str:
+    """Normalized key of a gazetteer phrase; ValueError if it holds a lone surrogate, or if it is
+    not 1-8 :func:`tokenize` tokens joined by spaces (no text could match it)."""
+    key = brute_normalize_label(phrase)
+    try:
+        key.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"gazetteer phrase {phrase!r} holds a lone surrogate, which is not valid Unicode text") from None
+    tokens = tokenize(key)
+    if " ".join(tokens) != key or not 1 <= len(tokens) <= 8:
+        raise ValueError(f"gazetteer phrase {phrase!r} tokenizes to {tokens}, not 1-8 tokens that join to {key!r}")
+    return key
+
+
 def numpy_trigram_encode(text: str, dim: int) -> np.ndarray:
     """TrigramEncoder's formula term by term: one float add per trigram into
     its bucket, then division by ``np.linalg.norm``.

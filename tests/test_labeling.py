@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HURRICANE_MINI, assignment_of, count_table_builds, write_escaped_jsonl, write_jsonl
-from oracles import brute_longest_match, brute_merge, brute_normalize_label, brute_postings, substring_occurrences
+from oracles import (
+    brute_gazetteer_key,
+    brute_longest_match,
+    brute_merge,
+    brute_normalize_label,
+    brute_postings,
+    substring_occurrences,
+)
 from hyperrag import (
     CANONICAL_DIMENSIONS,
     Corpus,
@@ -235,6 +243,16 @@ class TestGazetteerExtract:
         assert extract_one(doc, gaz).counts == expected
 
 
+# Gazetteer phrases of 0-10 tokens over letters (one that case folding turns into two characters),
+# the sentence punctuation normalization strips, punctuation tokenize strips, and lone surrogates.
+# Two tokens in three are letters only, so that many phrases are valid.
+_LETTER_TOKENS = st.text("aBİ", min_size=1, max_size=3)
+_GAZETTEER_PHRASES = st.lists(
+    st.one_of(_LETTER_TOKENS, _LETTER_TOKENS, st.text("aBİ" ".,;:!?" "()'\"-…—" "\ud800\udcff", min_size=1, max_size=3)),
+    max_size=10,
+).flatmap(lambda tokens: st.sampled_from([" ", "  ", " \t"]).map(lambda sep: sep.join(tokens)))
+
+
 class TestGazetteerType:
     def test_phrases_normalized_and_validated(self):
         gaz = Gazetteer.from_phrases({"THEME": ["  Storm  Surge. "]})
@@ -297,6 +315,51 @@ class TestGazetteerType:
             Gazetteer(entries=entries)
         with pytest.raises(ValueError, match=f"'EVENT': .*{message}"):
             Gazetteer(entries={"EVENT": frozenset({entry})})
+        if not isinstance(entry, str):
+            # from_phrases normalizes a str only, and leaves any other value to the same refusal.
+            with pytest.raises(ValueError, match=f"'EVENT': .*{message}"):
+                Gazetteer.from_phrases({"THEME": ["rain"], "EVENT": ["fay", entry]})
+
+    @given(st.lists(_GAZETTEER_PHRASES, min_size=1, max_size=3))
+    @example(["a b c d e f g h"])
+    @example(["a b c d e f g h i"])
+    @example(["(rain) x", "rain."])
+    @settings(max_examples=400, deadline=None)
+    def test_from_phrases_and_the_gate_equal_brute_gazetteer_key(self, phrases):
+        keys = []
+        for phrase in phrases:
+            try:
+                key = brute_gazetteer_key(phrase)
+            except ValueError:
+                with pytest.raises(ValueError, match=re.escape(f"phrase {normalize_label(phrase)!r} ")):
+                    Gazetteer.from_phrases({"THEME": [phrase]})
+            else:
+                assert Gazetteer.from_phrases({"THEME": [phrase]}).entries == {"THEME": frozenset({key})}
+            for candidate in (phrase, normalize_label(phrase)):
+                try:
+                    valid = brute_gazetteer_key(candidate) == candidate
+                except ValueError:
+                    valid = False
+                # The explainer gives no reason exactly when the gate's rule holds for the key alone.
+                assert (labeling._phrase_fault(candidate) is None) == labeling._all_gazetteer_keys([candidate]) == valid
+                keys.append(candidate)
+        # The rule tested on all keys at once holds exactly when it holds for each alone.
+        assert labeling._all_gazetteer_keys(keys) == all(labeling._all_gazetteer_keys([key]) for key in keys)
+
+    def test_load_gazetteer_names_the_first_faulty_line_as_spelled(self, tmp_path):
+        # EVENT is read first and sorts first, but its fault is on line 4; THEME's, on line 2, is
+        # named, spelled as there, though line 5 gives the same key.
+        records = [
+            {"dim": "EVENT", "phrase": "fay"},
+            {"dim": "THEME", "phrase": "..."},
+            {"dim": "THEME", "phrase": "rain"},
+            {"dim": "EVENT", "phrase": "(Fay)"},
+            {"dim": "THEME", "phrase": "!"},
+        ]
+        message = "gazetteer phrase '...' tokenizes to [], not 1-8 tokens that join to ''"
+        with pytest.raises(MalformedRecord, match=re.escape(message)) as excinfo:
+            load_gazetteer(write_jsonl(tmp_path / "gaz.jsonl", records))
+        assert excinfo.value.line_no == 2
 
     def test_built_directly_refuses_a_dimension_name_that_is_not_a_str(self):
         with pytest.raises(ValueError, match="dimension name 7 is not a str"):
